@@ -34,10 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LpVector:
-    """Sparse vector with exponent p in (0, 2]; zero entries are never stored."""
+    """Sparse vector with exponent p in (0, 2]; zero entries are never stored.
+
+    The vector is `factor` times the stored entries.  Scaling multiplies the
+    factor only, so it is exact and cannot underflow an entry to zero.
+    """
 
     p: float
     entries: tuple[tuple[int, float], ...]
+    factor: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.p <= 2.0):
@@ -54,19 +59,23 @@ class LpVector:
     def unit(p: float, index: int) -> "LpVector":
         return LpVector(p, ((index, 1.0),))
 
+    def items(self) -> tuple[tuple[int, float], ...]:
+        """(index, value) pairs of the vector itself, the factor applied."""
+        return tuple((i, self.factor * v) for i, v in self.entries)
+
     def norm_p_power(self) -> float:
-        return math.fsum(abs(v) ** self.p for _, v in self.entries)
+        return abs(self.factor) ** self.p * math.fsum(abs(v) ** self.p for _, v in self.entries)
 
     def scale(self, c: float) -> "LpVector":
         if c == 0.0:
             return LpVector(self.p, ())
-        return LpVector(self.p, tuple((i, c * v) for i, v in self.entries))
+        return LpVector(self.p, self.entries, self.factor * c)
 
     def add(self, other: "LpVector") -> "LpVector":
         if other.p != self.p:
             raise ValueError("mismatched exponents")
-        acc = dict(self.entries)
-        for i, v in other.entries:
+        acc = dict(self.items())
+        for i, v in other.items():
             acc[i] = acc.get(i, 0.0) + v
         return LpVector.from_dict(self.p, acc)
 
@@ -75,9 +84,10 @@ class LpVector:
 
 
 def lp_norm(v: LpVector) -> float:
-    """(sum |v_i|^p)^(1/p); a quasi-norm for p < 1."""
-    s = v.norm_p_power()
-    return s ** (1.0 / v.p) if s > 0.0 else 0.0
+    """(sum |v_i|^p)^(1/p); a quasi-norm for p < 1.  Homogeneous by
+    construction: lp_norm(v.scale(c)) == |c| * lp_norm(v)."""
+    s = math.fsum(abs(x) ** v.p for _, x in v.entries)
+    return abs(v.factor) * s ** (1.0 / v.p) if s > 0.0 else 0.0
 
 
 def disjoint_units(k: int) -> LpVector:
@@ -94,13 +104,12 @@ def counterexample_path(n_max: int, p: float, seed: int = 0) -> np.ndarray:
     """Ratios ||sum_{i<=n} (+/- e_i)||_p / n^(1/p) for n = 1..n_max.
 
     The coordinates are disjoint, so the p-th power of the norm accumulates
-    an integer count and the ratio is bitwise 1.0; the sign draws are
-    consumed anyway so the stream contract matches a genuine simulation.
+    an integer count whatever the signs, and the ratio is bitwise 1.0; no
+    sign needs drawing.  `seed` is accepted for signature compatibility with
+    the simulated paths and does not change the result.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    gen = rng.generator(seed, 0, rng.ROLE_PATH)
-    gen.random(n_max)  # signs: |+-1|^p == 1 regardless
     counts = np.arange(1, n_max + 1, dtype=float)
     return (counts / counts) ** (1.0 / p)
 
@@ -200,12 +209,12 @@ def rademacher_probe(xs, p: float, q: float, *, n_max: int, replications: int,
     inv_p = 1.0 / p
     for r in range(reps):
         gen = rng.generator(master_seed, r, rng.ROLE_PROBE)
-        signs = np.where(gen.random(n_max) < 0.5, -1.0, 1.0)
+        signs = np.where(mc.negative_signs(gen, 0.5, n_max), -1.0, 1.0)
         acc: dict[int, float] = {}
         w_run = 0.0
         snap = 0
         for n, (vec, s) in enumerate(zip(vectors, signs), start=1):
-            for i, v in vec.entries:
+            for i, v in vec.items():
                 acc[i] = acc.get(i, 0.0) + s * v
             norm = math.fsum(abs(v) ** p for v in acc.values()) ** inv_p
             ratio_n = norm / n**inv_p
@@ -324,8 +333,7 @@ def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
     while done < replications:
         m = min(per_block, replications - done)
         gen = rng.generator(master_seed, block_id, rng.ROLE_PROBE)
-        u = rng.open_uniforms(gen, m * n).reshape(m, n)
-        mags = sampler(u.ravel()).reshape(m, n)
+        mags = mc.draw_batch(gen, sampler, 0.0, (m, n))
         mags[:, ::-1].sort(axis=1)  # descending
         stat = np.max(weights[None, :] * mags, axis=1)
         counts += (stat[None, :] > u_grid[:, None]).sum(axis=1)

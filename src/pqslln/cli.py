@@ -85,25 +85,43 @@ def resolve_model(spec, base_dir: str = ".") -> tuple[tm.TailModel | None, str |
     raise ConfigError("model spec needs one of: builtin, custom, file, sequence")
 
 
+def _number(section: dict, key: str, kind=float, default=None):
+    """section[key] converted by `kind`; `default` when absent.  A missing
+    required key or a value that is not a number is a ConfigError."""
+    if key not in section:
+        if default is None:
+            raise ConfigError(f"config missing key {key!r}")
+        return default
+    try:
+        return kind(section[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} must be a number, "
+                          f"got {section[key]!r}") from exc
+
+
+def _criteria_kwargs(crit: dict) -> dict:
+    return {
+        "t_cap": _number(crit, "t_cap", float, criteria.T_CAP_DEFAULT),
+        "series_n_max": _number(crit, "series_n_max", int, criteria.SERIES_N_MAX_DEFAULT),
+    }
+
+
 def _experiment_config(cfg: dict, base_dir: str, seed_override: int | None
                        ) -> mc_engine.ExperimentConfig:
     model, sequence = resolve_model(cfg.get("model", {}), base_dir)
     sim = cfg.get("simulate", {})
-    seed = seed_override if seed_override is not None else int(sim.get("master_seed", 0))
-    try:
-        return mc_engine.ExperimentConfig(
-            model=model,
-            p=float(cfg["p"]),
-            q=float(cfg["q"]),
-            n_max=int(sim.get("n_max", 1 << 14)),
-            replications=int(sim.get("replications", 64)),
-            master_seed=seed,
-            epsilon_grid=tuple(sim.get("epsilon_grid", (0.5, 1.0))),
-            mode=sim.get("mode", "plain"),
-            sequence=sequence,
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config missing key {exc}") from exc
+    seed = seed_override if seed_override is not None else _number(sim, "master_seed", int, 0)
+    return mc_engine.ExperimentConfig(
+        model=model,
+        p=_number(cfg, "p"),
+        q=_number(cfg, "q"),
+        n_max=_number(sim, "n_max", int, 1 << 14),
+        replications=_number(sim, "replications", int, 64),
+        master_seed=seed,
+        epsilon_grid=tuple(sim.get("epsilon_grid", (0.5, 1.0))),
+        mode=sim.get("mode", "plain"),
+        sequence=sequence,
+    )
 
 
 def _workers(args) -> int:
@@ -165,16 +183,13 @@ def cmd_criteria(args) -> int:
     if sequence is not None:
         raise ConfigError("criteria evaluation needs an iid tail model")
     crit = cfg.get("criteria", {})
-    kwargs = {
-        "t_cap": float(crit.get("t_cap", criteria.T_CAP_DEFAULT)),
-        "series_n_max": int(crit.get("series_n_max", criteria.SERIES_N_MAX_DEFAULT)),
-    }
+    kwargs = _criteria_kwargs(crit)
+    p, q = _number(cfg, "p"), _number(cfg, "q")
     which = crit.get("criterion", "almost-sure")
     if which == "almost-sure":
-        report = criteria.classify_slln(model, float(cfg["p"]), float(cfg["q"]), **kwargs)
+        report = criteria.classify_slln(model, p, q, **kwargs)
     elif which == "expectation":
-        report = criteria.series_expectation_criterion(
-            model, float(cfg["p"]), float(cfg["q"]), **kwargs)
+        report = criteria.series_expectation_criterion(model, p, q, **kwargs)
     else:
         raise ConfigError(f"unknown criterion {which!r}")
 
@@ -210,6 +225,11 @@ def cmd_simulate(args) -> int:
         csv_path = os.path.join(out_dir, f"{stem}_table.csv")
         summary_path = os.path.join(out_dir, f"{stem}_summary.json")
         manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
+        # absolute, so that the paths resolve from any working directory
+        outputs = {"summary_json": os.path.abspath(summary_path)}
+        if args.format in ("csv", "both"):
+            outputs["table_csv"] = os.path.abspath(csv_path)
+            writer.write(csv_path, table.to_csv())
         manifest = {
             "schema": SCHEMA_VERSION,
             "kind": "simulate",
@@ -218,12 +238,9 @@ def cmd_simulate(args) -> int:
             "criteria_defaults": cfg.get("criteria", {}),
             "master_seed": config.master_seed,
             "workers": workers,
-            "backend": summary["backend"],
-            "outputs": {"table_csv": csv_path, "summary_json": summary_path},
+            "outputs": outputs,
             "wallclock_s": wall,
         }
-        if args.format in ("csv", "both"):
-            writer.write(csv_path, table.to_csv())
         writer.write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
         writer.write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         writer.commit()
@@ -358,9 +375,13 @@ def cmd_report(args) -> int:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         cfg = manifest["config"]
-        model, sequence = resolve_model(cfg["model"], os.path.dirname(manifest_path))
+        manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
+        model, sequence = resolve_model(cfg["model"], manifest_dir)
         p, q = float(cfg["p"]), float(cfg["q"])
-        with open(manifest["outputs"]["summary_json"]) as fh:
+        # simulate writes its outputs next to the manifest; looking them up
+        # there works from any cwd and after the run directory is moved
+        summary_name = os.path.basename(manifest["outputs"]["summary_json"])
+        with open(os.path.join(manifest_dir, summary_name)) as fh:
             summary = json.load(fh)
         mc_kind = summary["w_verdict"]["kind"]
         if sequence is not None:
@@ -369,12 +390,8 @@ def cmd_report(args) -> int:
                          "membership": "", "integral": "", "p_moment": "",
                          "series": "", "mc_w_verdict": mc_kind, "hard_contradiction": 0})
             continue
-        crit_kwargs = manifest.get("criteria_defaults", {})
         report = criteria.classify_slln(
-            model, p, q,
-            t_cap=float(crit_kwargs.get("t_cap", criteria.T_CAP_DEFAULT)),
-            series_n_max=int(crit_kwargs.get("series_n_max",
-                                             criteria.SERIES_N_MAX_DEFAULT)))
+            model, p, q, **_criteria_kwargs(manifest.get("criteria_defaults", {})))
         hard = int((report.membership, mc_kind) in _HARD)
         contradictions += hard
         rows.append({

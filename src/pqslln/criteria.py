@@ -407,22 +407,10 @@ def truncated_series(model: tm.TailModel, p: float,
                           method="tail-exponents", diagnostics=diag)
         return table_out, verdict
 
-    # no catalog form: fitted cascade on the terms
-    f_cap = float(terms[-1])
-    if beta > 1.0 + BETA_BAND:
-        verdict = Verdict(CONVERGES, float(partials[-1]), evidence,
-                          remainder_bound=f_cap * n_max / (beta - 1.0), method="trend-fit")
-    elif beta < 1.0 - BETA_BAND:
-        verdict = Verdict(DIVERGES, float(partials[-1]), evidence, method="trend-fit")
-    elif lam is not None and lam > 1.0 + LAMBDA_BAND:
-        verdict = Verdict(CONVERGES, float(partials[-1]), evidence,
-                          remainder_bound=f_cap * n_max * math.log(n_max) / (lam - 1.0),
-                          method="trend-fit")
-    elif lam is not None and lam < 1.0 - LAMBDA_BAND:
-        verdict = Verdict(DIVERGES, float(partials[-1]), evidence, method="trend-fit")
-    else:
-        verdict = Verdict(INCONCLUSIVE, float(partials[-1]), evidence, method="trend-fit")
-    return table_out, verdict
+    # no catalog form: fitted cascade on the terms, with the last term as f(cap)
+    kind, rem = _trend_verdict(lambda t: terms[-1:], n_max, evidence)
+    return table_out, Verdict(kind, float(partials[-1]), evidence, remainder_bound=rem,
+                              method="trend-fit")
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +565,9 @@ def series_expectation_criterion(model: tm.TailModel, p: float, q: float, *,
     elif clause == CLAUSE_Q_EQ_P:
         llogl = llogl_moment(model, p, 1.0, t_cap)
         membership = _membership([llogl], mean_flag, False)
-        contrast = classify_slln(model, p, q, t_cap=t_cap,
-                                 series_n_max=series_n_max).membership
+        # the almost-sure membership of the same clause, from the verdicts at hand
+        _, series_verdict = truncated_series(model, p, series_n_max)
+        contrast = _membership([pmom, series_verdict], mean_flag, False)
     elif clause == CLAUSE_P_GE_1:
         membership = _membership([integral], mean_flag, True)
     else:

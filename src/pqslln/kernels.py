@@ -1,4 +1,4 @@
-"""Hot accumulation kernels: numba JIT with a pure-numpy fallback.
+"""Hot accumulation kernel of the streaming pass.
 
 The streaming pass of the engine spends its time in one loop: extend the
 partial sum S_n by a chunk of increments and accumulate
@@ -6,72 +6,17 @@ partial sum S_n by a chunk of increments and accumulate
     W_n = sum_{m <= n} (|S_m| / m^(1/p))^q / m
 
 at every m, reporting (S_n, W_n) at requested positions.  W has ~n_max terms
-of wildly varying magnitude, so it is carried in compensated form: the numba
-kernel runs Neumaier summation, the numpy fallback sums each inter-snapshot
-segment with math.fsum (exactly rounded) and carries a hi/lo pair across
-segments.  Both are deterministic; the two backends may differ in the last
-ulp, so a run is reproducible per backend.
-
-Backend selection: environment variable PQSLLN_BACKEND in {auto, numba,
-numpy}; `auto` (default) uses numba when importable.
+of wildly varying magnitude, so it is carried in compensated form: each
+inter-snapshot segment is summed with math.fsum (exactly rounded) and a
+hi/lo pair is carried across segments.  The kernel is plain numpy, so a run
+is byte-identical for a fixed seed on every machine.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def active_backend() -> str:
-    choice = os.environ.get("PQSLLN_BACKEND", "auto").lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("PQSLLN_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-@njit(cache=True)
-def _accumulate_numba(x, n0, s0, w, comp, q, e1, snaps, out_s, out_w):  # pragma: no cover
-    s = s0
-    k = 0
-    next_snap = snaps[k] if snaps.size else -1
-    for j in range(x.size):
-        s += x[j]
-        n = n0 + j + 1.0
-        term = abs(s) ** q * n**e1
-        # Neumaier compensated add of term into (w, comp)
-        t = w + term
-        if abs(w) >= abs(term):
-            comp += (w - t) + term
-        else:
-            comp += (term - t) + w
-        w = t
-        if j == next_snap:
-            out_s[k] = s
-            out_w[k] = w + comp
-            k += 1
-            next_snap = snaps[k] if k < snaps.size else -1
-    return s, w, comp
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -81,40 +26,28 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     return s, err
 
 
-def _accumulate_numpy(x, n0, s0, w, comp, q, e1, snaps, out_s, out_w):
-    s_run = s0 + np.cumsum(x)
-    n = n0 + 1.0 + np.arange(x.size, dtype=float)
-    terms = np.abs(s_run) ** q * n**e1
-    prev = 0
-    for k, j in enumerate(snaps):
-        seg = math.fsum(terms[prev:j + 1])
-        w, err = _two_sum(w, seg)
-        comp += err
-        w, comp = _two_sum(w, comp)
-        prev = j + 1
-        out_s[k] = s_run[j]
-        out_w[k] = w + comp
-    if prev < terms.size:
-        seg = math.fsum(terms[prev:])
-        w, err = _two_sum(w, seg)
-        comp += err
-        w, comp = _two_sum(w, comp)
-    return float(s_run[-1]), w, comp
-
-
-def accumulate_chunk(x, n0, state, q, e1, snaps, backend=None):
+def accumulate_chunk(x, n0, state, q, e1, snaps):
     """Stream one chunk.
 
     x: increments; n0: count consumed before this chunk; state: (S, W, comp);
     q, e1: exponents with e1 = -(q/p) - 1; snaps: sorted local indices at which
     to report.  Returns (s_at_snaps, w_at_snaps, new_state).
     """
-    s0, w, comp = state
+    s0, w, comp = (float(v) for v in state)
     snaps = np.asarray(snaps, dtype=np.int64)
-    out_s = np.empty(snaps.size, dtype=float)
+    s_run = s0 + np.cumsum(np.asarray(x, dtype=float))
+    n = float(n0) + 1.0 + np.arange(s_run.size, dtype=float)
+    terms = np.abs(s_run) ** float(q) * n ** float(e1)
+    ends = snaps + 1
+    if not ends.size or ends[-1] < terms.size:
+        ends = np.append(ends, terms.size)  # the tail after the last snapshot
     out_w = np.empty(snaps.size, dtype=float)
-    backend = backend or active_backend()
-    fn = _accumulate_numba if backend == "numba" else _accumulate_numpy
-    s, w, comp = fn(np.asarray(x, dtype=float), float(n0), float(s0), float(w),
-                    float(comp), float(q), float(e1), snaps, out_s, out_w)
-    return out_s, out_w, (s, w, comp)
+    prev = 0
+    for k, end in enumerate(ends):
+        w, err = _two_sum(w, math.fsum(terms[prev:end]))
+        comp += err
+        w, comp = _two_sum(w, comp)
+        prev = end
+        if k < snaps.size:
+            out_w[k] = w + comp
+    return s_run[snaps], out_w, (float(s_run[-1]), w, comp)

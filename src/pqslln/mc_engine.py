@@ -182,18 +182,34 @@ class MagnitudeSampler:
         return np.exp(self._interp(-np.log(u)))
 
 
-def _draw_increments(gen: np.random.Generator, sampler: MagnitudeSampler,
-                     threshold: float, m: int) -> np.ndarray:
-    u_mag = rng.open_uniforms(gen, m)
-    u_sign = gen.random(m)
-    mag = sampler(u_mag)
+def negative_signs(gen: np.random.Generator, threshold: float, shape) -> np.ndarray:
+    """Sign draws: True (negative) with probability `threshold`, one uniform each."""
+    return gen.random(shape) < threshold
+
+
+def draw_batch(gen: np.random.Generator, sampler: MagnitudeSampler,
+               threshold: float, shape) -> np.ndarray:
+    """Signed iid draws of the given shape: magnitude uniforms first, then
+    sign uniforms, which are drawn only when the negative sign has mass
+    (`threshold` > 0 is the probability of a negative sign)."""
+    size = int(np.prod(shape))
+    mag = sampler(rng.open_uniforms(gen, size)).reshape(shape)
     if threshold <= 0.0:
         return mag
-    return np.where(u_sign < threshold, -mag, mag)
+    return np.where(negative_signs(gen, threshold, shape), -mag, mag)
+
+
+def parallel_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], on `workers` threads when more than one;
+    the results keep the input order."""
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _run_one_path(config: ExperimentConfig, sampler: MagnitudeSampler, r: int,
-                  checkpoints: np.ndarray, backend: str):
+                  checkpoints: np.ndarray):
     gens = [rng.generator(config.master_seed, r, rng.ROLE_PATH)]
     if config.mode == "symmetrized":
         gens.append(rng.generator(config.master_seed, r, rng.ROLE_COPY))
@@ -208,12 +224,12 @@ def _run_one_path(config: ExperimentConfig, sampler: MagnitudeSampler, r: int,
     censored = False
     while pos < config.n_max:
         m = int(min(_CHUNK, config.n_max - pos))
-        x = _draw_increments(gens[0], sampler, threshold, m)
+        x = draw_batch(gens[0], sampler, threshold, m)
         if config.mode == "symmetrized":
-            x = x - _draw_increments(gens[1], sampler, threshold, m)
+            x = x - draw_batch(gens[1], sampler, threshold, m)
         local = checkpoints[(checkpoints > pos) & (checkpoints <= pos + m)] - pos - 1
         s_vals, w_vals, state = kernels.accumulate_chunk(
-            x, pos, state, config.q, e1, local, backend)
+            x, pos, state, config.q, e1, local)
         out_s[filled:filled + s_vals.size] = s_vals
         out_w[filled:filled + w_vals.size] = w_vals
         filled += s_vals.size
@@ -244,9 +260,6 @@ def _counterexample_table(config: ExperimentConfig) -> CheckpointTable:
         w_row[k] = acc
         prev = int(n)
     reps = config.replications
-    for r in range(reps):
-        gen = rng.generator(config.master_seed, r, rng.ROLE_PATH)
-        gen.random(min(config.n_max, 1 << 12))  # sign draws consumed; norm is invariant
     return CheckpointTable(
         config=config,
         checkpoints=checkpoints,
@@ -264,26 +277,18 @@ def run_paths(config: ExperimentConfig, workers: int = 1) -> CheckpointTable:
         return _counterexample_table(config)
     checkpoints = config.checkpoints
     sampler = MagnitudeSampler(config.model)
-    backend = kernels.active_backend()
     reps = config.replications
     s_norm = np.empty((reps, checkpoints.size))
     w_partial = np.empty((reps, checkpoints.size))
     censored = np.zeros(reps, dtype=bool)
 
     def work(r: int):
-        return _run_one_path(config, sampler, r, checkpoints, backend)
+        return _run_one_path(config, sampler, r, checkpoints)
 
-    if workers <= 1:
-        results = map(work, range(reps))
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        results = pool.map(work, range(reps))
-    for r, s_vals, w_vals, cens in results:
+    for r, s_vals, w_vals, cens in parallel_map(work, range(reps), workers):
         s_norm[r] = s_vals
         w_partial[r] = w_vals
         censored[r] = cens
-    if workers > 1:
-        pool.shutdown()
 
     ratio = np.abs(s_norm) / checkpoints.astype(float) ** (1.0 / config.p)
     return CheckpointTable(config=config, checkpoints=checkpoints,
@@ -475,7 +480,6 @@ def summary_dict(table: CheckpointTable, config: ExperimentConfig) -> dict:
     verdict = summary_verdict(table, config)
     return {
         "config": config.to_dict(),
-        "backend": kernels.active_backend(),
         "estimates": [e.to_dict() for e in estimates],
         "censoring": table.censoring_report(),
         "w_verdict": verdict.to_dict(),
@@ -535,25 +539,15 @@ def etemadi_blocks(config: ExperimentConfig, workers: int = 1) -> BlockSeriesRes
         while done < reps:
             m = min(per_block, reps - done)
             gen = rng.generator(config.master_seed, block_id, rng.ROLE_BLOCK + level)
-            u_mag = rng.open_uniforms(gen, m * n).reshape(m, n)
-            u_sign = gen.random((m, n))
-            mag = sampler(u_mag.ravel()).reshape(m, n)
-            x = np.where(u_sign < threshold, -mag, mag) if threshold > 0 else mag
+            x = draw_batch(gen, sampler, threshold, (m, n))
             s = np.abs(x.sum(axis=1))
             hits += (s[None, :] > bound[:, None]).sum(axis=1)
             done += m
             block_id += 1
         return level, hits / reps
 
-    if workers <= 1:
-        results = map(work, range(checkpoints.size))
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        results = pool.map(work, range(checkpoints.size))
-    for level, row in results:
+    for level, row in parallel_map(work, range(checkpoints.size), workers):
         probs[:, level] = row
-    if workers > 1:
-        pool.shutdown()
 
     se = np.sqrt(probs * (1.0 - probs) / reps)
     weights = _block_weights(checkpoints)
@@ -638,10 +632,7 @@ def truncated_component_series(config: ExperimentConfig, n_max: int | None = Non
         while done < reps:
             m = min(per_block, reps - done)
             gen = rng.generator(config.master_seed, block_id, rng.ROLE_TRUNCATED + j)
-            u_mag = rng.open_uniforms(gen, m * n).reshape(m, n)
-            u_sign = gen.random((m, n))
-            mag = sampler(u_mag.ravel()).reshape(m, n)
-            x = np.where(u_sign < threshold, -mag, mag) if threshold > 0 else mag
+            x = draw_batch(gen, sampler, threshold, (m, n))
             x = np.where(np.abs(x) <= u_n, x, 0.0)
             vals[done:done + m] = np.abs(x.sum(axis=1)) ** config.q
             done += m
@@ -649,16 +640,9 @@ def truncated_component_series(config: ExperimentConfig, n_max: int | None = Non
         denom = n ** (1.0 + config.q / config.p)
         return j, vals.mean() / denom, vals.std(ddof=1) / math.sqrt(reps) / denom
 
-    if workers <= 1:
-        results = map(work, range(levels.size))
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        results = pool.map(work, range(levels.size))
-    for j, mean, se in results:
+    for j, mean, se in parallel_map(work, range(levels.size), workers):
         terms[j] = mean
         ses[j] = se
-    if workers > 1:
-        pool.shutdown()
 
     counts = np.concatenate([[1.0], (levels[1:] - levels[:-1]).astype(float)])
     lower = np.cumsum(counts * terms)
@@ -696,10 +680,7 @@ def dense_ratio_moments(model: tm.TailModel, p: float, q: float, n_upto: int,
     while done < replications:
         m = min(block, replications - done)
         gen = rng.generator(master_seed, block_id, rng.ROLE_PROBE)
-        u_mag = rng.open_uniforms(gen, m * n_upto).reshape(m, n_upto)
-        u_sign = gen.random((m, n_upto))
-        mag = sampler(u_mag.ravel()).reshape(m, n_upto)
-        x = np.where(u_sign < threshold, -mag, mag) if threshold > 0 else mag
+        x = draw_batch(gen, sampler, threshold, (m, n_upto))
         rq = (np.abs(np.cumsum(x, axis=1)) / scale) ** q
         sums += rq.sum(axis=0)
         sumsq += (rq**2).sum(axis=0)

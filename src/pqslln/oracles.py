@@ -104,16 +104,16 @@ def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
     for v, p in law.atoms:
         merged[v] = merged.get(v, zero) + p
     levels = sorted(merged)
-    cdf_prev = zero
+    cdf_prev_n = zero  # F(previous level)^n
     e_max = zero
     e_y = zero
     cum = zero
     for v in levels:
         cum = cum + merged[v]
-        p_max_here = cum**n - cdf_prev**n
-        e_max = e_max + v * p_max_here
+        cdf_n = cum**n
+        e_max = e_max + v * (cdf_n - cdf_prev_n)
         e_y = e_y + v * merged[v]
-        cdf_prev = cum
+        cdf_prev_n = cdf_n
     rhs = Fraction(n) / (2 * kf) * e_y if exact else n / (2.0 * float(kf)) * e_y
     holds = e_max >= rhs
     return float(e_max), float(rhs), bool(holds)
@@ -162,6 +162,19 @@ def symmetrization_check(law: DiscreteLaw, p_exponent: float, t: float
 # ---------------------------------------------------------------------------
 
 
+def _convolve_step(current: dict, law: DiscreteLaw, zero, n: int) -> dict:
+    """Law of S_n from the law of S_(n-1) on a value-indexed map."""
+    if len(current) * len(law.atoms) > _CONV_CAP:
+        raise StateSpaceExceeded(
+            f"convolution support would exceed {_CONV_CAP} entries at n={n}")
+    nxt: dict[Fraction, Fraction | float] = {}
+    for s, ps in current.items():
+        for v, pv in law.atoms:
+            key = s + v
+            nxt[key] = nxt.get(key, zero) + ps * pv
+    return nxt
+
+
 def exact_series_small(law: DiscreteLaw, p: float, q: float, n_limit: int
                        ) -> list[float]:
     """Exact E(|S_n| / n^(1/p))^q for n = 1..n_limit by repeated convolution.
@@ -175,23 +188,10 @@ def exact_series_small(law: DiscreteLaw, p: float, q: float, n_limit: int
         raise ValueError("exact enumeration is limited to n <= 12")
     exact = law.exact
     zero = Fraction(0) if exact else 0.0
-    if len(law.atoms) ** n_limit > 10**8 and len(law.atoms) > 1:
-        # fall through: the value-map convolution may still be feasible when
-        # sums collide; the cap below is the real guard
-        pass
-
     current: dict[Fraction, Fraction | float] = {Fraction(0): zero + 1}
     out: list[float] = []
     for n in range(1, n_limit + 1):
-        if len(current) * len(law.atoms) > _CONV_CAP:
-            raise StateSpaceExceeded(
-                f"convolution support would exceed {_CONV_CAP} entries at n={n}")
-        nxt: dict[Fraction, Fraction | float] = {}
-        for s, ps in current.items():
-            for v, pv in law.atoms:
-                key = s + v
-                nxt[key] = nxt.get(key, zero) + ps * pv
-        current = nxt
+        current = _convolve_step(current, law, zero, n)
         if exact:
             mass = sum(current.values(), Fraction(0))
             if mass != 1:
@@ -211,13 +211,6 @@ def distribution_of_sum(law: DiscreteLaw, n: int) -> DiscreteLaw:
     exact = law.exact
     zero = Fraction(0) if exact else 0.0
     current: dict[Fraction, Fraction | float] = {Fraction(0): zero + 1}
-    for _ in range(n):
-        if len(current) * len(law.atoms) > _CONV_CAP:
-            raise StateSpaceExceeded("convolution support too large")
-        nxt: dict[Fraction, Fraction | float] = {}
-        for s, ps in current.items():
-            for v, pv in law.atoms:
-                key = s + v
-                nxt[key] = nxt.get(key, zero) + ps * pv
-        current = nxt
+    for k in range(1, n + 1):
+        current = _convolve_step(current, law, zero, k)
     return DiscreteLaw(tuple(sorted(current.items())))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqslln import banach_lp as lp
@@ -35,6 +35,7 @@ def test_norm_matches_dense_reference():
 
 
 @given(st.floats(-50.0, 50.0), st.floats(0.3, 2.0))
+@example(c=5e-324, p=1.0)  # subnormal scale: every entry would underflow to 0.0
 @settings(max_examples=40, deadline=None)
 def test_rescaling(c, p):
     v = lp.LpVector.from_dict(p, {0: 1.5, 3: -2.0, 9: 0.25})

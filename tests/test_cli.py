@@ -220,3 +220,46 @@ def test_verify_small_series_passes(capsys):
     assert cli.main(["verify", "small-series"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(r["holds"] for r in payload["results"])
+
+
+# ---------------------------------------------------------------------------
+# manifests and config errors
+# ---------------------------------------------------------------------------
+
+
+def test_report_finds_outputs_from_any_cwd_after_a_move(tmp_path, monkeypatch, capsys):
+    cfg = simulate_config(tmp_path, {"builtin": "rademacher"}, 1.5, 0.5)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--config", "sim.json", "--out", "o1"]) == 0
+    (tmp_path / "o1").rename(tmp_path / "moved")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    capsys.readouterr()
+    assert cli.main(["report", os.path.join("..", "moved", "sim_manifest.json")]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 2 and "rademacher" in lines[1]
+
+
+def test_simulate_json_format_lists_only_written_files(tmp_path):
+    cfg = simulate_config(tmp_path, {"builtin": "rademacher"}, 1.5, 0.5)
+    out = tmp_path / "runjson"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out),
+                     "--format", "json"]) == 0
+    manifest = json.loads((out / "sim_manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"summary_json"}
+    assert all(os.path.isfile(path) for path in manifest["outputs"].values())
+    assert not (out / "sim_table.csv").exists()
+
+
+@pytest.mark.parametrize("command,payload,needle", [
+    ("criteria", {"model": {"builtin": "rademacher"}, "q": 0.5}, "'p'"),
+    ("criteria", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5,
+                  "criteria": {"t_cap": "big"}}, "'t_cap'"),
+    ("simulate", {"model": {"builtin": "rademacher"}, "q": 0.5}, "'p'"),
+])
+def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needle):
+    cfg = write_config(tmp_path, "badnum.json", {"schema": 1, **payload})
+    code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and needle in err

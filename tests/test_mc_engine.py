@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from pqslln import criteria as cr
-from pqslln import kernels
 from pqslln import mc_engine as mc
-from pqslln import oracles
+from pqslln import oracles, rng
 from pqslln import tail_models as tm
 from pqslln.errors import ConfigError
 
@@ -67,24 +66,17 @@ def test_determinism_across_worker_counts():
     assert csv1 == csv2 == csv8
 
 
-def test_backend_paths_agree():
-    cfg = small_config(tm.pareto(2.0), p=1.0, q=0.5, n_max=1 << 11, reps=4, seed=3)
-    import os
-
-    old = os.environ.get("PQSLLN_BACKEND")
-    try:
-        os.environ["PQSLLN_BACKEND"] = "numpy"
-        t_np = mc.run_paths(cfg)
-        if kernels.HAS_NUMBA:
-            os.environ["PQSLLN_BACKEND"] = "numba"
-            t_nb = mc.run_paths(cfg)
-            assert np.array_equal(t_np.s_norm, t_nb.s_norm)
-            assert np.allclose(t_np.w_partial, t_nb.w_partial, rtol=1e-12)
-    finally:
-        if old is None:
-            os.environ.pop("PQSLLN_BACKEND", None)
-        else:
-            os.environ["PQSLLN_BACKEND"] = old
+def test_nonnegative_stream_draws_no_sign_uniforms():
+    # two chunks of a nonnegative model: the increments are one unbroken
+    # magnitude stream, with no sign uniforms interleaved between chunks
+    model = tm.pareto(2.0, "nonnegative")
+    cfg = small_config(model, p=1.0, q=0.5, n_max=1 << 17, reps=2, seed=13)
+    table = mc.run_paths(cfg)
+    sampler = mc.MagnitudeSampler(model)
+    for r in range(cfg.replications):
+        gen = rng.generator(cfg.master_seed, r, rng.ROLE_PATH)
+        s_ref = np.cumsum(sampler(rng.open_uniforms(gen, cfg.n_max)))
+        np.testing.assert_allclose(table.s_norm[r], s_ref[cfg.checkpoints - 1], rtol=1e-12)
 
 
 def test_w_monotone_per_replication():
