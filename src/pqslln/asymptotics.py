@@ -52,10 +52,6 @@ class LogPolyTail:
             raise ValueError("function power must be positive")
         return LogPolyTail(self.const**s, s * self.a, s * self.b, s * self.c)
 
-    def times_log_factor(self, db: float, dc: float, factor: float = 1.0) -> "LogPolyTail":
-        """Multiply by factor * (ln t)^(db) * (lnln t)^(dc)."""
-        return LogPolyTail(self.const * factor, self.a, self.b - db, self.c - dc)
-
     def moment_transform(self, p: float, delta: float) -> "LogPolyTail":
         """Tail of h(|X|) for h(x) = x^p ln^delta(1+x), given this tail of |X|.
 

@@ -17,6 +17,7 @@ inequality is violated.  No partial artifacts survive a failed run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -157,18 +158,24 @@ class _AtomicWriter:
         self._pending.clear()
 
     def abort(self) -> None:
-        for tmp, _ in self._pending:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        self._pending.clear()
-        for path in self._final:
-            try:
+        for path in [tmp for tmp, _ in self._pending] + self._final:
+            with contextlib.suppress(OSError):
                 os.unlink(path)
-            except OSError:
-                pass
+        self._pending.clear()
         self._final.clear()
+
+
+def _emit(out_dir: str | None, name: str, text: str) -> None:
+    """Write text to out_dir/name and print that path, or print the text."""
+    if not out_dir:
+        print(text, end="")
+        return
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    writer = _AtomicWriter()
+    writer.write(path, text)
+    writer.commit()
+    print(path)
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +200,8 @@ def cmd_criteria(args) -> int:
     else:
         raise ConfigError(f"unknown criterion {which!r}")
 
-    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        out_path = os.path.join(args.out, "criterion_report.json")
-        writer = _AtomicWriter()
-        writer.write(out_path, payload + "\n")
-        writer.commit()
-        print(out_path)
-    else:
-        print(payload)
+    _emit(args.out, "criterion_report.json",
+          json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     print(f"membership: {report.membership}", file=sys.stderr)
     return 0 if report.membership in (criteria.MEMBER, criteria.NON_MEMBER) else 3
 
@@ -350,16 +349,8 @@ def cmd_verify(args) -> int:
     results = []
     for name in chosen:
         results.extend(suites[name](seed))
-    payload = json.dumps({"suites": chosen, "results": results}, indent=2, sort_keys=True)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "verify_results.json")
-        writer = _AtomicWriter()
-        writer.write(path, payload + "\n")
-        writer.commit()
-        print(path)
-    else:
-        print(payload)
+    _emit(args.out, "verify_results.json",
+          json.dumps({"suites": chosen, "results": results}, indent=2, sort_keys=True) + "\n")
     ok = all(r["holds"] for r in results)
     print(f"verify: {'all hold' if ok else 'VIOLATIONS FOUND'}", file=sys.stderr)
     return 0 if ok else 1
@@ -368,12 +359,19 @@ def cmd_verify(args) -> int:
 _HARD = {(criteria.MEMBER, criteria.DIVERGES), (criteria.NON_MEMBER, criteria.CONVERGES)}
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def cmd_report(args) -> int:
     rows = []
     contradictions = 0
     for manifest_path in args.manifests:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = _read_json(manifest_path, "manifest")
         cfg = manifest["config"]
         manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
         model, sequence = resolve_model(cfg["model"], manifest_dir)
@@ -381,8 +379,7 @@ def cmd_report(args) -> int:
         # simulate writes its outputs next to the manifest; looking them up
         # there works from any cwd and after the run directory is moved
         summary_name = os.path.basename(manifest["outputs"]["summary_json"])
-        with open(os.path.join(manifest_dir, summary_name)) as fh:
-            summary = json.load(fh)
+        summary = _read_json(os.path.join(manifest_dir, summary_name), "summary")
         mc_kind = summary["w_verdict"]["kind"]
         if sequence is not None:
             # sequence rules have no iid criteria side; report empirical only
@@ -412,16 +409,7 @@ def cmd_report(args) -> int:
     writer_csv.writerow(header)
     for row in rows:
         writer_csv.writerow([row[h] for h in header])
-    csv_text = buffer.getvalue()
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "consistency_report.csv")
-        writer = _AtomicWriter()
-        writer.write(path, csv_text)
-        writer.commit()
-        print(path)
-    else:
-        print(csv_text, end="")
+    _emit(args.out, "consistency_report.csv", buffer.getvalue())
     print(f"hard_contradictions: {contradictions}", file=sys.stderr)
     return 0
 
@@ -435,34 +423,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="master seed override (unsigned 64-bit)")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="worker count; results do not depend on it "
-                             "(fallback: PQ_SLLN_WORKERS)")
-        sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
-
     sp = sub.add_parser("criteria", help="evaluate membership criteria")
     sp.add_argument("--config", required=True)
-    common(sp)
     sp.set_defaults(fn=cmd_criteria)
 
     sp = sub.add_parser("simulate", help="run the Monte Carlo engine")
     sp.add_argument("--config", required=True)
-    common(sp)
+    sp.add_argument("--workers", type=int, default=None,
+                    help="worker count; results do not depend on it "
+                         "(fallback: PQ_SLLN_WORKERS)")
+    sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("verify", help="run oracle suites")
     sp.add_argument("suite", choices=("lemmas", "marcus-pisier", "small-series", "all"))
-    common(sp)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("report", help="consolidate manifests into a comparison CSV")
     sp.add_argument("manifests", nargs="*")
-    common(sp)
     sp.set_defaults(fn=cmd_report)
+
+    for name in ("simulate", "verify"):
+        sub.choices[name].add_argument("--seed", type=int, default=None,
+                                       help="master seed override (unsigned 64-bit)")
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None, help="output directory")
     return parser
 
 

@@ -10,19 +10,19 @@ survival function:
 
 A Verdict records three things: the value accumulated on the evaluated
 window, fitted exponent evidence at the window edge, and a three-valued
-classification.  The classification itself is decided in tiers:
+classification.  Every model is a catalog of exact pieces, so the
+classification is decided in two tiers:
 
-1. bounded support: the integral terminates; Converges with an exact value.
+1. bounded support: the integral terminates; Converges, with the part past
+   the evaluated window bounded by the integrand there times its length.
 2. catalog tails: the integrand's exact log-polynomial exponents are pushed
    through the transform algebra and compared lexicographically.  This is
    what resolves the marginal examples: a (lnln t)^(-1) factor separates
    convergence from divergence but shifts a fitted log exponent by only
    ~1/lnln(t_cap) ~ 0.3 at t_cap = 1e12, far inside any honest fit band.
-3. otherwise: the fitted cascade (power exponent beta on the last decade,
-   then log exponent lambda when |beta - 1| <= 0.05), with Inconclusive when
-   both sit in their bands.
 
-Fitted evidence is recorded in every case; only the verdict source changes.
+Fitted exponents (power exponent beta on the last decade, then log exponent
+lambda when |beta - 1| <= 0.05) are recorded evidence only; they never decide.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ NON_MEMBER = "NonMember"
 UNDECIDED = "Inconclusive"
 
 BETA_BAND = 0.05
-LAMBDA_BAND = 0.05
 T_CAP_DEFAULT = 1e12
 GRID_PER_DECADE = 25
 SERIES_N_MAX_DEFAULT = 100_000
@@ -75,7 +74,7 @@ class Verdict:
     estimate_on_window: float
     evidence: ExponentEvidence
     remainder_bound: float | None = None
-    method: str = "trend-fit"
+    method: str = "tail-exponents"
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -128,49 +127,30 @@ def _divergence_diagnostics(f, hi: float) -> dict:
     }
 
 
-def _trend_verdict(f, t_cap: float, evidence: ExponentEvidence):
-    """Banded decision on fitted exponents (used when no exact tier applies)."""
-    beta, lam = evidence.beta, evidence.lam
-    f_cap = float(np.asarray(f(np.array([t_cap])))[0])
-    if beta > 1.0 + BETA_BAND:
-        return CONVERGES, f_cap * t_cap / (beta - 1.0)
-    if beta < 1.0 - BETA_BAND:
-        return DIVERGES, None
-    if lam is None:
-        return INCONCLUSIVE, None
-    if lam > 1.0 + LAMBDA_BAND:
-        return CONVERGES, f_cap * t_cap * math.log(t_cap) / (lam - 1.0)
-    if lam < 1.0 - LAMBDA_BAND:
-        return DIVERGES, None
-    return INCONCLUSIVE, None
-
-
 def _classify_tail_integral(f, *, t_cap: float, asym: LogPolyTail | None,
                             cutoff: float, breakpoints, rel_tol: float = 1e-9) -> Verdict:
-    """Shared classifier for int_0^inf f(t) dt with f nonnegative, nonincreasing-ish."""
+    """Shared classifier for int_0^inf f(t) dt with f nonnegative and
+    nonincreasing past its knees; `asym` is the exact tail of f, needed when
+    `cutoff` (the end of the support) is infinite."""
     upper = min(t_cap, cutoff)
     value = integrate(f, 0.0, upper, rel_tol=rel_tol, breakpoints=breakpoints).value
     evidence = _fit_evidence(f, 1e-3, upper)
 
-    if cutoff <= t_cap:
-        return Verdict(CONVERGES, value, evidence, remainder_bound=0.0,
+    if math.isfinite(cutoff):
+        rem = 0.0
+        if cutoff > t_cap:
+            rem = float(np.asarray(f(np.array([t_cap])))[0]) * (cutoff - t_cap)
+        return Verdict(CONVERGES, value, evidence, remainder_bound=rem,
                        method="bounded-support")
 
-    if asym is not None:
-        if integral_converges(asym):
-            f_cap = float(np.asarray(f(np.array([t_cap])))[0])
-            rem = tail_remainder(asym, t_cap, f_cap)
-            return Verdict(CONVERGES, value, evidence, remainder_bound=rem,
-                           method="tail-exponents",
-                           diagnostics={"exponents": (asym.a, asym.b, asym.c)})
-        return Verdict(DIVERGES, value, evidence, method="tail-exponents",
-                       diagnostics={"exponents": (asym.a, asym.b, asym.c),
-                                    **_divergence_diagnostics(f, t_cap)})
-
-    kind, rem = _trend_verdict(f, t_cap, evidence)
-    diag = _divergence_diagnostics(f, t_cap) if kind == DIVERGES else {}
-    return Verdict(kind, value, evidence, remainder_bound=rem, method="trend-fit",
-                   diagnostics=diag)
+    diagnostics = {"exponents": (asym.a, asym.b, asym.c)}
+    if integral_converges(asym):
+        f_cap = float(np.asarray(f(np.array([t_cap])))[0])
+        return Verdict(CONVERGES, value, evidence,
+                       remainder_bound=tail_remainder(asym, t_cap, f_cap),
+                       method="tail-exponents", diagnostics=diagnostics)
+    return Verdict(DIVERGES, value, evidence, method="tail-exponents",
+                   diagnostics={**diagnostics, **_divergence_diagnostics(f, t_cap)})
 
 
 def integral_pq(model: tm.TailModel, p: float, q: float,
@@ -333,7 +313,9 @@ def truncated_series(model: tm.TailModel, p: float,
     """Partial sums and growth verdict of the q = p truncation series.
 
     term_n = E[ Y 1(min{u_n^p, n} < Y <= n) ] / n  with Y = ||X||^p, evaluated
-    through the cumulative tail table so each term costs O(1).
+    through the cumulative tail table so each term costs O(1).  P(Y > a) at
+    a = u_n^p is read at the quantile u_n itself, so that rounding in the
+    powers cannot move it across a jump of the survival function.
     """
     if n_max < 1000:
         raise ValueError("n_max must be at least 10^3")
@@ -344,18 +326,17 @@ def truncated_series(model: tm.TailModel, p: float,
     nonempty = a < b * (1.0 - 1e-15)
 
     terms = np.zeros_like(ns)
+    integral_terms = np.zeros_like(ns)
     clamped = 0
     if np.any(nonempty):
         table = tm.CumulativeTailTable(model, p, float(n_max), points=512)
         s_y = tm.power_survival(model, p)
         aa, bb = a[nonempty], b[nonempty]
-        raw = (aa * s_y(aa) - bb * s_y(bb) + table(bb) - table(aa)) / ns[nonempty]
+        s_a = tm.survival(model, u[nonempty])   # a = u^p on nonempty windows
+        raw = (aa * s_a - bb * s_y(bb) + table(bb) - table(aa)) / ns[nonempty]
         clamped = int(np.count_nonzero(raw < 0.0))
         terms[nonempty] = np.maximum(raw, 0.0)
-        integral_terms = np.zeros_like(ns)
         integral_terms[nonempty] = np.maximum(table(bb) - table(aa), 0.0) / ns[nonempty]
-    else:
-        integral_terms = np.zeros_like(ns)
 
     partials = np.cumsum(terms)
     int_partials = np.cumsum(integral_terms)
@@ -385,32 +366,31 @@ def truncated_series(model: tm.TailModel, p: float,
                           remainder_bound=0.0, method="zero-terms")
         return table_out, verdict
 
-    asym = tm.tail_asymptote(model)
-    if asym is not None:
-        sy = asym.power_arg(p)
-        kind, reduced = _series_tail_verdict(sy)
-        rem = None
-        if kind == CONVERGES:
-            if reduced is not None:
-                rem = tail_remainder(reduced, float(n_max), float(terms[-1]) * n_max)
-            else:
-                # power-decay regime: remainder from the fitted exponent,
-                # floored at one harmonic step
-                rem = float(terms[-1]) * n_max / max(beta - 1.0, 0.5)
-        diag = {"tail_exponents": (sy.a, sy.b, sy.c)}
-        if kind == DIVERGES:
-            last = partials[idx[-2]] if len(idx) > 1 else 0.0
-            slope, _, _ = fit_line(np.log(ns[win]), partials[win])
-            diag["last_decade_increase"] = float(partials[-1] - last)
-            diag["last_decade_slope"] = float(slope)
-        verdict = Verdict(kind, float(partials[-1]), evidence, remainder_bound=rem,
-                          method="tail-exponents", diagnostics=diag)
+    upper = tm.support_upper(model)
+    if math.isfinite(upper):
+        # Y <= M^p and P(Y > u_n^p) <= 1/n, so term_n <= M^p / n^2
+        verdict = Verdict(CONVERGES, float(partials[-1]), evidence,
+                          remainder_bound=upper**p / n_max, method="bounded-support")
         return table_out, verdict
 
-    # no catalog form: fitted cascade on the terms, with the last term as f(cap)
-    kind, rem = _trend_verdict(lambda t: terms[-1:], n_max, evidence)
+    sy = tm.tail_asymptote(model).power_arg(p)
+    kind, reduced = _series_tail_verdict(sy)
+    rem = None
+    if kind == CONVERGES:
+        if reduced is not None:
+            rem = tail_remainder(reduced, float(n_max), float(terms[-1]) * n_max)
+        else:
+            # power-decay regime: remainder from the fitted exponent,
+            # floored at one harmonic step
+            rem = float(terms[-1]) * n_max / max(beta - 1.0, 0.5)
+    diag = {"tail_exponents": (sy.a, sy.b, sy.c)}
+    if kind == DIVERGES:
+        last = partials[idx[-2]] if len(idx) > 1 else 0.0
+        slope, _, _ = fit_line(np.log(ns[win]), partials[win])
+        diag["last_decade_increase"] = float(partials[-1] - last)
+        diag["last_decade_slope"] = float(slope)
     return table_out, Verdict(kind, float(partials[-1]), evidence, remainder_bound=rem,
-                              method="trend-fit")
+                              method="tail-exponents", diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

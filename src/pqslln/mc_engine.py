@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from . import kernels, rng
 from . import tail_models as tm
@@ -52,10 +51,18 @@ SLOPE_SIGMAS = 3.0
 SEQ_LP_COUNTEREXAMPLE = "lp-counterexample"
 
 
+# H_n for n < 64 as exact-rounded sums
+_H_SMALL = np.array([math.fsum(1.0 / m for m in range(1, k + 1)) for k in range(64)])
+
+
 def harmonic(n) -> np.ndarray | float:
-    """H_n to double precision via the digamma closed form."""
+    """H_n to double precision: the fsum table below n = 64, Euler-Maclaurin
+    through the 1/(252 n^6) term above (truncation error below 1/(240 n^8))."""
     n = np.asarray(n, dtype=float)
-    out = digamma(n + 1.0) + _EULER
+    m = np.maximum(n, 64.0)
+    inv2 = 1.0 / (m * m)
+    big = np.log(m) + _EULER + 0.5 / m - inv2 * (1 / 12 - inv2 * (1 / 120 - inv2 / 252))
+    out = np.where(n < 64, _H_SMALL[np.minimum(n, 63).astype(int)], big)
     return float(out) if out.ndim == 0 else out
 
 
@@ -161,25 +168,14 @@ class SeriesEstimate:
 
 
 class MagnitudeSampler:
-    """Inverse-transform sampler for ||X||: closed form when the catalog
-    allows, otherwise a dense inverse table with monotone interpolation."""
+    """Inverse-transform sampler for ||X||: the model's exact piecewise
+    inverse survival function."""
 
     def __init__(self, model: tm.TailModel):
         self.model = model
-        self._closed = tm._closed_form_inverse(model)
-        self._interp = None
-        if self._closed is None:
-            # 2^-53 <= u <= 1 covers everything gen.random can produce
-            u_grid = np.geomspace(1.0, 2.0**-56, 1400)
-            t_grid = tm.inverse_survival(model, u_grid)
-            from scipy.interpolate import PchipInterpolator
-
-            self._interp = PchipInterpolator(-np.log(u_grid), np.log(t_grid))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        if self._closed is not None:
-            return self._closed(u)
-        return np.exp(self._interp(-np.log(u)))
+        return tm.inverse_survival(self.model, u)
 
 
 def negative_signs(gen: np.random.Generator, threshold: float, shape) -> np.ndarray:

@@ -175,17 +175,32 @@ def _convolve_step(current: dict, law: DiscreteLaw, zero, n: int) -> dict:
     return nxt
 
 
+def _support_bound(law: DiscreteLaw, n: int) -> int:
+    """Upper bound on the number of values of S_n: the multisets of n atoms
+    or the lattice points S_n can reach, whichever is fewer."""
+    values = sorted(set(law.values()))
+    den = math.lcm(*(v.denominator for v in values))
+    steps = [int((v - values[0]) * den) for v in values]
+    lattice = n * steps[-1] // (math.gcd(*steps) or 1) + 1
+    return min(math.comb(n + len(values) - 1, len(values) - 1), lattice)
+
+
 def exact_series_small(law: DiscreteLaw, p: float, q: float, n_limit: int
                        ) -> list[float]:
     """Exact E(|S_n| / n^(1/p))^q for n = 1..n_limit by repeated convolution.
 
     The distribution of S_n lives on a value-indexed map with exact Fraction
-    values; StateSpaceExceeded guards the support growth.
+    values; StateSpaceExceeded guards the support growth, raised before any
+    arithmetic when the bounded support of the last step could pass the cap.
     """
     if n_limit < 1:
         raise ValueError("n_limit must be >= 1")
     if n_limit > 12:
         raise ValueError("exact enumeration is limited to n <= 12")
+    # the bound grows with n, so the last step decides whether any step can pass
+    if _support_bound(law, n_limit - 1) * len(law.atoms) > _CONV_CAP:
+        raise StateSpaceExceeded(
+            f"convolution support could exceed {_CONV_CAP} entries by n={n_limit}")
     exact = law.exact
     zero = Fraction(0) if exact else 0.0
     current: dict[Fraction, Fraction | float] = {Fraction(0): zero + 1}

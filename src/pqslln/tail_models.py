@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .asymptotics import LogPolyTail
 from .errors import NonMonotoneTail, QuadratureFailure
@@ -72,7 +71,7 @@ class SignLaw:
 
 @dataclass(frozen=True)
 class TailPiece:
-    """One survival-formula piece active on (t_lo, t_hi] (first piece: [0, t_hi])."""
+    """One survival-formula piece active on [t_lo, t_hi) (first piece: from 0)."""
 
     t_lo: float
     t_hi: float
@@ -114,7 +113,6 @@ class ClauseFact:
 @dataclass(frozen=True)
 class AnalyticFacts:
     provenance: str
-    quantile: Callable[[float], float] | None = None
     clause_facts: Callable[[float, float], ClauseFact | None] | None = None
 
 
@@ -122,14 +120,12 @@ class AnalyticFacts:
 class QuantileResult:
     n: int
     u_n: float
-    bracket_width: float
 
 
 @dataclass(frozen=True)
 class TailModel:
     name: str
-    pieces: tuple[TailPiece, ...] = ()
-    survival_fn: Callable | None = None  # overrides pieces when set
+    pieces: tuple[TailPiece, ...]
     sign_law: SignLaw = SignLaw(SIGN_SYMMETRIC)
     support_bounds: tuple[float, float] | None = None
     analytic: AnalyticFacts | None = None
@@ -138,8 +134,6 @@ class TailModel:
     @property
     def knee(self) -> float:
         """Last piece boundary; the tail is a single smooth formula beyond it."""
-        if not self.pieces:
-            return 1.0
         return max(p.t_lo for p in self.pieces)
 
     def piece_edges(self) -> tuple[float, ...]:
@@ -154,170 +148,157 @@ class TailModel:
         }
 
 
-def _eval_formula(formula: str, params: TailPiece, t: np.ndarray) -> np.ndarray:
-    if formula == "constant":
-        return np.full_like(t, params.param("value"))
-    if formula == "indicator-below":
-        return np.where(t < params.param("threshold"), 1.0, 0.0)
-    scale = params.param("scale")
-    power = params.param("power")
-    out = scale * t ** (-power)
-    if formula in ("power-log", "power-log-loglog"):
-        out = out * np.log(t) ** (-params.param("log_power"))
-    if formula == "power-log-loglog":
-        out = out * np.log(np.log(t)) ** (-params.param("loglog_power"))
+def _eval_formula(pc: TailPiece, t: np.ndarray) -> np.ndarray:
+    if pc.formula == "constant":
+        return np.full_like(t, pc.param("value"))
+    if pc.formula == "indicator-below":
+        return np.where(t < pc.param("threshold"), 1.0, 0.0)
+    out = pc.param("scale") * t ** (-pc.param("power"))
+    if pc.formula in ("power-log", "power-log-loglog"):
+        out = out * np.log(t) ** (-pc.param("log_power"))
+    if pc.formula == "power-log-loglog":
+        out = out * np.log(np.log(t)) ** (-pc.param("loglog_power"))
     return out
 
 
 def survival(model: TailModel, t) -> np.ndarray | float:
-    """P(||X|| > t); exact up to floating-point evaluation of the formula."""
+    """P(||X|| > t); exact up to floating-point evaluation of the formula.
+
+    Right-continuous: piece i owns [t_lo, t_hi), so a jump at a piece edge
+    takes the value of the piece on its right.
+    """
     scalar = np.isscalar(t)
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0.0):
         raise ValueError("survival is defined for t >= 0")
-    if model.survival_fn is not None:
-        out = np.asarray(model.survival_fn(tt), dtype=float)
-    else:
-        out = np.empty_like(tt)
-        out.fill(np.nan)
-        for i, pc in enumerate(model.pieces):
-            if i == 0:
-                mask = tt <= pc.t_hi
-            else:
-                mask = (tt > pc.t_lo) & (tt <= pc.t_hi)
-            if np.any(mask):
-                out[mask] = _eval_formula(pc.formula, pc, tt[mask])
+    out = np.full_like(tt, np.nan)
+    for i, pc in enumerate(model.pieces):
+        mask = tt < pc.t_hi if i == 0 else (tt >= pc.t_lo) & (tt < pc.t_hi)
+        if np.any(mask):
+            out[mask] = _eval_formula(pc, tt[mask])
+    out[tt == math.inf] = 0.0  # ||X|| is finite
     out = np.clip(out, 0.0, 1.0)
     return float(out) if scalar else out
 
 
-def _bisect_decreasing(fn, targets, *, hi_seed: float, rel_tol: float = 1e-12,
-                       max_iter: int = 160):
-    """Vectorized inf{t : fn(t) < target} for nonincreasing fn and targets in (0, 1].
+# Newton steps for the log-corrected pieces: from the start below, six reach
+# rounding level for the catalog's exponent sets; the rest are bisected.
+NEWTON_STEPS = 6
 
-    Brackets each target by per-element doubling, then bisects.  Raises
-    NonMonotoneTail if fn is detected increasing on the bracketing grid.
+
+def _edge_values(pc: TailPiece, lo: float) -> tuple[float, float]:
+    """The piece's survival at lo and its limit at t_hi from the left."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_lo, at_hi = np.clip(_eval_formula(pc, np.array([lo, pc.t_hi])), 0.0, 1.0)
+    if pc.formula == "indicator-below":
+        at_hi = float(pc.t_hi <= pc.param("threshold"))
+    # at t_hi = inf a growing log factor reads t^-a * (ln t)^-b = 0 * inf; t^-a wins
+    return float(at_lo), 0.0 if math.isnan(at_hi) else float(at_hi)
+
+
+def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float) -> np.ndarray:
+    """Solve scale * t^-a (ln t)^-b (lnln t)^-c = u on the piece, for S(lo) >= u > S(t_hi-).
+
+    In v = ln ln t: g(v) = a e^v + b v + c ln v = ln(scale/u).  Newton starts
+    at the pure-power root ln(ln(scale/u) / a), moved into the piece.  An
+    element whose last correction exceeds 1e-9 (quadratic convergence leaves
+    rounding error below that), or that rests where g decreases (a growing
+    log factor under the clamp at 1), is bisected on the sign of
+    g - ln(scale/u) instead: S is nonincreasing, so the sign changes once.
     """
-    targets = np.atleast_1d(np.asarray(targets, dtype=float))
+    a, b = pc.param("power"), pc.param("log_power")
+    c = pc.param("loglog_power") if pc.formula == "power-log-loglog" else 0.0
+    v_lo, v_hi = math.log(math.log(lo)), math.log(math.log(pc.t_hi))
+    rhs = math.log(pc.param("scale")) - np.log(u)
 
-    seed = max(hi_seed, 1.0)
-    hi = np.full(targets.shape, seed)
-    lo = np.zeros_like(targets)
-    for _ in range(1100):
-        need = fn(hi) >= targets
-        if not np.any(need):
-            break
-        lo = np.where(need, hi, lo)
-        hi = np.where(need, 2.0 * hi, hi)
-        if np.any(hi[need] > 8.9e307):
-            raise NonMonotoneTail("could not bracket: survival does not fall below target")
-    else:
-        raise NonMonotoneTail("could not bracket: survival does not fall below target")
+    def gap_and_slope(v, rhs, gap, slope):  # g(v) - rhs and g'(v), in place
+        np.exp(v, out=slope)
+        slope *= a
+        np.multiply(v, b, out=gap)
+        gap += slope
+        gap -= rhs
+        slope += b
+        if c:
+            gap += c * np.log(v)
+            slope += c / v
 
-    probe = np.geomspace(seed * 1e-3, float(np.max(hi)), 200)
-    vals = fn(probe)
-    if np.any(np.diff(vals) > 1e-12):
-        raise NonMonotoneTail("survival increased on the bracketing grid")
-
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        above = fn(mid) >= targets
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        gap = hi - lo
-        if np.all(gap <= rel_tol * np.maximum(hi, 1.0)):
-            break
-    return hi, hi - lo
-
-
-def _closed_form_inverse(model: TailModel):
-    """Return callable u -> inf{t : S(t) < u} when the catalog allows it, else None.
-
-    Pieces must be constants or pure powers (plus indicator-below); the
-    log-corrected formulas require bisection.
-    """
-    if model.survival_fn is not None:
-        return None
-    for pc in model.pieces:
-        if pc.formula in ("power-log", "power-log-loglog"):
-            return None
-
-    pieces = model.pieces
-    s_at_zero = float(survival(model, 0.0))
-
-    def inverse(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        # Scan pieces left to right; the infimum sits in the first piece whose
-        # values drop strictly below u.
-        unset = u <= s_at_zero
-        for i, pc in enumerate(pieces):
-            if not np.any(unset):
-                break
-            left = 0.0 if i == 0 else pc.t_lo
-            if pc.formula == "indicator-below":
-                # survival is 0 at and beyond the threshold
-                out = np.where(unset, pc.param("threshold"), out)
-                unset = np.zeros_like(unset)
-            elif pc.formula == "constant":
-                qualifies = unset & (u > pc.param("value"))
-                out = np.where(qualifies, left, out)
-                unset &= ~qualifies
-            else:  # power
-                scale = pc.param("scale")
-                a = pc.param("power")
-                v_right = 0.0 if math.isinf(pc.t_hi) else scale * pc.t_hi ** (-a)
-                qualifies = unset & (u > v_right)
-                with np.errstate(divide="ignore", over="ignore"):
-                    t_star = (scale / u) ** (1.0 / a)
-                out = np.where(qualifies, np.maximum(t_star, left), out)
-                unset &= ~qualifies
-        return out
-
-    return inverse
+    v = np.log(np.maximum(rhs, a * math.exp(v_lo)) / a) if a > 0.0 else np.full_like(rhs, v_lo)
+    gap, slope = np.empty_like(v), np.empty_like(v)
+    for _ in range(NEWTON_STEPS):
+        np.clip(v, v_lo, v_hi, out=v)
+        gap_and_slope(v, rhs, gap, slope)
+        gap /= slope
+        v -= gap
+    slow = ~(np.abs(gap) <= 1e-9 * np.maximum(np.abs(v), 1.0)) | (slope <= 0.0)
+    if np.any(slow):  # bisect on the sign of g - ln(scale/u); e^(e^6.6) overflows
+        r = rhs[slow]
+        gap, slope = np.empty_like(r), np.empty_like(r)
+        left, right = np.full_like(r, v_lo), np.full_like(r, min(v_hi, 6.6))
+        for _ in range(100):  # halves a width below 50 down to adjacent floats
+            mid = 0.5 * (left + right)
+            gap_and_slope(mid, r, gap, slope)
+            np.copyto(left, mid, where=gap <= 0.0)
+            np.copyto(right, mid, where=gap > 0.0)
+        v[slow] = right
+    return np.clip(np.exp(np.exp(v)), lo, pc.t_hi)
 
 
 def inverse_survival(model: TailModel, u) -> np.ndarray | float:
-    """Generalized inverse inf{t : survival(t) < u} for u in (0, 1]."""
+    """Generalized inverse inf{t : survival(t) < u} for u in (0, 1].
+
+    Scans the pieces left to right; the infimum sits in the first piece whose
+    values drop strictly below u, where that piece's own inverse gives it:
+    the piece's left edge for constants and indicators, a closed form for
+    powers, and Newton for the log-corrected formulas.  Raises NonMonotoneTail
+    if the pieces increase across an edge or never fall below u.
+    """
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any((uu <= 0.0) | (uu > 1.0)):
+    if uu.size and not (uu.min() > 0.0 and uu.max() <= 1.0):
         raise ValueError("uniforms must lie in (0, 1]")
-    closed = _closed_form_inverse(model)
-    if closed is not None:
-        out = closed(uu)
-    else:
-        out, _ = _bisect_decreasing(lambda t: survival(model, t), uu,
-                                    hi_seed=2.0 * max(model.knee, 1.0))
+    out = np.zeros_like(uu)
+    unset = np.ones(uu.shape, dtype=bool)
+    prev = 1.0
+    for i, pc in enumerate(model.pieces):
+        lo = 0.0 if i == 0 else pc.t_lo
+        at_lo, at_hi = _edge_values(pc, lo)
+        if at_lo > prev + 1e-12 or at_hi > at_lo + 1e-12:
+            raise NonMonotoneTail(f"{model.name}: survival increases on [{lo:g}, {pc.t_hi:g})")
+        here = unset & (uu > at_hi)
+        jump, prev = at_lo < prev, at_hi
+        if not np.any(here):
+            continue
+        w = uu[here]
+        if pc.formula == "constant":
+            root = lo
+        elif pc.formula == "indicator-below":
+            root = max(pc.param("threshold"), lo)
+        elif pc.formula == "power":
+            with np.errstate(divide="ignore", over="ignore"):
+                t_star = (pc.param("scale") / w) ** (1.0 / pc.param("power"))
+            root = np.maximum(t_star, lo)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                root = _log_piece_root(pc, w, lo)
+            if jump:  # a jump down at lo
+                root[w > at_lo] = lo
+        out[here] = root
+        unset &= ~here
+    if np.any(unset):
+        raise NonMonotoneTail(f"{model.name}: survival does not fall below u")
     return float(out[0]) if scalar else out
 
 
 def quantile_un(model: TailModel, n: int) -> QuantileResult:
-    """u_n = inf{t : P(||X|| > t) < 1/n}, closed form when available."""
+    """u_n = inf{t : P(||X|| > t) < 1/n}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if model.analytic is not None and model.analytic.quantile is not None:
-        return QuantileResult(n, float(model.analytic.quantile(n)), 0.0)
-    closed = _closed_form_inverse(model)
-    if closed is not None:
-        return QuantileResult(n, float(closed(np.array([1.0 / n]))[0]), 0.0)
-    root, width = _bisect_decreasing(lambda t: survival(model, t),
-                                     np.array([1.0 / n]),
-                                     hi_seed=2.0 * max(model.knee, 1.0))
-    return QuantileResult(n, float(root[0]), float(width[0]))
+    return QuantileResult(n, inverse_survival(model, 1.0 / n))
 
 
 def quantiles_un(model: TailModel, ns: np.ndarray) -> np.ndarray:
     """Vectorized u_n over an integer array (used by the truncated series)."""
-    ns = np.asarray(ns, dtype=float)
-    if model.analytic is not None and model.analytic.quantile is not None:
-        return np.asarray([model.analytic.quantile(n) for n in ns], dtype=float)
-    closed = _closed_form_inverse(model)
-    if closed is not None:
-        return closed(1.0 / ns)
-    roots, _ = _bisect_decreasing(lambda t: survival(model, t), 1.0 / ns,
-                                  hi_seed=2.0 * max(model.knee, 1.0))
-    return roots
+    return inverse_survival(model, 1.0 / np.asarray(ns, dtype=float))
 
 
 def sample(model: TailModel, uniform: float, sign_uniform: float) -> float:
@@ -368,7 +349,7 @@ class CumulativeTailTable:
 
     Node values come from per-cell adaptive quadrature (the transformed piece
     edges are inserted as nodes, so G is exact there); queries interpolate
-    with a monotone cubic in ln t.  After the O(points) quadratures each
+    with a cubic Hermite in ln t.  After the O(points) quadratures each
     query costs O(1), which is what makes the N-term truncated series cheap.
     """
 
@@ -401,9 +382,14 @@ class CumulativeTailTable:
             raise QuadratureFailure("cumulative tail table is not monotone")
         # Hermite interpolation in s = ln t with the exact slope
         # dG/ds = t * S_Y(t); an order more accurate than fitting values alone.
+        # Cell i holds G = c0 + c1 d + c2 d^2 + c3 d^3 in d = s - s_i.
         slopes = grid * np.asarray(s_y(grid), dtype=float)
-        self._interp = CubicHermiteSpline(np.log(grid), self.values, slopes,
-                                          extrapolate=False)
+        self._nodes = np.log(grid)
+        width = np.diff(self._nodes)
+        secant = np.diff(self.values) / width
+        bend = (slopes[:-1] + slopes[1:] - 2.0 * secant) / width
+        self._coef = (self.values[:-1], slopes[:-1],
+                      (secant - slopes[:-1]) / width - bend, bend / width)
 
     def __call__(self, t) -> np.ndarray | float:
         scalar = np.isscalar(t)
@@ -414,26 +400,29 @@ class CumulativeTailTable:
         out = np.where(tt <= self.grid[0], self._head_value * tt, 0.0)
         above = tt > self.grid[0]
         if np.any(above):
-            out[above] = self._interp(np.log(tt[above]))
+            s = np.log(tt[above])
+            i = np.minimum(np.searchsorted(self._nodes, s, side="right") - 1,
+                           self._nodes.size - 2)
+            d = s - self._nodes[i]
+            c0, c1, c2, c3 = (c[i] for c in self._coef)
+            out[above] = c0 + c1 * d + c2 * (d * d) + c3 * (d * d * d)
         return float(out[0]) if scalar else out
 
 
 def tail_asymptote(model: TailModel) -> LogPolyTail | None:
-    """Exact log-polynomial asymptote of the final piece; None if unavailable.
+    """Exact log-polynomial asymptote of the final piece.
 
-    Bounded-support models (final piece constant 0 or indicator-below) are
-    reported via `support_upper` instead.
+    Bounded-support models (final piece constant 0 or indicator-below) give
+    None and are reported via `support_upper` instead; a final constant c > 0
+    is the non-vanishing tail c * t^0.
     """
-    if model.survival_fn is not None or not model.pieces:
-        return None
     last = model.pieces[-1]
-    if last.formula == "power":
-        return LogPolyTail(last.param("scale"), last.param("power"))
-    if last.formula == "power-log":
-        return LogPolyTail(last.param("scale"), last.param("power"), last.param("log_power"))
-    if last.formula == "power-log-loglog":
-        return LogPolyTail(last.param("scale"), last.param("power"),
-                           last.param("log_power"), last.param("loglog_power"))
+    params = dict(last.params)
+    if last.formula == "constant" and params["value"] > 0.0:
+        return LogPolyTail(params["value"], 0.0)
+    if last.formula in ("power", "power-log", "power-log-loglog"):
+        return LogPolyTail(params["scale"], params["power"], params.get("log_power", 0.0),
+                           params.get("loglog_power", 0.0))
     return None
 
 
@@ -441,8 +430,6 @@ def support_upper(model: TailModel) -> float:
     """Essential upper bound of ||X|| (inf when the tail is unbounded)."""
     if model.support_bounds is not None:
         return model.support_bounds[1]
-    if model.survival_fn is not None or not model.pieces:
-        return math.inf
     last = model.pieces[-1]
     if last.formula == "indicator-below":
         return last.param("threshold")
@@ -470,6 +457,10 @@ def mean_zero(model: TailModel) -> bool | None:
 
 def validate_model(model: TailModel, *, grid_points: int = 1000) -> None:
     """Check the survival invariants on a geometric grid; raise on violation."""
+    for i, pc in enumerate(model.pieces):
+        floor = {"power-log": 1.0, "power-log-loglog": E}.get(pc.formula, -math.inf)
+        if (pc.t_lo if i else 0.0) <= floor:  # the log factors must be positive
+            raise ValueError(f"{model.name}: a {pc.formula} piece must start above t = {floor:g}")
     hi = max(model.knee, 1.0) * 1e12
     grid = np.concatenate([[0.0], np.geomspace(max(model.knee, 1.0) * 1e-9, hi, grid_points)])
     vals = np.asarray(survival(model, grid))
@@ -478,11 +469,8 @@ def validate_model(model: TailModel, *, grid_points: int = 1000) -> None:
     if np.any(np.diff(vals) > 1e-12):
         raise NonMonotoneTail(f"{model.name}: survival increases on the test grid")
     asym = tail_asymptote(model)
-    if asym is not None:
-        if asym.a < 0 or (asym.a == 0 and asym.b <= 0):
-            raise ValueError(f"{model.name}: tail does not vanish at infinity")
-    elif support_upper(model) == math.inf and vals[-1] > 0.999 * max(vals[1], 1e-300):
-        raise ValueError(f"{model.name}: tail does not appear to vanish at infinity")
+    if asym is not None and (asym.a < 0 or (asym.a == 0 and asym.b <= 0)):
+        raise ValueError(f"{model.name}: tail does not vanish at infinity")
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +509,6 @@ def pareto(alpha: float, sign_law: str | SignLaw = SIGN_SYMMETRIC) -> TailModel:
         sign_law=sl,
         analytic=AnalyticFacts(
             provenance="closed form: u_n = n^(1/alpha) inverts t^(-alpha) = 1/n",
-            quantile=lambda n, a=alpha: n ** (1.0 / a),
             clause_facts=_pareto_facts(alpha),
         ),
         origin=("pareto", (("alpha", alpha), ("sign_law", sl.kind))),
@@ -655,7 +642,6 @@ def degenerate(value: float, sign_law: str | SignLaw = SIGN_NONNEGATIVE,
         support_bounds=(value, value),
         analytic=AnalyticFacts(
             provenance="degenerate law: survival is the indicator of t < value",
-            quantile=lambda n, c=value: c,
             clause_facts=_degenerate_facts(value, sl),
         ),
         origin=("degenerate", (("value", value), ("sign_law", sl.kind))),

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bisection import bisect_decreasing
 from pqslln import banach_lp as lp
 from pqslln import cli
 from pqslln import criteria as cr
@@ -35,13 +36,12 @@ def test_criterion_01_quantile_exactness():
         model = tm.pareto(p)
         u = tm.quantiles_un(model, ns)
         worst = max(worst, float(np.max(np.abs(u**p - ns) / ns)))
-        # spot-check the generic bisection path against the closed form
-        stripped = tm.TailModel(name="stripped", pieces=model.pieces,
-                                survival_fn=lambda t, m=model: tm.survival(m, t),
-                                sign_law=model.sign_law)
+        # spot-check the exact inverse against the test-side bisection
         sub = ns[::1111]
-        u_bis = tm.quantiles_un(stripped, sub)
-        worst = max(worst, float(np.max(np.abs(u_bis**p - sub) / sub)))
+        u_bis, _ = bisect_decreasing(lambda t, m=model: tm.survival(m, t), 1.0 / sub,
+                                     hi_seed=2.0)
+        worst = max(worst, float(np.max(np.abs(u_bis**p - sub) / sub)),
+                    float(np.max(np.abs(u[::1111] - u_bis) / u_bis)))
     elapsed = time.perf_counter() - started
     report(1, "critical-tail quantiles satisfy u_n^p = n to 1e-9",
            worst <= 1e-9 and elapsed < 5.0,

@@ -263,3 +263,23 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needl
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and needle in err
+
+
+@pytest.mark.parametrize("missing", ["manifest", "summary"])
+def test_report_missing_file_is_config_error(tmp_path, capsys, missing):
+    cfg = simulate_config(tmp_path, {"builtin": "rademacher"}, 1.5, 0.5)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    os.remove(out / f"sim_{missing}.json")
+    capsys.readouterr()
+    assert cli.main(["report", str(out / "sim_manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and len(err.strip().split("\n")) == 1
+
+
+def test_criteria_rejects_flags_it_ignores(tmp_path, capsys):
+    cfg = criteria_config(tmp_path, {"builtin": "zero"}, 0.5, 0.3)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["criteria", "--config", cfg, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err

@@ -47,6 +47,18 @@ def test_integral_diverges_below_critical_q(q_frac):
     assert v.diagnostics["last_decade_slope"] > 0.0
 
 
+@pytest.mark.parametrize("model,kind", [(tm.pareto(2.0), cr.CONVERGES),
+                                        (tm.log_power_tail(1.0, 2.0), cr.DIVERGES)],
+                         ids=lambda x: getattr(x, "name", x))
+def test_integral_small_q_sees_zero_tail_at_overflow(model, kind):
+    # t^(1/q) overflows to inf inside the window; the tail is 0 there, not NaN.
+    # The integrands are t^-2 and t^-1 (ln t)^-0.04 beyond the knee.
+    with np.errstate(over="ignore"):
+        v = cr.integral_pq(model, 1.0, 0.02)
+    assert v.kind == kind
+    assert math.isfinite(v.estimate_on_window)
+
+
 def test_integral_requires_cap_beyond_knee():
     with pytest.raises(ValueError):
         cr.integral_pq(tm.log_loglog_power_tail(0.5), 0.5, 0.5, t_cap=1.0)
@@ -172,6 +184,28 @@ def test_classify_bounded_and_mean_zero():
     assert r.membership == cr.NON_MEMBER and r.mean_zero is False
     r = cr.classify_slln(tm.pareto(2.0, tm.SignLaw("custom", 0.3)), 1.5, 0.5)
     assert r.membership == cr.UNDECIDED and r.mean_zero is None
+
+
+def test_bounded_custom_model_with_edge_jump_is_member():
+    # constant 1 on [0, 1], t^-0.7 on (1, 1e3], 0 beyond: a bounded symmetric law
+    model = tm.load_model({"name": "jump", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 1.0, "t_hi": 1e3, "formula_id": "power",
+         "params": {"scale": 1.0, "power": 0.7}},
+        {"t_lo": 1e3, "t_hi": None, "formula_id": "constant", "params": {"value": 0.0}},
+    ]})
+    assert tm.survival(model, 1e3) == 0.0
+    report = cr.classify_slln(model, 0.5, 0.5)
+    assert report.membership == cr.MEMBER
+    assert report.truncated_series_verdict.method == "bounded-support"
+
+
+def test_bounded_support_beyond_the_cap():
+    # support bound 100 past t_cap 10: Converges, remainder f(t_cap) (M - t_cap)
+    v = cr.p_moment(tm.degenerate(100.0), 1.0, t_cap=10.0)
+    assert v.kind == cr.CONVERGES and v.method == "bounded-support"
+    assert v.estimate_on_window == pytest.approx(10.0)
+    assert v.remainder_bound == pytest.approx(90.0)
 
 
 def test_classify_out_of_scope():

@@ -113,6 +113,15 @@ def test_overflow_censoring_reported_not_fatal():
 # ---------------------------------------------------------------------------
 
 
+def test_harmonic_matches_exact_sums():
+    # the fsum table below 64 and Euler-Maclaurin above, against exact H_n
+    exact, worst = Fraction(0), 0.0
+    for n in range(1, 400):
+        exact += Fraction(1, n)
+        worst = max(worst, abs(Fraction(mc.harmonic(n)) - exact) / exact)
+    assert worst <= 1e-15
+
+
 def test_growth_verdict_cases():
     ns = 2 ** np.arange(0, 21)
     flat = np.full(ns.size, 2.5)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bisection import bisect_decreasing
 from pqslln import mc_engine as mc
 from pqslln import tail_models as tm
 from pqslln.errors import NonMonotoneTail
@@ -40,10 +41,21 @@ def test_survival_values():
     for model in builtin_zoo():
         assert tm.survival(model, 0.0) <= 1.0
     assert tm.survival(tm.pareto(0.5), 0.0) == 1.0
-    # knee of the log-corrected tail is inclusive
+    # continuous knee of the log-corrected tail
     m41 = tm.log_power_tail(power=1.0, log_power=1.0)
     assert tm.survival(m41, E) == 1.0
     assert tm.survival(m41, E + 1e-9) < 1.0
+
+
+def test_survival_right_continuous_at_piece_edges():
+    # a jump down at an edge takes the value of the piece on the right
+    model = tm.TailModel(name="jump", pieces=(
+        tm.piece(0.0, 1.0, "constant", value=1.0),
+        tm.piece(1.0, 1e3, "power", scale=1.0, power=0.7),
+        tm.piece(1e3, math.inf, "constant", value=0.0)))
+    assert tm.survival(model, 1e3) == 0.0
+    assert tm.survival(model, np.nextafter(1e3, 0.0)) == pytest.approx(1e3**-0.7)
+    assert tm.inverse_survival(model, 1e-3) == 1e3
 
 
 @pytest.mark.parametrize("model", builtin_zoo(), ids=lambda m: m.name)
@@ -54,9 +66,31 @@ def test_survival_monotone_on_grid(model):
     assert np.all(np.diff(vals) <= 1e-12)
 
 
+def test_survival_vanishes_at_infinity():
+    # ||X|| is finite, so P(||X|| > inf) = 0, also where t^-a (ln t)^-b reads 0 * inf
+    grow = tm.TailModel(name="grow", pieces=(
+        tm.piece(0.0, 2.0, "constant", value=1.0),
+        tm.piece(2.0, math.inf, "power-log", scale=3.0, power=0.5, log_power=-1.5)))
+    for model in builtin_zoo() + [grow]:
+        assert tm.survival(model, math.inf) == 0.0
+
+
 def test_validate_model_accepts_builtins():
     for model in builtin_zoo():
         tm.validate_model(model)
+
+
+@pytest.mark.parametrize("formula,t_lo", [("power-log", 1.0), ("power-log", 0.5),
+                                          ("power-log-loglog", E)])
+def test_validate_model_rejects_log_pieces_outside_their_domain(formula, t_lo):
+    # ln t (and ln ln t) must be positive on the whole piece
+    params = {"scale": 1.0, "power": 1.0, "log_power": 1.0}
+    if formula == "power-log-loglog":
+        params["loglog_power"] = 1.0
+    with pytest.raises(ValueError, match="must start above"):
+        tm.load_model({"name": "early", "sign_law": "symmetric", "pieces": [
+            {"t_lo": 0.0, "t_hi": t_lo, "formula_id": "constant", "params": {"value": 1.0}},
+            {"t_lo": t_lo, "t_hi": None, "formula_id": formula, "params": params}]})
 
 
 # ---------------------------------------------------------------------------
@@ -93,21 +127,86 @@ def test_quantile_bracketing_invariants(model):
 
 
 def test_quantile_bisection_matches_closed_form():
-    # strip the closed forms so the bisection path is exercised
+    # the test-side bisection validates the exact inverse
     base = tm.pareto(2.0)
-    stripped = tm.TailModel(name="pareto-bisect", pieces=base.pieces,
-                            survival_fn=lambda t: tm.survival(base, t),
-                            sign_law=base.sign_law)
-    for n in (2, 16, 1000, 9999):
-        got = tm.quantile_un(stripped, n)
-        assert got.u_n == pytest.approx(n**0.5, rel=1e-11)
-        assert got.bracket_width <= 1e-11 * max(got.u_n, 1.0)
+    ns = np.array([2.0, 16.0, 1000.0, 9999.0])
+    roots, widths = bisect_decreasing(lambda t: tm.survival(base, t), 1.0 / ns, hi_seed=2.0)
+    assert np.all(widths <= 1e-11 * np.maximum(roots, 1.0))
+    for n, root in zip(ns, roots):
+        got = tm.quantile_un(base, int(n))
+        assert got.u_n == pytest.approx(n**0.5, rel=1e-12)
+        assert root == pytest.approx(got.u_n, rel=1e-11)
 
 
 def test_quantile_rejects_nonmonotone_tail():
-    bad = tm.TailModel(name="bad", survival_fn=lambda t: np.clip(np.sin(t) ** 2, 0, 1))
+    # pieces built directly, past the loader's grid check
+    doc = {"name": "bad", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 0.2}},
+        {"t_lo": 1.0, "t_hi": None, "formula_id": "power",
+         "params": {"scale": 0.9, "power": 1.0}},
+    ]}
+    with pytest.raises(NonMonotoneTail):
+        tm.load_model(doc)
+    bad = tm.TailModel(name="bad", pieces=(tm.piece(0.0, 1.0, "constant", value=0.2),
+                                           tm.piece(1.0, math.inf, "power",
+                                                    scale=0.9, power=1.0)))
     with pytest.raises(NonMonotoneTail):
         tm.quantile_un(bad, 10)
+
+
+# the README's inline custom model, and a log-loglog piece with exponents
+# (0.7, 1.5, 0.5) instead of the builtin's (power, 1, 2), continuous at e^e
+README_MODEL = {"name": "my-tail", "sign_law": "symmetric", "pieces": [
+    {"t_lo": 0.0, "t_hi": E, "formula_id": "constant", "params": {"value": 1.0}},
+    {"t_lo": E, "t_hi": None, "formula_id": "power-log",
+     "params": {"scale": 1.6487212707, "power": 0.5, "log_power": 2.0}},
+]}
+LOGLOG_MODEL = {"name": "loglog-half", "sign_law": "symmetric", "pieces": [
+    {"t_lo": 0.0, "t_hi": math.exp(E), "formula_id": "constant", "params": {"value": 1.0}},
+    {"t_lo": math.exp(E), "t_hi": None, "formula_id": "power-log-loglog",
+     "params": {"scale": math.exp(0.7 * E), "power": 0.7, "log_power": 1.5,
+                "loglog_power": 0.5}},
+]}
+
+
+# pieces starting where ln t < 1 (power-log from 2) or ln ln t < 1 (loglog
+# from 5), where the log terms of a e^v + b v + c ln v are negative and the
+# pure-power Newton start can fall left of the piece; and a growing log
+# factor (ln t)^1.5 whose rise up to t = e^3 is clamped at 1
+EARLY_LOG_MODEL = {"name": "log-from-2", "sign_law": "symmetric", "pieces": [
+    {"t_lo": 0.0, "t_hi": 2.0, "formula_id": "constant", "params": {"value": 1.0}},
+    {"t_lo": 2.0, "t_hi": None, "formula_id": "power-log",
+     "params": {"scale": math.sqrt(2.0) * math.log(2.0) ** 2, "power": 0.5, "log_power": 2.0}},
+]}
+EARLY_LOGLOG_MODEL = {"name": "loglog-from-5", "sign_law": "symmetric", "pieces": [
+    {"t_lo": 0.0, "t_hi": 5.0, "formula_id": "constant", "params": {"value": 1.0}},
+    {"t_lo": 5.0, "t_hi": None, "formula_id": "power-log-loglog",
+     "params": {"scale": 5.0**0.7 * math.log(5.0) * math.log(math.log(5.0)) ** 2,
+                "power": 0.7, "log_power": 1.0, "loglog_power": 2.0}},
+]}
+GROWING_LOG_MODEL = {"name": "growing-log", "sign_law": "symmetric", "pieces": [
+    {"t_lo": 0.0, "t_hi": 2.0, "formula_id": "constant", "params": {"value": 1.0}},
+    {"t_lo": 2.0, "t_hi": None, "formula_id": "power-log",
+     "params": {"scale": 3.0, "power": 0.5, "log_power": -1.5}},
+]}
+
+
+@pytest.mark.parametrize("model", builtin_zoo() + [
+    tm.load_model(doc) for doc in (README_MODEL, LOGLOG_MODEL, EARLY_LOG_MODEL,
+                                   EARLY_LOGLOG_MODEL, GROWING_LOG_MODEL)],
+                         ids=lambda m: m.name)
+def test_inverse_is_generalized_inverse(model):
+    # S(t (1 + 1e-12)) < u <= S(t (1 - 1e-12)): t is inf{t : S(t) < u} to 1e-12
+    us = np.concatenate([np.exp2(-np.arange(0.0, 53.5, 0.5)),
+                         1.0 - np.random.default_rng(7).random(10_000)])
+    t = tm.inverse_survival(model, us)
+    np.testing.assert_array_equal(mc.MagnitudeSampler(model)(us), t)
+    assert np.all(np.asarray(tm.survival(model, t * (1.0 + 1e-12))) < us)
+    left = np.asarray(tm.survival(model, t * (1.0 - 1e-12)))
+    assert np.all((t == 0.0) | (us <= left))
+    ref, _ = bisect_decreasing(lambda x: tm.survival(model, x), us,
+                               hi_seed=2.0 * model.knee, rel_tol=1e-14)
+    assert np.max(np.abs(t - ref) / np.maximum(ref, 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
