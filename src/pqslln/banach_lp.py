@@ -153,24 +153,23 @@ class ProbeReport:
         return "\n".join(lines) + "\n"
 
 
-def _probe_from_table(table: mc.CheckpointTable, bound: float, p: float) -> ProbeReport:
-    ratio = table.ratio[table.active]
-    w = table.w_partial[table.active]
+def _probe_summary(checkpoints: np.ndarray, ratio: np.ndarray, w: np.ndarray,
+                   bound: float, p: float) -> ProbeReport:
+    """Checkpoint statistics and the W growth verdict of (reps, K) ratio and
+    W paths."""
     q75, q25 = np.percentile(ratio, [75, 25], axis=0)
     med_w = np.median(w, axis=0)
-    m = w.shape[0]
     dw = np.diff(w, axis=1)
     inc_se = (np.percentile(dw, 75, axis=0) - np.percentile(dw, 25, axis=0)) \
-        / 1.349 / math.sqrt(m)
-    verdict = mc.growth_verdict(table.checkpoints, med_w, inc_se)
+        / 1.349 / math.sqrt(w.shape[0])
     return ProbeReport(
-        ns=tuple(int(n) for n in table.checkpoints),
+        ns=tuple(int(n) for n in checkpoints),
         p=p,
         ratio_mean=tuple(float(x) for x in ratio.mean(axis=0)),
         ratio_median=tuple(float(x) for x in np.median(ratio, axis=0)),
         ratio_iqr=tuple(float(x) for x in (q75 - q25)),
         w_median=tuple(float(x) for x in med_w),
-        w_verdict=verdict,
+        w_verdict=mc.growth_verdict(checkpoints, med_w, inc_se),
         sup_norm_bound=bound,
         ratio_paths=ratio,
         w_paths=w,
@@ -186,15 +185,15 @@ def rademacher_probe(xs, p: float, q: float, *, n_max: int, replications: int,
     `disjoint_units` / `repeated_unit`, which have fast exact paths.  The
     coefficient sup-norm bound must be finite and declared (or derivable).
     """
-    if xs is disjoint_units:
-        cfg = mc.ExperimentConfig(model=None, p=p, q=q, n_max=n_max,
+    if xs is disjoint_units or xs is repeated_unit:
+        model, sequence = ((None, mc.SEQ_LP_COUNTEREXAMPLE) if xs is disjoint_units
+                           else (tm.rademacher(), None))
+        cfg = mc.ExperimentConfig(model=model, p=p, q=q, n_max=n_max,
                                   replications=replications, master_seed=master_seed,
-                                  sequence=mc.SEQ_LP_COUNTEREXAMPLE)
-        return _probe_from_table(mc.run_paths(cfg, workers), 1.0, p)
-    if xs is repeated_unit:
-        cfg = mc.ExperimentConfig(model=tm.rademacher(), p=p, q=q, n_max=n_max,
-                                  replications=replications, master_seed=master_seed)
-        return _probe_from_table(mc.run_paths(cfg, workers), 1.0, p)
+                                  sequence=sequence)
+        table = mc.run_paths(cfg, workers)
+        return _probe_summary(table.checkpoints, table.ratio[table.active],
+                              table.w_partial[table.active], 1.0, p)
 
     if sup_norm_bound is None or not math.isfinite(sup_norm_bound):
         raise ValueError("a finite coefficient sup-norm bound must be declared")
@@ -223,23 +222,7 @@ def rademacher_probe(xs, p: float, q: float, *, n_max: int, replications: int,
                 ratio[r, snap] = ratio_n
                 w[r, snap] = w_run
                 snap += 1
-    q75, q25 = np.percentile(ratio, [75, 25], axis=0)
-    med_w = np.median(w, axis=0)
-    dw = np.diff(w, axis=1)
-    inc_se = (np.percentile(dw, 75, axis=0) - np.percentile(dw, 25, axis=0)) \
-        / 1.349 / math.sqrt(reps)
-    return ProbeReport(
-        ns=tuple(int(n) for n in checkpoints),
-        p=p,
-        ratio_mean=tuple(float(x) for x in ratio.mean(axis=0)),
-        ratio_median=tuple(float(x) for x in np.median(ratio, axis=0)),
-        ratio_iqr=tuple(float(x) for x in (q75 - q25)),
-        w_median=tuple(float(x) for x in med_w),
-        w_verdict=mc.growth_verdict(checkpoints, med_w, inc_se),
-        sup_norm_bound=float(sup_norm_bound),
-        ratio_paths=ratio,
-        w_paths=w,
-    )
+    return _probe_summary(checkpoints, ratio, w, float(sup_norm_bound), p)
 
 
 # ---------------------------------------------------------------------------

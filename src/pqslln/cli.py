@@ -119,22 +119,9 @@ def _experiment_config(cfg: dict, base_dir: str, seed_override: int | None
         n_max=_number(sim, "n_max", int, 1 << 14),
         replications=_number(sim, "replications", int, 64),
         master_seed=seed,
-        epsilon_grid=tuple(sim.get("epsilon_grid", (0.5, 1.0))),
         mode=sim.get("mode", "plain"),
         sequence=sequence,
     )
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("PQ_SLLN_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"bad PQ_SLLN_WORKERS value {env!r}") from exc
-    return 1
 
 
 class _AtomicWriter:
@@ -210,7 +197,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     base = os.path.dirname(os.path.abspath(args.config))
     config = _experiment_config(cfg, base, args.seed)
-    workers = _workers(args)
+    workers = max(1, args.workers or 1)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     stem = cfg.get("name") or os.path.splitext(os.path.basename(args.config))[0]
@@ -367,20 +354,31 @@ def _read_json(path: str, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _field(doc, path: str, what: str):
+    """doc[k1][k2]... for the dotted `path`; a missing key is a ConfigError."""
+    for key in path.split("."):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ConfigError(f"cannot read {what}: no key {path!r}")
+        doc = doc[key]
+    return doc
+
+
 def cmd_report(args) -> int:
     rows = []
     contradictions = 0
     for manifest_path in args.manifests:
         manifest = _read_json(manifest_path, "manifest")
-        cfg = manifest["config"]
+        what = f"manifest {manifest_path}"
+        cfg = _field(manifest, "config", what)
         manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
-        model, sequence = resolve_model(cfg["model"], manifest_dir)
-        p, q = float(cfg["p"]), float(cfg["q"])
+        model, sequence = resolve_model(_field(manifest, "config.model", what), manifest_dir)
+        p, q = _number(cfg, "p"), _number(cfg, "q")
         # simulate writes its outputs next to the manifest; looking them up
         # there works from any cwd and after the run directory is moved
-        summary_name = os.path.basename(manifest["outputs"]["summary_json"])
-        summary = _read_json(os.path.join(manifest_dir, summary_name), "summary")
-        mc_kind = summary["w_verdict"]["kind"]
+        summary_name = os.path.basename(_field(manifest, "outputs.summary_json", what))
+        summary_path = os.path.join(manifest_dir, summary_name)
+        summary = _read_json(summary_path, "summary")
+        mc_kind = _field(summary, "w_verdict.kind", f"summary {summary_path}")
         if sequence is not None:
             # sequence rules have no iid criteria side; report empirical only
             rows.append({"model": sequence, "p": p, "q": q, "clause": "sequence",
@@ -430,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run the Monte Carlo engine")
     sp.add_argument("--config", required=True)
     sp.add_argument("--workers", type=int, default=None,
-                    help="worker count; results do not depend on it "
-                         "(fallback: PQ_SLLN_WORKERS)")
+                    help="worker count; results do not depend on it")
     sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
     sp.set_defaults(fn=cmd_simulate)
 

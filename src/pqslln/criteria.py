@@ -468,6 +468,44 @@ def _membership(decisive: list[Verdict], mean_flag: bool | None,
     return MEMBER
 
 
+def _classify(model: tm.TailModel, p: float, q: float, criterion: str, *,
+              t_cap: float, series_n_max: int) -> CriterionReport:
+    """Membership from the clause table; the q = p clause depends on `criterion`."""
+    clause = clause_of(p, q)
+    mean_flag = tm.mean_zero(model)
+    if clause == CLAUSE_OUT:
+        placeholder = _out_of_scope_verdict()
+        return CriterionReport(
+            model_name=model.name, p=p, q=q, clause=clause, criterion=criterion,
+            integral_verdict=placeholder, p_moment_verdict=placeholder,
+            llogl_verdict=None, truncated_series_verdict=None, series_table=None,
+            mean_zero_required=False, mean_zero=mean_flag, membership=UNDECIDED,
+        )
+    integral = integral_pq(model, p, q, t_cap)
+    pmom = p_moment(model, p, t_cap)
+    mean_required = clause == CLAUSE_P_GE_1
+    llogl = series_verdict = series_table = contrast = None
+    if clause == CLAUSE_Q_EQ_P:
+        table, verdict = truncated_series(model, p, series_n_max)
+        almost_sure = _membership([pmom, verdict], mean_flag, False)
+        if criterion == "expectation":
+            llogl = llogl_moment(model, p, 1.0, t_cap)
+            membership, contrast = _membership([llogl], mean_flag, False), almost_sure
+        else:
+            membership, series_table, series_verdict = almost_sure, table, verdict
+    else:
+        membership = _membership([integral], mean_flag, mean_required)
+
+    return CriterionReport(
+        model_name=model.name, p=p, q=q, clause=clause, criterion=criterion,
+        integral_verdict=integral, p_moment_verdict=pmom, llogl_verdict=llogl,
+        truncated_series_verdict=series_verdict, series_table=series_table,
+        mean_zero_required=mean_required, mean_zero=mean_flag,
+        membership=membership, contrast_membership=contrast,
+        model_provenance=model.analytic.provenance if model.analytic else "",
+    )
+
+
 def classify_slln(model: tm.TailModel, p: float, q: float, *,
                   t_cap: float = T_CAP_DEFAULT,
                   series_n_max: int = SERIES_N_MAX_DEFAULT) -> CriterionReport:
@@ -477,41 +515,7 @@ def classify_slln(model: tm.TailModel, p: float, q: float, *,
         q = p < 1       p-th moment AND truncated series
         q < 1 <= p < 2  mean zero AND integral condition
     """
-    clause = clause_of(p, q)
-    if clause == CLAUSE_OUT:
-        placeholder = _out_of_scope_verdict()
-        return CriterionReport(
-            model_name=model.name, p=p, q=q, clause=clause, criterion="almost-sure",
-            integral_verdict=placeholder, p_moment_verdict=placeholder,
-            llogl_verdict=None, truncated_series_verdict=None, series_table=None,
-            mean_zero_required=False, mean_zero=tm.mean_zero(model),
-            membership=UNDECIDED,
-        )
-    integral = integral_pq(model, p, q, t_cap)
-    pmom = p_moment(model, p, t_cap)
-    series_verdict = None
-    series_table = None
-    mean_required = clause == CLAUSE_P_GE_1
-    mean_flag = tm.mean_zero(model)
-
-    if clause == CLAUSE_Q_LT_P:
-        membership = _membership([integral], mean_flag, False)
-    elif clause == CLAUSE_Q_EQ_P:
-        series_table, series_verdict = truncated_series(model, p, series_n_max)
-        membership = _membership([pmom, series_verdict], mean_flag, False)
-    elif clause == CLAUSE_P_GE_1:
-        membership = _membership([integral], mean_flag, True)
-    else:
-        membership = UNDECIDED
-
-    return CriterionReport(
-        model_name=model.name, p=p, q=q, clause=clause, criterion="almost-sure",
-        integral_verdict=integral, p_moment_verdict=pmom, llogl_verdict=None,
-        truncated_series_verdict=series_verdict, series_table=series_table,
-        mean_zero_required=mean_required, mean_zero=mean_flag,
-        membership=membership,
-        model_provenance=model.analytic.provenance if model.analytic else "",
-    )
+    return _classify(model, p, q, "almost-sure", t_cap=t_cap, series_n_max=series_n_max)
 
 
 def series_expectation_criterion(model: tm.TailModel, p: float, q: float, *,
@@ -523,41 +527,4 @@ def series_expectation_criterion(model: tm.TailModel, p: float, q: float, *,
     For the q = p clause the report also carries the almost-sure membership
     for contrast, since that is exactly where the two criteria can differ.
     """
-    clause = clause_of(p, q)
-    if clause == CLAUSE_OUT:
-        placeholder = _out_of_scope_verdict()
-        return CriterionReport(
-            model_name=model.name, p=p, q=q, clause=clause, criterion="expectation",
-            integral_verdict=placeholder, p_moment_verdict=placeholder,
-            llogl_verdict=None, truncated_series_verdict=None, series_table=None,
-            mean_zero_required=False, mean_zero=tm.mean_zero(model),
-            membership=UNDECIDED,
-        )
-    integral = integral_pq(model, p, q, t_cap)
-    pmom = p_moment(model, p, t_cap)
-    llogl = None
-    contrast = None
-    mean_required = clause == CLAUSE_P_GE_1
-    mean_flag = tm.mean_zero(model)
-
-    if clause == CLAUSE_Q_LT_P:
-        membership = _membership([integral], mean_flag, False)
-    elif clause == CLAUSE_Q_EQ_P:
-        llogl = llogl_moment(model, p, 1.0, t_cap)
-        membership = _membership([llogl], mean_flag, False)
-        # the almost-sure membership of the same clause, from the verdicts at hand
-        _, series_verdict = truncated_series(model, p, series_n_max)
-        contrast = _membership([pmom, series_verdict], mean_flag, False)
-    elif clause == CLAUSE_P_GE_1:
-        membership = _membership([integral], mean_flag, True)
-    else:
-        membership = UNDECIDED
-
-    return CriterionReport(
-        model_name=model.name, p=p, q=q, clause=clause, criterion="expectation",
-        integral_verdict=integral, p_moment_verdict=pmom, llogl_verdict=llogl,
-        truncated_series_verdict=None, series_table=None,
-        mean_zero_required=mean_required, mean_zero=mean_flag,
-        membership=membership, contrast_membership=contrast,
-        model_provenance=model.analytic.provenance if model.analytic else "",
-    )
+    return _classify(model, p, q, "expectation", t_cap=t_cap, series_n_max=series_n_max)

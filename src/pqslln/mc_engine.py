@@ -74,7 +74,6 @@ class ExperimentConfig:
     n_max: int
     replications: int
     master_seed: int
-    epsilon_grid: tuple[float, ...] = (0.5, 1.0)
     mode: str = "plain"  # plain | symmetrized
     sequence: str | None = None  # e.g. "lp-counterexample" instead of an iid model
 
@@ -112,7 +111,6 @@ class ExperimentConfig:
             "n_max": self.n_max,
             "replications": self.replications,
             "master_seed": self.master_seed,
-            "epsilon_grid": list(self.epsilon_grid),
             "mode": self.mode,
         }
 
@@ -290,16 +288,6 @@ def run_paths(config: ExperimentConfig, workers: int = 1) -> CheckpointTable:
     return CheckpointTable(config=config, checkpoints=checkpoints,
                            s_norm=np.abs(s_norm), ratio=ratio,
                            w_partial=w_partial, censored=censored)
-
-
-def symmetrize_run(config: ExperimentConfig, workers: int = 1) -> CheckpointTable:
-    """run_paths with X replaced by X - X' (two derived streams per replication)."""
-    cfg = ExperimentConfig(model=config.model, p=config.p, q=config.q,
-                           n_max=config.n_max, replications=config.replications,
-                           master_seed=config.master_seed,
-                           epsilon_grid=config.epsilon_grid,
-                           mode="symmetrized", sequence=config.sequence)
-    return run_paths(cfg, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -480,181 +468,6 @@ def summary_dict(table: CheckpointTable, config: ExperimentConfig) -> dict:
         "censoring": table.censoring_report(),
         "w_verdict": verdict.to_dict(),
     }
-
-
-# ---------------------------------------------------------------------------
-# Block probabilities and truncated-component series
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockSeriesResult:
-    ns: tuple[int, ...]
-    epsilon_grid: tuple[float, ...]
-    probabilities: np.ndarray   # (eps, levels)
-    standard_errors: np.ndarray
-    partial_sums: np.ndarray    # (eps, levels), harmonic block weights
-    verdicts: tuple[Verdict, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "ns": list(self.ns),
-            "epsilon_grid": list(self.epsilon_grid),
-            "probabilities": self.probabilities.tolist(),
-            "standard_errors": self.standard_errors.tolist(),
-            "partial_sums": self.partial_sums.tolist(),
-            "verdicts": [v.to_dict() for v in self.verdicts],
-        }
-
-
-def etemadi_blocks(config: ExperimentConfig, workers: int = 1) -> BlockSeriesResult:
-    """Empirical block probabilities P(||sum_{i=n+1}^{2n} X_i|| > n^(1/p) eps)
-    from fresh blocks at each dyadic n, with binomial standard errors and
-    harmonic-weighted partial sums."""
-    if not config.epsilon_grid:
-        raise ConfigError("epsilon grid must be nonempty")
-    if config.sequence == SEQ_LP_COUNTEREXAMPLE:
-        return _counterexample_blocks(config)
-    checkpoints = config.checkpoints
-    sampler = MagnitudeSampler(config.model)
-    threshold = config.model.sign_law.threshold
-    eps = np.asarray(config.epsilon_grid, dtype=float)
-    reps = config.replications
-    probs = np.zeros((eps.size, checkpoints.size))
-
-    def work(level: int):
-        # Fresh draws per level; replications are batched into fixed blocks so
-        # block sums come out of vectorized matrix reductions.  The stream is
-        # a pure function of (master_seed, block, level): deterministic.
-        n = int(checkpoints[level])
-        bound = n ** (1.0 / config.p) * eps
-        hits = np.zeros(eps.size)
-        done = 0
-        block_id = 0
-        per_block = max(1, (1 << 22) // max(n, 1))
-        while done < reps:
-            m = min(per_block, reps - done)
-            gen = rng.generator(config.master_seed, block_id, rng.ROLE_BLOCK + level)
-            x = draw_batch(gen, sampler, threshold, (m, n))
-            s = np.abs(x.sum(axis=1))
-            hits += (s[None, :] > bound[:, None]).sum(axis=1)
-            done += m
-            block_id += 1
-        return level, hits / reps
-
-    for level, row in parallel_map(work, range(checkpoints.size), workers):
-        probs[:, level] = row
-
-    se = np.sqrt(probs * (1.0 - probs) / reps)
-    weights = _block_weights(checkpoints)
-    partials = np.cumsum(weights[None, :] * probs, axis=1)
-    verdicts = tuple(
-        growth_verdict(checkpoints, partials[i],
-                       inc_se=(weights * np.maximum(se[i], 1e-12))[1:])
-        for i in range(eps.size)
-    )
-    return BlockSeriesResult(
-        ns=tuple(int(n) for n in checkpoints),
-        epsilon_grid=tuple(float(e) for e in eps),
-        probabilities=probs, standard_errors=se, partial_sums=partials,
-        verdicts=verdicts,
-    )
-
-
-def _counterexample_blocks(config: ExperimentConfig) -> BlockSeriesResult:
-    """Disjoint coordinates: the block norm is exactly n^(1/p), so the block
-    probability is the indicator of eps < 1."""
-    checkpoints = config.checkpoints
-    eps = np.asarray(config.epsilon_grid, dtype=float)
-    probs = np.where(eps[:, None] < 1.0, 1.0, 0.0) * np.ones((1, checkpoints.size))
-    se = np.zeros_like(probs)
-    weights = _block_weights(checkpoints)
-    partials = np.cumsum(weights[None, :] * probs, axis=1)
-    verdicts = tuple(growth_verdict(checkpoints, partials[i]) for i in range(eps.size))
-    return BlockSeriesResult(
-        ns=tuple(int(n) for n in checkpoints),
-        epsilon_grid=tuple(float(e) for e in eps),
-        probabilities=probs, standard_errors=se, partial_sums=partials,
-        verdicts=verdicts,
-    )
-
-
-@dataclass(frozen=True)
-class TruncatedComponentResult:
-    ns: tuple[int, ...]
-    truncation_levels: tuple[float, ...]   # u_n at each dyadic n
-    terms: tuple[float, ...]               # E||U^(1)_{n,n}||^q / n^(1+q/p)
-    standard_errors: tuple[float, ...]
-    partial_lower: tuple[float, ...]
-    partial_upper: tuple[float, ...]
-    verdict: Verdict
-
-    def to_dict(self) -> dict:
-        return {
-            "ns": list(self.ns),
-            "truncation_levels": list(self.truncation_levels),
-            "terms": list(self.terms),
-            "standard_errors": list(self.standard_errors),
-            "partial_lower": list(self.partial_lower),
-            "partial_upper": list(self.partial_upper),
-            "verdict": self.verdict.to_dict(),
-        }
-
-
-def truncated_component_series(config: ExperimentConfig, n_max: int | None = None,
-                               workers: int = 1) -> TruncatedComponentResult:
-    """MC estimate of the series sum_n E||U^(1)_{n,n}||^q / n^(1+q/p) at dyadic n,
-    where U^(1)_{n,n} sums the first n variables truncated at the norm-level
-    quantile, X_i 1(||X_i|| <= u_n)."""
-    if config.model is None:
-        raise ConfigError("truncated-component series needs an iid tail model")
-    n_max = int(n_max or config.n_max)
-    levels = 2 ** np.arange(0, n_max.bit_length(), dtype=np.int64)
-    sampler = MagnitudeSampler(config.model)
-    threshold = config.model.sign_law.threshold
-    reps = config.replications
-    u_levels = np.array([tm.quantile_un(config.model, int(n)).u_n for n in levels])
-
-    terms = np.zeros(levels.size)
-    ses = np.zeros(levels.size)
-
-    def work(j: int):
-        n = int(levels[j])
-        u_n = u_levels[j]
-        vals = np.empty(reps)
-        done = 0
-        block_id = 0
-        per_block = max(1, (1 << 22) // max(n, 1))
-        while done < reps:
-            m = min(per_block, reps - done)
-            gen = rng.generator(config.master_seed, block_id, rng.ROLE_TRUNCATED + j)
-            x = draw_batch(gen, sampler, threshold, (m, n))
-            x = np.where(np.abs(x) <= u_n, x, 0.0)
-            vals[done:done + m] = np.abs(x.sum(axis=1)) ** config.q
-            done += m
-            block_id += 1
-        denom = n ** (1.0 + config.q / config.p)
-        return j, vals.mean() / denom, vals.std(ddof=1) / math.sqrt(reps) / denom
-
-    for j, mean, se in parallel_map(work, range(levels.size), workers):
-        terms[j] = mean
-        ses[j] = se
-
-    counts = np.concatenate([[1.0], (levels[1:] - levels[:-1]).astype(float)])
-    lower = np.cumsum(counts * terms)
-    left = np.concatenate([[terms[0]], terms[:-1]])
-    upper = np.cumsum(counts * left)
-    verdict = growth_verdict(levels, lower,
-                             inc_se=(counts * np.maximum(ses, 1e-15))[1:])
-    return TruncatedComponentResult(
-        ns=tuple(int(n) for n in levels),
-        truncation_levels=tuple(float(u) for u in u_levels),
-        terms=tuple(float(t) for t in terms),
-        standard_errors=tuple(float(s) for s in ses),
-        partial_lower=tuple(float(v) for v in lower),
-        partial_upper=tuple(float(v) for v in upper),
-        verdict=verdict,
-    )
 
 
 def dense_ratio_moments(model: tm.TailModel, p: float, q: float, n_upto: int,

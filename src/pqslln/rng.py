@@ -6,7 +6,7 @@ cannot change any draw: workers only decide *when* a replication is computed,
 never *what* it computes.
 
 Roles keep logically distinct streams apart: the plain path, the independent
-copy used for symmetrization, and the fresh blocks drawn per dyadic level.
+copy used for symmetrization, and the batched probe and oracle draws.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 ROLE_PATH = 0
 ROLE_COPY = 1
-ROLE_BLOCK = 2       # + dyadic level
-ROLE_TRUNCATED = 40  # + dyadic level
 ROLE_PROBE = 90
 
 

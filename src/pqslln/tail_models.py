@@ -456,8 +456,17 @@ def mean_zero(model: TailModel) -> bool | None:
 
 
 def validate_model(model: TailModel, *, grid_points: int = 1000) -> None:
-    """Check the survival invariants on a geometric grid; raise on violation."""
-    for i, pc in enumerate(model.pieces):
+    """Check that the pieces tile [0, inf) edge to edge and the survival
+    invariants on a geometric grid; raise on violation."""
+    pieces = model.pieces
+    if not pieces or pieces[-1].t_hi != math.inf:
+        raise ValueError(f"{model.name}: the last piece must be unbounded")
+    for i, pc in enumerate(pieces):
+        if not pc.t_lo < pc.t_hi:
+            raise ValueError(f"{model.name}: piece [{pc.t_lo:g}, {pc.t_hi:g}) is empty")
+        if i and pc.t_lo != pieces[i - 1].t_hi:
+            raise ValueError(f"{model.name}: pieces must meet, but one ends at "
+                             f"{pieces[i - 1].t_hi:g} and the next starts at {pc.t_lo:g}")
         floor = {"power-log": 1.0, "power-log-loglog": E}.get(pc.formula, -math.inf)
         if (pc.t_lo if i else 0.0) <= floor:  # the log factors must be positive
             raise ValueError(f"{model.name}: a {pc.formula} piece must start above t = {floor:g}")

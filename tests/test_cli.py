@@ -138,15 +138,6 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert manifest["config"]["master_seed"] == 99
 
 
-def test_simulate_workers_env_fallback(tmp_path, monkeypatch):
-    cfg = simulate_config(tmp_path, {"builtin": "rademacher"}, 1.0, 1.0)
-    monkeypatch.setenv("PQ_SLLN_WORKERS", "3")
-    out = tmp_path / "runenv"
-    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    manifest = json.loads((out / "sim_manifest.json").read_text())
-    assert manifest["workers"] == 3
-
-
 def test_simulate_failure_leaves_no_artifacts(tmp_path):
     cfg = write_config(tmp_path, "bad_sim.json", {
         "schema": 1, "model": {"builtin": "rademacher"}, "p": 1.0, "q": 1.0,
@@ -170,8 +161,7 @@ def test_manifest_reproduces_run(tmp_path):
         "p": manifest["config"]["p"],
         "q": manifest["config"]["q"],
         "simulate": {k: manifest["config"][k]
-                     for k in ("n_max", "replications", "master_seed",
-                               "epsilon_grid", "mode")},
+                     for k in ("n_max", "replications", "master_seed", "mode")},
     })
     out2 = tmp_path / "replay"
     cli.main(["simulate", "--config", replay_cfg, "--out", str(out2)])
@@ -256,21 +246,29 @@ def test_simulate_json_format_lists_only_written_files(tmp_path):
     ("criteria", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5,
                   "criteria": {"t_cap": "big"}}, "'t_cap'"),
     ("simulate", {"model": {"builtin": "rademacher"}, "q": 0.5}, "'p'"),
+    # pieces that leave [1, 2) uncovered
+    ("criteria", {"model": {"custom": {"name": "gapped", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 2.0, "t_hi": None, "formula_id": "power",
+         "params": {"scale": 1.0, "power": 2.0}}]}}, "p": 0.5, "q": 0.25}, "pieces must meet"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needle):
     cfg = write_config(tmp_path, "badnum.json", {"schema": 1, **payload})
     code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and needle in err
+    assert err.startswith("error: ") and needle in err and len(err.strip().split("\n")) == 1
 
 
-@pytest.mark.parametrize("missing", ["manifest", "summary"])
+@pytest.mark.parametrize("missing", ["manifest", "summary", "manifest-keys"])
 def test_report_missing_file_is_config_error(tmp_path, capsys, missing):
     cfg = simulate_config(tmp_path, {"builtin": "rademacher"}, 1.5, 0.5)
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    os.remove(out / f"sim_{missing}.json")
+    if missing == "manifest-keys":
+        (out / "sim_manifest.json").write_text("{}")
+    else:
+        os.remove(out / f"sim_{missing}.json")
     capsys.readouterr()
     assert cli.main(["report", str(out / "sim_manifest.json")]) == 2
     err = capsys.readouterr().err

@@ -178,47 +178,16 @@ def test_block_proxies_bracket():
     assert all(e.block_lower <= e.block_upper + 1e-12 for e in est)
 
 
-def test_etemadi_zero_and_exact_binomial():
-    cfg = small_config(tm.zero())
-    res = mc.etemadi_blocks(cfg)
-    assert np.all(res.probabilities == 0.0)
-
-    # Rademacher block: P(|S_8| > 4) = 2 P(B in {0,1}) = 18/256 exactly
-    law_exact = float(2 * (1 + 8) / 256)
-    cfg = small_config(tm.rademacher(), p=1.0, q=1.0, n_max=1 << 10,
-                       reps=8000, seed=5, epsilon_grid=(0.5,))
-    res = mc.etemadi_blocks(cfg, workers=4)
-    k = res.ns.index(8)
-    se = max(res.standard_errors[0, k], math.sqrt(law_exact * (1 - law_exact) / 8000))
-    assert abs(res.probabilities[0, k] - law_exact) <= 4.0 * se
-    # large-deviation decay: partial sums stabilize
-    assert res.verdicts[0].kind in (cr.CONVERGES, cr.INCONCLUSIVE)
-    assert res.partial_sums[0, -1] == pytest.approx(res.partial_sums[0, -4], rel=1e-6)
-
-
-def test_etemadi_counterexample_blocks():
-    cfg = mc.ExperimentConfig(model=None, p=0.5, q=0.5, n_max=1 << 10,
-                              replications=4, master_seed=3,
-                              sequence=mc.SEQ_LP_COUNTEREXAMPLE,
-                              epsilon_grid=(0.5, 2.0))
-    res = mc.etemadi_blocks(cfg)
-    assert np.all(res.probabilities[0] == 1.0)   # eps < 1: block norm is n^(1/p)
-    assert res.verdicts[0].kind == cr.DIVERGES   # harmonic growth
-    assert np.all(res.probabilities[1] == 0.0)   # eps > 1 never exceeded
-    assert res.verdicts[1].kind == cr.CONVERGES
-
-
 def test_symmetrize_degenerate_is_zero():
-    cfg = small_config(tm.degenerate(2.5))
-    table = mc.symmetrize_run(cfg)
+    table = mc.run_paths(small_config(tm.degenerate(2.5), mode="symmetrized"))
     assert np.all(table.s_norm == 0.0) and np.all(table.w_partial == 0.0)
 
 
 def test_symmetrize_pareto_mean_zero():
     # |mean of symmetrized draws| = |S_n|/n within 4 sd(X - X')/sqrt(n)
     cfg = small_config(tm.pareto(3.0, "nonnegative"), p=1.0, q=1.0,
-                       n_max=1 << 14, reps=8, seed=17)
-    table = mc.symmetrize_run(cfg)
+                       n_max=1 << 14, reps=8, seed=17, mode="symmetrized")
+    table = mc.run_paths(cfg)
     n = 1 << 14
     sd = math.sqrt(2.0 * 0.75)  # Var(X) = E X^2 - (E X)^2 = 3 - 2.25
     for r in range(8):
@@ -230,48 +199,20 @@ def test_symmetrized_two_point_law():
     conv = oracles._convolve_difference(oracles.rademacher_law())
     masses = {float(v): p for v, p in conv.atoms}
     assert masses == {-2.0: Fraction(1, 4), 0.0: Fraction(1, 2), 2.0: Fraction(1, 4)}
-    cfg = small_config(tm.rademacher(), n_max=1 << 10, reps=4000, seed=23)
-    table = mc.symmetrize_run(cfg)
+    cfg = small_config(tm.rademacher(), n_max=1 << 10, reps=4000, seed=23,
+                       mode="symmetrized")
+    table = mc.run_paths(cfg)
     draws = table.s_norm[:, 0]  # |X_1 - X_1'| at n = 1
     for value, prob in ((0.0, 0.5), (2.0, 0.5)):
         emp = float(np.mean(draws == value))
         assert abs(emp - prob) <= 4.0 * math.sqrt(prob * (1 - prob) / 4000)
 
 
-def test_truncated_component_series_cases():
-    cfg = small_config(tm.zero(), p=0.5, q=0.3)
-    res = mc.truncated_component_series(cfg)
-    assert all(t == 0.0 for t in res.terms)
-
-    # unit magnitude, p = 0.5: u_n = 1 so truncation is inactive; terms are
-    # E|S_n|^q / n^(1+q/p), checked against exact enumeration at small n
-    cfg = small_config(tm.rademacher(), p=0.5, q=0.3, n_max=1 << 12, reps=6000, seed=29)
-    res = mc.truncated_component_series(cfg, workers=4)
-    assert res.verdict.kind == cr.CONVERGES
-    exact = oracles.exact_series_small(oracles.rademacher_law(), 0.5, 0.3, 8)
-    for idx, n in [(1, 2), (2, 4), (3, 8)]:
-        expected = exact[n - 1] / n  # E r_n^q / n = E|S_n|^q / n^(1+q/p)
-        band = 4.0 * res.standard_errors[idx]
-        assert abs(res.terms[idx] - expected) <= max(band, 1e-12)
-
-    # critical tail with q < p: agreement with the divergent integral condition
-    m43 = tm.pareto(0.5)
-    assert cr.integral_pq(m43, 0.5, 0.25).kind == cr.DIVERGES
-    cfg = small_config(m43, p=0.5, q=0.25, n_max=1 << 14, reps=256, seed=31)
-    res = mc.truncated_component_series(cfg, workers=4)
-    assert res.verdict.kind == cr.DIVERGES
-
-
-def test_etemadi_consistency_with_membership():
-    # member model with visibly vanishing ratios: the block probabilities
-    # stabilize and the W verdict must not contradict the membership
+def test_w_verdict_consistent_with_membership():
+    # member model with visibly vanishing ratios: the W verdict must not
+    # contradict the membership
     model = tm.rademacher()
     assert cr.classify_slln(model, 0.7, 0.35).membership == cr.MEMBER
-    cfg = small_config(model, p=0.7, q=0.35, n_max=1 << 12, reps=2000, seed=4,
-                       epsilon_grid=(0.5,))
-    blocks = mc.etemadi_blocks(cfg, workers=4)
-    tail = blocks.partial_sums[0, -3:]
-    assert tail[-1] == pytest.approx(tail[0], rel=1e-3)  # stabilized
     table = mc.run_paths(small_config(model, p=0.7, q=0.35, n_max=1 << 12,
                                       reps=64, seed=4), workers=4)
     ratios = np.median(table.ratio, axis=0)
