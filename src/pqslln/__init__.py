@@ -6,9 +6,9 @@ Subpackages:
   truncated moments.
 - ``criteria``: clause-by-clause convergence classification of the
   membership conditions.
-- ``mc_engine``: deterministic parallel Monte Carlo over normed partial sums.
-- ``banach_lp``: finite-support l_p vectors, the disjoint-coordinate
-  counterexample, and the order-statistics maximal-inequality check.
+- ``mc_engine``: deterministic parallel Monte Carlo over normed partial sums,
+  and the disjoint-coordinate l_p counterexample path.
+- ``banach_lp``: the order-statistics maximal-inequality check.
 - ``oracles``: exact enumeration checks for the finite-n inequalities.
 - ``cli``: experiment runner.
 """

@@ -1,16 +1,11 @@
-"""Finite-support l_p vectors and the sequence-space witnesses.
+"""The order-statistics maximal inequality of Marcus and Pisier.
 
-Two witnesses matter here.  The disjoint-coordinate sequence V_n = +/- e_n
-has ||sum_{i<=n} V_i||^p = n exactly whatever the signs, so its normalized
-ratio is identically 1: the Marcinkiewicz-Zygmund normalization cannot win,
-and the associated W-series is the harmonic series.  The bounded-coefficient
-sign-sequence probe asks the opposite question: whether ||sum x_k eps_k|| /
-n^(1/p) decays, feeding the stable-type characterization as empirical
-evidence on specific witnesses (never as a verification of the equivalence).
-
-For p < 1 the functional (sum |v_i|^p)^(1/p) is a quasi-norm; nothing here
-assumes the triangle inequality, only disjoint-support additivity of the
-p-th powers.
+For iid magnitudes X_1..X_n with nonincreasing rearrangement X*_k and
+r >= 1, P(sup_k k^(1/r) X*_k > u) <= (2e/u^r) sup_t t^r sum_k P(||X_k|| > t).
+`sup_power_weighted_tail` computes the supremum on the right from the tail
+model's pieces, and `marcus_pisier_check` sets the empirical left side beside
+the bound on a grid of u.  The disjoint-coordinate l_p witness is simulated
+by `mc_engine` as the `lp-counterexample` sequence rule.
 """
 
 from __future__ import annotations
@@ -23,211 +18,8 @@ import numpy as np
 from . import mc_engine as mc
 from . import rng
 from . import tail_models as tm
-from .criteria import Verdict
 
-__all__ = [
-    "LpVector", "lp_norm", "counterexample_path", "rademacher_probe",
-    "marcus_pisier_check", "ProbeReport", "MarcusPisierTable",
-    "disjoint_units", "repeated_unit",
-]
-
-
-@dataclass(frozen=True)
-class LpVector:
-    """Sparse vector with exponent p in (0, 2]; zero entries are never stored.
-
-    The vector is `factor` times the stored entries.  Scaling multiplies the
-    factor only, so it is exact and cannot underflow an entry to zero.
-    """
-
-    p: float
-    entries: tuple[tuple[int, float], ...]
-    factor: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.p <= 2.0):
-            raise ValueError("p must lie in (0, 2]")
-        if any(v == 0.0 for _, v in self.entries):
-            raise ValueError("zero entries must not be stored")
-
-    @staticmethod
-    def from_dict(p: float, entries: dict[int, float]) -> "LpVector":
-        cleaned = tuple(sorted((i, float(v)) for i, v in entries.items() if v != 0.0))
-        return LpVector(p, cleaned)
-
-    @staticmethod
-    def unit(p: float, index: int) -> "LpVector":
-        return LpVector(p, ((index, 1.0),))
-
-    def items(self) -> tuple[tuple[int, float], ...]:
-        """(index, value) pairs of the vector itself, the factor applied."""
-        return tuple((i, self.factor * v) for i, v in self.entries)
-
-    def norm_p_power(self) -> float:
-        return abs(self.factor) ** self.p * math.fsum(abs(v) ** self.p for _, v in self.entries)
-
-    def scale(self, c: float) -> "LpVector":
-        if c == 0.0:
-            return LpVector(self.p, ())
-        return LpVector(self.p, self.entries, self.factor * c)
-
-    def add(self, other: "LpVector") -> "LpVector":
-        if other.p != self.p:
-            raise ValueError("mismatched exponents")
-        acc = dict(self.items())
-        for i, v in other.items():
-            acc[i] = acc.get(i, 0.0) + v
-        return LpVector.from_dict(self.p, acc)
-
-    def __add__(self, other: "LpVector") -> "LpVector":
-        return self.add(other)
-
-
-def lp_norm(v: LpVector) -> float:
-    """(sum |v_i|^p)^(1/p); a quasi-norm for p < 1.  Homogeneous by
-    construction: lp_norm(v.scale(c)) == |c| * lp_norm(v)."""
-    s = math.fsum(abs(x) ** v.p for _, x in v.entries)
-    return abs(v.factor) * s ** (1.0 / v.p) if s > 0.0 else 0.0
-
-
-def disjoint_units(k: int) -> LpVector:
-    """Coefficient rule of the counterexample: the k-th unit coordinate."""
-    return LpVector.unit(1.0, k)  # exponent is attached by the caller
-
-
-def repeated_unit(k: int) -> LpVector:
-    """Every coefficient is the same first coordinate: the real-line probe."""
-    return LpVector.unit(1.0, 1)
-
-
-def counterexample_path(n_max: int, p: float, seed: int = 0) -> np.ndarray:
-    """Ratios ||sum_{i<=n} (+/- e_i)||_p / n^(1/p) for n = 1..n_max.
-
-    The coordinates are disjoint, so the p-th power of the norm accumulates
-    an integer count whatever the signs, and the ratio is bitwise 1.0; no
-    sign needs drawing.  `seed` is accepted for signature compatibility with
-    the simulated paths and does not change the result.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    counts = np.arange(1, n_max + 1, dtype=float)
-    return (counts / counts) ** (1.0 / p)
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    ns: tuple[int, ...]
-    p: float
-    ratio_mean: tuple[float, ...]
-    ratio_median: tuple[float, ...]
-    ratio_iqr: tuple[float, ...]
-    w_median: tuple[float, ...]
-    w_verdict: Verdict
-    sup_norm_bound: float
-    ratio_paths: np.ndarray | None = None   # (reps, K), for the CSV dump
-    w_paths: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "ns": list(self.ns),
-            "p": self.p,
-            "ratio_mean": list(self.ratio_mean),
-            "ratio_median": list(self.ratio_median),
-            "ratio_iqr": list(self.ratio_iqr),
-            "w_median": list(self.w_median),
-            "w_verdict": self.w_verdict.to_dict(),
-            "sup_norm_bound": self.sup_norm_bound,
-        }
-
-    def to_csv(self) -> str:
-        """Same row schema as the engine's checkpoint tables."""
-        if self.ratio_paths is None or self.w_paths is None:
-            raise ValueError("probe was built without per-replication paths")
-        lines = ["replication,n,s_norm,ratio,w_partial"]
-        inv_p = 1.0 / self.p
-        for r in range(self.ratio_paths.shape[0]):
-            for k, n in enumerate(self.ns):
-                ratio = float(self.ratio_paths[r, k])
-                lines.append(f"{r},{int(n)},{ratio * n**inv_p!r},{ratio!r},"
-                             f"{float(self.w_paths[r, k])!r}")
-        return "\n".join(lines) + "\n"
-
-
-def _probe_summary(checkpoints: np.ndarray, ratio: np.ndarray, w: np.ndarray,
-                   bound: float, p: float) -> ProbeReport:
-    """Checkpoint statistics and the W growth verdict of (reps, K) ratio and
-    W paths."""
-    q75, q25 = np.percentile(ratio, [75, 25], axis=0)
-    med_w = np.median(w, axis=0)
-    dw = np.diff(w, axis=1)
-    inc_se = (np.percentile(dw, 75, axis=0) - np.percentile(dw, 25, axis=0)) \
-        / 1.349 / math.sqrt(w.shape[0])
-    return ProbeReport(
-        ns=tuple(int(n) for n in checkpoints),
-        p=p,
-        ratio_mean=tuple(float(x) for x in ratio.mean(axis=0)),
-        ratio_median=tuple(float(x) for x in np.median(ratio, axis=0)),
-        ratio_iqr=tuple(float(x) for x in (q75 - q25)),
-        w_median=tuple(float(x) for x in med_w),
-        w_verdict=mc.growth_verdict(checkpoints, med_w, inc_se),
-        sup_norm_bound=bound,
-        ratio_paths=ratio,
-        w_paths=w,
-    )
-
-
-def rademacher_probe(xs, p: float, q: float, *, n_max: int, replications: int,
-                     master_seed: int, sup_norm_bound: float | None = None,
-                     workers: int = 1) -> ProbeReport:
-    """MC over sign sequences for X_k = x_k eps_k with bounded coefficients.
-
-    `xs` is a callable k -> LpVector (1-based), or one of the built-in rules
-    `disjoint_units` / `repeated_unit`, which have fast exact paths.  The
-    coefficient sup-norm bound must be finite and declared (or derivable).
-    """
-    if xs is disjoint_units or xs is repeated_unit:
-        model, sequence = ((None, mc.SEQ_LP_COUNTEREXAMPLE) if xs is disjoint_units
-                           else (tm.rademacher(), None))
-        cfg = mc.ExperimentConfig(model=model, p=p, q=q, n_max=n_max,
-                                  replications=replications, master_seed=master_seed,
-                                  sequence=sequence)
-        table = mc.run_paths(cfg, workers)
-        return _probe_summary(table.checkpoints, table.ratio[table.active],
-                              table.w_partial[table.active], 1.0, p)
-
-    if sup_norm_bound is None or not math.isfinite(sup_norm_bound):
-        raise ValueError("a finite coefficient sup-norm bound must be declared")
-    checkpoints = 2 ** np.arange(0, int(n_max).bit_length())
-    if checkpoints[-1] != n_max:
-        raise ValueError("n_max must be a power of two")
-    vectors = [xs(k) for k in range(1, n_max + 1)]
-    reps = replications
-    k_total = checkpoints.size
-    ratio = np.empty((reps, k_total))
-    w = np.empty((reps, k_total))
-    inv_p = 1.0 / p
-    for r in range(reps):
-        gen = rng.generator(master_seed, r, rng.ROLE_PROBE)
-        signs = np.where(mc.negative_signs(gen, 0.5, n_max), -1.0, 1.0)
-        acc: dict[int, float] = {}
-        w_run = 0.0
-        snap = 0
-        for n, (vec, s) in enumerate(zip(vectors, signs), start=1):
-            for i, v in vec.items():
-                acc[i] = acc.get(i, 0.0) + s * v
-            norm = math.fsum(abs(v) ** p for v in acc.values()) ** inv_p
-            ratio_n = norm / n**inv_p
-            w_run += ratio_n**q / n
-            if n == checkpoints[snap]:
-                ratio[r, snap] = ratio_n
-                w[r, snap] = w_run
-                snap += 1
-    return _probe_summary(checkpoints, ratio, w, float(sup_norm_bound), p)
-
-
-# ---------------------------------------------------------------------------
-# Order-statistics maximal inequality
-# ---------------------------------------------------------------------------
+__all__ = ["sup_power_weighted_tail", "MarcusPisierTable", "marcus_pisier_check"]
 
 
 def sup_power_weighted_tail(model: tm.TailModel, r: float) -> float:

@@ -21,6 +21,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -30,9 +31,11 @@ import numpy as np
 
 from . import __version__, banach_lp, criteria, mc_engine, oracles, rng
 from . import tail_models as tm
-from .errors import ConfigError, PqsllnError
+from .errors import ConfigError, NonMonotoneTail, PqsllnError
 
 SCHEMA_VERSION = 1
+# what building a model from a spec raises on bad input
+_MODEL_ERRORS = (OSError, KeyError, TypeError, ValueError, NonMonotoneTail)
 
 
 # ---------------------------------------------------------------------------
@@ -66,38 +69,40 @@ def resolve_model(spec, base_dir: str = ".") -> tuple[tm.TailModel | None, str |
     if "sequence" in spec:
         return None, spec["sequence"]
     if "builtin" in spec:
-        params = dict(spec.get("params", {}))
         try:
-            return tm.make_builtin(spec["builtin"], **params), None
-        except (TypeError, ValueError) as exc:
+            return tm.make_builtin(spec["builtin"], **dict(spec.get("params", {}))), None
+        except _MODEL_ERRORS as exc:
             raise ConfigError(f"bad builtin model spec: {exc}") from exc
     if "custom" in spec:
         try:
             return tm.load_model(spec["custom"]), None
-        except (KeyError, ValueError) as exc:
+        except _MODEL_ERRORS as exc:
             raise ConfigError(f"bad custom model: {exc}") from exc
     if "file" in spec:
         path = os.path.join(base_dir, spec["file"])
         try:
             with open(path) as fh:
                 return tm.load_model(json.load(fh)), None
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except _MODEL_ERRORS as exc:
             raise ConfigError(f"bad model file {path}: {exc}") from exc
     raise ConfigError("model spec needs one of: builtin, custom, file, sequence")
 
 
 def _number(section: dict, key: str, kind=float, default=None):
     """section[key] converted by `kind`; `default` when absent.  A missing
-    required key or a value that is not a number is a ConfigError."""
+    required key or a value that is not a finite number is a ConfigError."""
     if key not in section:
         if default is None:
             raise ConfigError(f"config missing key {key!r}")
         return default
     try:
-        return kind(section[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} must be a number, "
+        value = kind(section[key])
+        if not math.isfinite(value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r} must be a finite number, "
                           f"got {section[key]!r}") from exc
+    return value
 
 
 def _criteria_kwargs(crit: dict) -> dict:
@@ -180,12 +185,14 @@ def cmd_criteria(args) -> int:
     kwargs = _criteria_kwargs(crit)
     p, q = _number(cfg, "p"), _number(cfg, "q")
     which = crit.get("criterion", "almost-sure")
-    if which == "almost-sure":
-        report = criteria.classify_slln(model, p, q, **kwargs)
-    elif which == "expectation":
-        report = criteria.series_expectation_criterion(model, p, q, **kwargs)
-    else:
+    classify = {"almost-sure": criteria.classify_slln,
+                "expectation": criteria.series_expectation_criterion}.get(which)
+    if classify is None:
         raise ConfigError(f"unknown criterion {which!r}")
+    try:
+        report = classify(model, p, q, **kwargs)
+    except ValueError as exc:  # t_cap or series_n_max out of range
+        raise ConfigError(f"bad criteria settings: {exc}") from exc
 
     _emit(args.out, "criterion_report.json",
           json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")

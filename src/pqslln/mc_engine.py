@@ -176,11 +176,6 @@ class MagnitudeSampler:
         return tm.inverse_survival(self.model, u)
 
 
-def negative_signs(gen: np.random.Generator, threshold: float, shape) -> np.ndarray:
-    """Sign draws: True (negative) with probability `threshold`, one uniform each."""
-    return gen.random(shape) < threshold
-
-
 def draw_batch(gen: np.random.Generator, sampler: MagnitudeSampler,
                threshold: float, shape) -> np.ndarray:
     """Signed iid draws of the given shape: magnitude uniforms first, then
@@ -190,7 +185,7 @@ def draw_batch(gen: np.random.Generator, sampler: MagnitudeSampler,
     mag = sampler(rng.open_uniforms(gen, size)).reshape(shape)
     if threshold <= 0.0:
         return mag
-    return np.where(negative_signs(gen, threshold, shape), -mag, mag)
+    return np.where(gen.random(shape) < threshold, -mag, mag)
 
 
 def parallel_map(fn, items, workers: int) -> list:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -94,8 +95,15 @@ class TailPiece:
 
 
 def piece(t_lo: float, t_hi: float, formula: str, **params: float) -> TailPiece:
+    """A catalog piece; every param must be a finite number, and a scale positive."""
     if formula not in FORMULA_IDS:
         raise ValueError(f"unknown formula_id {formula!r}")
+    for name, val in params.items():
+        if isinstance(val, bool) or not isinstance(val, numbers.Real) \
+                or not math.isfinite(val) or (name == "scale" and val <= 0.0):
+            raise ValueError(f"piece param {name!r} must be a finite number "
+                             f"(a scale: positive), got {val!r}")
+    params = {name: float(val) for name, val in params.items()}
     return TailPiece(float(t_lo), float(t_hi), formula, tuple(sorted(params.items())))
 
 
@@ -455,28 +463,65 @@ def mean_zero(model: TailModel) -> bool | None:
     return None
 
 
-def validate_model(model: TailModel, *, grid_points: int = 1000) -> None:
-    """Check that the pieces tile [0, inf) edge to edge and the survival
-    invariants on a geometric grid; raise on violation."""
+V_MAX = math.log(math.log(np.finfo(float).max))  # no double t has a larger ln ln t
+
+
+def _bisect(f, left: float, right: float) -> float:
+    """A point where f changes sign on [left, right], f(left) <= 0 < f(right)."""
+    for _ in range(100):  # halves a width below 40 down to adjacent floats
+        mid = 0.5 * (left + right)
+        left, right = (mid, right) if f(mid) <= 0.0 else (left, mid)
+    return right
+
+
+def _log_piece_rises(pc: TailPiece) -> bool:
+    """Whether the clamped formula of a log-corrected piece rises on the piece.
+
+    In v = ln ln t the formula is scale * e^(-g(v)), g = a e^v + b v + c ln v,
+    so it rises exactly where g' = a e^v + b + c/v < 0.  g'' = a e^v - c/v^2
+    changes sign at most once, where e^v v^2 = c/a, so g' is monotone on at
+    most two stretches; on each, g' < 0 on one interval, where the formula is
+    least at the left end.  The clamp at 1 hides a rise that starts at or above 1.
+    """
+    a, b = pc.param("power"), pc.param("log_power")
+    c = pc.param("loglog_power") if pc.formula == "power-log-loglog" else 0.0
+    g = lambda v: a * math.exp(v) + b * v + (c * math.log(v) if c else 0.0)
+    slope = lambda v: a * math.exp(v) + b + (c / v if c else 0.0)
+    turn = lambda v: math.exp(v) * v * v - c / a  # increases on v > 0, where c != 0
+    cuts = [math.log(math.log(pc.t_lo)), min(math.log(math.log(pc.t_hi)), V_MAX)]
+    if a * c > 0.0 and turn(cuts[0]) < 0.0 < turn(cuts[1]):
+        cuts.insert(1, _bisect(turn, *cuts))
+    starts = [lo if slope(lo) < 0.0 else _bisect(lambda v: -slope(v), lo, hi)
+              for lo, hi in zip(cuts, cuts[1:]) if min(slope(lo), slope(hi)) < 0.0]
+    return any(g(v) > math.log(pc.param("scale")) + 1e-12 for v in starts)
+
+
+def validate_model(model: TailModel) -> None:
+    """Check that the pieces tile [0, inf) edge to edge and that survival never
+    rises, across an edge or inside a piece (a power piece rises iff its
+    power is negative and it starts below 1); raise on violation."""
     pieces = model.pieces
     if not pieces or pieces[-1].t_hi != math.inf:
         raise ValueError(f"{model.name}: the last piece must be unbounded")
+    prev = 1.0
     for i, pc in enumerate(pieces):
         if not pc.t_lo < pc.t_hi:
             raise ValueError(f"{model.name}: piece [{pc.t_lo:g}, {pc.t_hi:g}) is empty")
         if i and pc.t_lo != pieces[i - 1].t_hi:
             raise ValueError(f"{model.name}: pieces must meet, but one ends at "
                              f"{pieces[i - 1].t_hi:g} and the next starts at {pc.t_lo:g}")
+        lo = pc.t_lo if i else 0.0
         floor = {"power-log": 1.0, "power-log-loglog": E}.get(pc.formula, -math.inf)
-        if (pc.t_lo if i else 0.0) <= floor:  # the log factors must be positive
+        if lo <= floor:  # the log factors must be positive
             raise ValueError(f"{model.name}: a {pc.formula} piece must start above t = {floor:g}")
-    hi = max(model.knee, 1.0) * 1e12
-    grid = np.concatenate([[0.0], np.geomspace(max(model.knee, 1.0) * 1e-9, hi, grid_points)])
-    vals = np.asarray(survival(model, grid))
-    if vals[0] > 1.0 + 1e-12:
-        raise ValueError(f"{model.name}: survival(0) > 1")
-    if np.any(np.diff(vals) > 1e-12):
-        raise NonMonotoneTail(f"{model.name}: survival increases on the test grid")
+        at_lo, at_hi = _edge_values(pc, lo)
+        if pc.formula == "power":
+            rises = pc.param("power") < 0.0 and at_lo < 1.0 - 1e-12
+        else:  # constants and indicators never rise
+            rises = pc.formula.startswith("power-log") and _log_piece_rises(pc)
+        if at_lo > prev + 1e-12 or rises:
+            raise NonMonotoneTail(f"{model.name}: survival increases on [{lo:g}, {pc.t_hi:g})")
+        prev = at_hi
     asym = tail_asymptote(model)
     if asym is not None and (asym.a < 0 or (asym.a == 0 and asym.b <= 0)):
         raise ValueError(f"{model.name}: tail does not vanish at infinity")

@@ -99,12 +99,11 @@ def test_criterion_05_closed_form_quadrature():
 
 def test_criterion_06_counterexample_exact():
     n_max = 1 << 16
-    ratios = lp.counterexample_path(n_max, 0.5, seed=0)
-    bitwise = bool(np.all(ratios == 1.0))
     cfg = mc.ExperimentConfig(model=None, p=0.5, q=0.5, n_max=n_max,
                               replications=2, master_seed=0,
                               sequence=mc.SEQ_LP_COUNTEREXAMPLE)
     table = mc.run_paths(cfg)
+    bitwise = bool(np.all(table.ratio == 1.0))
     h_oracle = math.fsum(1.0 / m for m in range(1, n_max + 1))
     w_matches = abs(table.w_partial[0, -1] - h_oracle) <= 1e-10 * h_oracle
     verdict = mc.growth_verdict(table.checkpoints, table.w_partial[0])

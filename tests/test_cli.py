@@ -251,6 +251,26 @@ def test_simulate_json_format_lists_only_written_files(tmp_path):
         {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 1.0}},
         {"t_lo": 2.0, "t_hi": None, "formula_id": "power",
          "params": {"scale": 1.0, "power": 2.0}}]}}, "p": 0.5, "q": 0.25}, "pieces must meet"),
+    # settings the classifiers reject
+    ("criteria", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 1.5,
+                  "q": 0.5, "criteria": {"t_cap": 0.5}}, "t_cap must exceed"),
+    ("criteria", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 0.5,
+                  "q": 0.5, "criteria": {"series_n_max": 10}}, "at least 10^3"),
+    ("criteria", {"model": {"builtin": "rademacher"}, "p": float("nan"), "q": 0.5}, "'p'"),
+    # models that cannot be built
+    ("criteria", {"model": {"builtin": "pareto", "params": 5}, "p": 0.5, "q": 0.25},
+     "bad builtin model spec"),
+    ("criteria", {"model": {"custom": "missing.json"}, "p": 0.5, "q": 0.25}, "missing.json"),
+    ("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric", "pieces": 5}},
+                  "p": 0.5, "q": 0.25}, "bad custom model"),
+    ("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": None, "formula_id": "power",
+         "params": {"scale": "big", "power": 2.0}}]}}, "p": 0.5, "q": 0.25}, "'scale'"),
+    ("criteria", {"model": {"custom": {"name": "dip", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 1.01, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 1.01, "t_hi": None, "formula_id": "power-log",
+         "params": {"scale": 2.0, "power": 0.25, "log_power": -0.2}}]}},
+      "p": 0.5, "q": 0.25}, "survival increases"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needle):
     cfg = write_config(tmp_path, "badnum.json", {"schema": 1, **payload})

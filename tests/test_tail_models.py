@@ -78,6 +78,10 @@ def test_survival_vanishes_at_infinity():
 def test_validate_model_accepts_builtins():
     for model in builtin_zoo():
         tm.validate_model(model)
+    # 3 t^-0.5 (ln t)^1.5 rises up to t = e^3, but under the clamp at 1: it loads
+    tm.validate_model(tm.TailModel(name="grow", pieces=(
+        tm.piece(0.0, 2.0, "constant", value=1.0),
+        tm.piece(2.0, math.inf, "power-log", scale=3.0, power=0.5, log_power=-1.5))))
 
 
 @pytest.mark.parametrize("formula,t_lo", [("power-log", 1.0), ("power-log", 0.5),
@@ -91,6 +95,25 @@ def test_validate_model_rejects_log_pieces_outside_their_domain(formula, t_lo):
         tm.load_model({"name": "early", "sign_law": "symmetric", "pieces": [
             {"t_lo": 0.0, "t_hi": t_lo, "formula_id": "constant", "params": {"value": 1.0}},
             {"t_lo": t_lo, "t_hi": None, "formula_id": formula, "params": params}]})
+
+
+@pytest.mark.parametrize("doc", [
+    # survival 0.79 at 1.01, back to 1.0 at 1.04: a dip right after the edge
+    {"name": "log-dip", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 1.01, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 1.01, "t_hi": None, "formula_id": "power-log",
+         "params": {"scale": 2.0, "power": 0.25, "log_power": -0.2}}]},
+    # a negative power below 1 on a short piece: 0.4 t rises to 0.408 on [1, 1.02)
+    {"name": "negative-power", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 0.5}},
+        {"t_lo": 1.0, "t_hi": 1.02, "formula_id": "power",
+         "params": {"scale": 0.4, "power": -1.0}},
+        {"t_lo": 1.02, "t_hi": None, "formula_id": "power",
+         "params": {"scale": 0.4 * 1.02**2, "power": 2.0}}]},
+], ids=["log-dip", "negative-power"])
+def test_validate_model_rejects_rises_inside_a_piece(doc):
+    with pytest.raises(NonMonotoneTail):
+        tm.load_model(doc)
 
 
 # ---------------------------------------------------------------------------
