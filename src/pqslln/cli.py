@@ -35,7 +35,26 @@ from .errors import ConfigError, NonMonotoneTail, PqsllnError
 
 SCHEMA_VERSION = 1
 # what building a model from a spec raises on bad input
-_MODEL_ERRORS = (OSError, KeyError, TypeError, ValueError, NonMonotoneTail)
+_MODEL_ERRORS = (AttributeError, KeyError, TypeError, ValueError, NonMonotoneTail)
+# the ways to give a model, each with the keys it may carry
+_MODEL_FORMS = {"builtin": {"builtin", "params"}, "custom": {"custom"}, "file": {"file"},
+                "sequence": {"sequence"}}
+
+# Every config key: section (None for the root) -> key -> (type, default), where
+# a type may be a tuple of the strings allowed, a default of None marks a
+# required key, and a dict-typed key with its own entry here is a section.
+# A manifest's "config" is this checked document.
+_SCHEMA = {
+    None: {"schema": (int, SCHEMA_VERSION), "name": (str, ""), "model": (dict, None),
+           "p": (float, None), "q": (float, None), "criteria": (dict, {}),
+           "simulate": (dict, {})},
+    "criteria": {"t_cap": (float, criteria.T_CAP_DEFAULT),
+                 "series_n_max": (int, criteria.SERIES_N_MAX_DEFAULT),
+                 "criterion": (("almost-sure", "expectation"), "almost-sure")},
+    "simulate": {"n_max": (int, 1 << 14), "replications": (int, 64),
+                 "master_seed": (int, 0), "mode": (("plain", "symmetrized"), "plain")},
+}
+_KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string", dict: "an object"}
 
 
 # ---------------------------------------------------------------------------
@@ -43,90 +62,107 @@ _MODEL_ERRORS = (OSError, KeyError, TypeError, ValueError, NonMonotoneTail)
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str) -> dict:
+def _typed(key: str, value, kind):
+    """`value` as `kind`; a bool, a non-finite float, a non-integer count or
+    a string outside the allowed ones is a ConfigError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    with contextlib.suppress(OverflowError):
+        if kind is float and number and math.isfinite(value):
+            return float(value)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind in (str, dict) and isinstance(value, kind) or \
+            isinstance(kind, tuple) and value in kind:
+        return value
+    what = f"one of {list(kind)}" if isinstance(kind, tuple) else _KIND_NAMES[kind]
+    raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+
+
+def _checked(doc, section: str | None = None) -> dict:
+    """A copy of `doc` checked against _SCHEMA[section], defaults filled in;
+    an unknown, missing or mistyped key is a ConfigError."""
+    where = f"config section {section!r}" if section else "config root"
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    schema = _SCHEMA[section]
+    unknown = sorted(set(doc) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; have {sorted(schema)}")
+    out = {}
+    for key, (kind, default) in schema.items():
+        if key not in doc and default is None:
+            raise ConfigError(f"config missing key {key!r}")
+        value = doc.get(key, default)
+        out[key] = _checked(value, key) if key in _SCHEMA else _typed(key, value, kind)
+    if out.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema version {out['schema']!r}")
+    return out
+
+
+def _model_form(spec: dict) -> str:
+    forms = [form for form in _MODEL_FORMS if form in spec]
+    if len(forms) != 1 or not set(spec) <= _MODEL_FORMS[forms[0]]:
+        raise ConfigError(f"model spec needs exactly one of {', '.join(_MODEL_FORMS)} "
+                          f"(a builtin may add params), got keys {sorted(spec)}")
+    return forms[0]
+
+
+def _load_config(path: str, seed: int | None = None) -> dict:
+    """The checked config at `path`.  A {"file": ...} model, resolved against
+    the config's directory, is inlined as {"custom": <document>}; `seed`, when
+    given, replaces simulate.master_seed.  The result replays the run."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema version {cfg.get('schema')!r}")
+    cfg = _checked(doc)
+    if _model_form(cfg["model"]) == "file":
+        model_path = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                  str(cfg["model"]["file"]))
+        cfg["model"] = {"custom": _read_json(model_path, "model file")}
+    if seed is not None:
+        cfg["simulate"]["master_seed"] = seed
     return cfg
 
 
-def resolve_model(spec, base_dir: str = ".") -> tuple[tm.TailModel | None, str | None]:
-    """Model spec -> (TailModel, None) or (None, sequence rule)."""
-    if not isinstance(spec, dict):
-        raise ConfigError("model spec must be an object")
-    if "sequence" in spec:
+def resolve_model(spec: dict) -> tuple[tm.TailModel | None, str | None]:
+    """Model spec of a checked config -> (TailModel, None) or (None, sequence rule)."""
+    form = _model_form(spec)
+    if form == "sequence":
         return None, spec["sequence"]
-    if "builtin" in spec:
-        try:
-            return tm.make_builtin(spec["builtin"], **dict(spec.get("params", {}))), None
-        except _MODEL_ERRORS as exc:
-            raise ConfigError(f"bad builtin model spec: {exc}") from exc
-    if "custom" in spec:
-        try:
-            return tm.load_model(spec["custom"]), None
-        except _MODEL_ERRORS as exc:
-            raise ConfigError(f"bad custom model: {exc}") from exc
-    if "file" in spec:
-        path = os.path.join(base_dir, spec["file"])
-        try:
-            with open(path) as fh:
-                return tm.load_model(json.load(fh)), None
-        except _MODEL_ERRORS as exc:
-            raise ConfigError(f"bad model file {path}: {exc}") from exc
-    raise ConfigError("model spec needs one of: builtin, custom, file, sequence")
-
-
-def _number(section: dict, key: str, kind=float, default=None):
-    """section[key] converted by `kind`; `default` when absent.  A missing
-    required key or a value that is not a finite number is a ConfigError."""
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"config missing key {key!r}")
-        return default
     try:
-        value = kind(section[key])
-        if not math.isfinite(value):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r} must be a finite number, "
-                          f"got {section[key]!r}") from exc
-    return value
+        if form == "builtin":
+            return tm.make_builtin(spec["builtin"], **spec.get("params", {})), None
+        return tm.load_model(spec.get("custom")), None
+    except _MODEL_ERRORS as exc:
+        raise ConfigError(f"bad {form} model spec: {exc}") from exc
 
 
-def _criteria_kwargs(crit: dict) -> dict:
-    return {
-        "t_cap": _number(crit, "t_cap", float, criteria.T_CAP_DEFAULT),
-        "series_n_max": _number(crit, "series_n_max", int, criteria.SERIES_N_MAX_DEFAULT),
-    }
+def _criterion_report(model: tm.TailModel, cfg: dict, criterion: str):
+    """The `criterion` report of `model` at the config's p, q and criteria settings."""
+    classify = {"almost-sure": criteria.classify_slln,
+                "expectation": criteria.series_expectation_criterion}[criterion]
+    settings = cfg["criteria"]
+    try:
+        return classify(model, cfg["p"], cfg["q"], t_cap=settings["t_cap"],
+                        series_n_max=settings["series_n_max"])
+    except ValueError as exc:  # t_cap or series_n_max out of range
+        raise ConfigError(f"bad criteria settings: {exc}") from exc
 
 
-def _experiment_config(cfg: dict, base_dir: str, seed_override: int | None
-                       ) -> mc_engine.ExperimentConfig:
-    model, sequence = resolve_model(cfg.get("model", {}), base_dir)
-    sim = cfg.get("simulate", {})
-    seed = seed_override if seed_override is not None else _number(sim, "master_seed", int, 0)
-    return mc_engine.ExperimentConfig(
-        model=model,
-        p=_number(cfg, "p"),
-        q=_number(cfg, "q"),
-        n_max=_number(sim, "n_max", int, 1 << 14),
-        replications=_number(sim, "replications", int, 64),
-        master_seed=seed,
-        mode=sim.get("mode", "plain"),
-        sequence=sequence,
-    )
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 class _AtomicWriter:
@@ -177,22 +213,10 @@ def _emit(out_dir: str | None, name: str, text: str) -> None:
 
 def cmd_criteria(args) -> int:
     cfg = _load_config(args.config)
-    base = os.path.dirname(os.path.abspath(args.config))
-    model, sequence = resolve_model(cfg.get("model", {}), base)
+    model, sequence = resolve_model(cfg["model"])
     if sequence is not None:
         raise ConfigError("criteria evaluation needs an iid tail model")
-    crit = cfg.get("criteria", {})
-    kwargs = _criteria_kwargs(crit)
-    p, q = _number(cfg, "p"), _number(cfg, "q")
-    which = crit.get("criterion", "almost-sure")
-    classify = {"almost-sure": criteria.classify_slln,
-                "expectation": criteria.series_expectation_criterion}.get(which)
-    if classify is None:
-        raise ConfigError(f"unknown criterion {which!r}")
-    try:
-        report = classify(model, p, q, **kwargs)
-    except ValueError as exc:  # t_cap or series_n_max out of range
-        raise ConfigError(f"bad criteria settings: {exc}") from exc
+    report = _criterion_report(model, cfg, cfg["criteria"]["criterion"])
 
     _emit(args.out, "criterion_report.json",
           json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -201,19 +225,20 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    base = os.path.dirname(os.path.abspath(args.config))
-    config = _experiment_config(cfg, base, args.seed)
+    cfg = _load_config(args.config, args.seed)
+    model, sequence = resolve_model(cfg["model"])
+    config = mc_engine.ExperimentConfig(model=model, p=cfg["p"], q=cfg["q"],
+                                        sequence=sequence, **cfg["simulate"])
     workers = max(1, args.workers or 1)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    stem = cfg.get("name") or os.path.splitext(os.path.basename(args.config))[0]
+    stem = cfg["name"] or os.path.splitext(os.path.basename(args.config))[0]
 
     started = time.perf_counter()
     writer = _AtomicWriter()
     try:
         table = mc_engine.run_paths(config, workers=workers)
-        summary = mc_engine.summary_dict(table, config)
+        summary = {"config": cfg, **mc_engine.summary_dict(table, config)}
         wall = time.perf_counter() - started
         csv_path = os.path.join(out_dir, f"{stem}_table.csv")
         summary_path = os.path.join(out_dir, f"{stem}_summary.json")
@@ -227,9 +252,7 @@ def cmd_simulate(args) -> int:
             "schema": SCHEMA_VERSION,
             "kind": "simulate",
             "tool_version": __version__,
-            "config": config.to_dict(),
-            "criteria_defaults": cfg.get("criteria", {}),
-            "master_seed": config.master_seed,
+            "config": cfg,
             "workers": workers,
             "outputs": outputs,
             "wallclock_s": wall,
@@ -353,14 +376,6 @@ def cmd_verify(args) -> int:
 _HARD = {(criteria.MEMBER, criteria.DIVERGES), (criteria.NON_MEMBER, criteria.CONVERGES)}
 
 
-def _read_json(path: str, what: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-
-
 def _field(doc, path: str, what: str):
     """doc[k1][k2]... for the dotted `path`; a missing key is a ConfigError."""
     for key in path.split("."):
@@ -376,10 +391,14 @@ def cmd_report(args) -> int:
     for manifest_path in args.manifests:
         manifest = _read_json(manifest_path, "manifest")
         what = f"manifest {manifest_path}"
-        cfg = _field(manifest, "config", what)
+        doc = _field(manifest, "config", what)
+        try:
+            cfg = _checked(doc)
+        except ConfigError as exc:
+            raise ConfigError(f"{what}: {exc}") from exc
+        model, sequence = resolve_model(cfg["model"])
+        p, q = cfg["p"], cfg["q"]
         manifest_dir = os.path.dirname(os.path.abspath(manifest_path))
-        model, sequence = resolve_model(_field(manifest, "config.model", what), manifest_dir)
-        p, q = _number(cfg, "p"), _number(cfg, "q")
         # simulate writes its outputs next to the manifest; looking them up
         # there works from any cwd and after the run directory is moved
         summary_name = os.path.basename(_field(manifest, "outputs.summary_json", what))
@@ -392,8 +411,7 @@ def cmd_report(args) -> int:
                          "membership": "", "integral": "", "p_moment": "",
                          "series": "", "mc_w_verdict": mc_kind, "hard_contradiction": 0})
             continue
-        report = criteria.classify_slln(
-            model, p, q, **_criteria_kwargs(manifest.get("criteria_defaults", {})))
+        report = _criterion_report(model, cfg, "almost-sure")
         hard = int((report.membership, mc_kind) in _HARD)
         contradictions += hard
         rows.append({

@@ -28,7 +28,7 @@ lambda when |beta - 1| <= 0.05) are recorded evidence only; they never decide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,8 @@ from . import tail_models as tm
 from .asymptotics import LogPolyTail, integral_converges, tail_remainder
 from .errors import InversionFailure
 from .quadrature import integrate
-from .trend import fit_line, fit_log_exponent, fit_loglog_exponent
-
-CONVERGES = "Converges"
-DIVERGES = "Diverges"
-INCONCLUSIVE = "Inconclusive"
+from .trend import (CONVERGES, DIVERGES, INCONCLUSIVE, ExponentEvidence, Verdict,
+                    fit_line, fit_log_exponent, fit_loglog_exponent)
 
 MEMBER = "Member"
 NON_MEMBER = "NonMember"
@@ -56,36 +53,6 @@ CLAUSE_Q_LT_P = "q<p<1"
 CLAUSE_Q_EQ_P = "q=p<1"
 CLAUSE_P_GE_1 = "q<1<=p<2"
 CLAUSE_OUT = "out-of-scope"
-
-
-@dataclass(frozen=True)
-class ExponentEvidence:
-    beta: float
-    lam: float | None
-    window: tuple[float, float]
-
-    def to_dict(self):
-        return {"beta": self.beta, "lambda": self.lam, "window": list(self.window)}
-
-
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    estimate_on_window: float
-    evidence: ExponentEvidence
-    remainder_bound: float | None = None
-    method: str = "tail-exponents"
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "estimate_on_window": self.estimate_on_window,
-            "evidence": self.evidence.to_dict(),
-            "remainder_bound": self.remainder_bound,
-            "method": self.method,
-            "diagnostics": {k: v for k, v in self.diagnostics.items()},
-        }
 
 
 def _fit_evidence(f, lo: float, hi: float) -> ExponentEvidence:
@@ -128,12 +95,12 @@ def _divergence_diagnostics(f, hi: float) -> dict:
 
 
 def _classify_tail_integral(f, *, t_cap: float, asym: LogPolyTail | None,
-                            cutoff: float, breakpoints, rel_tol: float = 1e-9) -> Verdict:
+                            cutoff: float, breakpoints) -> Verdict:
     """Shared classifier for int_0^inf f(t) dt with f nonnegative and
     nonincreasing past its knees; `asym` is the exact tail of f, needed when
     `cutoff` (the end of the support) is infinite."""
     upper = min(t_cap, cutoff)
-    value = integrate(f, 0.0, upper, rel_tol=rel_tol, breakpoints=breakpoints).value
+    value = integrate(f, 0.0, upper, breakpoints=breakpoints).value
     evidence = _fit_evidence(f, 1e-3, upper)
 
     if math.isfinite(cutoff):
@@ -329,7 +296,7 @@ def truncated_series(model: tm.TailModel, p: float,
     integral_terms = np.zeros_like(ns)
     clamped = 0
     if np.any(nonempty):
-        table = tm.CumulativeTailTable(model, p, float(n_max), points=512)
+        table = tm.CumulativeTailTable(model, p, float(n_max))
         s_y = tm.power_survival(model, p)
         aa, bb = a[nonempty], b[nonempty]
         s_a = tm.survival(model, u[nonempty])   # a = u^p on nonempty windows

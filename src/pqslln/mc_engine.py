@@ -17,7 +17,6 @@ result, not an error.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,9 +25,8 @@ import numpy as np
 
 from . import kernels, rng
 from . import tail_models as tm
-from .criteria import CONVERGES, DIVERGES, INCONCLUSIVE, ExponentEvidence, Verdict
 from .errors import ConfigError
-from .trend import fit_line
+from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, ExponentEvidence, Verdict, fit_line
 
 _CHUNK = 1 << 16
 _EULER = 0.57721566490153286060651209008240243
@@ -94,25 +92,6 @@ class ExperimentConfig:
     @property
     def checkpoints(self) -> np.ndarray:
         return 2 ** np.arange(0, self.n_max.bit_length(), dtype=np.int64)
-
-    def to_dict(self) -> dict:
-        if self.sequence is not None:
-            model_spec: dict | None = {"sequence": self.sequence}
-        else:
-            kind, params = self.model.origin if self.model.origin else ("custom", ())
-            if kind == "custom":
-                model_spec = {"custom": json.loads(dict(params)["json"])}
-            else:
-                model_spec = {"builtin": kind, "params": dict(params)}
-        return {
-            "model": model_spec,
-            "p": self.p,
-            "q": self.q,
-            "n_max": self.n_max,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "mode": self.mode,
-        }
 
 
 @dataclass
@@ -458,7 +437,6 @@ def summary_dict(table: CheckpointTable, config: ExperimentConfig) -> dict:
     estimates = estimate_series_expectation(table, config)
     verdict = summary_verdict(table, config)
     return {
-        "config": config.to_dict(),
         "estimates": [e.to_dict() for e in estimates],
         "censoring": table.censoring_report(),
         "w_verdict": verdict.to_dict(),

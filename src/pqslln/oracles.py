@@ -1,7 +1,7 @@
 """Exact enumeration checks for the finite-n inequalities.
 
-Discrete laws carry their probabilities as exact rationals whenever the
-inputs are rational (ints, Fractions, or "a/b" strings), so the inequality
+Discrete laws carry their probabilities as exact rationals (ints, Fractions,
+or "a/b" strings; a float probability is rejected), so the inequality
 checks cannot fail from rounding; real-valued functionals of the atoms
 (fractional powers) are evaluated in floating point with compensated sums.
 Convolutions are computed on value-indexed maps with exact Fraction values,
@@ -14,26 +14,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-
 from .errors import PreconditionViolated, StateSpaceExceeded
 
-_MASS_TOL = 1e-15
 _CONV_CAP = 5_000_000  # value-map entries allowed during one convolution step
 
 
-def _as_prob(p):
-    if isinstance(p, Fraction):
-        return p
-    if isinstance(p, int):
+def _as_prob(p) -> Fraction:
+    if isinstance(p, (Fraction, int, str)):
         return Fraction(p)
-    if isinstance(p, str):
-        return Fraction(p)
-    return float(p)
+    raise ValueError(f"probability {p!r} must be an int, a Fraction or an 'a/b' string")
 
 
 @dataclass(frozen=True)
 class DiscreteLaw:
-    atoms: tuple[tuple[Fraction, Fraction | float], ...]
+    atoms: tuple[tuple[Fraction, Fraction], ...]
 
     @staticmethod
     def from_pairs(pairs) -> "DiscreteLaw":
@@ -44,21 +38,12 @@ class DiscreteLaw:
         law.validate()
         return law
 
-    @property
-    def exact(self) -> bool:
-        return all(isinstance(p, Fraction) for _, p in self.atoms)
-
     def validate(self) -> None:
         if any((p < 0) for _, p in self.atoms):
             raise ValueError("probabilities must be nonnegative")
-        if self.exact:
-            total = sum((p for _, p in self.atoms), Fraction(0))
-            if total != 1:
-                raise ValueError(f"probabilities sum to {total}, not 1")
-        else:
-            total = math.fsum(float(p) for _, p in self.atoms)
-            if abs(total - 1.0) > _MASS_TOL:
-                raise ValueError(f"probabilities sum to {total!r}, not 1")
+        total = sum((p for _, p in self.atoms), Fraction(0))
+        if total != 1:
+            raise ValueError(f"probabilities sum to {total}, not 1")
 
     def values(self) -> list[Fraction]:
         return [v for v, _ in self.atoms]
@@ -81,8 +66,7 @@ def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
     """Check E(max of n iid copies) >= n/(2K) * E(Y) under P(Y > 0) <= K/n.
 
     E max is exact: P(max <= v) = F(v)^n over the sorted atom levels.
-    Returns (lhs, rhs, holds); comparisons are exact rational arithmetic
-    whenever the law is exact.
+    Returns (lhs, rhs, holds); comparisons are exact rational arithmetic.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -92,15 +76,14 @@ def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
     if any(v < 0 for v, _ in law.atoms):
         raise ValueError("law must be nonnegative")
 
-    exact = law.exact
-    zero = Fraction(0) if exact else 0.0
+    zero = Fraction(0)
     p_pos = sum((p for v, p in law.atoms if v > 0), zero)
-    bound = kf / n if exact else float(kf) / n
+    bound = kf / n
     if p_pos > bound:
         raise PreconditionViolated(
             f"P(Y>0) = {float(p_pos):g} exceeds K/n = {float(bound):g}")
 
-    merged: dict[Fraction, Fraction | float] = {}
+    merged: dict[Fraction, Fraction] = {}
     for v, p in law.atoms:
         merged[v] = merged.get(v, zero) + p
     levels = sorted(merged)
@@ -114,7 +97,7 @@ def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
         e_max = e_max + v * (cdf_n - cdf_prev_n)
         e_y = e_y + v * merged[v]
         cdf_prev_n = cdf_n
-    rhs = Fraction(n) / (2 * kf) * e_y if exact else n / (2.0 * float(kf)) * e_y
+    rhs = Fraction(n) / (2 * kf) * e_y
     holds = e_max >= rhs
     return float(e_max), float(rhs), bool(holds)
 
@@ -126,13 +109,11 @@ def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
 
 def _convolve_difference(law: DiscreteLaw) -> DiscreteLaw:
     """Exact law of V - V' over atom pairs."""
-    exact = law.exact
-    zero = Fraction(0) if exact else 0.0
-    out: dict[Fraction, Fraction | float] = {}
+    out: dict[Fraction, Fraction] = {}
     for v1, p1 in law.atoms:
         for v2, p2 in law.atoms:
             key = v1 - v2
-            out[key] = out.get(key, zero) + p1 * p2
+            out[key] = out.get(key, 0) + p1 * p2
     return DiscreteLaw(tuple(sorted(out.items())))
 
 
@@ -162,16 +143,16 @@ def symmetrization_check(law: DiscreteLaw, p_exponent: float, t: float
 # ---------------------------------------------------------------------------
 
 
-def _convolve_step(current: dict, law: DiscreteLaw, zero, n: int) -> dict:
+def _convolve_step(current: dict, law: DiscreteLaw, n: int) -> dict:
     """Law of S_n from the law of S_(n-1) on a value-indexed map."""
     if len(current) * len(law.atoms) > _CONV_CAP:
         raise StateSpaceExceeded(
             f"convolution support would exceed {_CONV_CAP} entries at n={n}")
-    nxt: dict[Fraction, Fraction | float] = {}
+    nxt: dict[Fraction, Fraction] = {}
     for s, ps in current.items():
         for v, pv in law.atoms:
             key = s + v
-            nxt[key] = nxt.get(key, zero) + ps * pv
+            nxt[key] = nxt.get(key, 0) + ps * pv
     return nxt
 
 
@@ -201,31 +182,14 @@ def exact_series_small(law: DiscreteLaw, p: float, q: float, n_limit: int
     if _support_bound(law, n_limit - 1) * len(law.atoms) > _CONV_CAP:
         raise StateSpaceExceeded(
             f"convolution support could exceed {_CONV_CAP} entries by n={n_limit}")
-    exact = law.exact
-    zero = Fraction(0) if exact else 0.0
-    current: dict[Fraction, Fraction | float] = {Fraction(0): zero + 1}
+    current: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
     out: list[float] = []
     for n in range(1, n_limit + 1):
-        current = _convolve_step(current, law, zero, n)
-        if exact:
-            mass = sum(current.values(), Fraction(0))
-            if mass != 1:
-                raise AssertionError("convolution lost probability mass")
-        else:
-            mass = math.fsum(float(x) for x in current.values())
-            if abs(mass - 1.0) > 1e-12:
-                raise AssertionError("convolution lost probability mass")
+        current = _convolve_step(current, law, n)
+        if sum(current.values(), Fraction(0)) != 1:
+            raise AssertionError("convolution lost probability mass")
         scale = n ** (1.0 / p)
         out.append(math.fsum((abs(float(s)) / scale) ** q * float(ps)
                              for s, ps in current.items()))
     return out
 
-
-def distribution_of_sum(law: DiscreteLaw, n: int) -> DiscreteLaw:
-    """Exact law of S_n (exposed for convolution-mass tests)."""
-    exact = law.exact
-    zero = Fraction(0) if exact else 0.0
-    current: dict[Fraction, Fraction | float] = {Fraction(0): zero + 1}
-    for k in range(1, n + 1):
-        current = _convolve_step(current, law, zero, k)
-    return DiscreteLaw(tuple(sorted(current.items())))

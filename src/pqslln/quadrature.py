@@ -27,7 +27,7 @@ import numpy as np
 from .errors import QuadratureFailure
 
 DEFAULT_REL_TOL = 1e-9
-DEFAULT_ABS_FLOOR = 1e-12
+ABS_FLOOR = 1e-12
 DEFAULT_BUDGET = 1_000_000
 
 # Log substitution is only useful once the integrand has left its knees;
@@ -45,11 +45,11 @@ class QuadResult:
         return self.value
 
 
-def _simpson_batch(f, lo, hi, flo, fmid, fhi):
+def _simpson_batch(lo, hi, flo, fmid, fhi):
     return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
 
-def _adaptive_segment(f, a, b, rel_tol, abs_floor, budget_left):
+def _adaptive_segment(f, a, b, rel_tol, budget_left):
     """Adaptive Simpson on one smooth segment. Returns (value, err, used)."""
     if b <= a:
         return 0.0, 0.0, 0
@@ -59,7 +59,7 @@ def _adaptive_segment(f, a, b, rel_tol, abs_floor, budget_left):
     flo = f(lo)
     fmid = f(mid)
     fhi = f(hi)
-    whole = _simpson_batch(f, lo, hi, flo, fmid, fhi)
+    whole = _simpson_batch(lo, hi, flo, fmid, fhi)
 
     contributions: list[float] = []
     errors: list[float] = []
@@ -78,13 +78,13 @@ def _adaptive_segment(f, a, b, rel_tol, abs_floor, budget_left):
         m2 = 0.5 * (mid + hi)
         f1 = f(m1)
         f2 = f(m2)
-        left = _simpson_batch(f, lo, mid, flo, f1, fmid)
-        right = _simpson_batch(f, mid, hi, fmid, f2, fhi)
+        left = _simpson_batch(lo, mid, flo, f1, fmid)
+        right = _simpson_batch(mid, hi, fmid, f2, fhi)
         better = left + right
         err = np.abs(better - whole) / 15.0
         # Local acceptance: relative against the local value plus an absolute
         # floor apportioned by interval length.
-        tol = rel_tol * np.abs(better) + abs_floor * (hi - lo) / seg_len
+        tol = rel_tol * np.abs(better) + ABS_FLOOR * (hi - lo) / seg_len
         done = err <= tol
         # Intervals narrower than a few ulps cannot be refined further.
         tiny = (hi - lo) <= 8.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
@@ -114,7 +114,6 @@ def integrate(
     b: float,
     *,
     rel_tol: float = DEFAULT_REL_TOL,
-    abs_floor: float = DEFAULT_ABS_FLOOR,
     budget: int = DEFAULT_BUDGET,
     breakpoints=(),
     log_from: float | None = _LOG_SUB_MIN,
@@ -145,10 +144,10 @@ def integrate(
         if log_from is not None and lo >= log_from:
             g = lambda s: f(np.exp(s)) * np.exp(s)
             v, e, used = _adaptive_segment(
-                g, math.log(lo), math.log(hi), rel_tol, abs_floor, budget - used_total
+                g, math.log(lo), math.log(hi), rel_tol, budget - used_total
             )
         else:
-            v, e, used = _adaptive_segment(f, lo, hi, rel_tol, abs_floor, budget - used_total)
+            v, e, used = _adaptive_segment(f, lo, hi, rel_tol, budget - used_total)
         values.append(v)
         errs.append(e)
         used_total += used

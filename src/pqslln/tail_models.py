@@ -13,7 +13,6 @@ log-corrected formulas can exceed 1 by a few ulps near their knees.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -125,19 +124,12 @@ class AnalyticFacts:
 
 
 @dataclass(frozen=True)
-class QuantileResult:
-    n: int
-    u_n: float
-
-
-@dataclass(frozen=True)
 class TailModel:
     name: str
     pieces: tuple[TailPiece, ...]
     sign_law: SignLaw = SignLaw(SIGN_SYMMETRIC)
-    support_bounds: tuple[float, float] | None = None
     analytic: AnalyticFacts | None = None
-    origin: tuple = ()  # (builtin_name, sorted params) metadata for manifests
+    origin: tuple = ()  # (builtin_name, sorted params); () for a custom model
 
     @property
     def knee(self) -> float:
@@ -297,24 +289,9 @@ def inverse_survival(model: TailModel, u) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def quantile_un(model: TailModel, n: int) -> QuantileResult:
-    """u_n = inf{t : P(||X|| > t) < 1/n}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return QuantileResult(n, inverse_survival(model, 1.0 / n))
-
-
 def quantiles_un(model: TailModel, ns: np.ndarray) -> np.ndarray:
-    """Vectorized u_n over an integer array (used by the truncated series)."""
+    """u_n = inf{t : P(||X|| > t) < 1/n} for each n of an integer array."""
     return inverse_survival(model, 1.0 / np.asarray(ns, dtype=float))
-
-
-def sample(model: TailModel, uniform: float, sign_uniform: float) -> float:
-    """Inverse-transform draw; |result| is the generalized inverse at `uniform`."""
-    if not (0.0 < uniform < 1.0 and 0.0 < sign_uniform < 1.0):
-        raise ValueError("uniforms must lie in (0, 1)")
-    mag = inverse_survival(model, uniform)
-    return -mag if sign_uniform < model.sign_law.threshold else mag
 
 
 def transformed_edges(model: TailModel, p: float) -> tuple[float, ...]:
@@ -333,23 +310,7 @@ def power_survival(model: TailModel, p: float):
     return s_y
 
 
-def truncated_p_moment(model: TailModel, p: float, a: float, b: float,
-                       *, rel_tol: float = 1e-9) -> float:
-    """E[ Y * 1(a < Y <= b) ] for Y = ||X||^p.
-
-    Computed as a*P(Y>a) - b*P(Y>b) + int_a^b P(Y>t) dt, which only needs the
-    survival function.  Zero when the window is empty.
-    """
-    if not (0.0 <= a <= b):
-        raise ValueError("need 0 <= a <= b")
-    if a == b:
-        return 0.0
-    s_y = power_survival(model, p)
-    head = a * float(s_y(np.array([a]))[0]) if a > 0 else 0.0
-    tail = b * float(s_y(np.array([b]))[0])
-    quad = integrate(s_y, a, b, rel_tol=rel_tol,
-                     breakpoints=transformed_edges(model, p))
-    return head - tail + quad.value
+TABLE_POINTS = 512  # geometric grid nodes of the cumulative tail table
 
 
 class CumulativeTailTable:
@@ -357,30 +318,27 @@ class CumulativeTailTable:
 
     Node values come from per-cell adaptive quadrature (the transformed piece
     edges are inserted as nodes, so G is exact there); queries interpolate
-    with a cubic Hermite in ln t.  After the O(points) quadratures each
+    with a cubic Hermite in ln t.  After the O(TABLE_POINTS) quadratures each
     query costs O(1), which is what makes the N-term truncated series cheap.
     """
 
-    def __init__(self, model: TailModel, p: float, t_max: float, points: int = 256,
-                 *, rel_tol: float = 1e-9):
+    def __init__(self, model: TailModel, p: float, t_max: float):
         if t_max <= 0.0:
             raise ValueError("t_max must be positive")
-        if points < 16:
-            raise ValueError("need at least 16 grid points")
         self.model = model
         self.p = float(p)
         self.t_max = float(t_max)
         s_y = power_survival(model, p)
         edges = [e for e in transformed_edges(model, p) if 0.0 < e < t_max]
         t_lo = min([t_max * 1e-6, 1e-3, *edges]) if edges else min(t_max * 1e-6, 1e-3)
-        grid = np.geomspace(t_lo, t_max, points)
+        grid = np.geomspace(t_lo, t_max, TABLE_POINTS)
         grid = np.unique(np.concatenate([grid, np.asarray(edges), [t_max]]))
         self._head_value = float(s_y(np.array([t_lo * 0.5]))[0])  # S is flat below the first edge
 
         g_vals = [self._head_value * grid[0]]
         cell_errors = [0.0]
         for lo, hi in zip(grid[:-1], grid[1:]):
-            res = integrate(s_y, lo, hi, rel_tol=rel_tol, breakpoints=edges)
+            res = integrate(s_y, lo, hi, breakpoints=edges)
             g_vals.append(g_vals[-1] + res.value)
             cell_errors.append(res.error)
         self.grid = grid
@@ -436,8 +394,6 @@ def tail_asymptote(model: TailModel) -> LogPolyTail | None:
 
 def support_upper(model: TailModel) -> float:
     """Essential upper bound of ||X|| (inf when the tail is unbounded)."""
-    if model.support_bounds is not None:
-        return model.support_bounds[1]
     last = model.pieces[-1]
     if last.formula == "indicator-below":
         return last.param("threshold")
@@ -693,7 +649,6 @@ def degenerate(value: float, sign_law: str | SignLaw = SIGN_NONNEGATIVE,
         name=name or f"degenerate(value={value:g})",
         pieces=(piece(0.0, math.inf, "indicator-below", threshold=value),),
         sign_law=sl,
-        support_bounds=(value, value),
         analytic=AnalyticFacts(
             provenance="degenerate law: survival is the indicator of t < value",
             clause_facts=_degenerate_facts(value, sl),
@@ -706,8 +661,7 @@ def rademacher() -> TailModel:
     """Symmetric +/-1 law (unit magnitude with a fair sign)."""
     m = degenerate(1.0, SIGN_SYMMETRIC, name="rademacher")
     return TailModel(name="rademacher", pieces=m.pieces, sign_law=m.sign_law,
-                     support_bounds=m.support_bounds, analytic=m.analytic,
-                     origin=("rademacher", ()))
+                     analytic=m.analytic, origin=("rademacher", ()))
 
 
 def zero() -> TailModel:
@@ -730,20 +684,14 @@ def make_builtin(name: str, **params) -> TailModel:
     return BUILTINS[name](**params)
 
 
-def load_model(source) -> TailModel:
-    """Build a custom model from a JSON document (path, JSON text, or dict).
+def load_model(obj: dict) -> TailModel:
+    """Build a custom model from a parsed JSON document.
 
     Schema: {"name": str, "sign_law": ..., "pieces": [{"t_lo", "t_hi",
     "formula_id", "params"}, ...]} with formula_id from the fixed catalog.
     """
-    if isinstance(source, (str, bytes)):
-        try:
-            obj = json.loads(source)
-        except json.JSONDecodeError:
-            with open(source) as fh:
-                obj = json.load(fh)
-    else:
-        obj = source
+    if not isinstance(obj, dict):
+        raise ValueError("custom model document must be an object")
     if "sign_law" not in obj:
         raise ValueError("custom model document must declare a sign_law")
     pieces = []
@@ -756,7 +704,6 @@ def load_model(source) -> TailModel:
         name=obj.get("name", "custom"),
         pieces=tuple(pieces),
         sign_law=SignLaw.from_json(obj["sign_law"]),
-        origin=("custom", (("json", json.dumps(obj, sort_keys=True)),)),
     )
     validate_model(model)
     return model

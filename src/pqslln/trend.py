@@ -1,8 +1,45 @@
-"""Least-squares trend fits shared by the classifiers and the MC engine."""
+"""Verdict types and least-squares trend fits shared by the classifiers and
+the MC engine."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
+
+CONVERGES = "Converges"
+DIVERGES = "Diverges"
+INCONCLUSIVE = "Inconclusive"
+
+
+@dataclass(frozen=True)
+class ExponentEvidence:
+    beta: float
+    lam: float | None
+    window: tuple[float, float]
+
+    def to_dict(self):
+        return {"beta": self.beta, "lambda": self.lam, "window": list(self.window)}
+
+
+@dataclass(frozen=True)
+class Verdict:
+    kind: str
+    estimate_on_window: float
+    evidence: ExponentEvidence
+    remainder_bound: float | None = None
+    method: str = "tail-exponents"
+    diagnostics: dict = field(default_factory=dict)
+
+    def to_dict(self):
+        return {
+            "kind": self.kind,
+            "estimate_on_window": self.estimate_on_window,
+            "evidence": self.evidence.to_dict(),
+            "remainder_bound": self.remainder_bound,
+            "method": self.method,
+            "diagnostics": {k: v for k, v in self.diagnostics.items()},
+        }
 
 
 def fit_line(x, y):

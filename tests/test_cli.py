@@ -4,6 +4,7 @@ import os
 import pytest
 
 from pqslln import cli
+from pqslln import tail_models as tm
 
 
 def write_config(tmp_path, name, payload):
@@ -135,7 +136,7 @@ def test_simulate_seed_override_changes_output(tmp_path):
     cli.main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "99"])
     assert (out1 / "sim_table.csv").read_bytes() != (out2 / "sim_table.csv").read_bytes()
     manifest = json.loads((out2 / "sim_manifest.json").read_text())
-    assert manifest["config"]["master_seed"] == 99
+    assert manifest["config"]["simulate"]["master_seed"] == 99
 
 
 def test_simulate_failure_leaves_no_artifacts(tmp_path):
@@ -154,15 +155,8 @@ def test_manifest_reproduces_run(tmp_path):
     out = tmp_path / "orig"
     cli.main(["simulate", "--config", cfg, "--out", str(out)])
     manifest = json.loads((out / "sim_manifest.json").read_text())
-    # replay from the manifest's resolved config alone
-    replay_cfg = write_config(tmp_path, "replay.json", {
-        "schema": 1,
-        "model": manifest["config"]["model"],
-        "p": manifest["config"]["p"],
-        "q": manifest["config"]["q"],
-        "simulate": {k: manifest["config"][k]
-                     for k in ("n_max", "replications", "master_seed", "mode")},
-    })
+    # replay from the manifest's checked config alone
+    replay_cfg = write_config(tmp_path, "replay.json", manifest["config"])
     out2 = tmp_path / "replay"
     cli.main(["simulate", "--config", replay_cfg, "--out", str(out2)])
     assert (out / "sim_table.csv").read_bytes() == (out2 / "replay_table.csv").read_bytes()
@@ -260,7 +254,7 @@ def test_simulate_json_format_lists_only_written_files(tmp_path):
     # models that cannot be built
     ("criteria", {"model": {"builtin": "pareto", "params": 5}, "p": 0.5, "q": 0.25},
      "bad builtin model spec"),
-    ("criteria", {"model": {"custom": "missing.json"}, "p": 0.5, "q": 0.25}, "missing.json"),
+    ("criteria", {"model": {"file": "missing.json"}, "p": 0.5, "q": 0.25}, "missing.json"),
     ("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric", "pieces": 5}},
                   "p": 0.5, "q": 0.25}, "bad custom model"),
     ("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [
@@ -271,6 +265,26 @@ def test_simulate_json_format_lists_only_written_files(tmp_path):
         {"t_lo": 1.01, "t_hi": None, "formula_id": "power-log",
          "params": {"scale": 2.0, "power": 0.25, "log_power": -0.2}}]}},
       "p": 0.5, "q": 0.25}, "survival increases"),
+    # sections and keys outside the schema, and counts that are not integers
+    ("criteria", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5, "criteria": 5},
+     "'criteria'"),
+    ("simulate", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5, "simulate": 5},
+     "'simulate'"),
+    ("simulate", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5,
+                  "simulate": {"n_max": 1024.9}}, "'n_max'"),
+    ("simulate", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5,
+                  "simulate": {"n_max": 1024, "replications": 2.7}}, "'replications'"),
+    ("simulate", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5,
+                  "simulat": {"n_max": 1024}}, "'simulat'"),
+    ("criteria", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5,
+                  "epsilon_grid": [0.1]}, "'epsilon_grid'"),
+    ("criteria", {"model": {"builtin": "rademacher"}, "p": True, "q": 0.5}, "'p'"),
+    # a setting outside its allowed strings, though simulate does not use it
+    ("simulate", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5,
+                  "criteria": {"criterion": "bogus"}, "simulate": {"n_max": 1024}},
+     "'criterion'"),
+    ("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [5]}},
+                  "p": 0.5, "q": 0.25}, "bad custom model"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needle):
     cfg = write_config(tmp_path, "badnum.json", {"schema": 1, **payload})
@@ -301,3 +315,30 @@ def test_criteria_rejects_flags_it_ignores(tmp_path, capsys):
         cli.main(["criteria", "--config", cfg, "--workers", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_model_file_resolves_against_the_config_directory(tmp_path, monkeypatch, capsys):
+    (tmp_path / "cfgdir").mkdir()
+    (tmp_path / "cfgdir" / "model.json").write_text(json.dumps(tm.pareto(2.0).to_json()))
+    cfg = criteria_config(tmp_path / "cfgdir", {"file": "model.json"}, 1.0, 0.5)
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert cli.main(["criteria", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["membership"] == "Member"
+
+
+def test_manifest_config_replays_a_file_model_and_a_seed_override(tmp_path, monkeypatch):
+    (tmp_path / "model.json").write_text(json.dumps(tm.pareto(2.0).to_json()))
+    cfg = simulate_config(tmp_path, {"file": "model.json"}, 1.0, 0.5)
+    out = tmp_path / "orig"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--seed", "99"]) == 0
+    manifest = json.loads((out / "sim_manifest.json").read_text())
+    assert manifest["config"]["model"] == {"custom": tm.pareto(2.0).to_json()}
+    assert manifest["config"]["simulate"]["master_seed"] == 99
+    # a file holding only the manifest's config, away from model.json
+    (tmp_path / "replay").mkdir()
+    replay = write_config(tmp_path / "replay", "replay.json", manifest["config"])
+    monkeypatch.chdir(tmp_path / "replay")
+    assert cli.main(["simulate", "--config", replay, "--out", "again"]) == 0
+    assert (out / "sim_table.csv").read_bytes() == \
+        (tmp_path / "replay" / "again" / "replay_table.csv").read_bytes()
