@@ -2,8 +2,8 @@
 
 Subpackages:
 
-- ``tail_models``: exact survival-function models, quantiles, sampling,
-  truncated moments.
+- ``tail_models``: exact survival-function models, quantiles,
+  inverse-transform sampling, and the cumulative tail integrals of S(t^(1/p)).
 - ``criteria``: clause-by-clause convergence classification of the
   membership conditions.
 - ``mc_engine``: deterministic parallel Monte Carlo over normed partial sums,

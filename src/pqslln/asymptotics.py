@@ -74,23 +74,23 @@ class LogPolyTail:
         return out
 
 
-def integral_converges(tail: LogPolyTail, eq_tol: float = EQ_TOL) -> bool:
+def integral_converges(tail: LogPolyTail) -> bool:
     """Whether int^inf t^(-a) (ln t)^(-b) (lnln t)^(-c) dt is finite.
 
-    Lexicographic in (a, b, c); exponents within eq_tol of an integer
+    Lexicographic in (a, b, c); exponents within EQ_TOL of an integer
     boundary are treated as equal to it, and the boundary itself diverges
     at every level (a=1, b=1, c=1 gives lnlnln t).
     """
     a, b, c = tail.a, tail.b, tail.c
-    if a > 1.0 + eq_tol:
+    if a > 1.0 + EQ_TOL:
         return True
-    if a < 1.0 - eq_tol:
+    if a < 1.0 - EQ_TOL:
         return False
-    if b > 1.0 + eq_tol:
+    if b > 1.0 + EQ_TOL:
         return True
-    if b < 1.0 - eq_tol:
+    if b < 1.0 - EQ_TOL:
         return False
-    return c > 1.0 + eq_tol
+    return c > 1.0 + EQ_TOL
 
 
 def tail_remainder(tail: LogPolyTail, t_cap: float, f_cap: float) -> float | None:

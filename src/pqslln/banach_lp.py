@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc_engine as mc
-from . import rng
 from . import tail_models as tm
 
 __all__ = ["sup_power_weighted_tail", "MarcusPisierTable", "marcus_pisier_check"]
@@ -99,21 +98,13 @@ def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
     if r < 1.0:
         raise ValueError("the inequality requires r >= 1")
     u_grid = np.asarray(sorted(float(u) for u in u_grid))
-    sampler = mc.MagnitudeSampler(model)
     weights = np.arange(1, n + 1, dtype=float) ** (1.0 / r)
     counts = np.zeros(u_grid.size)
-    done = 0
-    block_id = 0
     per_block = max(1, (1 << 22) // max(n, 1))
-    while done < replications:
-        m = min(per_block, replications - done)
-        gen = rng.generator(master_seed, block_id, rng.ROLE_PROBE)
-        mags = mc.draw_batch(gen, sampler, 0.0, (m, n))
+    for mags in mc.probe_blocks(model, replications, per_block, n, master_seed, 0.0):
         mags[:, ::-1].sort(axis=1)  # descending
         stat = np.max(weights[None, :] * mags, axis=1)
         counts += (stat[None, :] > u_grid[:, None]).sum(axis=1)
-        done += m
-        block_id += 1
     lhs = counts / replications
     se = np.sqrt(lhs * (1.0 - lhs) / replications)
     sup_val = sup_power_weighted_tail(model, r)

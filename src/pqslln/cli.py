@@ -238,7 +238,7 @@ def cmd_simulate(args) -> int:
     writer = _AtomicWriter()
     try:
         table = mc_engine.run_paths(config, workers=workers)
-        summary = {"config": cfg, **mc_engine.summary_dict(table, config)}
+        summary = {"config": cfg, **mc_engine.summary_dict(table)}
         wall = time.perf_counter() - started
         csv_path = os.path.join(out_dir, f"{stem}_table.csv")
         summary_path = os.path.join(out_dir, f"{stem}_summary.json")
@@ -351,7 +351,7 @@ def _verify_small_series(seed: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else 2024
+    seed = rng.check_seed(args.seed if args.seed is not None else 2024)
     suites = {
         "lemmas": _verify_lemmas,
         "marcus-pisier": _verify_marcus_pisier,

@@ -6,7 +6,8 @@ class PqsllnError(Exception):
 
 
 class NonMonotoneTail(PqsllnError):
-    """A survival function was detected increasing on a bracketing grid."""
+    """A survival function increases at a piece edge or inside a piece, or
+    never falls below the level to invert."""
 
 
 class QuadratureFailure(PqsllnError):

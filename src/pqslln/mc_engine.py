@@ -80,6 +80,7 @@ class ExperimentConfig:
             raise ConfigError("n_max must be a power of two, at least 2^10")
         if self.replications < 2:
             raise ConfigError("need at least 2 replications")
+        rng.check_seed(self.master_seed)
         if not (0.0 < self.p < 2.0 and self.q > 0.0):
             raise ConfigError("need 0 < p < 2 and q > 0")
         if self.mode not in ("plain", "symmetrized"):
@@ -125,25 +126,6 @@ class CheckpointTable:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SeriesEstimate:
-    n: int
-    mean_rq: float
-    median_rq: float
-    iqr_rq: float
-    se_mean_rq: float
-    mean_w: float
-    median_w: float
-    iqr_w: float
-    block_lower: float
-    block_upper: float
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "n", "mean_rq", "median_rq", "iqr_rq", "se_mean_rq",
-            "mean_w", "median_w", "iqr_w", "block_lower", "block_upper")}
-
-
 class MagnitudeSampler:
     """Inverse-transform sampler for ||X||: the model's exact piecewise
     inverse survival function."""
@@ -165,6 +147,17 @@ def draw_batch(gen: np.random.Generator, sampler: MagnitudeSampler,
     if threshold <= 0.0:
         return mag
     return np.where(gen.random(shape) < threshold, -mag, mag)
+
+
+def probe_blocks(model: tm.TailModel, replications: int, per_block: int, n: int,
+                 master_seed: int, threshold: float):
+    """Signed draws for `replications` probe paths of length n, yielded as
+    (m, n) blocks of at most `per_block` paths; block b draws from probe
+    stream b, so the blocks are reproducible for a fixed seed."""
+    sampler = MagnitudeSampler(model)
+    for block_id, done in enumerate(range(0, replications, per_block)):
+        gen = rng.generator(master_seed, block_id, rng.ROLE_PROBE)
+        yield draw_batch(gen, sampler, threshold, (min(per_block, replications - done), n))
 
 
 def parallel_map(fn, items, workers: int) -> list:
@@ -192,12 +185,14 @@ def _run_one_path(config: ExperimentConfig, sampler: MagnitudeSampler, r: int,
     censored = False
     while pos < config.n_max:
         m = int(min(_CHUNK, config.n_max - pos))
-        x = draw_batch(gens[0], sampler, threshold, m)
-        if config.mode == "symmetrized":
-            x = x - draw_batch(gens[1], sampler, threshold, m)
         local = checkpoints[(checkpoints > pos) & (checkpoints <= pos + m)] - pos - 1
-        s_vals, w_vals, state = kernels.accumulate_chunk(
-            x, pos, state, config.q, e1, local)
+        # an overflow censors the replication (checked below): a result, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = draw_batch(gens[0], sampler, threshold, m)
+            if config.mode == "symmetrized":
+                x = x - draw_batch(gens[1], sampler, threshold, m)
+            s_vals, w_vals, state = kernels.accumulate_chunk(
+                x, pos, state, config.q, e1, local)
         out_s[filled:filled + s_vals.size] = s_vals
         out_w[filled:filled + w_vals.size] = w_vals
         filled += s_vals.size
@@ -267,47 +262,6 @@ def run_paths(config: ExperimentConfig, workers: int = 1) -> CheckpointTable:
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
-
-
-def _block_weights(checkpoints: np.ndarray) -> np.ndarray:
-    """Harmonic mass of the dyadic blocks ((n_{k-1}, n_k], first block {1}."""
-    h = harmonic(checkpoints)
-    prev = np.concatenate([[0.0], h[:-1]])
-    return h - prev
-
-
-def estimate_series_expectation(table: CheckpointTable,
-                                config: ExperimentConfig) -> list[SeriesEstimate]:
-    """Checkpoint statistics of r_n^q and W_n plus block-sum proxies for the
-    expectation series: lower/upper use the right/left block edge of E r_n^q."""
-    act = table.active
-    if not np.any(act):
-        raise ConfigError("all replications censored; nothing to estimate")
-    rq = table.ratio[act] ** config.q
-    w = table.w_partial[act]
-    m = rq.shape[0]
-    mean_rq = rq.mean(axis=0)
-    med_rq = np.median(rq, axis=0)
-    q75, q25 = np.percentile(rq, [75, 25], axis=0)
-    se_rq = rq.std(axis=0, ddof=1) / math.sqrt(m) if m > 1 else np.full_like(mean_rq, np.inf)
-    med_w = np.median(w, axis=0)
-    q75w, q25w = np.percentile(w, [75, 25], axis=0)
-
-    weights = _block_weights(table.checkpoints)
-    lower = np.cumsum(weights * mean_rq)
-    left_edge = np.concatenate([[mean_rq[0]], mean_rq[:-1]])
-    upper = np.cumsum(weights * left_edge)
-
-    out = []
-    for k, n in enumerate(table.checkpoints):
-        out.append(SeriesEstimate(
-            n=int(n), mean_rq=float(mean_rq[k]), median_rq=float(med_rq[k]),
-            iqr_rq=float(q75[k] - q25[k]), se_mean_rq=float(se_rq[k]),
-            mean_w=float(w.mean(axis=0)[k]), median_w=float(med_w[k]),
-            iqr_w=float(q75w[k] - q25w[k]),
-            block_lower=float(lower[k]), block_upper=float(upper[k]),
-        ))
-    return out
 
 
 def growth_verdict(ns, partial_sums, inc_se=None) -> Verdict:
@@ -406,41 +360,47 @@ def growth_verdict(ns, partial_sums, inc_se=None) -> Verdict:
                    diagnostics=diagnostics)
 
 
-def summary_verdict(table: CheckpointTable, config: ExperimentConfig) -> Verdict:
-    """Growth verdict of the W-series from median-ratio block sums.
+def summary_dict(table: CheckpointTable) -> dict:
+    """One pass over the uncensored replications of `table`: per-checkpoint
+    statistics of r_n^q and W_n, the censoring report and the W verdict.
 
-    The classified object is the harmonic-block proxy sum_k weight_k *
-    median(r^q at the block edge): its increments track the typical ratio
-    decay, which is far more stable across seeds than the increments of the
-    median W path (those swing with single heavy draws), and its standard
-    errors are honest order-statistic errors even when r^q has infinite
-    variance.  The verdict estimate still reports the median W at the edge.
+    The estimates add block-sum proxies for the expectation series
+    sum_k w_k E r_{n_k}^q, with w_k = H(n_k) - H(n_{k-1}) the harmonic mass of
+    the dyadic block (n_{k-1}, n_k]: lower/upper take E r^q at the right/left
+    block edge.  The verdict classifies the harmonic-block proxy of
+    median(r^q) instead: its increments track the typical ratio decay, which
+    is far more stable across seeds than the increments of the median W path
+    (those swing with single heavy draws), and its standard errors are honest
+    order-statistic errors even when r^q has infinite variance.  The verdict
+    estimate still reports the median W at the edge.
     """
     act = table.active
+    if not np.any(act):
+        raise ConfigError("all replications censored; nothing to estimate")
+    rq = table.ratio[act] ** table.config.q
     w = table.w_partial[act]
-    rq = table.ratio[act] ** config.q
     m = rq.shape[0]
-    med_rq = np.median(rq, axis=0)
+    mean_rq = rq.mean(axis=0)
+    med_rq, med_w = np.median(rq, axis=0), np.median(w, axis=0)
     q75, q25 = np.percentile(rq, [75, 25], axis=0)
-    se_med = (q75 - q25) / 1.349 / math.sqrt(max(m, 1))
-    weights = _block_weights(table.checkpoints)
-    proxy = growth_verdict(table.checkpoints, np.cumsum(weights * med_rq),
-                           inc_se=(weights * se_med)[1:])
-    diag = dict(proxy.diagnostics)
-    diag["statistic"] = "median-ratio-blocks"
-    return Verdict(proxy.kind, float(np.median(w, axis=0)[-1]), proxy.evidence,
-                   remainder_bound=proxy.remainder_bound, method="growth",
-                   diagnostics=diag)
+    q75w, q25w = np.percentile(w, [75, 25], axis=0)
+    se_rq = rq.std(axis=0, ddof=1) / math.sqrt(m) if m > 1 else np.full_like(mean_rq, np.inf)
+    weights = np.diff(harmonic(table.checkpoints), prepend=0.0)
+    left_edge = np.concatenate([[mean_rq[0]], mean_rq[:-1]])
+    columns = {"mean_rq": mean_rq, "median_rq": med_rq, "iqr_rq": q75 - q25,
+               "se_mean_rq": se_rq, "mean_w": w.mean(axis=0), "median_w": med_w,
+               "iqr_w": q75w - q25w, "block_lower": np.cumsum(weights * mean_rq),
+               "block_upper": np.cumsum(weights * left_edge)}
+    estimates = [{"n": int(n), **{key: float(col[k]) for key, col in columns.items()}}
+                 for k, n in enumerate(table.checkpoints)]
 
-
-def summary_dict(table: CheckpointTable, config: ExperimentConfig) -> dict:
-    estimates = estimate_series_expectation(table, config)
-    verdict = summary_verdict(table, config)
-    return {
-        "estimates": [e.to_dict() for e in estimates],
-        "censoring": table.censoring_report(),
-        "w_verdict": verdict.to_dict(),
-    }
+    se_med = (q75 - q25) / 1.349 / math.sqrt(m)
+    w_verdict = growth_verdict(table.checkpoints, np.cumsum(weights * med_rq),
+                               inc_se=(weights * se_med)[1:]).to_dict()
+    w_verdict["estimate_on_window"] = float(med_w[-1])
+    w_verdict["diagnostics"]["statistic"] = "median-ratio-blocks"
+    return {"estimates": estimates, "censoring": table.censoring_report(),
+            "w_verdict": w_verdict}
 
 
 def dense_ratio_moments(model: tm.TailModel, p: float, q: float, n_upto: int,
@@ -451,23 +411,14 @@ def dense_ratio_moments(model: tm.TailModel, p: float, q: float, n_upto: int,
     Replications are drawn in fixed blocks of 4096 paths, each on its own
     counter-based stream, so results are reproducible for a fixed seed.
     """
-    block = 4096
     sums = np.zeros(n_upto)
     sumsq = np.zeros(n_upto)
-    sampler = MagnitudeSampler(model)
-    threshold = model.sign_law.threshold
-    done = 0
-    block_id = 0
     scale = np.arange(1, n_upto + 1, dtype=float) ** (1.0 / p)
-    while done < replications:
-        m = min(block, replications - done)
-        gen = rng.generator(master_seed, block_id, rng.ROLE_PROBE)
-        x = draw_batch(gen, sampler, threshold, (m, n_upto))
+    for x in probe_blocks(model, replications, 4096, n_upto, master_seed,
+                          model.sign_law.threshold):
         rq = (np.abs(np.cumsum(x, axis=1)) / scale) ** q
         sums += rq.sum(axis=0)
         sumsq += (rq**2).sum(axis=0)
-        done += m
-        block_id += 1
     mean = sums / replications
     var = np.maximum(sumsq / replications - mean**2, 0.0)
     se = np.sqrt(var / replications)

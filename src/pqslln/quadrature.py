@@ -41,9 +41,6 @@ class QuadResult:
     error: float        # accumulated Richardson estimate
     intervals: int      # intervals processed before acceptance
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _simpson_batch(lo, hi, flo, fmid, fhi):
     return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -28,6 +30,14 @@ def splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def check_seed(master_seed: int) -> int:
+    """`master_seed` if it is an unsigned 64-bit value; any other seed would
+    alias one that is, since stream_key reads only 64 bits of it."""
+    if not 0 <= master_seed <= _MASK64:
+        raise ConfigError(f"master seed must be in [0, 2^64), got {master_seed}")
+    return master_seed
 
 
 def stream_key(master_seed: int, stream: int, role: int = ROLE_PATH) -> int:

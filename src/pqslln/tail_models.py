@@ -4,8 +4,9 @@ A model is a survival function t -> P(||X|| > t) given as ordered pieces from
 a small formula catalog (constant, power, power-log, power-log-loglog,
 indicator-below), plus a sign law and optional analytic metadata.  Everything
 downstream -- quantiles u_n = inf{t : P(||X|| > t) < 1/n}, inverse-transform
-sampling, truncated moments, and the asymptotic exponents used by the
-convergence classifiers -- is derived from the pieces.
+sampling, the cumulative tail table of the truncated series, and the
+asymptotic exponents used by the convergence classifiers -- is derived from
+the pieces.
 
 All probabilities are clamped to [0, 1] after formula evaluation: the
 log-corrected formulas can exceed 1 by a few ulps near their knees.
@@ -336,14 +337,10 @@ class CumulativeTailTable:
         self._head_value = float(s_y(np.array([t_lo * 0.5]))[0])  # S is flat below the first edge
 
         g_vals = [self._head_value * grid[0]]
-        cell_errors = [0.0]
         for lo, hi in zip(grid[:-1], grid[1:]):
-            res = integrate(s_y, lo, hi, breakpoints=edges)
-            g_vals.append(g_vals[-1] + res.value)
-            cell_errors.append(res.error)
+            g_vals.append(g_vals[-1] + integrate(s_y, lo, hi, breakpoints=edges).value)
         self.grid = grid
         self.values = np.asarray(g_vals)
-        self.cell_errors = np.asarray(cell_errors)
         if np.any(np.diff(self.values) < -1e-12):
             raise QuadratureFailure("cumulative tail table is not monotone")
         # Hermite interpolation in s = ln t with the exact slope

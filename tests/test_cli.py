@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -285,6 +287,11 @@ def test_simulate_json_format_lists_only_written_files(tmp_path):
      "'criterion'"),
     ("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [5]}},
                   "p": 0.5, "q": 0.25}, "bad custom model"),
+    # seeds a 64-bit stream key would alias
+    ("simulate", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5,
+                  "simulate": {"n_max": 1024, "master_seed": -1}}, "master seed"),
+    ("simulate", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5,
+                  "simulate": {"n_max": 1024, "master_seed": 1 << 64}}, "master seed"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needle):
     cfg = write_config(tmp_path, "badnum.json", {"schema": 1, **payload})
@@ -342,3 +349,32 @@ def test_manifest_config_replays_a_file_model_and_a_seed_override(tmp_path, monk
     assert cli.main(["simulate", "--config", replay, "--out", "again"]) == 0
     assert (out / "sim_table.csv").read_bytes() == \
         (tmp_path / "replay" / "again" / "replay_table.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("seed", [1 << 64, -1])
+def test_seed_outside_64_bits_is_config_error(tmp_path, capsys, command, seed):
+    if command == "simulate":
+        args = ["simulate", "--config", simulate_config(tmp_path, {"builtin": "rademacher"},
+                                                        1.5, 0.5, n_max=1024)]
+    else:
+        args = ["verify", "small-series"]
+    out = tmp_path / "out"
+    assert cli.main([*args, f"--seed={seed}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2^64" in err and len(err.strip().split("\n")) == 1
+    assert not out.exists()
+
+
+def test_censoring_run_writes_nothing_to_stderr(tmp_path):
+    # pareto(0.01) overflows most replications: censoring is a result, and
+    # the overflow must not surface as a numpy warning
+    cfg = simulate_config(tmp_path, {"builtin": "pareto", "params": {"alpha": 0.01}},
+                          0.5, 0.5, n_max=1024, replications=16, master_seed=2)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "pqslln.cli", "simulate", "--config", cfg,
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    summary = json.loads((tmp_path / "out" / "sim_summary.json").read_text())
+    assert 0 < summary["censoring"]["censored"] < 16

@@ -30,6 +30,9 @@ def test_config_invariants():
         small_config(tm.rademacher(), reps=1)
     with pytest.raises(ConfigError):
         small_config(None)
+    for seed in (-1, 1 << 64):  # stream keys see 64 bits; these would alias
+        with pytest.raises(ConfigError):
+            small_config(tm.rademacher(), seed=seed)
     cfg = small_config(tm.rademacher())
     assert cfg.checkpoints[0] == 1 and cfg.checkpoints[-1] == cfg.n_max
     assert np.all(np.diff(cfg.checkpoints) > 0)
@@ -79,6 +82,17 @@ def test_nonnegative_stream_draws_no_sign_uniforms():
         np.testing.assert_allclose(table.s_norm[r], s_ref[cfg.checkpoints - 1], rtol=1e-12)
 
 
+def test_probe_blocks_one_stream_per_block():
+    model = tm.rademacher()
+    sampler = mc.MagnitudeSampler(model)
+    threshold = model.sign_law.threshold
+    blocks = list(mc.probe_blocks(model, 10, 4, 6, 3, threshold))
+    assert [b.shape for b in blocks] == [(4, 6), (4, 6), (2, 6)]
+    for b, block in enumerate(blocks):
+        gen = rng.generator(3, b, rng.ROLE_PROBE)
+        np.testing.assert_array_equal(block, mc.draw_batch(gen, sampler, threshold, block.shape))
+
+
 def test_w_monotone_per_replication():
     cfg = small_config(tm.log_loglog_power_tail(0.5), p=0.5, q=0.5,
                        n_max=1 << 12, reps=16, seed=5)
@@ -92,11 +106,12 @@ def test_small_n_against_exact_enumeration():
                        reps=20_000, seed=71)
     table = mc.run_paths(cfg, workers=4)
     exact = oracles.exact_series_small(oracles.rademacher_law(), 1.0, 1.0, 8)
-    est = mc.estimate_series_expectation(table, cfg)
+    est = mc.summary_dict(table)["estimates"]
     for k, n in enumerate((1, 2, 4, 8)):
         e = est[k]
-        band = 4.0 * e.se_mean_rq
-        assert abs(e.mean_rq - exact[n - 1]) <= max(band, 1e-12), (n, e.mean_rq, exact[n - 1])
+        band = 4.0 * e["se_mean_rq"]
+        diff = abs(e["mean_rq"] - exact[n - 1])
+        assert diff <= max(band, 1e-12), (n, e["mean_rq"], exact[n - 1])
 
 
 def test_overflow_censoring_reported_not_fatal():
@@ -104,8 +119,9 @@ def test_overflow_censoring_reported_not_fatal():
     table = mc.run_paths(cfg)
     report = table.censoring_report()
     assert 0 < report["censored"] < report["replications"]
-    est = mc.estimate_series_expectation(table, cfg)
-    assert all(np.isfinite(e.mean_rq) for e in est)
+    summary = mc.summary_dict(table)
+    assert summary["censoring"] == report
+    assert all(np.isfinite(e["mean_rq"]) for e in summary["estimates"])
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +156,7 @@ def test_mz_implication_on_convergent_run():
     # when the W path converges, the edge ratio has drifted down
     cfg = small_config(tm.rademacher(), p=0.7, q=0.35, n_max=1 << 14, reps=64, seed=9)
     table = mc.run_paths(cfg, workers=4)
-    verdict = mc.summary_verdict(table, cfg)
-    assert verdict.kind == cr.CONVERGES
+    assert mc.summary_dict(table)["w_verdict"]["kind"] == cr.CONVERGES
     k10 = int(np.log2(1 << 10))
     assert np.median(table.ratio[:, -1]) <= np.median(table.ratio[:, k10])
 
@@ -154,9 +169,9 @@ def test_summary_verdict_marginal_zone_abstains():
     cfg = small_config(tm.rademacher(), p=1.5, q=0.5, n_max=1 << 16,
                        reps=512, seed=101)
     table = mc.run_paths(cfg, workers=8)
-    verdict = mc.summary_verdict(table, cfg)
-    assert verdict.kind in (cr.CONVERGES, cr.INCONCLUSIVE)
-    rho = verdict.diagnostics.get("rho")
+    verdict = mc.summary_dict(table)["w_verdict"]
+    assert verdict["kind"] in (cr.CONVERGES, cr.INCONCLUSIVE)
+    rho = verdict["diagnostics"].get("rho")
     assert rho is not None and 0.9 < rho < 1.0
 
 
@@ -167,15 +182,15 @@ def test_summary_verdict_marginal_zone_abstains():
 
 def test_estimate_zero_series():
     cfg = small_config(tm.zero())
-    est = mc.estimate_series_expectation(mc.run_paths(cfg), cfg)
-    assert est[-1].block_lower == 0.0 and est[-1].block_upper == 0.0
+    est = mc.summary_dict(mc.run_paths(cfg))["estimates"]
+    assert est[-1]["block_lower"] == 0.0 and est[-1]["block_upper"] == 0.0
 
 
 def test_block_proxies_bracket():
     cfg = small_config(tm.rademacher(), p=1.5, q=0.5, n_max=1 << 12, reps=128, seed=13)
-    est = mc.estimate_series_expectation(mc.run_paths(cfg, workers=4), cfg)
+    est = mc.summary_dict(mc.run_paths(cfg, workers=4))["estimates"]
     # E r^q decays, so right-edge sums are below left-edge sums
-    assert all(e.block_lower <= e.block_upper + 1e-12 for e in est)
+    assert all(e["block_lower"] <= e["block_upper"] + 1e-12 for e in est)
 
 
 def test_symmetrize_degenerate_is_zero():
@@ -217,9 +232,7 @@ def test_w_verdict_consistent_with_membership():
                                       reps=64, seed=4), workers=4)
     ratios = np.median(table.ratio, axis=0)
     assert ratios[-1] < 0.1 * ratios[2]  # ratios vanish empirically
-    assert mc.summary_verdict(table, small_config(model, p=0.7, q=0.35,
-                                                  n_max=1 << 12, reps=64,
-                                                  seed=4)).kind != cr.DIVERGES
+    assert mc.summary_dict(table)["w_verdict"]["kind"] != cr.DIVERGES
 
 
 def test_marginal_series_empirical_cross_check():
@@ -234,8 +247,7 @@ def test_marginal_series_empirical_cross_check():
     assert cr.integral_pq(model, 0.5, 0.25).kind == cr.DIVERGES
     cfg = small_config(model, p=0.5, q=0.25, n_max=1 << 16, reps=48, seed=7)
     table = mc.run_paths(cfg, workers=4)
-    verdict = mc.summary_verdict(table, cfg)
-    assert verdict.kind in (cr.DIVERGES, cr.INCONCLUSIVE)
+    assert mc.summary_dict(table)["w_verdict"]["kind"] in (cr.DIVERGES, cr.INCONCLUSIVE)
 
 
 def test_csv_shape_and_floats():
