@@ -14,15 +14,16 @@ into a lexicographic comparison:
 
     converges  iff  a > 1,  or  a = 1 and b > 1,  or  a = 1, b = 1, c > 1.
 
-The boundary cases (a=1,b=1,c=1 and below) diverge.  Desk-scale trend fits
-cannot resolve these marginal cases -- a (lnln t)^(-1) factor shifts a fitted
-log exponent by ~1/lnln(t_cap) ~ 0.3 even at t_cap = 1e12 -- so the
-classifiers use this algebra whenever a model exposes its catalog form and
-keep fitted exponents as recorded evidence only.
+The boundary cases (a=1,b=1,c=1 and below) diverge.  No fit on a finite
+window could resolve these marginal cases -- a (lnln t)^(-1) factor shifts a
+log slope by ~1/lnln(t_cap) ~ 0.3 even at t_cap = 1e12 -- so the classifiers
+decide by this algebra alone, and `tail_remainder` bounds what lies past the
+window from the same exponents.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,18 +94,35 @@ def integral_converges(tail: LogPolyTail) -> bool:
     return c > 1.0 + EQ_TOL
 
 
-def tail_remainder(tail: LogPolyTail, t_cap: float, f_cap: float) -> float | None:
-    """Upper-bound estimate of int_{t_cap}^inf f(t) dt for a convergent tail.
+def tail_remainder(tail: LogPolyTail, t_cap: float, f_cap: float,
+                   log_arg: float | None = None) -> float | None:
+    """Proved upper bound of int_T^inf f(t) dt, T = t_cap, or None.
 
-    Uses the observed value f_cap = f(t_cap) so the constant in the asymptote
-    does not need to be trusted.  Returns None when the tail diverges.
+    f is the last piece in t: f(t) = K t^-a (ln x)^-b (lnln x)^-c on [T, inf),
+    (a, b, c) the exponents of `tail` and ln x = (ln t)/r its argument
+    (x = t^(1/r) under Y = |X|^r).  `log_arg` is ln X = (ln T)/r, by default
+    r = 1, and must exceed 1.  Only f_cap = f(T) enters, not K or r.
+
+    Proof: -d ln f/d ln t = a + b/ln t + c/(ln t lnln x), and ln t and
+    ln t lnln x increase, so the slope is at least the local exponent at T,
+    s = a + min(b,0)/ln T + min(c,0)/(ln T lnln X), and f <= f_cap (t/T)^-s
+    gives f_cap T/(s-1) for s > 1 (s = a when b, c >= 0).  For a = 1 the same
+    runs in v = ln x, where f dt = r K v^-b (ln v)^-c dv: s = b + min(c,0)/lnln X
+    and the bound is f_cap T ln T/(s-1).  For a = b = 1 it runs in w = ln v and
+    gives f_cap T ln T lnln X/(c-1) for c > 1.  Anything else gives None.
     """
-    if not integral_converges(tail):
+    L = math.log(t_cap)
+    log_arg = L if log_arg is None else log_arg
+    if log_arg <= 1.0:
         return None
     a, b, c = tail.a, tail.b, tail.c
-    L = np.log(t_cap)
+    LL = math.log(log_arg)
     if a > 1.0 + EQ_TOL:
-        return float(f_cap * t_cap / (a - 1.0))
-    if b > 1.0 + EQ_TOL:
-        return float(f_cap * t_cap * L / (b - 1.0))
-    return float(f_cap * t_cap * L * np.log(L) / (c - 1.0))
+        s, scale = a + min(b, 0.0) / L + min(c, 0.0) / (L * LL), f_cap * t_cap
+    elif a >= 1.0 - EQ_TOL and b > 1.0 + EQ_TOL:
+        s, scale = b + min(c, 0.0) / LL, f_cap * t_cap * L
+    elif a >= 1.0 - EQ_TOL and b >= 1.0 - EQ_TOL and c > 1.0 + EQ_TOL:
+        s, scale = c, f_cap * t_cap * L * LL
+    else:
+        return None
+    return float(scale / (s - 1.0)) if s > 1.0 else None

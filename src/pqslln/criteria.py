@@ -8,21 +8,25 @@ survival function:
     log-moment           E[ ||X||^p ln^delta(1 + ||X||) ]
     truncated series     sum_n E[ ||X||^p 1(min{u_n^p, n} < ||X||^p <= n) ] / n
 
-A Verdict records three things: the value accumulated on the evaluated
-window, fitted exponent evidence at the window edge, and a three-valued
-classification.  Every model is a catalog of exact pieces, so the
-classification is decided in two tiers:
+A Verdict records the value accumulated on the evaluated window, a
+three-valued classification and, when convergent, `remainder_bound`: a
+proved upper bound of the part past the window (`tail_remainder`,
+`_series_remainder`), or None where no bound is proved.  The one exception
+is the truncated series of a tail P(||X||^p > t) = t^-1 times log factors,
+whose bound rests on the asymptotic form of its terms.  Every model is a
+catalog of exact pieces, so the classification is decided in two tiers:
 
 1. bounded support: the integral terminates; Converges, with the part past
    the evaluated window bounded by the integrand there times its length.
 2. catalog tails: the integrand's exact log-polynomial exponents are pushed
    through the transform algebra and compared lexicographically.  This is
    what resolves the marginal examples: a (lnln t)^(-1) factor separates
-   convergence from divergence but shifts a fitted log exponent by only
+   convergence from divergence but shifts a log slope by only
    ~1/lnln(t_cap) ~ 0.3 at t_cap = 1e12, far inside any honest fit band.
 
-Fitted exponents (power exponent beta on the last decade, then log exponent
-lambda when |beta - 1| <= 0.05) are recorded evidence only; they never decide.
+Nothing is fitted: a tier-2 verdict carries the exact exponent triple it was
+decided from in its diagnostics (`exponents`, or `tail_exponents` for the
+series).
 """
 
 from __future__ import annotations
@@ -33,19 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tail_models as tm
-from .asymptotics import LogPolyTail, integral_converges, tail_remainder
+from .asymptotics import EQ_TOL, LogPolyTail, integral_converges, tail_remainder
 from .errors import InversionFailure
 from .quadrature import integrate
-from .trend import (CONVERGES, DIVERGES, INCONCLUSIVE, ExponentEvidence, Verdict,
-                    fit_line, fit_log_exponent, fit_loglog_exponent)
+from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, Verdict, fit_line
 
 MEMBER = "Member"
 NON_MEMBER = "NonMember"
 UNDECIDED = "Inconclusive"
 
-BETA_BAND = 0.05
 T_CAP_DEFAULT = 1e12
-GRID_PER_DECADE = 25
 SERIES_N_MAX_DEFAULT = 100_000
 _EQ = 1e-12
 
@@ -53,30 +54,6 @@ CLAUSE_Q_LT_P = "q<p<1"
 CLAUSE_Q_EQ_P = "q=p<1"
 CLAUSE_P_GE_1 = "q<1<=p<2"
 CLAUSE_OUT = "out-of-scope"
-
-
-def _fit_evidence(f, lo: float, hi: float) -> ExponentEvidence:
-    """Fit the local power exponent on the last decade of [lo, hi]."""
-    if hi <= max(lo, 0.0) or hi <= 0.0:
-        return ExponentEvidence(0.0, None, (0.0, 0.0))
-    start = max(lo, hi / 10.0)
-    grid = np.geomspace(max(start, 1e-300), hi, GRID_PER_DECADE + 1)
-    vals = np.asarray(f(grid), dtype=float)
-    if not np.any(vals > 0.0):
-        # integrand already vanished; look back for its last positive decade
-        wide = np.geomspace(max(lo, 1e-300), hi, 200)
-        wvals = np.asarray(f(wide), dtype=float)
-        pos = np.nonzero(wvals > 0.0)[0]
-        if pos.size == 0:
-            return ExponentEvidence(0.0, None, (start, hi))
-        hi = wide[pos[-1]]
-        grid = np.geomspace(max(hi / 10.0, 1e-300), hi, GRID_PER_DECADE + 1)
-        vals = np.asarray(f(grid), dtype=float)
-    beta, _ = fit_loglog_exponent(grid, vals)
-    lam = None
-    if abs(beta - 1.0) < BETA_BAND:
-        lam, _ = fit_log_exponent(grid, grid * vals)
-    return ExponentEvidence(float(beta), lam, (float(grid[0]), float(grid[-1])))
 
 
 def _divergence_diagnostics(f, hi: float) -> dict:
@@ -95,28 +72,29 @@ def _divergence_diagnostics(f, hi: float) -> dict:
 
 
 def _classify_tail_integral(f, *, t_cap: float, asym: LogPolyTail | None,
-                            cutoff: float, breakpoints) -> Verdict:
+                            cutoff: float, breakpoints, bound_tail: LogPolyTail | None,
+                            log_arg: float | None) -> Verdict:
     """Shared classifier for int_0^inf f(t) dt with f nonnegative and
-    nonincreasing past its knees; `asym` is the exact tail of f, needed when
-    `cutoff` (the end of the support) is infinite."""
+    nonincreasing past its knees; `asym` carries the exponents of f's tail,
+    needed when `cutoff` (the end of the support) is infinite.  The remainder past t_cap
+    is `tail_remainder(bound_tail, t_cap, f(t_cap), log_arg)`, so `bound_tail`
+    and `log_arg` must meet that function's assumptions for f on [t_cap, inf)."""
     upper = min(t_cap, cutoff)
     value = integrate(f, 0.0, upper, breakpoints=breakpoints).value
-    evidence = _fit_evidence(f, 1e-3, upper)
 
     if math.isfinite(cutoff):
         rem = 0.0
         if cutoff > t_cap:
             rem = float(np.asarray(f(np.array([t_cap])))[0]) * (cutoff - t_cap)
-        return Verdict(CONVERGES, value, evidence, remainder_bound=rem,
-                       method="bounded-support")
+        return Verdict(CONVERGES, value, remainder_bound=rem, method="bounded-support")
 
     diagnostics = {"exponents": (asym.a, asym.b, asym.c)}
     if integral_converges(asym):
         f_cap = float(np.asarray(f(np.array([t_cap])))[0])
-        return Verdict(CONVERGES, value, evidence,
-                       remainder_bound=tail_remainder(asym, t_cap, f_cap),
+        rem = None if bound_tail is None else tail_remainder(bound_tail, t_cap, f_cap, log_arg)
+        return Verdict(CONVERGES, value, remainder_bound=rem,
                        method="tail-exponents", diagnostics=diagnostics)
-    return Verdict(DIVERGES, value, evidence, method="tail-exponents",
+    return Verdict(DIVERGES, value, method="tail-exponents",
                    diagnostics={**diagnostics, **_divergence_diagnostics(f, t_cap)})
 
 
@@ -140,7 +118,8 @@ def integral_pq(model: tm.TailModel, p: float, q: float,
         asym = asym.power_arg(q).powered(ratio)
     cutoff = tm.support_upper(model) ** q
     return _classify_tail_integral(f, t_cap=t_cap, asym=asym, cutoff=cutoff,
-                                   breakpoints=tm.transformed_edges(model, q))
+                                   breakpoints=tm.transformed_edges(model, q),
+                                   bound_tail=asym, log_arg=math.log(t_cap) / q)
 
 
 def p_moment(model: tm.TailModel, p: float, t_cap: float = T_CAP_DEFAULT) -> Verdict:
@@ -153,7 +132,8 @@ def p_moment(model: tm.TailModel, p: float, t_cap: float = T_CAP_DEFAULT) -> Ver
         asym = asym.power_arg(p)
     cutoff = tm.support_upper(model) ** p
     return _classify_tail_integral(f, t_cap=t_cap, asym=asym, cutoff=cutoff,
-                                   breakpoints=tm.transformed_edges(model, p))
+                                   breakpoints=tm.transformed_edges(model, p),
+                                   bound_tail=asym, log_arg=math.log(t_cap) / p)
 
 
 def _moment_map(p: float, delta: float):
@@ -205,14 +185,24 @@ def llogl_moment(model: tm.TailModel, p: float, delta: float,
             out[pos] = tm.survival(model, x)
         return out
 
-    asym = tm.tail_asymptote(model)
-    if asym is not None:
-        asym = asym.moment_transform(p, delta)
+    base = tm.tail_asymptote(model)
+    asym = majorant = None
+    if base is not None:
+        asym = base.moment_transform(p, delta)
+        # asym is only asymptotic, so the bound takes the exact slope on [X, inf),
+        # X = h^-1(t_cap): -d ln f/d ln t = sigma(x)/(d ln h/d ln x), where
+        # sigma(x) = a + b/ln x + c/(ln x lnln x) >= sigma_X as in tail_remainder
+        # and d ln h/d ln x <= p + delta/ln X: the slope is >= sigma_X/(p + delta/ln X).
+        x_cap = float(_invert_increasing(h, np.array([t_cap]))[0])
+        lx = math.log(x_cap)
+        if x_cap >= model.knee and lx > 1.0:
+            sigma = base.a + min(base.b, 0.0) / lx + min(base.c, 0.0) / (lx * math.log(lx))
+            majorant = LogPolyTail(1.0, sigma / (p + delta / lx))
     upper_x = tm.support_upper(model)
     cutoff = float(h(np.array([upper_x]))[0]) if math.isfinite(upper_x) else math.inf
     edges = [float(h(np.array([e]))[0]) for e in model.piece_edges()]
     return _classify_tail_integral(f, t_cap=t_cap, asym=asym, cutoff=cutoff,
-                                   breakpoints=edges)
+                                   breakpoints=edges, bound_tail=majorant, log_arg=None)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +265,43 @@ def _series_tail_verdict(sy: LogPolyTail):
     return DIVERGES, LogPolyTail(c0, 1.0, 0.0, 0.0)
 
 
+def _series_remainder(model: tm.TailModel, p: float, n_max: int) -> float | None:
+    """Proved upper bound of sum_{n>N} term_n, N = n_max, or None, from the
+    exact last piece S(x) = C x^-a (ln x)^-b (lnln x)^-c on [x0, inf).
+
+    With Y = ||X||^p and k = a/p, y_n = (Cn)^(1/k) is the quantile of Y at 1/n
+    for a pure power; require (C(N+1))^(1/a) >= x0, and >= e^e if b or c != 0.
+    - Pure power, k < 1 and C (N+1)^(1-k) >= 1, or k = 1 and C >= 1: y_n >= n
+      for all n > N, so every window is empty and the remainder is 0.
+    - Pure power, k > 1: y_n S_Y(y_n) - n S_Y(n) + int_{y_n}^n S_Y gives
+      term_n = k/(k-1) (y_n/n^2 - C n^-k) on a nonempty window, and y_N <= N
+      keeps every later window nonempty, as y_n/n falls.  The integral test on
+      both sums gives k/(k-1) [C^(1/k) N^(1/k-1) k/(k-1) - C (N+1)^(1-k)/(k-1)].
+    - k > 1 and b, c >= 0, a pure power with y_N > N included: S_Y(t) <= C t^-k
+      past e^e, so the quantile of Y at v <= 1/(N+1) is at most (C/v)^(1/k),
+      term_n <= E[Y 1(Y > y_n)]/n <= (1/n) int_0^(1/n) (C/v)^(1/k) dv
+      = k/(k-1) C^(1/k) n^(1/k-2), and summed: the first bound without its
+      second sum.  Anything else (a growing factor, k <= 1 with windows still
+      open) gives None.
+    """
+    last = tm.tail_asymptote(model)
+    if last is None or last.a <= 0.0:
+        return None
+    C, k, N = last.const, last.a / p, float(n_max)
+    pure = last.b == 0.0 and last.c == 0.0
+    x0 = model.pieces[-1].t_lo if pure else max(model.pieces[-1].t_lo, math.e ** math.e)
+    if x0 > 0.0 and math.log(C * (N + 1.0)) / last.a < math.log(x0):
+        return None
+    if pure and (k < 1.0 - EQ_TOL and C * (N + 1.0) ** (1.0 - k) >= 1.0
+                 or abs(k - 1.0) <= EQ_TOL and C >= 1.0):
+        return 0.0
+    if k <= 1.0 + EQ_TOL or last.b < 0.0 or last.c < 0.0:
+        return None
+    ratio, y_over_n = k / (k - 1.0), C ** (1.0 / k) * N ** (1.0 / k - 1.0)
+    second = C * (N + 1.0) ** (1.0 - k) / (k - 1.0) if pure and y_over_n <= 1.0 else 0.0
+    return float(ratio * (y_over_n * ratio - second))
+
+
 def truncated_series(model: tm.TailModel, p: float,
                      n_max: int = SERIES_N_MAX_DEFAULT) -> tuple[SeriesTable, Verdict]:
     """Partial sums and growth verdict of the q = p truncation series.
@@ -310,15 +337,6 @@ def truncated_series(model: tm.TailModel, p: float,
     checkpoints = sorted({10**k for k in range(3, int(math.log10(n_max)) + 1)} | {n_max})
     idx = [c - 1 for c in checkpoints]
 
-    # evidence fitted on the terms over the last decade of n
-    lo = max(1, n_max // 10)
-    win = slice(lo - 1, n_max)
-    beta, _ = fit_loglog_exponent(ns[win], terms[win])
-    lam = None
-    if abs(beta - 1.0) < BETA_BAND:
-        lam, _ = fit_log_exponent(ns[win], ns[win] * terms[win])
-    evidence = ExponentEvidence(float(beta), lam, (float(lo), float(n_max)))
-
     table_out = SeriesTable(
         n_max=int(n_max),
         checkpoints=tuple(int(c) for c in checkpoints),
@@ -328,35 +346,37 @@ def truncated_series(model: tm.TailModel, p: float,
         clamped_terms=clamped,
     )
 
-    if float(np.max(terms)) <= 1e-12:
-        verdict = Verdict(CONVERGES, float(partials[-1]), evidence,
-                          remainder_bound=0.0, method="zero-terms")
-        return table_out, verdict
-
+    estimate = float(partials[-1])
+    zero = float(np.max(terms)) <= 1e-12
     upper = tm.support_upper(model)
     if math.isfinite(upper):
         # Y <= M^p and P(Y > u_n^p) <= 1/n, so term_n <= M^p / n^2
-        verdict = Verdict(CONVERGES, float(partials[-1]), evidence,
-                          remainder_bound=upper**p / n_max, method="bounded-support")
-        return table_out, verdict
+        return table_out, Verdict(CONVERGES, estimate, remainder_bound=upper**p / n_max,
+                                  method="zero-terms" if zero else "bounded-support")
 
+    # zero terms decide nothing: a divergent tail can keep its windows empty
+    # past any N, so the exponents decide even then
     sy = tm.tail_asymptote(model).power_arg(p)
     kind, reduced = _series_tail_verdict(sy)
+    if kind == CONVERGES and zero:
+        return table_out, Verdict(CONVERGES, estimate, method="zero-terms",
+                                  remainder_bound=_series_remainder(model, p, n_max))
     rem = None
     if kind == CONVERGES:
         if reduced is not None:
+            # the reduced tail is the asymptotic form of the terms, not an exact
+            # piece, so this bound is not proved
             rem = tail_remainder(reduced, float(n_max), float(terms[-1]) * n_max)
         else:
-            # power-decay regime: remainder from the fitted exponent,
-            # floored at one harmonic step
-            rem = float(terms[-1]) * n_max / max(beta - 1.0, 0.5)
+            rem = _series_remainder(model, p, n_max)
     diag = {"tail_exponents": (sy.a, sy.b, sy.c)}
     if kind == DIVERGES:
         last = partials[idx[-2]] if len(idx) > 1 else 0.0
+        win = slice(max(1, n_max // 10) - 1, n_max)
         slope, _, _ = fit_line(np.log(ns[win]), partials[win])
         diag["last_decade_increase"] = float(partials[-1] - last)
         diag["last_decade_slope"] = float(slope)
-    return table_out, Verdict(kind, float(partials[-1]), evidence, remainder_bound=rem,
+    return table_out, Verdict(kind, estimate, remainder_bound=rem,
                               method="tail-exponents", diagnostics=diag)
 
 
@@ -405,8 +425,7 @@ class CriterionReport:
 
 
 def _out_of_scope_verdict() -> Verdict:
-    return Verdict(INCONCLUSIVE, 0.0, ExponentEvidence(0.0, None, (0.0, 0.0)),
-                   method="out-of-scope")
+    return Verdict(INCONCLUSIVE, 0.0, method="out-of-scope")
 
 
 def clause_of(p: float, q: float) -> str:

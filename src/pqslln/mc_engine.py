@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels, rng
 from . import tail_models as tm
 from .errors import ConfigError
-from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, ExponentEvidence, Verdict, fit_line
+from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, Verdict, fit_line
 
 _CHUNK = 1 << 16
 _EULER = 0.57721566490153286060651209008240243
@@ -286,8 +286,7 @@ def growth_verdict(ns, partial_sums, inc_se=None) -> Verdict:
         inc_se = np.asarray(inc_se, dtype=float)[keep[1:]]
     ns, vals = ns[keep], vals[keep]
     if ns.size < 3:
-        return Verdict(INCONCLUSIVE, float(vals[-1]) if vals.size else 0.0,
-                       ExponentEvidence(0.0, None, (0.0, 0.0)), method="growth")
+        return Verdict(INCONCLUSIVE, float(vals[-1]) if vals.size else 0.0, method="growth")
 
     window = ns >= ns[-1] / 128.0  # last two dyadic decades (7 doublings)
     if np.count_nonzero(window) < 3:
@@ -301,11 +300,9 @@ def growth_verdict(ns, partial_sums, inc_se=None) -> Verdict:
         noise_inc = np.zeros(incs.size)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     atol = 1e-9 * scale
-    win = (float(nw[0]), float(nw[-1]))
 
     if np.all(np.abs(incs) <= np.maximum(noise_inc, atol)):
-        ev = ExponentEvidence(beta=math.inf, lam=None, window=win)
-        return Verdict(CONVERGES, float(vals[-1]), ev,
+        return Verdict(CONVERGES, float(vals[-1]),
                        remainder_bound=float(np.sum(noise_inc) + atol),
                        method="growth", diagnostics={"flat": True})
 
@@ -313,8 +310,7 @@ def growth_verdict(ns, partial_sums, inc_se=None) -> Verdict:
     lo = incs.size // 2
     if incs.size - lo >= 2 and np.all(np.abs(incs[lo:]) <=
                                       np.maximum(noise_inc[lo:], atol)):
-        ev = ExponentEvidence(beta=math.inf, lam=None, window=win)
-        return Verdict(CONVERGES, float(vals[-1]), ev,
+        return Verdict(CONVERGES, float(vals[-1]),
                        remainder_bound=float(np.sum(noise_inc[lo:]) + atol),
                        method="growth", diagnostics={"stabilized": True})
 
@@ -337,8 +333,6 @@ def growth_verdict(ns, partial_sums, inc_se=None) -> Verdict:
             late_se = abs(rho_late) * slope_l_se
     slope_v, _, se_v = fit_line(np.log(nw), vw)
 
-    beta = 1.0 - math.log2(rho) if rho is not None and rho > 0 else math.inf
-    ev = ExponentEvidence(beta=float(beta), lam=None, window=win)
     diagnostics = {"rho": rho, "rho_se": rho_se, "rho_late": rho_late,
                    "slope": slope_v, "slope_se": se_v}
     margin = max(RHO_MARGIN, 2.0 * rho_se) if rho is not None else math.inf
@@ -351,12 +345,12 @@ def growth_verdict(ns, partial_sums, inc_se=None) -> Verdict:
                   or rho_late < RHO_CONVERGE - max(RHO_MARGIN, 2.0 * late_se))
         if steady:
             rem = abs(incs[-1]) * rho / (1.0 - rho)
-            return Verdict(CONVERGES, float(vals[-1]), ev, remainder_bound=float(rem),
+            return Verdict(CONVERGES, float(vals[-1]), remainder_bound=float(rem),
                            method="growth", diagnostics=diagnostics)
     if rho is not None and rho - margin > RHO_CRITICAL:
-        return Verdict(DIVERGES, float(vals[-1]), ev, method="growth",
+        return Verdict(DIVERGES, float(vals[-1]), method="growth",
                        diagnostics=diagnostics)
-    return Verdict(INCONCLUSIVE, float(vals[-1]), ev, method="growth",
+    return Verdict(INCONCLUSIVE, float(vals[-1]), method="growth",
                    diagnostics=diagnostics)
 
 

@@ -1,5 +1,5 @@
-"""Verdict types and least-squares trend fits shared by the classifiers and
-the MC engine."""
+"""The verdict type shared by the classifiers and the MC engine, and the
+least-squares line fit behind the growth and divergence diagnostics."""
 
 from __future__ import annotations
 
@@ -13,20 +13,9 @@ INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
-class ExponentEvidence:
-    beta: float
-    lam: float | None
-    window: tuple[float, float]
-
-    def to_dict(self):
-        return {"beta": self.beta, "lambda": self.lam, "window": list(self.window)}
-
-
-@dataclass(frozen=True)
 class Verdict:
     kind: str
     estimate_on_window: float
-    evidence: ExponentEvidence
     remainder_bound: float | None = None
     method: str = "tail-exponents"
     diagnostics: dict = field(default_factory=dict)
@@ -35,7 +24,6 @@ class Verdict:
         return {
             "kind": self.kind,
             "estimate_on_window": self.estimate_on_window,
-            "evidence": self.evidence.to_dict(),
             "remainder_bound": self.remainder_bound,
             "method": self.method,
             "diagnostics": {k: v for k, v in self.diagnostics.items()},
@@ -59,24 +47,3 @@ def fit_line(x, y):
     se = float(np.sqrt(np.dot(resid, resid) / dof / sxx))
     return slope, intercept, se
 
-
-def fit_loglog_exponent(t, f):
-    """Fit f ~ C t^(-beta) on positive samples; returns (beta, se)."""
-    t = np.asarray(t, dtype=float)
-    f = np.asarray(f, dtype=float)
-    ok = (f > 0) & (t > 0)
-    if np.count_nonzero(ok) < 2:
-        return 0.0, np.inf
-    slope, _, se = fit_line(np.log(t[ok]), np.log(f[ok]))
-    return -slope, se
-
-
-def fit_log_exponent(t, g):
-    """Fit g ~ C (ln t)^(-lam) on positive samples; returns (lam, se)."""
-    t = np.asarray(t, dtype=float)
-    g = np.asarray(g, dtype=float)
-    ok = (g > 0) & (t > np.e)
-    if np.count_nonzero(ok) < 2:
-        return 0.0, np.inf
-    slope, _, se = fit_line(np.log(np.log(t[ok])), np.log(g[ok]))
-    return -slope, se

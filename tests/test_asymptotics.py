@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,34 @@ def test_remainder_bound_finite_only_when_convergent():
     assert tail_remainder(LogPolyTail(1.0, 1.0, 1.0, 1.0), 1e12, 1e-18) is None
     rem = tail_remainder(LogPolyTail(1.0, 1.0, 2.0), 1e12, 1e-12)
     assert rem is not None and np.isfinite(rem) and rem > 0
+
+
+def test_remainder_bound_with_growing_log_factor():
+    # t^-1.5 (ln t)^2: int_T^inf = e^(-L/2) (2 L^2 + 8 L + 16), L = ln T
+    T = 1e12
+    L = math.log(T)
+    exact = math.exp(-0.5 * L) * (2.0 * L * L + 8.0 * L + 16.0)
+    rem = tail_remainder(LogPolyTail(1.0, 1.5, -2.0), T, T**-1.5 * L * L)
+    assert rem >= exact
+    # a growing factor that outweighs the power margin at T has no bound
+    assert tail_remainder(LogPolyTail(1.0, 1.05, -2.0), T, 1.0) is None
+
+
+def test_remainder_bound_with_growing_loglog_factor():
+    # t^-1 (ln t)^-2 lnln t: int_T^inf = (ln L + 1)/L
+    T = 1e5
+    L = math.log(T)
+    exact = (math.log(L) + 1.0) / L
+    rem = tail_remainder(LogPolyTail(1.0, 1.0, 2.0, -1.0), T, math.log(L) / (T * L * L))
+    assert rem >= exact
+
+
+def test_remainder_bound_reads_the_piece_argument():
+    # S(x) = x^-1/2 (ln x)^-1 (lnln x)^-2 at x = t^2: t^-1 (2 ln t)^-1 (ln(2 ln t))^-2,
+    # whose tail past T is 1/(2 ln(2L)); lnln of the argument, not of t, enters
+    T = 1e12
+    L = math.log(T)
+    f_cap = 1.0 / (T * 2.0 * L * math.log(2.0 * L) ** 2)
+    exact = 0.5 / math.log(2.0 * L)
+    tail = LogPolyTail(1.0, 1.0, 1.0, 2.0)
+    assert tail_remainder(tail, T, f_cap, log_arg=2.0 * L) == pytest.approx(exact, rel=1e-12)

@@ -90,6 +90,21 @@ def test_llogl_moment_examples():
     assert cr.llogl_moment(tm.pareto(2.0), 1.0, 1.0).kind == cr.CONVERGES
 
 
+def test_moment_remainders_bound_closed_forms():
+    T = cr.T_CAP_DEFAULT
+    L = math.log(T)
+    # log-loglog-power(0.5) at p = 0.5: P(|X|^p > t) = C t^-1 (2 ln t)^-1 (ln(2 ln t))^-2,
+    # whose tail past T is (C/2)/ln(2L)
+    model = tm.log_loglog_power_tail(0.5)
+    exact = 0.5 * tm.tail_asymptote(model).const / math.log(2.0 * L)
+    assert cr.p_moment(model, 0.5).remainder_bound >= exact
+    # pareto(2) with h(x) = x ln(1+x): the tail past T is
+    # int_X^inf x^-2 h'(x) dx = ln(1+X)/X + 2 ln(1 + 1/X), X = h^-1(T)
+    x_cap = float(cr._invert_increasing(cr._moment_map(1.0, 1.0), np.array([T]))[0])
+    exact = math.log1p(x_cap) / x_cap + 2.0 * math.log1p(1.0 / x_cap)
+    assert cr.llogl_moment(tm.pareto(2.0), 1.0, 1.0).remainder_bound >= exact
+
+
 def test_inversion_failure_on_saturating_transform():
     with pytest.raises(InversionFailure):
         cr._invert_increasing(lambda x: np.arctan(x), np.array([2.0]))
@@ -128,6 +143,60 @@ def test_series_member_tail_converges():
     _, verdict = cr.truncated_series(member_model_family(0.5, 0.5), 0.5, 100_000)
     assert verdict.kind == cr.CONVERGES
     assert verdict.remainder_bound is not None and np.isfinite(verdict.remainder_bound)
+
+
+def _hurwitz_tail(s, n):
+    """sum_{m > n} m^(-s) for s > 1 by Euler-Maclaurin from m = n + 1 on."""
+    m = n + 1.0
+    return (m ** (1.0 - s) / (s - 1.0) + 0.5 * m**-s + s * m ** (-s - 1.0) / 12.0
+            - s * (s + 1.0) * (s + 2.0) * m ** (-s - 3.0) / 720.0)
+
+
+@pytest.mark.parametrize("alpha", [0.52, 0.55, 0.6, 0.8, 2.0])
+def test_series_remainder_bounds_pareto_closed_form(alpha):
+    # pareto(alpha) at p = 0.5: Y = |X|^p has S_Y(t) = t^-k, k = 2 alpha, and past
+    # n = 1 every window is (n^(1/k), n], so term_n = k/(k-1) (n^(1/k-2) - n^-k)
+    # exactly and the remainder past N is a difference of two Hurwitz tails.
+    n_max, k = 100_000, 2.0 * alpha
+    exact = k / (k - 1.0) * (_hurwitz_tail(2.0 - 1.0 / k, n_max) - _hurwitz_tail(k, n_max))
+    _, verdict = cr.truncated_series(tm.pareto(alpha), 0.5, n_max)
+    assert verdict.kind == cr.CONVERGES
+    assert verdict.remainder_bound >= exact
+    assert verdict.remainder_bound <= exact * (1.0 + 1e-4)
+
+
+def test_growing_log_factor_remainder_is_a_bound_or_none():
+    # 2.117 t^-1.05 (ln t)^2 past t = 10: the factor (ln t)^2 grows, and past
+    # T = 1e12 the tail is 2.117 e^(-eps L) (L^2/eps + 2L/eps^2 + 2/eps^3),
+    # eps = 0.05, L = ln T
+    model = tm.load_model({"name": "growing-log", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 10.0, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 10.0, "t_hi": None, "formula_id": "power-log",
+         "params": {"scale": 2.117, "power": 1.05, "log_power": -2.0}},
+    ]})
+    v = cr.p_moment(model, 1.0)
+    eps, L = 0.05, math.log(cr.T_CAP_DEFAULT)
+    exact = 2.117 * math.exp(-eps * L) * (L * L / eps + 2.0 * L / eps**2 + 2.0 / eps**3)
+    assert exact == pytest.approx(28_383, rel=1e-4)
+    assert v.kind == cr.CONVERGES
+    assert v.remainder_bound is None or v.remainder_bound >= exact
+
+
+def test_series_with_empty_windows_is_decided_by_exponents():
+    # 1000 x^-1/2 (ln x)^-1 (lnln x)^-1.5 past x = 3000: at p = 0.5 the
+    # windows stay empty past n = 1e5, yet the series diverges (reduced tail
+    # exponents (1, 1, 0.5)) while the p-th moment converges (1, 1, 1.5)
+    model = tm.load_model({"name": "late-windows", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 3000.0, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 3000.0, "t_hi": None, "formula_id": "power-log-loglog",
+         "params": {"scale": 1000.0, "power": 0.5, "log_power": 1.0, "loglog_power": 1.5}},
+    ]})
+    table, verdict = cr.truncated_series(model, 0.5, 100_000)
+    assert table.partial_sums[-1] == 0.0
+    assert verdict.kind == cr.DIVERGES
+    report = cr.classify_slln(model, 0.5, 0.5)
+    assert report.p_moment_verdict.kind == cr.CONVERGES
+    assert report.membership == cr.NON_MEMBER
 
 
 def test_series_partial_sums_nondecreasing():
@@ -295,7 +364,9 @@ def test_report_serializes():
     d = r.to_dict()
     assert d["membership"] == cr.MEMBER
     assert d["integral_verdict"]["kind"] == cr.CONVERGES
-    assert isinstance(d["integral_verdict"]["evidence"]["beta"], float)
+    assert set(d["integral_verdict"]) == {"kind", "estimate_on_window", "remainder_bound",
+                                          "method", "diagnostics"}
+    assert d["integral_verdict"]["diagnostics"]["exponents"] == (4.0, 0.0, 0.0)
     import json
 
     json.dumps(d)  # must be JSON-clean
