@@ -110,6 +110,16 @@ def tail_remainder(tail: LogPolyTail, t_cap: float, f_cap: float,
     runs in v = ln x, where f dt = r K v^-b (ln v)^-c dv: s = b + min(c,0)/lnln X
     and the bound is f_cap T ln T/(s-1).  For a = b = 1 it runs in w = ln v and
     gives f_cap T ln T lnln X/(c-1) for c > 1.  Anything else gives None.
+
+    Rounding: for a pure power the bound equals the remainder, so the float
+    result is pushed outward by the factor 1 + m, with
+    m = 16 eps (1 + |a ln T| + |b| lnln X + s/(s-1)).  The power factor of
+    f_cap is exp(-a ln t) at t = T (or the same in the piece's argument), so a
+    relative rounding of a few eps in the exponent or the argument moves it by
+    |a ln T| times that, and the log factor (ln X)^-b by |b| lnln X times that;
+    s - 1 carries s/(s-1) times the few-eps error of s; the products and the
+    division add a few eps.  Each unit of m is 16 eps, room for the few
+    roundings each of these terms collects.
     """
     L = math.log(t_cap)
     log_arg = L if log_arg is None else log_arg
@@ -125,4 +135,7 @@ def tail_remainder(tail: LogPolyTail, t_cap: float, f_cap: float,
         s, scale = c, f_cap * t_cap * L * LL
     else:
         return None
-    return float(scale / (s - 1.0)) if s > 1.0 else None
+    if s <= 1.0:
+        return None
+    margin = 16.0 * np.finfo(float).eps * (1.0 + abs(a * L) + abs(b) * LL + s / (s - 1.0))
+    return float(scale / (s - 1.0) * (1.0 + margin))

@@ -59,11 +59,7 @@ CLAUSE_OUT = "out-of-scope"
 def _divergence_diagnostics(f, hi: float) -> dict:
     """Running values of the integral across the last decade (Diverges invariant)."""
     grid = np.geomspace(hi / 10.0, hi, 11)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    widths = np.diff(grid)
-    simpson = widths / 6.0 * (np.asarray(f(grid[:-1])) + 4.0 * np.asarray(f(mids))
-                              + np.asarray(f(grid[1:])))
-    partials = np.cumsum(simpson)
+    partials = np.cumsum(integrate(f, grid).values)
     slope, _, _ = fit_line(np.log(grid[1:]), partials)
     return {
         "last_decade_partials": partials.tolist(),
@@ -80,7 +76,7 @@ def _classify_tail_integral(f, *, t_cap: float, asym: LogPolyTail | None,
     is `tail_remainder(bound_tail, t_cap, f(t_cap), log_arg)`, so `bound_tail`
     and `log_arg` must meet that function's assumptions for f on [t_cap, inf)."""
     upper = min(t_cap, cutoff)
-    value = integrate(f, 0.0, upper, breakpoints=breakpoints).value
+    value = integrate(f, [0.0, upper], breakpoints=breakpoints).values[0]
 
     if math.isfinite(cutoff):
         rem = 0.0
@@ -106,12 +102,10 @@ def integral_pq(model: tm.TailModel, p: float, q: float,
     knee_t = model.knee**q
     if t_cap <= knee_t:
         raise ValueError("t_cap must exceed the knee of the transformed tail")
-    inv_q = 1.0 / q
-    ratio = q / p
+    s_q, ratio = tm.power_survival(model, q), q / p
 
     def f(t):
-        t = np.asarray(t, dtype=float)
-        return np.asarray(tm.survival(model, t**inv_q), dtype=float) ** ratio
+        return s_q(t) ** ratio
 
     asym = tm.tail_asymptote(model)
     if asym is not None:
@@ -160,12 +154,15 @@ def _invert_increasing(h, targets: np.ndarray) -> np.ndarray:
     else:
         raise InversionFailure("monotone transform could not be bracketed")
     for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        low_side = h(mid) < targets
-        lo = np.where(low_side, mid, lo)
-        hi = np.where(low_side, hi, mid)
-        if np.all(hi - lo <= 1e-13 * np.maximum(hi, 1.0)):
+        # each element stops once its own bracket is narrow enough, so its
+        # result does not depend on the other targets of the batch
+        i = np.flatnonzero(hi - lo > 1e-13 * np.maximum(hi, 1.0))
+        if not i.size:
             break
+        mid = 0.5 * (lo[i] + hi[i])
+        low_side = h(mid) < targets[i]
+        lo[i] = np.where(low_side, mid, lo[i])
+        hi[i] = np.where(low_side, hi[i], mid)
     return hi
 
 

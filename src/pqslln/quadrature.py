@@ -10,11 +10,13 @@ the variable s = ln t, where a log-polynomial decay becomes slowly varying:
     | f(t) dt  =    |      f(e^s) e^s ds.
     /a              / ln a
 
-The implementation processes a queue of intervals in vectorized batches so
-integrand evaluations are numpy array calls, and accepts an interval when the
-Richardson error estimate |S2 - S1|/15 is below the local share of the
-tolerance.  Converged contributions are accumulated with math.fsum, so the
-result does not depend on the refinement order.
+`integrate` cuts every cell of a grid into segments at the breakpoints and
+at LOG_FROM and puts every segment into one queue of intervals, refined in
+vectorized batches.  An interval is accepted when the Richardson estimate
+|S2 - S1|/15 is below REL_TOL (1e-9) of |S2| plus its length's share of
+ABS_FLOOR in its segment; one call may process BUDGET (1e6) intervals.  One
+math.fsum per segment and one per cell make a cell's value independent of
+the refinement order and of the other cells in the queue.
 """
 
 from __future__ import annotations
@@ -26,127 +28,106 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-DEFAULT_REL_TOL = 1e-9
+REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
-DEFAULT_BUDGET = 1_000_000
+BUDGET = 1_000_000
 
 # Log substitution is only useful once the integrand has left its knees;
 # segments entirely above this point are integrated in s = ln t.
-_LOG_SUB_MIN = 8.0
+LOG_FROM = 8.0
 
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    error: float        # accumulated Richardson estimate
-    intervals: int      # intervals processed before acceptance
+    values: np.ndarray  # integral over each cell [nodes[i], nodes[i+1]]
+    error: np.ndarray   # accumulated Richardson estimate of each cell
+    intervals: int      # intervals processed before acceptance, all cells
 
 
 def _simpson_batch(lo, hi, flo, fmid, fhi):
     return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
 
 
-def _adaptive_segment(f, a, b, rel_tol, budget_left):
-    """Adaptive Simpson on one smooth segment. Returns (value, err, used)."""
-    if b <= a:
-        return 0.0, 0.0, 0
-    lo = np.array([a], dtype=float)
-    hi = np.array([b], dtype=float)
-    mid = 0.5 * (lo + hi)
-    flo = f(lo)
-    fmid = f(mid)
-    fhi = f(hi)
+def _fsum_groups(values, groups, n: int) -> np.ndarray:
+    """math.fsum of `values` within each label 0..n-1 of `groups`."""
+    order = np.argsort(groups, kind="stable")
+    cut = np.searchsorted(groups[order], np.arange(n + 1)).tolist()
+    vals = values[order].tolist()
+    return np.array([math.fsum(vals[i:j]) for i, j in zip(cut[:-1], cut[1:])])
+
+
+def integrate(f, nodes, *, breakpoints=()) -> QuadResult:
+    """Integrate a vectorized nonnegative integrand over each cell of `nodes`.
+
+    `nodes` is a nondecreasing sequence of points >= 0, and `values[i]` is
+    the integral over [nodes[i], nodes[i+1]].  ``breakpoints`` are points
+    where f may have kinks or jumps (piece knees of a tail model); a cell is
+    split at those inside it.  Segments lying at or above LOG_FROM are
+    integrated in s = ln t.
+
+    Raises ValueError on negative or decreasing nodes, and QuadratureFailure
+    if the queue processes more than BUDGET intervals.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    if not (nodes.ndim == 1 and nodes.size and nodes[0] >= 0.0 and np.all(np.diff(nodes) >= 0.0)):
+        raise ValueError(f"invalid integration nodes {nodes}")
+    segs = []  # (cell, t_lo, t_hi, on_log, lo, hi), lo and hi in the integration variable
+    for i, (a, b) in enumerate(zip(nodes[:-1].tolist(), nodes[1:].tolist())):
+        edges = sorted({a, b, *(float(t) for t in (*breakpoints, LOG_FROM) if a < t < b)})
+        for t_lo, t_hi in zip(edges[:-1], edges[1:]):
+            on_log = t_lo >= LOG_FROM
+            lo, hi = (math.log(t_lo), math.log(t_hi)) if on_log else (t_lo, t_hi)
+            if hi > lo:
+                segs.append((i, t_lo, t_hi, on_log, lo, hi))
+    if not segs:
+        zero = np.zeros(nodes.size - 1)
+        return QuadResult(zero, zero, 0)
+    cell, t_lo, t_hi, on_log, lo, hi = map(np.array, zip(*segs))
+    seg_len, seg = hi - lo, np.arange(lo.size)
+
+    def g(*points):
+        # f in t on linear segments, f(e^s) e^s on log segments
+        x = np.concatenate(points)
+        log = np.tile(on_log[seg], len(points))
+        t = x.copy()
+        t[log] = np.exp(x[log])
+        y = np.asarray(f(t), dtype=float)
+        return np.split(np.where(log, y * t, y), len(points))
+
+    flo, fmid, fhi = g(lo, 0.5 * (lo + hi), hi)
     whole = _simpson_batch(lo, hi, flo, fmid, fhi)
-
-    contributions: list[float] = []
-    errors: list[float] = []
+    contributions, errors, owners = [], [], []
     used = 0
-    seg_len = b - a
-
     while lo.size:
         used += lo.size
-        if used > budget_left:
+        if used > BUDGET:
             raise QuadratureFailure(
-                f"subdivision budget exhausted on [{a:g}, {b:g}] "
+                f"subdivision budget exhausted on [{t_lo[seg[0]]:g}, {t_hi[seg[0]]:g}] "
                 f"({used} intervals, {lo.size} still active)"
             )
         mid = 0.5 * (lo + hi)
-        m1 = 0.5 * (lo + mid)
-        m2 = 0.5 * (mid + hi)
-        f1 = f(m1)
-        f2 = f(m2)
+        f1, f2 = g(0.5 * (lo + mid), 0.5 * (mid + hi))
         left = _simpson_batch(lo, mid, flo, f1, fmid)
         right = _simpson_batch(mid, hi, fmid, f2, fhi)
         better = left + right
         err = np.abs(better - whole) / 15.0
         # Local acceptance: relative against the local value plus an absolute
-        # floor apportioned by interval length.
-        tol = rel_tol * np.abs(better) + ABS_FLOOR * (hi - lo) / seg_len
+        # floor apportioned by length within the interval's segment.
+        tol = REL_TOL * np.abs(better) + ABS_FLOOR * (hi - lo) / seg_len[seg]
         done = err <= tol
         # Intervals narrower than a few ulps cannot be refined further.
-        tiny = (hi - lo) <= 8.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
-        done |= tiny
+        done |= (hi - lo) <= 8.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+        contributions.append(better[done] + (better[done] - whole[done]) / 15.0)
+        errors.append(err[done])
+        owners.append(seg[done])
 
-        if np.any(done):
-            refined = better[done] + (better[done] - whole[done]) / 15.0
-            contributions.extend(refined.tolist())
-            errors.extend(err[done].tolist())
+        keep = ~done  # the open left halves, then the open right halves
+        lo, hi, flo, fmid, fhi, whole = np.concatenate(
+            [np.stack([lo, mid, flo, f1, fmid, left])[:, keep],
+             np.stack([mid, hi, fmid, f2, fhi, right])[:, keep]], axis=1)
+        seg = np.tile(seg[keep], 2)
 
-        keep = ~done
-        if not np.any(keep):
-            break
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        flo = np.concatenate([flo[keep], fmid[keep]])
-        fhi = np.concatenate([fmid[keep], fhi[keep]])
-        fmid = np.concatenate([f1[keep], f2[keep]])
-        whole = np.concatenate([left[keep], right[keep]])
-
-    return math.fsum(contributions), math.fsum(errors), used
-
-
-def integrate(
-    f,
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    budget: int = DEFAULT_BUDGET,
-    breakpoints=(),
-    log_from: float | None = _LOG_SUB_MIN,
-) -> QuadResult:
-    """Integrate a vectorized nonnegative integrand over [a, b].
-
-    ``breakpoints`` are interior points where f may have kinks or jumps
-    (piece knees of a tail model); the interval is split there exactly.
-    Segments lying at or above ``log_from`` are integrated in s = ln t.
-
-    Raises QuadratureFailure if the subdivision budget is exhausted.
-    """
-    if not (b >= a >= 0.0):
-        raise ValueError(f"invalid integration range [{a}, {b}]")
-    if b == a:
-        return QuadResult(0.0, 0.0, 0)
-
-    edges = sorted({float(a), float(b), *(float(t) for t in breakpoints if a < t < b)})
-    if log_from is not None and b > log_from:
-        cut = max(log_from, a)
-        if all(abs(cut - e) > 1e-300 for e in edges) and a < cut < b:
-            edges = sorted({*edges, cut})
-
-    values: list[float] = []
-    errs: list[float] = []
-    used_total = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if log_from is not None and lo >= log_from:
-            g = lambda s: f(np.exp(s)) * np.exp(s)
-            v, e, used = _adaptive_segment(
-                g, math.log(lo), math.log(hi), rel_tol, budget - used_total
-            )
-        else:
-            v, e, used = _adaptive_segment(f, lo, hi, rel_tol, budget - used_total)
-        values.append(v)
-        errs.append(e)
-        used_total += used
-
-    return QuadResult(math.fsum(values), math.fsum(errs), used_total)
+    owner = np.concatenate(owners)
+    values, error = (_fsum_groups(_fsum_groups(np.concatenate(x), owner, cell.size),
+                                  cell, nodes.size - 1) for x in (contributions, errors))
+    return QuadResult(values, error, used)

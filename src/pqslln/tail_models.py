@@ -317,10 +317,11 @@ TABLE_POINTS = 512  # geometric grid nodes of the cumulative tail table
 class CumulativeTailTable:
     """Precomputed G(t) = int_0^t P(||X||^p > s) ds on a geometric grid.
 
-    Node values come from per-cell adaptive quadrature (the transformed piece
-    edges are inserted as nodes, so G is exact there); queries interpolate
-    with a cubic Hermite in ln t.  After the O(TABLE_POINTS) quadratures each
-    query costs O(1), which is what makes the N-term truncated series cheap.
+    Node values come from one adaptive quadrature queue over every cell (the
+    transformed piece edges are inserted as nodes, so G is exact there);
+    queries interpolate with a cubic Hermite in ln t.  After that one call
+    each query costs O(1), which is what makes the N-term truncated series
+    cheap.
     """
 
     def __init__(self, model: TailModel, p: float, t_max: float):
@@ -335,12 +336,8 @@ class CumulativeTailTable:
         grid = np.geomspace(t_lo, t_max, TABLE_POINTS)
         grid = np.unique(np.concatenate([grid, np.asarray(edges), [t_max]]))
         self._head_value = float(s_y(np.array([t_lo * 0.5]))[0])  # S is flat below the first edge
-
-        g_vals = [self._head_value * grid[0]]
-        for lo, hi in zip(grid[:-1], grid[1:]):
-            g_vals.append(g_vals[-1] + integrate(s_y, lo, hi, breakpoints=edges).value)
         self.grid = grid
-        self.values = np.asarray(g_vals)
+        self.values = np.cumsum([self._head_value * grid[0], *integrate(s_y, grid).values])
         if np.any(np.diff(self.values) < -1e-12):
             raise QuadratureFailure("cumulative tail table is not monotone")
         # Hermite interpolation in s = ln t with the exact slope

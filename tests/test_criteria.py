@@ -105,6 +105,30 @@ def test_moment_remainders_bound_closed_forms():
     assert cr.llogl_moment(tm.pareto(2.0), 1.0, 1.0).remainder_bound >= exact
 
 
+@pytest.mark.parametrize("p, q", [(0.4, 0.4), (0.3, 0.2)])
+def test_pure_power_remainder_is_rounded_outward(p, q):
+    # 20^0.9 x^-0.9 past 20: the integrand is C^(q/p) t^-a with a = 0.9/p, whose
+    # tail past T is exactly C^(q/p) T^(1-a)/(a-1); unrounded floats fell a few ulps short
+    C, T = 20.0**0.9, cr.T_CAP_DEFAULT
+    model = tm.load_model({"name": "pure-power", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 20.0, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 20.0, "t_hi": None, "formula_id": "power", "params": {"scale": C, "power": 0.9}},
+    ]})
+    a = 0.9 / p
+    closed = C ** (q / p) * T ** (1.0 - a) / (a - 1.0)
+    # the margin stated by tail_remainder, with b = 0 and s = a
+    margin = 16.0 * np.finfo(float).eps * (1.0 + a * math.log(T) + a / (a - 1.0))
+    assert cr.integral_pq(model, p, q).remainder_bound >= closed * (1.0 + 0.5 * margin)
+
+
+def test_inversion_is_independent_of_the_batch():
+    h = cr._moment_map(0.5, 1.0)
+    targets = np.geomspace(1e-3, 1e12, 300)
+    batched = cr._invert_increasing(h, targets)
+    alone = [cr._invert_increasing(h, np.array([t]))[0] for t in targets]
+    assert batched.tolist() == alone
+
+
 def test_inversion_failure_on_saturating_transform():
     with pytest.raises(InversionFailure):
         cr._invert_increasing(lambda x: np.arctan(x), np.array([2.0]))

@@ -286,8 +286,20 @@ def test_cumulative_table_monotone_and_matches_quadrature():
     assert np.all(np.diff(vals) >= -1e-12)
     s_y = tm.power_survival(model, 0.5)
     for t in (7.3, 555.0, 99_000.0):
-        direct = integrate(s_y, 0.0, t, breakpoints=tm.transformed_edges(model, 0.5)).value
+        direct = integrate(s_y, [0.0, t], breakpoints=tm.transformed_edges(model, 0.5)).values[0]
         assert table(t) == pytest.approx(direct, rel=1e-7)
+
+
+@pytest.mark.parametrize("model", [tm.pareto(0.8), tm.log_power_tail(0.5, 2.0),
+                                   tm.log_loglog_power_tail(0.5)], ids=lambda m: m.name)
+def test_cumulative_table_nodes_equal_per_cell_sums(model):
+    # the one queue over all cells gives the node values of a per-cell loop
+    table = tm.CumulativeTailTable(model, 0.5, 1e5)
+    s_y = tm.power_survival(model, 0.5)
+    g = [float(s_y(np.array([table.grid[0] * 0.5]))[0]) * table.grid[0]]
+    for lo, hi in zip(table.grid[:-1], table.grid[1:]):
+        g.append(g[-1] + integrate(s_y, [lo, hi]).values[0])
+    assert table.values.tolist() == g
 
 
 # ---------------------------------------------------------------------------
