@@ -225,11 +225,12 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config, args.seed)
     model, sequence = resolve_model(cfg["model"])
     config = mc_engine.ExperimentConfig(model=model, p=cfg["p"], q=cfg["q"],
                                         sequence=sequence, **cfg["simulate"])
-    workers = max(1, args.workers or 1)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     stem = cfg["name"] or os.path.splitext(os.path.basename(args.config))[0]
@@ -237,7 +238,7 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     writer = _AtomicWriter()
     try:
-        table = mc_engine.run_paths(config, workers=workers)
+        table = mc_engine.run_paths(config, workers=args.workers)
         summary = {"config": cfg, **mc_engine.summary_dict(table)}
         wall = time.perf_counter() - started
         csv_path = os.path.join(out_dir, f"{stem}_table.csv")
@@ -253,7 +254,7 @@ def cmd_simulate(args) -> int:
             "kind": "simulate",
             "tool_version": __version__,
             "config": cfg,
-            "workers": workers,
+            "workers": args.workers,
             "outputs": outputs,
             "wallclock_s": wall,
         }
@@ -447,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="run the Monte Carlo engine")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--workers", type=int, default=None,
+    sp.add_argument("--workers", type=int, default=1,
                     help="worker count; results do not depend on it")
     sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
     sp.set_defaults(fn=cmd_simulate)

@@ -28,6 +28,9 @@ from . import tail_models as tm
 from .errors import ConfigError
 from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, Verdict, fit_line
 
+# Part of the draw contract: each chunk draws all its magnitude uniforms, then
+# all its sign uniforms (see draw_batch), so changing the chunk size changes
+# every signed draw.
 _CHUNK = 1 << 16
 _EULER = 0.57721566490153286060651209008240243
 
@@ -161,8 +164,9 @@ def probe_blocks(model: tm.TailModel, replications: int, per_block: int, n: int,
 
 
 def parallel_map(fn, items, workers: int) -> list:
-    """[fn(item) for item in items], on `workers` threads when more than one;
-    the results keep the input order."""
+    """[fn(item) for item in items], on min(workers, len(items)) threads when
+    that is more than one; the results keep the input order."""
+    workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

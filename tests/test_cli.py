@@ -151,6 +151,17 @@ def test_simulate_failure_leaves_no_artifacts(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_bad_workers_exits_2(tmp_path, capsys, workers):
+    cfg = simulate_config(tmp_path, {"builtin": "rademacher"}, 1.0, 1.0)
+    out = tmp_path / "bad_workers"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
 def test_manifest_reproduces_run(tmp_path):
     cfg = simulate_config(tmp_path, {"builtin": "pareto", "params": {"alpha": 2.0}},
                           1.0, 0.5)

@@ -82,6 +82,46 @@ def test_nonnegative_stream_draws_no_sign_uniforms():
         np.testing.assert_allclose(table.s_norm[r], s_ref[cfg.checkpoints - 1], rtol=1e-12)
 
 
+def test_signed_stream_draws_chunk_by_chunk(monkeypatch):
+    # two chunks of a signed model: each chunk is one draw_batch call of
+    # _CHUNK draws, its magnitude uniforms first and then its sign uniforms
+    model = tm.pareto(2.0)
+    cfg = small_config(model, p=1.0, q=0.5, n_max=2 * mc._CHUNK, reps=2, seed=13)
+    seen = []
+    accumulate = mc.kernels.accumulate_chunk
+
+    def record(x, *args):
+        seen.append(np.array(x))
+        return accumulate(x, *args)
+
+    monkeypatch.setattr(mc.kernels, "accumulate_chunk", record)
+    mc.run_paths(cfg)
+    sampler = mc.MagnitudeSampler(model)
+    threshold = model.sign_law.threshold
+    assert threshold > 0.0 and len(seen) == 2 * cfg.replications
+    for r in range(cfg.replications):
+        gen = rng.generator(cfg.master_seed, r, rng.ROLE_PATH)
+        for chunk in seen[2 * r:2 * r + 2]:
+            mag = sampler(rng.open_uniforms(gen, mc._CHUNK))
+            np.testing.assert_array_equal(chunk, np.where(gen.random(mc._CHUNK) < threshold,
+                                                          -mag, mag))
+
+
+def test_parallel_map_pool_never_outnumbers_items(monkeypatch):
+    sizes = []
+
+    class Pool(mc.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+    assert mc.parallel_map(lambda v: v * v, range(3), 64) == [0, 1, 4]
+    assert mc.parallel_map(lambda v: v * v, range(1), 64) == [0]
+    assert mc.parallel_map(lambda v: v * v, range(5), 2) == [0, 1, 4, 9, 16]
+    assert sizes == [3, 2]
+
+
 def test_probe_blocks_one_stream_per_block():
     model = tm.rademacher()
     sampler = mc.MagnitudeSampler(model)
