@@ -65,7 +65,7 @@ class LogPolyTail:
         return LogPolyTail(const, self.a / p, self.b - self.a * delta / p, self.c)
 
     def value(self, t):
-        """Evaluate the asymptotic form (diagnostic use only)."""
+        """Evaluate const * t^(-a) * (ln t)^(-b) * (lnln t)^(-c) at t."""
         t = np.asarray(t, dtype=float)
         out = self.const * t**-self.a
         if self.b:

@@ -22,36 +22,24 @@ __all__ = ["sup_power_weighted_tail", "MarcusPisierTable", "marcus_pisier_check"
 
 
 def sup_power_weighted_tail(model: tm.TailModel, r: float) -> float:
-    """sup_{t>0} t^r P(||X|| > t), exact on power/constant pieces, grid-refined
-    on the log-corrected ones."""
+    """sup_{t>0} t^r P(||X|| > t), exact on pieces without log factors,
+    grid-refined on the log-corrected ones."""
     best = 0.0
     for i, pc in enumerate(model.pieces):
         lo = max(pc.t_lo, 1e-12) if i > 0 else 1e-12
         hi = pc.t_hi
-        if pc.formula == "indicator-below":
-            thr = pc.param("threshold")
-            if thr > 0.0:
-                best = max(best, thr**r)  # sup of t^r * 1(t < thr) as t -> thr
+        const, a = pc.tail.const, pc.tail.a
+        if const <= 0.0:
             continue
-        if pc.formula == "constant":
-            val = pc.param("value")
-            if val <= 0.0:
-                continue
-            if math.isinf(hi):
-                return math.inf
-            best = max(best, hi**r * val)
-            continue
-        a = pc.param("power")
-        scale = pc.param("scale")
-        if pc.formula == "power":
+        if pc.tail.b == pc.tail.c == 0.0:  # const * t^(r - a) is monotone
             if r > a:
                 if math.isinf(hi):
                     return math.inf
-                best = max(best, hi ** (r - a) * scale)
+                best = max(best, hi ** (r - a) * const)
             elif r < a:
-                best = max(best, lo ** (r - a) * scale)
+                best = max(best, lo ** (r - a) * const)
             else:
-                best = max(best, scale)
+                best = max(best, const)
             continue
         # log-corrected pieces: t^r S(t) with S decaying like t^-a (ln t)^-b...
         if r > a and math.isinf(hi):
@@ -76,15 +64,6 @@ class MarcusPisierTable:
     def holds(self, sigmas: float = 4.0) -> bool:
         return all(l <= rhs + sigmas * se for l, rhs, se in
                    zip(self.empirical_lhs, self.analytic_rhs, self.standard_errors))
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "r": self.r, "u_grid": list(self.u_grid),
-            "empirical_lhs": list(self.empirical_lhs),
-            "analytic_rhs": list(self.analytic_rhs),
-            "standard_errors": list(self.standard_errors),
-            "sup_value": self.sup_value,
-        }
 
 
 def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,

@@ -67,15 +67,18 @@ def _divergence_diagnostics(f, hi: float) -> dict:
     }
 
 
-def _classify_tail_integral(f, *, t_cap: float, asym: LogPolyTail | None,
+def _classify_tail_integral(f, *, t_cap: float, knee: float, asym: LogPolyTail | None,
                             cutoff: float, breakpoints, bound_tail: LogPolyTail | None,
                             log_arg: float | None) -> Verdict:
     """Shared classifier for int_0^inf f(t) dt with f nonnegative and
     nonincreasing past its knees; `asym` carries the exponents of f's tail,
     needed when `cutoff` (the end of the support) is infinite.  The remainder past t_cap
     is `tail_remainder(bound_tail, t_cap, f(t_cap), log_arg)`, so `bound_tail`
-    and `log_arg` must meet that function's assumptions for f on [t_cap, inf)."""
+    and `log_arg` must meet that function's assumptions for f on [t_cap, inf):
+    an unbounded tail needs t_cap past `knee`, where f's last piece starts."""
     upper = min(t_cap, cutoff)
+    if math.isinf(cutoff) and t_cap <= knee:
+        raise ValueError("t_cap must exceed the knee of the transformed tail")
     value = integrate(f, [0.0, upper], breakpoints=breakpoints).values[0]
 
     if math.isfinite(cutoff):
@@ -99,9 +102,6 @@ def integral_pq(model: tm.TailModel, p: float, q: float,
     """Classify int_0^inf P^{q/p}(||X||^q > t) dt."""
     if not (0.0 < p < 2.0 and q > 0.0):
         raise ValueError("need 0 < p < 2 and q > 0")
-    knee_t = model.knee**q
-    if t_cap <= knee_t:
-        raise ValueError("t_cap must exceed the knee of the transformed tail")
     s_q, ratio = tm.power_survival(model, q), q / p
 
     def f(t):
@@ -111,23 +111,15 @@ def integral_pq(model: tm.TailModel, p: float, q: float,
     if asym is not None:
         asym = asym.power_arg(q).powered(ratio)
     cutoff = tm.support_upper(model) ** q
-    return _classify_tail_integral(f, t_cap=t_cap, asym=asym, cutoff=cutoff,
-                                   breakpoints=tm.transformed_edges(model, q),
+    return _classify_tail_integral(f, t_cap=t_cap, knee=model.knee**q, asym=asym,
+                                   cutoff=cutoff, breakpoints=tm.transformed_edges(model, q),
                                    bound_tail=asym, log_arg=math.log(t_cap) / q)
 
 
 def p_moment(model: tm.TailModel, p: float, t_cap: float = T_CAP_DEFAULT) -> Verdict:
-    """Classify E(||X||^p) via its tail integral int_0^inf P(||X||^p > t) dt."""
-    if not (0.0 < p < 2.0):
-        raise ValueError("need 0 < p < 2")
-    f = tm.power_survival(model, p)
-    asym = tm.tail_asymptote(model)
-    if asym is not None:
-        asym = asym.power_arg(p)
-    cutoff = tm.support_upper(model) ** p
-    return _classify_tail_integral(f, t_cap=t_cap, asym=asym, cutoff=cutoff,
-                                   breakpoints=tm.transformed_edges(model, p),
-                                   bound_tail=asym, log_arg=math.log(t_cap) / p)
+    """Classify E(||X||^p) via its tail integral int_0^inf P(||X||^p > t) dt,
+    the integral condition at q = p."""
+    return integral_pq(model, p, p, t_cap)
 
 
 def _moment_map(p: float, delta: float):
@@ -192,14 +184,15 @@ def llogl_moment(model: tm.TailModel, p: float, delta: float,
         # and d ln h/d ln x <= p + delta/ln X: the slope is >= sigma_X/(p + delta/ln X).
         x_cap = float(_invert_increasing(h, np.array([t_cap]))[0])
         lx = math.log(x_cap)
-        if x_cap >= model.knee and lx > 1.0:
+        if lx > 1.0:
             sigma = base.a + min(base.b, 0.0) / lx + min(base.c, 0.0) / (lx * math.log(lx))
             majorant = LogPolyTail(1.0, sigma / (p + delta / lx))
     upper_x = tm.support_upper(model)
     cutoff = float(h(np.array([upper_x]))[0]) if math.isfinite(upper_x) else math.inf
     edges = [float(h(np.array([e]))[0]) for e in model.piece_edges()]
-    return _classify_tail_integral(f, t_cap=t_cap, asym=asym, cutoff=cutoff,
-                                   breakpoints=edges, bound_tail=majorant, log_arg=None)
+    return _classify_tail_integral(f, t_cap=t_cap, knee=float(h(np.array([model.knee]))[0]),
+                                   asym=asym, cutoff=cutoff, breakpoints=edges,
+                                   bound_tail=majorant, log_arg=None)
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,7 @@ def _run_one_path(config: ExperimentConfig, sampler: MagnitudeSampler, r: int,
     gens = [rng.generator(config.master_seed, r, rng.ROLE_PATH)]
     if config.mode == "symmetrized":
         gens.append(rng.generator(config.master_seed, r, rng.ROLE_COPY))
-    threshold = config.model.sign_law.threshold
+    threshold = config.model.negative_prob
     e1 = -(config.q / config.p) - 1.0
     k_total = checkpoints.size
     out_s = np.full(k_total, np.nan)
@@ -413,7 +413,7 @@ def dense_ratio_moments(model: tm.TailModel, p: float, q: float, n_upto: int,
     sumsq = np.zeros(n_upto)
     scale = np.arange(1, n_upto + 1, dtype=float) ** (1.0 / p)
     for x in probe_blocks(model, replications, 4096, n_upto, master_seed,
-                          model.sign_law.threshold):
+                          model.negative_prob):
         rq = (np.abs(np.cumsum(x, axis=1)) / scale) ** q
         sums += rq.sum(axis=0)
         sumsq += (rq**2).sum(axis=0)

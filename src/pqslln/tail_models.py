@@ -1,19 +1,22 @@
 """Exact representations of nonnegative-tail distributions.
 
-A model is a survival function t -> P(||X|| > t) given as ordered pieces from
-a small formula catalog (constant, power, power-log, power-log-loglog,
-indicator-below), plus a sign law and optional analytic metadata.  Everything
-downstream -- quantiles u_n = inf{t : P(||X|| > t) < 1/n}, inverse-transform
-sampling, the cumulative tail table of the truncated series, and the
-asymptotic exponents used by the convergence classifiers -- is derived from
-the pieces.
+A model is a survival function t -> P(||X|| > t) given as ordered pieces,
+each an interval and the log-polynomial const * t^-a (ln t)^-b (lnln t)^-c
+that holds on it, plus the probability of a negative sign and optional
+analytic metadata.  Everything downstream -- quantiles
+u_n = inf{t : P(||X|| > t) < 1/n}, inverse-transform sampling, the
+cumulative tail table of the truncated series, and the asymptotic exponents
+used by the convergence classifiers -- is derived from the exponents.  The
+formula catalog (constant, power, power-log, power-log-loglog,
+indicator-below) is only the input language of `load_model`.
 
-All probabilities are clamped to [0, 1] after formula evaluation: the
-log-corrected formulas can exceed 1 by a few ulps near their knees.
+All probabilities are clamped to [0, 1] after evaluation: the log-corrected
+pieces can exceed 1 by a few ulps near their knees.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -27,84 +30,98 @@ from .quadrature import integrate
 
 E = math.e
 
-FORMULA_IDS = ("constant", "power", "power-log", "power-log-loglog", "indicator-below")
-
-SIGN_SYMMETRIC = "symmetric"
-SIGN_NONNEGATIVE = "nonnegative"
+# the named sign laws, by their probability of a negative sign
+SIGN_LAWS = {"symmetric": 0.5, "nonnegative": 0.0}
 
 
-@dataclass(frozen=True)
-class SignLaw:
-    """How a sign is attached to the magnitude ||X||.
+def _is_number(val) -> bool:
+    return not isinstance(val, bool) and isinstance(val, numbers.Real) and math.isfinite(val)
 
-    kind 'symmetric' puts probability 1/2 on each sign, 'nonnegative' none on
-    the negative side, and 'custom' splits with the given negative-side mass.
-    """
 
-    kind: str = SIGN_SYMMETRIC
-    negative_prob: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (SIGN_SYMMETRIC, SIGN_NONNEGATIVE, "custom"):
-            raise ValueError(f"unknown sign law {self.kind!r}")
-        if self.kind == "custom" and not (0.0 <= self.negative_prob <= 1.0):
-            raise ValueError("negative_prob must lie in [0, 1]")
-
-    @property
-    def threshold(self) -> float:
-        if self.kind == SIGN_SYMMETRIC:
-            return 0.5
-        if self.kind == SIGN_NONNEGATIVE:
-            return 0.0
-        return self.negative_prob
-
-    def to_json(self):
-        if self.kind == "custom":
-            return {"kind": "custom", "negative_prob": self.negative_prob}
-        return self.kind
-
-    @staticmethod
-    def from_json(obj) -> "SignLaw":
-        if isinstance(obj, str):
-            return SignLaw(obj)
-        return SignLaw("custom", float(obj["negative_prob"]))
+def negative_prob(sign_law) -> float:
+    """P(X < 0 | X != 0) of a sign law: "symmetric", "nonnegative" or
+    {"kind": "custom", "negative_prob": x} with x in [0, 1]."""
+    if isinstance(sign_law, str) and sign_law in SIGN_LAWS:
+        return SIGN_LAWS[sign_law]
+    if isinstance(sign_law, dict) and sorted(sign_law) == ["kind", "negative_prob"] \
+            and sign_law["kind"] == "custom" and _is_number(sign_law["negative_prob"]) \
+            and 0.0 <= sign_law["negative_prob"] <= 1.0:
+        return float(sign_law["negative_prob"])
+    raise ValueError(f"sign_law must be 'symmetric', 'nonnegative' or "
+                     f"{{'kind': 'custom', 'negative_prob': x}} with x in [0, 1], "
+                     f"got {sign_law!r}")
 
 
 @dataclass(frozen=True)
 class TailPiece:
-    """One survival-formula piece active on [t_lo, t_hi) (first piece: from 0)."""
+    """Survival `tail.value(t)` on [t_lo, t_hi) (first piece: from 0)."""
 
     t_lo: float
     t_hi: float
-    formula: str
-    params: tuple  # sorted (name, value) pairs; see piece()
-
-    def param(self, name: str) -> float:
-        for key, val in self.params:
-            if key == name:
-                return val
-        raise KeyError(name)
+    tail: LogPolyTail
 
     def to_json(self):
+        """The catalog entry with the fewest params that loads as this piece."""
+        exps = (self.tail.const, self.tail.a, self.tail.b, self.tail.c)
+        used = max([1] + [i + 1 for i, x in enumerate(exps) if x])
+        formula, names = next((formula, names) for formula, (names, build) in CATALOG.items()
+                              if build is _log_poly and len(names) == used)
         return {
             "t_lo": self.t_lo,
             "t_hi": None if math.isinf(self.t_hi) else self.t_hi,
-            "formula_id": self.formula,
-            "params": dict(self.params),
+            "formula_id": formula,
+            "params": dict(zip(names, exps)),
         }
 
 
-def piece(t_lo: float, t_hi: float, formula: str, **params: float) -> TailPiece:
-    """A catalog piece; every param must be a finite number, and a scale positive."""
-    if formula not in FORMULA_IDS:
+def _log_poly(t_lo: float, t_hi: float, const: float, a: float = 0.0,
+              b: float = 0.0, c: float = 0.0) -> tuple[TailPiece, ...]:
+    return (TailPiece(t_lo, t_hi, LogPolyTail(const, a, b, c)),)
+
+
+def _indicator_below(t_lo: float, t_hi: float, threshold: float) -> tuple[TailPiece, ...]:
+    """1 below the threshold, 0 from it: a constant-1 piece, then a constant-0
+    piece, each left out where it would be empty (an empty entry stays one
+    empty piece, which `validate_model` rejects)."""
+    cut = min(max(threshold, t_lo), t_hi)
+    ones = TailPiece(t_lo, cut, LogPolyTail(1.0, 0.0))
+    zeros = TailPiece(cut, t_hi, LogPolyTail(0.0, 0.0))
+    return tuple(pc for pc in (ones, zeros) if pc.t_lo < pc.t_hi) or (ones,)
+
+
+# The formula catalog, the input language of custom models: formula_id -> (its
+# param names, the pieces it loads as).  The names of a log-polynomial formula
+# give const, a, b, c in this order.
+CATALOG = {
+    "constant": (("value",), _log_poly),
+    "power": (("scale", "power"), _log_poly),
+    "power-log": (("scale", "power", "log_power"), _log_poly),
+    "power-log-loglog": (("scale", "power", "log_power", "loglog_power"), _log_poly),
+    "indicator-below": (("threshold",), _indicator_below),
+}
+
+
+def _catalog_pieces(t_lo: float, t_hi: float, formula: str,
+                    params: Mapping) -> tuple[TailPiece, ...]:
+    """The pieces a catalog entry loads as.  Its params must be exactly its
+    formula's, each a finite number, and a scale positive."""
+    if formula not in CATALOG:
         raise ValueError(f"unknown formula_id {formula!r}")
+    names, build = CATALOG[formula]
+    if sorted(params) != sorted(names):
+        raise ValueError(f"a {formula} piece takes exactly the params "
+                         f"{', '.join(names)}, got {sorted(params)}")
     for name, val in params.items():
-        if isinstance(val, bool) or not isinstance(val, numbers.Real) \
-                or not math.isfinite(val) or (name == "scale" and val <= 0.0):
+        if not _is_number(val) or (name == "scale" and val <= 0.0):
             raise ValueError(f"piece param {name!r} must be a finite number "
                              f"(a scale: positive), got {val!r}")
-    params = {name: float(val) for name, val in params.items()}
-    return TailPiece(float(t_lo), float(t_hi), formula, tuple(sorted(params.items())))
+    return build(float(t_lo), float(t_hi), *(float(params[name]) for name in names))
+
+
+def piece(t_lo: float, t_hi: float, formula: str, **params: float) -> TailPiece:
+    """The one piece of a constant or power catalog entry."""
+    (pc,) = _catalog_pieces(t_lo, t_hi, formula, params)
+    return pc
 
 
 @dataclass(frozen=True)
@@ -128,9 +145,9 @@ class AnalyticFacts:
 class TailModel:
     name: str
     pieces: tuple[TailPiece, ...]
-    sign_law: SignLaw = SignLaw(SIGN_SYMMETRIC)
+    negative_prob: float = 0.5  # P(X < 0 | X != 0); see negative_prob()
     analytic: AnalyticFacts | None = None
-    origin: tuple = ()  # (builtin_name, sorted params); () for a custom model
+    origin: tuple = ()  # (builtin_name, params in call order); () for a custom model
 
     @property
     def knee(self) -> float:
@@ -138,32 +155,20 @@ class TailModel:
         return max(p.t_lo for p in self.pieces)
 
     def piece_edges(self) -> tuple[float, ...]:
-        edges = sorted({p.t_lo for p in self.pieces} | {pp.param("threshold") for pp in self.pieces if pp.formula == "indicator-below"})
-        return tuple(t for t in edges if t > 0.0)
+        return tuple(t for t in sorted({p.t_lo for p in self.pieces}) if t > 0.0)
 
     def to_json(self):
+        sign_law = next((name for name, prob in SIGN_LAWS.items() if prob == self.negative_prob),
+                        {"kind": "custom", "negative_prob": self.negative_prob})
         return {
             "name": self.name,
             "pieces": [p.to_json() for p in self.pieces],
-            "sign_law": self.sign_law.to_json(),
+            "sign_law": sign_law,
         }
 
 
-def _eval_formula(pc: TailPiece, t: np.ndarray) -> np.ndarray:
-    if pc.formula == "constant":
-        return np.full_like(t, pc.param("value"))
-    if pc.formula == "indicator-below":
-        return np.where(t < pc.param("threshold"), 1.0, 0.0)
-    out = pc.param("scale") * t ** (-pc.param("power"))
-    if pc.formula in ("power-log", "power-log-loglog"):
-        out = out * np.log(t) ** (-pc.param("log_power"))
-    if pc.formula == "power-log-loglog":
-        out = out * np.log(np.log(t)) ** (-pc.param("loglog_power"))
-    return out
-
-
 def survival(model: TailModel, t) -> np.ndarray | float:
-    """P(||X|| > t); exact up to floating-point evaluation of the formula.
+    """P(||X|| > t); exact up to floating-point evaluation of the pieces.
 
     Right-continuous: piece i owns [t_lo, t_hi), so a jump at a piece edge
     takes the value of the piece on its right.
@@ -176,7 +181,7 @@ def survival(model: TailModel, t) -> np.ndarray | float:
     for i, pc in enumerate(model.pieces):
         mask = tt < pc.t_hi if i == 0 else (tt >= pc.t_lo) & (tt < pc.t_hi)
         if np.any(mask):
-            out[mask] = _eval_formula(pc, tt[mask])
+            out[mask] = pc.tail.value(tt[mask])
     out[tt == math.inf] = 0.0  # ||X|| is finite
     out = np.clip(out, 0.0, 1.0)
     return float(out) if scalar else out
@@ -190,28 +195,24 @@ NEWTON_STEPS = 6
 def _edge_values(pc: TailPiece, lo: float) -> tuple[float, float]:
     """The piece's survival at lo and its limit at t_hi from the left."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        at_lo, at_hi = np.clip(_eval_formula(pc, np.array([lo, pc.t_hi])), 0.0, 1.0)
-    if pc.formula == "indicator-below":
-        at_hi = float(pc.t_hi <= pc.param("threshold"))
+        at_lo, at_hi = np.clip(pc.tail.value(np.array([lo, pc.t_hi])), 0.0, 1.0)
     # at t_hi = inf a growing log factor reads t^-a * (ln t)^-b = 0 * inf; t^-a wins
     return float(at_lo), 0.0 if math.isnan(at_hi) else float(at_hi)
 
 
 def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float) -> np.ndarray:
-    """Solve scale * t^-a (ln t)^-b (lnln t)^-c = u on the piece, for S(lo) >= u > S(t_hi-).
+    """Solve const * t^-a (ln t)^-b (lnln t)^-c = u on the piece, for S(lo) >= u > S(t_hi-).
 
-    In v = ln ln t: g(v) = a e^v + b v + c ln v = ln(scale/u).  Newton starts
-    at the pure-power root ln(ln(scale/u) / a), moved into the piece.  An
+    In v = ln ln t: g(v) = a e^v + b v + c ln v = ln(const/u).  Newton starts
+    at the pure-power root ln(ln(const/u) / a), moved into the piece.  An
     element whose last correction exceeds 1e-9 (quadratic convergence leaves
     rounding error below that), or that rests where g decreases (a growing
     log factor under the clamp at 1), is bisected on the sign of
-    g - ln(scale/u) instead: S is nonincreasing, so the sign changes once.
+    g - ln(const/u) instead: S is nonincreasing, so the sign changes once.
     """
-    a, b = pc.param("power"), pc.param("log_power")
-    c = pc.param("loglog_power") if pc.formula == "power-log-loglog" else 0.0
+    a, b, c = pc.tail.a, pc.tail.b, pc.tail.c
     v_lo, v_hi = math.log(math.log(lo)), math.log(math.log(pc.t_hi))
-    rhs = math.log(pc.param("scale")) - np.log(u)
-
+    rhs = math.log(pc.tail.const) - np.log(u)
     def gap_and_slope(v, rhs, gap, slope):  # g(v) - rhs and g'(v), in place
         np.exp(v, out=slope)
         slope *= a
@@ -248,9 +249,9 @@ def inverse_survival(model: TailModel, u) -> np.ndarray | float:
     """Generalized inverse inf{t : survival(t) < u} for u in (0, 1].
 
     Scans the pieces left to right; the infimum sits in the first piece whose
-    values drop strictly below u, where that piece's own inverse gives it:
-    the piece's left edge for constants and indicators, a closed form for
-    powers, and Newton for the log-corrected formulas.  Raises NonMonotoneTail
+    values drop strictly below u, where that piece's own inverse gives it,
+    chosen by its exponents: the left edge for a constant, a closed form for
+    a power, and Newton for a log-corrected piece.  Raises NonMonotoneTail
     if the pieces increase across an edge or never fall below u.
     """
     scalar = np.isscalar(u)
@@ -269,14 +270,12 @@ def inverse_survival(model: TailModel, u) -> np.ndarray | float:
         jump, prev = at_lo < prev, at_hi
         if not np.any(here):
             continue
-        w = uu[here]
-        if pc.formula == "constant":
+        w, tail = uu[here], pc.tail
+        if tail.a == tail.b == tail.c == 0.0:
             root = lo
-        elif pc.formula == "indicator-below":
-            root = max(pc.param("threshold"), lo)
-        elif pc.formula == "power":
+        elif tail.b == tail.c == 0.0:
             with np.errstate(divide="ignore", over="ignore"):
-                t_star = (pc.param("scale") / w) ** (1.0 / pc.param("power"))
+                t_star = (tail.const / w) ** (1.0 / tail.a)
             root = np.maximum(t_star, lo)
         else:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -369,47 +368,30 @@ class CumulativeTailTable:
         return float(out[0]) if scalar else out
 
 
-def tail_asymptote(model: TailModel) -> LogPolyTail | None:
-    """Exact log-polynomial asymptote of the final piece.
-
-    Bounded-support models (final piece constant 0 or indicator-below) give
-    None and are reported via `support_upper` instead; a final constant c > 0
-    is the non-vanishing tail c * t^0.
-    """
-    last = model.pieces[-1]
-    params = dict(last.params)
-    if last.formula == "constant" and params["value"] > 0.0:
-        return LogPolyTail(params["value"], 0.0)
-    if last.formula in ("power", "power-log", "power-log-loglog"):
-        return LogPolyTail(params["scale"], params["power"], params.get("log_power", 0.0),
-                           params.get("loglog_power", 0.0))
-    return None
-
-
 def support_upper(model: TailModel) -> float:
-    """Essential upper bound of ||X|| (inf when the tail is unbounded)."""
+    """Essential upper bound of ||X|| (inf when the tail is unbounded): a last
+    piece whose constant is at most 0 ends the support where it starts."""
     last = model.pieces[-1]
-    if last.formula == "indicator-below":
-        return last.param("threshold")
-    if last.formula == "constant" and last.param("value") == 0.0:
-        return last.t_lo
-    return math.inf
+    return last.t_lo if last.tail.const <= 0.0 else math.inf
+
+
+def tail_asymptote(model: TailModel) -> LogPolyTail | None:
+    """Exact log-polynomial asymptote: the final piece, or None for bounded
+    support, which `support_upper` reports instead."""
+    return model.pieces[-1].tail if math.isinf(support_upper(model)) else None
 
 
 def mean_zero(model: TailModel) -> bool | None:
     """Whether E(X) = 0 can be read off the sign law; None when unknown.
 
-    Asymmetric custom splits are left undetermined: the toolkit carries
-    tails, not signed densities, so it does not assert a nonzero mean there.
+    A nonzero X of one sign has a nonzero mean.  Other asymmetric splits are
+    left undetermined: the toolkit carries tails, not signed densities, so it
+    does not assert a nonzero mean there.
     """
-    if support_upper(model) == 0.0:
+    if support_upper(model) == 0.0 or model.negative_prob == 0.5:
         return True
-    if model.sign_law.kind == SIGN_SYMMETRIC:
-        return True
-    if model.sign_law.kind == SIGN_NONNEGATIVE:
+    if model.negative_prob in (0.0, 1.0):
         return False
-    if model.sign_law.negative_prob == 0.5:
-        return True
     return None
 
 
@@ -425,16 +407,15 @@ def _bisect(f, left: float, right: float) -> float:
 
 
 def _log_piece_rises(pc: TailPiece) -> bool:
-    """Whether the clamped formula of a log-corrected piece rises on the piece.
+    """Whether the clamped survival of a log-corrected piece rises on the piece.
 
-    In v = ln ln t the formula is scale * e^(-g(v)), g = a e^v + b v + c ln v,
-    so it rises exactly where g' = a e^v + b + c/v < 0.  g'' = a e^v - c/v^2
+    In v = ln ln t it is const * e^(-g(v)), g = a e^v + b v + c ln v, so it
+    rises exactly where g' = a e^v + b + c/v < 0.  g'' = a e^v - c/v^2
     changes sign at most once, where e^v v^2 = c/a, so g' is monotone on at
-    most two stretches; on each, g' < 0 on one interval, where the formula is
+    most two stretches; on each, g' < 0 on one interval, where the survival is
     least at the left end.  The clamp at 1 hides a rise that starts at or above 1.
     """
-    a, b = pc.param("power"), pc.param("log_power")
-    c = pc.param("loglog_power") if pc.formula == "power-log-loglog" else 0.0
+    a, b, c = pc.tail.a, pc.tail.b, pc.tail.c
     g = lambda v: a * math.exp(v) + b * v + (c * math.log(v) if c else 0.0)
     slope = lambda v: a * math.exp(v) + b + (c / v if c else 0.0)
     turn = lambda v: math.exp(v) * v * v - c / a  # increases on v > 0, where c != 0
@@ -443,13 +424,13 @@ def _log_piece_rises(pc: TailPiece) -> bool:
         cuts.insert(1, _bisect(turn, *cuts))
     starts = [lo if slope(lo) < 0.0 else _bisect(lambda v: -slope(v), lo, hi)
               for lo, hi in zip(cuts, cuts[1:]) if min(slope(lo), slope(hi)) < 0.0]
-    return any(g(v) > math.log(pc.param("scale")) + 1e-12 for v in starts)
+    return any(g(v) > math.log(pc.tail.const) + 1e-12 for v in starts)
 
 
 def validate_model(model: TailModel) -> None:
     """Check that the pieces tile [0, inf) edge to edge and that survival never
-    rises, across an edge or inside a piece (a power piece rises iff its
-    power is negative and it starts below 1); raise on violation."""
+    rises, across an edge or inside a piece (a piece without log factors rises
+    iff its power is negative and it starts below 1); raise on violation."""
     pieces = model.pieces
     if not pieces or pieces[-1].t_hi != math.inf:
         raise ValueError(f"{model.name}: the last piece must be unbounded")
@@ -460,15 +441,16 @@ def validate_model(model: TailModel) -> None:
         if i and pc.t_lo != pieces[i - 1].t_hi:
             raise ValueError(f"{model.name}: pieces must meet, but one ends at "
                              f"{pieces[i - 1].t_hi:g} and the next starts at {pc.t_lo:g}")
-        lo = pc.t_lo if i else 0.0
-        floor = {"power-log": 1.0, "power-log-loglog": E}.get(pc.formula, -math.inf)
+        lo, tail = pc.t_lo if i else 0.0, pc.tail
+        floor = E if tail.c else 1.0 if tail.b else -math.inf
         if lo <= floor:  # the log factors must be positive
-            raise ValueError(f"{model.name}: a {pc.formula} piece must start above t = {floor:g}")
+            raise ValueError(f"{model.name}: a piece with a {'lnln' if tail.c else 'ln'} t "
+                             f"factor must start above t = {floor:g}")
         at_lo, at_hi = _edge_values(pc, lo)
-        if pc.formula == "power":
-            rises = pc.param("power") < 0.0 and at_lo < 1.0 - 1e-12
-        else:  # constants and indicators never rise
-            rises = pc.formula.startswith("power-log") and _log_piece_rises(pc)
+        if tail.b or tail.c:
+            rises = _log_piece_rises(pc)
+        else:
+            rises = tail.a < 0.0 and at_lo < 1.0 - 1e-12
         if at_lo > prev + 1e-12 or rises:
             raise NonMonotoneTail(f"{model.name}: survival increases on [{lo:g}, {pc.t_hi:g})")
         prev = at_hi
@@ -480,6 +462,13 @@ def validate_model(model: TailModel) -> None:
 # ---------------------------------------------------------------------------
 # Built-in models
 # ---------------------------------------------------------------------------
+
+
+def _builtin(kind: str, name: str, pieces: tuple[TailPiece, ...], analytic: AnalyticFacts,
+             sign_law, **params) -> TailModel:
+    """A builtin model; its origin records the params it was made from."""
+    return TailModel(name=name, pieces=pieces, negative_prob=negative_prob(sign_law),
+                     analytic=analytic, origin=(kind, (*params.items(), ("sign_law", sign_law))))
 
 
 def _pareto_facts(alpha: float):
@@ -500,22 +489,19 @@ def _pareto_facts(alpha: float):
     return facts
 
 
-def pareto(alpha: float, sign_law: str | SignLaw = SIGN_SYMMETRIC) -> TailModel:
+def pareto(alpha: float, sign_law="symmetric") -> TailModel:
     """Survival t^(-alpha) beyond t = 1 (the critical instance alpha = p has
     u_n^p = n exactly, which empties every truncation window)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    sl = sign_law if isinstance(sign_law, SignLaw) else SignLaw(sign_law)
-    return TailModel(
-        name=f"pareto(alpha={alpha:g})",
-        pieces=(piece(0.0, 1.0, "constant", value=1.0),
-                piece(1.0, math.inf, "power", scale=1.0, power=alpha)),
-        sign_law=sl,
-        analytic=AnalyticFacts(
+    return _builtin(
+        "pareto", f"pareto(alpha={alpha:g})",
+        _log_poly(0.0, 1.0, 1.0) + _log_poly(1.0, math.inf, 1.0, float(alpha)),
+        AnalyticFacts(
             provenance="closed form: u_n = n^(1/alpha) inverts t^(-alpha) = 1/n",
             clause_facts=_pareto_facts(alpha),
         ),
-        origin=("pareto", (("alpha", alpha), ("sign_law", sl.kind))),
+        sign_law, alpha=alpha,
     )
 
 
@@ -546,8 +532,7 @@ def _log_power_facts(a: float, b: float):
     return facts
 
 
-def log_power_tail(power: float, log_power: float,
-                   sign_law: str | SignLaw = SIGN_SYMMETRIC) -> TailModel:
+def log_power_tail(power: float, log_power: float, sign_law="symmetric") -> TailModel:
     """Survival e^power * t^(-power) * (ln t)^(-log_power) beyond t = e.
 
     With log_power = 2p/q this is the tail that separates membership at
@@ -555,18 +540,15 @@ def log_power_tail(power: float, log_power: float,
     """
     if power <= 0 or log_power <= 0:
         raise ValueError("power and log_power must be positive")
-    sl = sign_law if isinstance(sign_law, SignLaw) else SignLaw(sign_law)
-    return TailModel(
-        name=f"log-power(power={power:g}, log_power={log_power:g})",
-        pieces=(piece(0.0, E, "constant", value=1.0),
-                piece(E, math.inf, "power-log",
-                      scale=math.exp(power), power=power, log_power=log_power)),
-        sign_law=sl,
-        analytic=AnalyticFacts(
+    return _builtin(
+        "log-power", f"log-power(power={power:g}, log_power={log_power:g})",
+        _log_poly(0.0, E, 1.0)
+        + _log_poly(E, math.inf, math.exp(power), float(power), float(log_power)),
+        AnalyticFacts(
             provenance="closed-form tail calculus on t^(-a) (ln t)^(-b)",
             clause_facts=_log_power_facts(power, log_power),
         ),
-        origin=("log-power", (("power", power), ("log_power", log_power), ("sign_law", sl.kind))),
+        sign_law, power=power, log_power=log_power,
     )
 
 
@@ -597,7 +579,7 @@ def _log_loglog_facts(a: float):
     return facts
 
 
-def log_loglog_power_tail(power: float, sign_law: str | SignLaw = SIGN_SYMMETRIC) -> TailModel:
+def log_loglog_power_tail(power: float, sign_law="symmetric") -> TailModel:
     """Survival e^(e*power+1) * t^(-power) * (ln t)^(-1) * (lnln t)^(-2) beyond e^e.
 
     The marginal tail whose p-moment is finite while the critically truncated
@@ -605,61 +587,53 @@ def log_loglog_power_tail(power: float, sign_law: str | SignLaw = SIGN_SYMMETRIC
     """
     if power <= 0:
         raise ValueError("power must be positive")
-    sl = sign_law if isinstance(sign_law, SignLaw) else SignLaw(sign_law)
     knee = math.exp(E)
-    return TailModel(
-        name=f"log-loglog-power(power={power:g})",
-        pieces=(piece(0.0, knee, "constant", value=1.0),
-                piece(knee, math.inf, "power-log-loglog",
-                      scale=math.exp(E * power + 1.0), power=power,
-                      log_power=1.0, loglog_power=2.0)),
-        sign_law=sl,
-        analytic=AnalyticFacts(
+    return _builtin(
+        "log-loglog-power", f"log-loglog-power(power={power:g})",
+        _log_poly(0.0, knee, 1.0)
+        + _log_poly(knee, math.inf, math.exp(E * power + 1.0), float(power), 1.0, 2.0),
+        AnalyticFacts(
             provenance="closed-form tail calculus on t^(-a) (ln t)^(-1) (lnln t)^(-2)",
             clause_facts=_log_loglog_facts(power),
         ),
-        origin=("log-loglog-power", (("power", power), ("sign_law", sl.kind))),
+        sign_law, power=power,
     )
 
 
-def _degenerate_facts(value: float, sl: SignLaw):
+def _degenerate_facts(value: float, neg_prob: float):
     def facts(p: float, q: float) -> ClauseFact:
         tol = 1e-12
         member = True
-        if q < 1.0 - tol <= p - tol and value > 0.0 and sl.kind == SIGN_NONNEGATIVE:
+        if q < 1.0 - tol <= p - tol and value > 0.0 and neg_prob in (0.0, 1.0):
             member = False  # bounded but mean nonzero
         return ClauseFact(True, True, True, member, note="bounded support")
 
     return facts
 
 
-def degenerate(value: float, sign_law: str | SignLaw = SIGN_NONNEGATIVE,
-               name: str | None = None) -> TailModel:
-    """||X|| identically equal to `value`."""
+def degenerate(value: float, sign_law="nonnegative", name: str | None = None) -> TailModel:
+    """||X|| identically equal to `value`: survival 1 below it and 0 from it."""
     if value < 0:
         raise ValueError("value must be nonnegative")
-    sl = sign_law if isinstance(sign_law, SignLaw) else SignLaw(sign_law)
-    return TailModel(
-        name=name or f"degenerate(value={value:g})",
-        pieces=(piece(0.0, math.inf, "indicator-below", threshold=value),),
-        sign_law=sl,
-        analytic=AnalyticFacts(
+    return _builtin(
+        "degenerate", name or f"degenerate(value={value:g})",
+        _indicator_below(0.0, math.inf, float(value)),
+        AnalyticFacts(
             provenance="degenerate law: survival is the indicator of t < value",
-            clause_facts=_degenerate_facts(value, sl),
+            clause_facts=_degenerate_facts(value, negative_prob(sign_law)),
         ),
-        origin=("degenerate", (("value", value), ("sign_law", sl.kind))),
+        sign_law, value=value,
     )
 
 
 def rademacher() -> TailModel:
     """Symmetric +/-1 law (unit magnitude with a fair sign)."""
-    m = degenerate(1.0, SIGN_SYMMETRIC, name="rademacher")
-    return TailModel(name="rademacher", pieces=m.pieces, sign_law=m.sign_law,
-                     analytic=m.analytic, origin=("rademacher", ()))
+    return dataclasses.replace(degenerate(1.0, "symmetric", name="rademacher"),
+                               origin=("rademacher", ()))
 
 
 def zero() -> TailModel:
-    return degenerate(0.0, SIGN_NONNEGATIVE, name="zero")
+    return degenerate(0.0, "nonnegative", name="zero")
 
 
 BUILTINS: Mapping[str, Callable[..., TailModel]] = {
@@ -682,7 +656,7 @@ def load_model(obj: dict) -> TailModel:
     """Build a custom model from a parsed JSON document.
 
     Schema: {"name": str, "sign_law": ..., "pieces": [{"t_lo", "t_hi",
-    "formula_id", "params"}, ...]} with formula_id from the fixed catalog.
+    "formula_id", "params"}, ...]} with formula_id from `CATALOG`.
     """
     if not isinstance(obj, dict):
         raise ValueError("custom model document must be an object")
@@ -691,13 +665,13 @@ def load_model(obj: dict) -> TailModel:
     pieces = []
     for raw in obj["pieces"]:
         t_hi = raw.get("t_hi")
-        pieces.append(piece(raw["t_lo"], math.inf if t_hi is None else t_hi,
-                            raw["formula_id"], **raw.get("params", {})))
+        pieces.extend(_catalog_pieces(raw["t_lo"], math.inf if t_hi is None else t_hi,
+                                     raw["formula_id"], raw.get("params", {})))
     pieces.sort(key=lambda p: p.t_lo)
     model = TailModel(
         name=obj.get("name", "custom"),
         pieces=tuple(pieces),
-        sign_law=SignLaw.from_json(obj["sign_law"]),
+        negative_prob=negative_prob(obj["sign_law"]),
     )
     validate_model(model)
     return model

@@ -61,7 +61,6 @@ def test_criteria_integral_value_field(tmp_path, capsys):
 
 
 def test_criteria_inconclusive_exit_code(tmp_path, capsys):
-    model = {"builtin": "pareto", "params": {"alpha": 2.0, "sign_law": "custom"}}
     # custom sign law with unknown mean: p >= 1 clause is undecidable
     cfg = write_config(tmp_path, "inc.json", {
         "schema": 1,
@@ -309,6 +308,26 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needl
     code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
+    assert err.startswith("error: ") and needle in err and len(err.strip().split("\n")) == 1
+
+
+def power_model(params):
+    return {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 1.0, "t_hi": None, "formula_id": "power", "params": params}]}}
+
+
+@pytest.mark.parametrize("model,needle", [
+    # a param the formula does not take, and one it needs
+    (power_model({"scale": 1.0, "power": 2.0, "log_power": 1.0}), "params scale, power"),
+    (power_model({"scale": 1.0}), "params scale, power"),
+    # "custom" names no sign law; a custom one needs its negative_prob
+    ({"builtin": "pareto", "params": {"alpha": 2.0, "sign_law": "custom"}}, "sign_law must be"),
+], ids=["extra-param", "missing-param", "custom-string"])
+def test_bad_model_inputs_are_config_errors(tmp_path, capsys, model, needle):
+    cfg = criteria_config(tmp_path, model, 0.9, 0.45)
+    assert cli.main(["criteria", "--config", cfg]) == 2
+    err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err and len(err.strip().split("\n")) == 1
 
 

@@ -275,7 +275,7 @@ def test_classify_bounded_and_mean_zero():
     assert cr.classify_slln(tm.rademacher(), 1.5, 0.5).membership == cr.MEMBER
     r = cr.classify_slln(tm.pareto(2.0, "nonnegative"), 1.5, 0.5)
     assert r.membership == cr.NON_MEMBER and r.mean_zero is False
-    r = cr.classify_slln(tm.pareto(2.0, tm.SignLaw("custom", 0.3)), 1.5, 0.5)
+    r = cr.classify_slln(tm.pareto(2.0, {"kind": "custom", "negative_prob": 0.3}), 1.5, 0.5)
     assert r.membership == cr.UNDECIDED and r.mean_zero is None
 
 
@@ -299,6 +299,39 @@ def test_bounded_support_beyond_the_cap():
     assert v.kind == cr.CONVERGES and v.method == "bounded-support"
     assert v.estimate_on_window == pytest.approx(10.0)
     assert v.remainder_bound == pytest.approx(90.0)
+
+
+# t^-0.5 on [1, 1e15), then a t^-3 tail: at p = 0.9 the cap 1e12 lies before
+# the last piece's start 1e15^0.9, where a remainder from the last piece's
+# exponents undercounts the t^-0.5 stretch (92,333 against 2,193,824)
+LATE_KNEE_MODEL = {"name": "late-knee", "sign_law": "symmetric", "pieces": [
+    {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 1.0}},
+    {"t_lo": 1.0, "t_hi": 1e15, "formula_id": "power", "params": {"scale": 1.0, "power": 0.5}},
+    {"t_lo": 1e15, "t_hi": None, "formula_id": "power",
+     "params": {"scale": 10.0**37.5, "power": 3.0}},
+]}
+
+
+def test_p_moment_requires_cap_beyond_knee():
+    model = tm.load_model(LATE_KNEE_MODEL)
+    with pytest.raises(ValueError, match="knee"):
+        cr.p_moment(model, 0.9, t_cap=1e12)
+    with pytest.raises(ValueError, match="knee"):
+        cr.classify_slln(model, 0.9, 0.45, t_cap=1e12)
+    assert cr.p_moment(model, 0.9, t_cap=1e14).kind == cr.CONVERGES
+
+
+def test_negative_constant_last_piece_is_bounded_support():
+    # survival clamps -1 to 0, so the support ends where that piece starts
+    model = tm.load_model({"name": "minus-one", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 1.0, "t_hi": 10.0, "formula_id": "power", "params": {"scale": 1.0, "power": 1.0}},
+        {"t_lo": 10.0, "t_hi": None, "formula_id": "constant", "params": {"value": -1.0}},
+    ]})
+    assert tm.support_upper(model) == 10.0 and tm.tail_asymptote(model) is None
+    report = cr.classify_slln(model, 0.5, 0.25)
+    assert report.membership == cr.MEMBER
+    assert report.integral_verdict.method == "bounded-support"
 
 
 def test_classify_out_of_scope():

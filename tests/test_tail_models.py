@@ -240,8 +240,8 @@ def test_sample_closed_form_values():
     assert sample(tm.pareto(0.5, "nonnegative"), 0.25) == pytest.approx(16.0)
     assert sample(tm.rademacher(), 0.7) == 1.0
     assert sample(tm.zero(), 0.3) == 0.0
-    assert tm.rademacher().sign_law.threshold == 0.5
-    assert tm.pareto(0.5, "nonnegative").sign_law.threshold == 0.0
+    assert tm.rademacher().negative_prob == 0.5
+    assert tm.pareto(0.5, "nonnegative").negative_prob == 0.0
 
 
 @pytest.mark.parametrize("model,t_lo,t_hi", [
@@ -307,13 +307,52 @@ def test_cumulative_table_nodes_equal_per_cell_sums(model):
 # ---------------------------------------------------------------------------
 
 
+# one piece of every formula_id, nonincreasing across the edges; the
+# indicator's threshold lies past its piece, so it loads as a constant 1
+ALL_FORMULAS_MODEL = {"name": "all-formulas", "sign_law": {"kind": "custom", "negative_prob": 0.25},
+                      "pieces": [
+    {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "indicator-below", "params": {"threshold": 2.0}},
+    {"t_lo": 1.0, "t_hi": 2.0, "formula_id": "constant", "params": {"value": 0.9}},
+    {"t_lo": 2.0, "t_hi": 4.0, "formula_id": "power", "params": {"scale": 1.6, "power": 1.0}},
+    {"t_lo": 4.0, "t_hi": 10.0, "formula_id": "power-log",
+     "params": {"scale": 1.0, "power": 0.5, "log_power": 1.0}},
+    {"t_lo": 10.0, "t_hi": None, "formula_id": "power-log-loglog",
+     "params": {"scale": 0.6, "power": 0.5, "log_power": 1.0, "loglog_power": 2.0}},
+]}
+
+
 def test_load_custom_model_round_trip():
-    builtin = tm.log_power_tail(power=0.5, log_power=2.0)
-    doc = builtin.to_json()
-    loaded = tm.load_model(json.loads(json.dumps(doc)))
-    ts = np.geomspace(0.1, 1e9, 50)
-    assert np.allclose(tm.survival(loaded, ts), tm.survival(builtin, ts), rtol=1e-14)
-    assert loaded.sign_law.kind == "symmetric"
+    # every builtin, and a custom model of all five formulas, reloads exactly
+    ts = np.concatenate([[0.0], np.geomspace(1e-3, 1e15, 500)])
+    us = np.concatenate([np.exp2(-np.arange(0.0, 53.0, 0.25)), np.linspace(0.01, 1.0, 100)])
+    for model in builtin_zoo() + [tm.load_model(ALL_FORMULAS_MODEL)]:
+        loaded = tm.load_model(json.loads(json.dumps(model.to_json())))
+        assert (loaded.name, loaded.pieces, loaded.negative_prob) == \
+            (model.name, model.pieces, model.negative_prob)
+        grid = np.concatenate([ts, model.piece_edges()])
+        assert np.array_equal(tm.survival(loaded, grid), tm.survival(model, grid))
+        assert np.array_equal(tm.inverse_survival(loaded, us), tm.inverse_survival(model, us))
+
+
+def test_indicator_below_loads_as_two_constants():
+    doc = {"name": "degenerate(value=3.5)", "sign_law": "nonnegative", "pieces": [
+        {"t_lo": 0.0, "t_hi": None, "formula_id": "indicator-below",
+         "params": {"threshold": 3.5}}]}
+    loaded = tm.load_model(doc)
+    assert loaded.pieces == tm.degenerate(3.5).pieces
+    assert [(pc.t_lo, pc.t_hi, pc.tail.const) for pc in loaded.pieces] == \
+        [(0.0, 3.5, 1.0), (3.5, math.inf, 0.0)]
+    assert tm.support_upper(loaded) == loaded.knee == 3.5
+
+
+@pytest.mark.parametrize("sign_law", ["custom", {"kind": "custom"}, {"kind": "custom",
+                                      "negative_prob": 1.5}, {"kind": "symmetric"}])
+def test_bad_sign_laws_are_rejected(sign_law):
+    doc = {**tm.pareto(2.0).to_json(), "sign_law": sign_law}
+    with pytest.raises(ValueError, match="sign_law must be"):
+        tm.load_model(doc)
+    with pytest.raises(ValueError, match="sign_law must be"):
+        tm.pareto(2.0, sign_law)
 
 
 def test_load_model_requires_sign_law():
@@ -341,5 +380,12 @@ def test_mean_zero_flags():
     assert tm.mean_zero(tm.pareto(2.0)) is True
     assert tm.mean_zero(tm.pareto(2.0, "nonnegative")) is False
     assert tm.mean_zero(tm.zero()) is True
-    assert tm.mean_zero(tm.pareto(2.0, tm.SignLaw("custom", 0.3))) is None
-    assert tm.mean_zero(tm.pareto(2.0, tm.SignLaw("custom", 0.5))) is True
+    assert tm.mean_zero(tm.pareto(2.0, {"kind": "custom", "negative_prob": 0.3})) is None
+    assert tm.mean_zero(tm.pareto(2.0, {"kind": "custom", "negative_prob": 0.5})) is True
+
+
+@pytest.mark.parametrize("prob", [0.0, 1.0])
+def test_one_signed_custom_law_has_nonzero_mean(prob):
+    # as "nonnegative" already does, however the sign law is written
+    doc = {**tm.pareto(2.0).to_json(), "sign_law": {"kind": "custom", "negative_prob": prob}}
+    assert tm.mean_zero(tm.load_model(doc)) is False
