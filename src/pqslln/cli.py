@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -94,8 +95,11 @@ def _checked(doc, section: str | None = None) -> dict:
             raise ConfigError(f"config missing key {key!r}")
         value = doc.get(key, default)
         out[key] = _checked(value, key) if key in _SCHEMA else _typed(key, value, kind)
-    if out.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema version {out['schema']!r}")
+    if section is None:
+        if out["schema"] != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema version {out['schema']!r}")
+        if not (0.0 < out["p"] < 2.0 and out["q"] > 0.0):
+            raise ConfigError("need 0 < p < 2 and q > 0")
     return out
 
 
@@ -219,7 +223,7 @@ def cmd_criteria(args) -> int:
     report = _criterion_report(model, cfg, cfg["criteria"]["criterion"])
 
     _emit(args.out, "criterion_report.json",
-          json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+          json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
     print(f"membership: {report.membership}", file=sys.stderr)
     return 0 if report.membership in (criteria.MEMBER, criteria.NON_MEMBER) else 3
 
@@ -246,7 +250,7 @@ def cmd_simulate(args) -> int:
         manifest_path = os.path.join(out_dir, f"{stem}_manifest.json")
         # absolute, so that the paths resolve from any working directory
         outputs = {"summary_json": os.path.abspath(summary_path)}
-        if args.format in ("csv", "both"):
+        if args.format == "both":
             outputs["table_csv"] = os.path.abspath(csv_path)
             writer.write(csv_path, table.to_csv())
         manifest = {
@@ -411,7 +415,7 @@ def cmd_report(args) -> int:
         hard = int((report.membership, mc_kind) in _HARD)
         contradictions += hard
         rows.append({
-            "model": report.model_name, "p": p, "q": q, "clause": report.clause,
+            "model": report.model, "p": p, "q": q, "clause": report.clause,
             "membership": report.membership,
             "integral": report.integral_verdict.kind,
             "p_moment": report.p_moment_verdict.kind,
@@ -450,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True)
     sp.add_argument("--workers", type=int, default=1,
                     help="worker count; results do not depend on it")
-    sp.add_argument("--format", choices=("csv", "json", "both"), default="both")
+    sp.add_argument("--format", choices=("json", "both"), default="both")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("verify", help="run oracle suites")

@@ -217,16 +217,6 @@ class SeriesTable:
     terms_at_checkpoints: tuple[float, ...]
     clamped_terms: int
 
-    def to_dict(self):
-        return {
-            "n_max": self.n_max,
-            "checkpoints": list(self.checkpoints),
-            "partial_sums": list(self.partial_sums),
-            "integral_form_partials": list(self.integral_form_partials),
-            "terms_at_checkpoints": list(self.terms_at_checkpoints),
-            "clamped_terms": self.clamped_terms,
-        }
-
 
 def _series_tail_verdict(sy: LogPolyTail):
     """Exact verdict for sum_n E[Y 1(min{u_n', n} < Y <= n)]/n from the tail of Y.
@@ -377,7 +367,7 @@ def truncated_series(model: tm.TailModel, p: float,
 
 @dataclass(frozen=True)
 class CriterionReport:
-    model_name: str
+    model: str
     p: float
     q: float
     clause: str
@@ -392,30 +382,6 @@ class CriterionReport:
     membership: str
     contrast_membership: str | None = None
     model_provenance: str = ""
-
-    def to_dict(self):
-        return {
-            "model": self.model_name,
-            "p": self.p,
-            "q": self.q,
-            "clause": self.clause,
-            "criterion": self.criterion,
-            "integral_verdict": self.integral_verdict.to_dict(),
-            "p_moment_verdict": self.p_moment_verdict.to_dict(),
-            "llogl_verdict": self.llogl_verdict.to_dict() if self.llogl_verdict else None,
-            "truncated_series_verdict": (self.truncated_series_verdict.to_dict()
-                                         if self.truncated_series_verdict else None),
-            "series_table": self.series_table.to_dict() if self.series_table else None,
-            "mean_zero_required": self.mean_zero_required,
-            "mean_zero": self.mean_zero,
-            "membership": self.membership,
-            "contrast_membership": self.contrast_membership,
-            "model_provenance": self.model_provenance,
-        }
-
-
-def _out_of_scope_verdict() -> Verdict:
-    return Verdict(INCONCLUSIVE, 0.0, method="out-of-scope")
 
 
 def clause_of(p: float, q: float) -> str:
@@ -447,21 +413,18 @@ def _membership(decisive: list[Verdict], mean_flag: bool | None,
 def _classify(model: tm.TailModel, p: float, q: float, criterion: str, *,
               t_cap: float, series_n_max: int) -> CriterionReport:
     """Membership from the clause table; the q = p clause depends on `criterion`."""
+    if not t_cap > 0.0:
+        raise ValueError(f"t_cap must be positive, got {t_cap!r}")
     clause = clause_of(p, q)
     mean_flag = tm.mean_zero(model)
-    if clause == CLAUSE_OUT:
-        placeholder = _out_of_scope_verdict()
-        return CriterionReport(
-            model_name=model.name, p=p, q=q, clause=clause, criterion=criterion,
-            integral_verdict=placeholder, p_moment_verdict=placeholder,
-            llogl_verdict=None, truncated_series_verdict=None, series_table=None,
-            mean_zero_required=False, mean_zero=mean_flag, membership=UNDECIDED,
-        )
-    integral = integral_pq(model, p, q, t_cap)
-    pmom = p_moment(model, p, t_cap)
     mean_required = clause == CLAUSE_P_GE_1
     llogl = series_verdict = series_table = contrast = None
-    if clause == CLAUSE_Q_EQ_P:
+    if clause == CLAUSE_OUT:
+        integral = pmom = Verdict(INCONCLUSIVE, 0.0, method="out-of-scope")
+        membership = UNDECIDED
+    elif clause == CLAUSE_Q_EQ_P:
+        # at q = p the integral condition is the p-th moment itself
+        integral = pmom = p_moment(model, p, t_cap)
         table, verdict = truncated_series(model, p, series_n_max)
         almost_sure = _membership([pmom, verdict], mean_flag, False)
         if criterion == "expectation":
@@ -470,10 +433,11 @@ def _classify(model: tm.TailModel, p: float, q: float, criterion: str, *,
         else:
             membership, series_table, series_verdict = almost_sure, table, verdict
     else:
+        integral, pmom = integral_pq(model, p, q, t_cap), p_moment(model, p, t_cap)
         membership = _membership([integral], mean_flag, mean_required)
 
     return CriterionReport(
-        model_name=model.name, p=p, q=q, clause=clause, criterion=criterion,
+        model=model.name, p=p, q=q, clause=clause, criterion=criterion,
         integral_verdict=integral, p_moment_verdict=pmom, llogl_verdict=llogl,
         truncated_series_verdict=series_verdict, series_table=series_table,
         mean_zero_required=mean_required, mean_zero=mean_flag,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -393,12 +393,12 @@ def summary_dict(table: CheckpointTable) -> dict:
                  for k, n in enumerate(table.checkpoints)]
 
     se_med = (q75 - q25) / 1.349 / math.sqrt(m)
-    w_verdict = growth_verdict(table.checkpoints, np.cumsum(weights * med_rq),
-                               inc_se=(weights * se_med)[1:]).to_dict()
-    w_verdict["estimate_on_window"] = float(med_w[-1])
-    w_verdict["diagnostics"]["statistic"] = "median-ratio-blocks"
+    verdict = growth_verdict(table.checkpoints, np.cumsum(weights * med_rq),
+                             inc_se=(weights * se_med)[1:])
+    w_verdict = replace(verdict, estimate_on_window=float(med_w[-1]),
+                        diagnostics={**verdict.diagnostics, "statistic": "median-ratio-blocks"})
     return {"estimates": estimates, "censoring": table.censoring_report(),
-            "w_verdict": w_verdict}
+            "w_verdict": asdict(w_verdict)}
 
 
 def dense_ratio_moments(model: tm.TailModel, p: float, q: float, n_upto: int,

@@ -181,7 +181,8 @@ def survival(model: TailModel, t) -> np.ndarray | float:
     for i, pc in enumerate(model.pieces):
         mask = tt < pc.t_hi if i == 0 else (tt >= pc.t_lo) & (tt < pc.t_hi)
         if np.any(mask):
-            out[mask] = pc.tail.value(tt[mask])
+            with np.errstate(divide="ignore"):  # t^-a at t = 0 is inf, clipped to 1
+                out[mask] = pc.tail.value(tt[mask])
     out[tt == math.inf] = 0.0  # ||X|| is finite
     out = np.clip(out, 0.0, 1.0)
     return float(out) if scalar else out

@@ -20,15 +20,6 @@ class Verdict:
     method: str = "tail-exponents"
     diagnostics: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "estimate_on_window": self.estimate_on_window,
-            "remainder_bound": self.remainder_bound,
-            "method": self.method,
-            "diagnostics": {k: v for k, v in self.diagnostics.items()},
-        }
-
 
 def fit_line(x, y):
     """Ordinary least squares y ~ a + b x.  Returns (slope, intercept, slope_se)."""

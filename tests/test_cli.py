@@ -302,6 +302,17 @@ def test_simulate_json_format_lists_only_written_files(tmp_path):
                   "simulate": {"n_max": 1024, "master_seed": -1}}, "master seed"),
     ("simulate", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.5,
                   "simulate": {"n_max": 1024, "master_seed": 1 << 64}}, "master seed"),
+    # a cap that is not positive
+    ("criteria", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 0.5,
+                  "q": 0.25, "criteria": {"t_cap": 0.0}}, "t_cap must be positive"),
+    ("criteria", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 0.5,
+                  "q": 0.25, "criteria": {"t_cap": -1.0}}, "t_cap must be positive"),
+    # (p, q) outside 0 < p < 2, q > 0, the same error for every subcommand
+    ("criteria", {"model": {"builtin": "rademacher"}, "p": 3.0, "q": 0.5}, "0 < p < 2"),
+    ("criteria", {"model": {"builtin": "rademacher"}, "p": -1.0, "q": 0.5}, "0 < p < 2"),
+    ("criteria", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.0}, "0 < p < 2"),
+    ("simulate", {"model": {"builtin": "rademacher"}, "p": 2.0, "q": 0.5,
+                  "simulate": {"n_max": 1024}}, "0 < p < 2"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needle):
     cfg = write_config(tmp_path, "badnum.json", {"schema": 1, **payload})

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -416,14 +418,40 @@ def test_soundness_against_stored_facts():
                 assert report.membership == expected, (model.name, p, q)
 
 
+REPORT_KEYS = {"model", "p", "q", "clause", "criterion", "integral_verdict",
+               "p_moment_verdict", "llogl_verdict", "truncated_series_verdict",
+               "series_table", "mean_zero_required", "mean_zero", "membership",
+               "contrast_membership", "model_provenance"}
+SERIES_TABLE_KEYS = {"n_max", "checkpoints", "partial_sums", "integral_form_partials",
+                     "terms_at_checkpoints", "clamped_terms"}
+
+
 def test_report_serializes():
     r = cr.classify_slln(tm.pareto(2.0), 0.5, 0.25)
-    d = r.to_dict()
+    d = dataclasses.asdict(r)
     assert d["membership"] == cr.MEMBER
     assert d["integral_verdict"]["kind"] == cr.CONVERGES
     assert set(d["integral_verdict"]) == {"kind", "estimate_on_window", "remainder_bound",
                                           "method", "diagnostics"}
     assert d["integral_verdict"]["diagnostics"]["exponents"] == (4.0, 0.0, 0.0)
-    import json
-
     json.dumps(d)  # must be JSON-clean
+    # the key sets of a q = p report and an out-of-scope one
+    q_eq_p = dataclasses.asdict(cr.classify_slln(tm.pareto(2.0), 0.5, 0.5))
+    out = dataclasses.asdict(cr.classify_slln(tm.rademacher(), 1.5, 1.5))
+    assert set(q_eq_p) == set(out) == REPORT_KEYS
+    assert set(q_eq_p["series_table"]) == SERIES_TABLE_KEYS
+    assert out["integral_verdict"]["method"] == "out-of-scope" and out["series_table"] is None
+
+
+def test_q_eq_p_evaluates_one_integral(monkeypatch):
+    calls = []
+    inner = cr.integral_pq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cr, "integral_pq", counted)
+    r = cr.classify_slln(tm.log_power_tail(0.5, 2), 0.5, 0.5)
+    assert len(calls) == 1
+    assert r.integral_verdict is r.p_moment_verdict

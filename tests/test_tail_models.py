@@ -64,6 +64,14 @@ def test_survival_monotone_on_grid(model):
     assert np.all(np.diff(vals) <= 1e-12)
 
 
+def test_survival_of_a_power_from_zero_is_one_at_zero():
+    # 0.5 t^-2 reads inf at t = 0, and the survival clips it to 1 without a warning
+    model = tm.load_model({"name": "power-from-zero", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": None, "formula_id": "power",
+         "params": {"scale": 0.5, "power": 2.0}}]})
+    assert tm.survival(model, 0.0) == 1.0
+
+
 def test_survival_vanishes_at_infinity():
     # ||X|| is finite, so P(||X|| > inf) = 0, also where t^-a (ln t)^-b reads 0 * inf
     grow = tm.TailModel(name="grow", pieces=(
