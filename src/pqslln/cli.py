@@ -274,12 +274,12 @@ def cmd_simulate(args) -> int:
 
 def _verify_lemmas(seed: int) -> list[dict]:
     results = []
-    # maximal-inequality lattice: all n up to 2^10, theta = K/(j n), c scales
+    # maximal-inequality lattice: all n up to 2^10, theta = min(K/(j n), 1), c scales
     for K in (1, 2):
         for n in range(1, (1 << 10) + 1):
             for j in range(1, 11):
                 for c in (Fraction(1, 10), Fraction(1), Fraction(7)):
-                    theta = Fraction(K, j * n)
+                    theta = min(Fraction(K, j * n), 1)
                     law = oracles.DiscreteLaw(((Fraction(0), 1 - theta), (c, theta)))
                     lhs, rhs, holds = oracles.lemma_max_check(law, n, K)
                     if not holds or n in (1, 1 << 10):

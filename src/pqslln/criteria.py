@@ -381,7 +381,6 @@ class CriterionReport:
     mean_zero: bool | None
     membership: str
     contrast_membership: str | None = None
-    model_provenance: str = ""
 
 
 def clause_of(p: float, q: float) -> str:
@@ -442,7 +441,6 @@ def _classify(model: tm.TailModel, p: float, q: float, criterion: str, *,
         truncated_series_verdict=series_verdict, series_table=series_table,
         mean_zero_required=mean_required, mean_zero=mean_flag,
         membership=membership, contrast_membership=contrast,
-        model_provenance=model.analytic.provenance if model.analytic else "",
     )
 
 

@@ -67,25 +67,28 @@ def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
 
     E max is exact: P(max <= v) = F(v)^n over the sorted atom levels.
     Returns (lhs, rhs, holds); comparisons are exact rational arithmetic.
+    Raises ValueError unless the law is one: masses nonnegative, summing to 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     kf = Fraction(K) if not isinstance(K, Fraction) else K
     if kf < 1:
         raise ValueError("K must be >= 1")
-    if any(v < 0 for v, _ in law.atoms):
-        raise ValueError("law must be nonnegative")
 
     zero = Fraction(0)
+    merged: dict[Fraction, Fraction] = {}
+    for v, p in law.atoms:
+        if v < 0:
+            raise ValueError("law must be nonnegative")
+        if p < 0:
+            raise ValueError("probabilities must be nonnegative")
+        merged[v] = merged.get(v, zero) + p
     p_pos = sum((p for v, p in law.atoms if v > 0), zero)
     bound = kf / n
     if p_pos > bound:
         raise PreconditionViolated(
             f"P(Y>0) = {float(p_pos):g} exceeds K/n = {float(bound):g}")
 
-    merged: dict[Fraction, Fraction] = {}
-    for v, p in law.atoms:
-        merged[v] = merged.get(v, zero) + p
     levels = sorted(merged)
     cdf_prev_n = zero  # F(previous level)^n
     e_max = zero
@@ -97,6 +100,8 @@ def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
         e_max = e_max + v * (cdf_n - cdf_prev_n)
         e_y = e_y + v * merged[v]
         cdf_prev_n = cdf_n
+    if cum != 1:
+        raise ValueError(f"probabilities sum to {cum}, not 1")
     rhs = Fraction(n) / (2 * kf) * e_y
     holds = e_max >= rhs
     return float(e_max), float(rhs), bool(holds)

@@ -2,13 +2,15 @@
 
 A model is a survival function t -> P(||X|| > t) given as ordered pieces,
 each an interval and the log-polynomial const * t^-a (ln t)^-b (lnln t)^-c
-that holds on it, plus the probability of a negative sign and optional
-analytic metadata.  Everything downstream -- quantiles
-u_n = inf{t : P(||X|| > t) < 1/n}, inverse-transform sampling, the
-cumulative tail table of the truncated series, and the asymptotic exponents
-used by the convergence classifiers -- is derived from the exponents.  The
-formula catalog (constant, power, power-log, power-log-loglog,
-indicator-below) is only the input language of `load_model`.
+that holds on it, plus the probability of a negative sign.  Every model,
+builtin or loaded, is checked when it is built: its pieces tile [0, inf),
+and its survival never rises and vanishes at infinity.  Everything
+downstream -- quantiles u_n = inf{t : P(||X|| > t) < 1/n}, inverse-transform
+sampling, the cumulative tail table of the truncated series, and the
+asymptotic exponents used by the convergence classifiers -- is derived from
+the exponents.  The formula catalog (constant, power, power-log,
+power-log-loglog, indicator-below) is only the input language of
+`load_model`.
 
 All probabilities are clamped to [0, 1] after evaluation: the log-corrected
 pieces can exceed 1 by a few ulps near their knees.
@@ -16,10 +18,9 @@ pieces can exceed 1 by a few ulps near their knees.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -125,29 +126,19 @@ def piece(t_lo: float, t_hi: float, formula: str, **params: float) -> TailPiece:
 
 
 @dataclass(frozen=True)
-class ClauseFact:
-    """Known truth values for one (p, q) pair, from closed-form tail calculus."""
-
-    integral_finite: bool | None = None
-    p_moment_finite: bool | None = None
-    series_finite: bool | None = None
-    member: bool | None = None
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class AnalyticFacts:
-    provenance: str
-    clause_facts: Callable[[float, float], ClauseFact | None] | None = None
-
-
-@dataclass(frozen=True)
 class TailModel:
+    """A survival function as ordered pieces; `validate_model` checks it when built."""
+
     name: str
     pieces: tuple[TailPiece, ...]
     negative_prob: float = 0.5  # P(X < 0 | X != 0); see negative_prob()
-    analytic: AnalyticFacts | None = None
     origin: tuple = ()  # (builtin_name, params in call order); () for a custom model
+    # per piece, the survival at its left end and its limit at t_hi from the
+    # left, as `validate_model` finds them when the model is built
+    edge_values: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "edge_values", validate_model(self))
 
     @property
     def knee(self) -> float:
@@ -191,14 +182,6 @@ def survival(model: TailModel, t) -> np.ndarray | float:
 # Newton steps for the log-corrected pieces: from the start below, six reach
 # rounding level for the catalog's exponent sets; the rest are bisected.
 NEWTON_STEPS = 6
-
-
-def _edge_values(pc: TailPiece, lo: float) -> tuple[float, float]:
-    """The piece's survival at lo and its limit at t_hi from the left."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        at_lo, at_hi = np.clip(pc.tail.value(np.array([lo, pc.t_hi])), 0.0, 1.0)
-    # at t_hi = inf a growing log factor reads t^-a * (ln t)^-b = 0 * inf; t^-a wins
-    return float(at_lo), 0.0 if math.isnan(at_hi) else float(at_hi)
 
 
 def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float) -> np.ndarray:
@@ -249,29 +232,26 @@ def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float) -> np.ndarray:
 def inverse_survival(model: TailModel, u) -> np.ndarray | float:
     """Generalized inverse inf{t : survival(t) < u} for u in (0, 1].
 
-    Scans the pieces left to right; the infimum sits in the first piece whose
-    values drop strictly below u, where that piece's own inverse gives it,
-    chosen by its exponents: the left edge for a constant, a closed form for
-    a power, and Newton for a log-corrected piece.  Raises NonMonotoneTail
-    if the pieces increase across an edge or never fall below u.
+    The infimum sits in the first piece whose survival drops strictly below
+    u, found from the running minimum m_i of the pieces' values at their
+    right ends: piece i takes m_i < u <= m_(i-1).  That piece's own inverse
+    gives it, chosen by its exponents: the left edge for a constant, a
+    closed form for a power, and Newton for a log-corrected piece.
     """
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
     if uu.size and not (uu.min() > 0.0 and uu.max() <= 1.0):
         raise ValueError("uniforms must lie in (0, 1]")
+    # a valid model ends at 0, so every u > 0 finds a piece
+    right_min = np.minimum.accumulate([at_hi for _, at_hi in model.edge_values])
     out = np.zeros_like(uu)
-    unset = np.ones(uu.shape, dtype=bool)
-    prev = 1.0
-    for i, pc in enumerate(model.pieces):
-        lo = 0.0 if i == 0 else pc.t_lo
-        at_lo, at_hi = _edge_values(pc, lo)
-        if at_lo > prev + 1e-12 or at_hi > at_lo + 1e-12:
-            raise NonMonotoneTail(f"{model.name}: survival increases on [{lo:g}, {pc.t_hi:g})")
-        here = unset & (uu > at_hi)
-        jump, prev = at_lo < prev, at_hi
+    for i, (pc, (at_lo, _)) in enumerate(zip(model.pieces, model.edge_values)):
+        here = uu > right_min[i]
+        if i:
+            here &= uu <= right_min[i - 1]
         if not np.any(here):
             continue
-        w, tail = uu[here], pc.tail
+        lo, w, tail = pc.t_lo if i else 0.0, uu[here], pc.tail
         if tail.a == tail.b == tail.c == 0.0:
             root = lo
         elif tail.b == tail.c == 0.0:
@@ -281,12 +261,8 @@ def inverse_survival(model: TailModel, u) -> np.ndarray | float:
         else:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 root = _log_piece_root(pc, w, lo)
-            if jump:  # a jump down at lo
-                root[w > at_lo] = lo
+            root[w > at_lo] = lo  # a jump down at lo
         out[here] = root
-        unset &= ~here
-    if np.any(unset):
-        raise NonMonotoneTail(f"{model.name}: survival does not fall below u")
     return float(out[0]) if scalar else out
 
 
@@ -428,14 +404,16 @@ def _log_piece_rises(pc: TailPiece) -> bool:
     return any(g(v) > math.log(pc.tail.const) + 1e-12 for v in starts)
 
 
-def validate_model(model: TailModel) -> None:
-    """Check that the pieces tile [0, inf) edge to edge and that survival never
+def validate_model(model: TailModel) -> tuple[tuple[float, float], ...]:
+    """Check that the pieces tile [0, inf) edge to edge, that survival never
     rises, across an edge or inside a piece (a piece without log factors rises
-    iff its power is negative and it starts below 1); raise on violation."""
+    iff its power is negative and it starts below 1), and that it vanishes at
+    infinity; raise on violation.  Returns each piece's survival at its left
+    end and its limit at its right end from the left."""
     pieces = model.pieces
     if not pieces or pieces[-1].t_hi != math.inf:
         raise ValueError(f"{model.name}: the last piece must be unbounded")
-    prev = 1.0
+    edges = []
     for i, pc in enumerate(pieces):
         if not pc.t_lo < pc.t_hi:
             raise ValueError(f"{model.name}: piece [{pc.t_lo:g}, {pc.t_hi:g}) is empty")
@@ -447,17 +425,20 @@ def validate_model(model: TailModel) -> None:
         if lo <= floor:  # the log factors must be positive
             raise ValueError(f"{model.name}: a piece with a {'lnln' if tail.c else 'ln'} t "
                              f"factor must start above t = {floor:g}")
-        at_lo, at_hi = _edge_values(pc, lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at_lo, at_hi = np.clip(tail.value(np.array([lo, pc.t_hi])), 0.0, 1.0)
         if tail.b or tail.c:
             rises = _log_piece_rises(pc)
         else:
             rises = tail.a < 0.0 and at_lo < 1.0 - 1e-12
-        if at_lo > prev + 1e-12 or rises:
+        if at_lo > (edges[-1][1] if edges else 1.0) + 1e-12 or rises:
             raise NonMonotoneTail(f"{model.name}: survival increases on [{lo:g}, {pc.t_hi:g})")
-        prev = at_hi
+        # at t_hi = inf a growing log factor reads t^-a * (ln t)^-b = 0 * inf; t^-a wins
+        edges.append((float(at_lo), 0.0 if math.isnan(at_hi) else float(at_hi)))
     asym = tail_asymptote(model)
     if asym is not None and (asym.a < 0 or (asym.a == 0 and asym.b <= 0)):
         raise ValueError(f"{model.name}: tail does not vanish at infinity")
+    return tuple(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -465,29 +446,11 @@ def validate_model(model: TailModel) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _builtin(kind: str, name: str, pieces: tuple[TailPiece, ...], analytic: AnalyticFacts,
-             sign_law, **params) -> TailModel:
+def _builtin(kind: str, name: str, pieces: tuple[TailPiece, ...], sign_law,
+             **params) -> TailModel:
     """A builtin model; its origin records the params it was made from."""
     return TailModel(name=name, pieces=pieces, negative_prob=negative_prob(sign_law),
-                     analytic=analytic, origin=(kind, (*params.items(), ("sign_law", sign_law))))
-
-
-def _pareto_facts(alpha: float):
-    def facts(p: float, q: float) -> ClauseFact:
-        # S(t) = t^(-alpha) beyond 1: every criterion reduces to comparing
-        # p against alpha; the truncated series is finite for every p
-        # (exactly zero when p >= alpha, summable power decay when p < alpha).
-        finite = bool(p < alpha - 1e-12)
-        member = finite
-        return ClauseFact(
-            integral_finite=finite,
-            p_moment_finite=finite,
-            series_finite=True,
-            member=member,
-            note=f"pure power tail, exponent {alpha:g}",
-        )
-
-    return facts
+                     origin=(kind, (*params.items(), ("sign_law", sign_law))))
 
 
 def pareto(alpha: float, sign_law="symmetric") -> TailModel:
@@ -498,39 +461,8 @@ def pareto(alpha: float, sign_law="symmetric") -> TailModel:
     return _builtin(
         "pareto", f"pareto(alpha={alpha:g})",
         _log_poly(0.0, 1.0, 1.0) + _log_poly(1.0, math.inf, 1.0, float(alpha)),
-        AnalyticFacts(
-            provenance="closed form: u_n = n^(1/alpha) inverts t^(-alpha) = 1/n",
-            clause_facts=_pareto_facts(alpha),
-        ),
         sign_law, alpha=alpha,
     )
-
-
-def _log_power_facts(a: float, b: float):
-    def facts(p: float, q: float) -> ClauseFact | None:
-        tol = 1e-12
-        # Tail calculus for S(t) = e^a t^(-a) (ln t)^(-b):
-        #   integral condition exponent triple: (a/p, b*q/p, 0)
-        #   p-moment triple:                    (a/p, b, 0)
-        #   series at q = p: finite iff a > p, or a = p with b > 1.
-        if a > p + tol:
-            integral = pm = series = True
-        elif a < p - tol:
-            integral = pm = False
-            series = None  # window eventually empties only if the scale wins; not asserted
-        else:
-            integral = b * q / p > 1.0 + tol
-            pm = b > 1.0 + tol
-            series = b > 1.0 + tol if b > tol else None
-        member = None
-        if q < p - tol and p < 1.0:
-            member = integral
-        elif abs(q - p) <= tol and p < 1.0:
-            member = pm and bool(series)
-        return ClauseFact(integral, pm, series, member,
-                          note=f"power-log tail, exponents ({a:g}, {b:g})")
-
-    return facts
 
 
 def log_power_tail(power: float, log_power: float, sign_law="symmetric") -> TailModel:
@@ -545,39 +477,8 @@ def log_power_tail(power: float, log_power: float, sign_law="symmetric") -> Tail
         "log-power", f"log-power(power={power:g}, log_power={log_power:g})",
         _log_poly(0.0, E, 1.0)
         + _log_poly(E, math.inf, math.exp(power), float(power), float(log_power)),
-        AnalyticFacts(
-            provenance="closed-form tail calculus on t^(-a) (ln t)^(-b)",
-            clause_facts=_log_power_facts(power, log_power),
-        ),
         sign_law, power=power, log_power=log_power,
     )
-
-
-def _log_loglog_facts(a: float):
-    def facts(p: float, q: float) -> ClauseFact | None:
-        tol = 1e-12
-        # S(t) = e^(e*a+1) t^(-a) (ln t)^(-1) (lnln t)^(-2):
-        #   p-moment triple (a/p, 1, 2) is finite at a = p thanks to the
-        #   squared lnln factor, while the series integrand (1, 1, 1) sits
-        #   exactly on the divergent boundary.
-        if a > p + tol:
-            integral = pm = series = True
-        elif a < p - tol:
-            integral = pm = False
-            series = None
-        else:
-            integral = q > p - tol  # (1, q/p, 2q/p): needs q/p > 1, or = 1 with 2q/p > 1
-            pm = True
-            series = False
-        member = None
-        if q < p - tol and p < 1.0:
-            member = integral
-        elif abs(q - p) <= tol and p < 1.0:
-            member = pm and bool(series)
-        return ClauseFact(integral, pm, series, member,
-                          note=f"power-log-loglog tail, exponent {a:g}")
-
-    return facts
 
 
 def log_loglog_power_tail(power: float, sign_law="symmetric") -> TailModel:
@@ -593,23 +494,8 @@ def log_loglog_power_tail(power: float, sign_law="symmetric") -> TailModel:
         "log-loglog-power", f"log-loglog-power(power={power:g})",
         _log_poly(0.0, knee, 1.0)
         + _log_poly(knee, math.inf, math.exp(E * power + 1.0), float(power), 1.0, 2.0),
-        AnalyticFacts(
-            provenance="closed-form tail calculus on t^(-a) (ln t)^(-1) (lnln t)^(-2)",
-            clause_facts=_log_loglog_facts(power),
-        ),
         sign_law, power=power,
     )
-
-
-def _degenerate_facts(value: float, neg_prob: float):
-    def facts(p: float, q: float) -> ClauseFact:
-        tol = 1e-12
-        member = True
-        if q < 1.0 - tol <= p - tol and value > 0.0 and neg_prob in (0.0, 1.0):
-            member = False  # bounded but mean nonzero
-        return ClauseFact(True, True, True, member, note="bounded support")
-
-    return facts
 
 
 def degenerate(value: float, sign_law="nonnegative", name: str | None = None) -> TailModel:
@@ -619,18 +505,14 @@ def degenerate(value: float, sign_law="nonnegative", name: str | None = None) ->
     return _builtin(
         "degenerate", name or f"degenerate(value={value:g})",
         _indicator_below(0.0, math.inf, float(value)),
-        AnalyticFacts(
-            provenance="degenerate law: survival is the indicator of t < value",
-            clause_facts=_degenerate_facts(value, negative_prob(sign_law)),
-        ),
         sign_law, value=value,
     )
 
 
 def rademacher() -> TailModel:
     """Symmetric +/-1 law (unit magnitude with a fair sign)."""
-    return dataclasses.replace(degenerate(1.0, "symmetric", name="rademacher"),
-                               origin=("rademacher", ()))
+    return TailModel(name="rademacher", pieces=_indicator_below(0.0, math.inf, 1.0),
+                     negative_prob=SIGN_LAWS["symmetric"], origin=("rademacher", ()))
 
 
 def zero() -> TailModel:
@@ -669,10 +551,8 @@ def load_model(obj: dict) -> TailModel:
         pieces.extend(_catalog_pieces(raw["t_lo"], math.inf if t_hi is None else t_hi,
                                      raw["formula_id"], raw.get("params", {})))
     pieces.sort(key=lambda p: p.t_lo)
-    model = TailModel(
+    return TailModel(
         name=obj.get("name", "custom"),
         pieces=tuple(pieces),
         negative_prob=negative_prob(obj["sign_law"]),
     )
-    validate_model(model)
-    return model

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from bisection import bisect_decreasing
+from clause_facts import clause_facts
 from pqslln import banach_lp as lp
 from pqslln import cli
 from pqslln import criteria as cr
@@ -64,7 +65,7 @@ def test_criterion_03_marginal_contrast():
     table, series = cr.truncated_series(model, 0.5, 100_000)
     sums = table.partial_sums
     strictly_increasing = all(b > a for a, b in zip(sums, sums[1:]))
-    fact = model.analytic.clause_facts(0.5, 0.5)
+    fact = clause_facts(model)(0.5, 0.5)
     no_contradiction = (fact.p_moment_finite is True and pm.kind != cr.DIVERGES
                         and fact.series_finite is False and series.kind != cr.CONVERGES)
     elapsed = time.perf_counter() - started
@@ -120,7 +121,7 @@ def test_criterion_07_max_inequality_lattice():
     for K in (1, 2):
         for n in range(1, (1 << 10) + 1):
             for j in range(1, 11):
-                theta = Fraction(K, j * n)
+                theta = min(Fraction(K, j * n), 1)
                 for c in (Fraction(1, 10), Fraction(1), Fraction(7)):
                     law = orc.DiscreteLaw(((Fraction(0), 1 - theta), (c, theta)))
                     _, _, holds = orc.lemma_max_check(law, n, K)

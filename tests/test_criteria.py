@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from clause_facts import clause_facts
 from pqslln import criteria as cr
 from pqslln import tail_models as tm
 from pqslln.errors import InversionFailure
@@ -393,13 +394,9 @@ def test_soundness_against_stored_facts():
     ]
     pq_grid = [(0.3, 0.15), (0.5, 0.25), (0.5, 0.5), (0.9, 0.9), (1.5, 0.5)]
     for model in models:
-        facts_fn = model.analytic.clause_facts if model.analytic else None
-        if facts_fn is None:
-            continue
+        facts_fn = clause_facts(model)
         for p, q in pq_grid:
             fact = facts_fn(p, q)
-            if fact is None:
-                continue
             report = cr.classify_slln(model, p, q, series_n_max=5000)
             checks = [
                 (fact.integral_finite, report.integral_verdict),
@@ -421,7 +418,7 @@ def test_soundness_against_stored_facts():
 REPORT_KEYS = {"model", "p", "q", "clause", "criterion", "integral_verdict",
                "p_moment_verdict", "llogl_verdict", "truncated_series_verdict",
                "series_table", "mean_zero_required", "mean_zero", "membership",
-               "contrast_membership", "model_provenance"}
+               "contrast_membership"}
 SERIES_TABLE_KEYS = {"n_max", "checkpoints", "partial_sums", "integral_form_partials",
                      "terms_at_checkpoints", "clamped_terms"}
 

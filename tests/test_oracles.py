@@ -68,10 +68,22 @@ def test_lemma_max_lattice_subset():
     for n in (1, 3, 17, 256, 1024):
         for j in range(1, 11):
             for K in (1, 2):
-                theta = Fraction(K, j * n)
+                theta = min(Fraction(K, j * n), 1)
                 law = orc.DiscreteLaw(((Fraction(0), 1 - theta), (Fraction(7), theta)))
                 _, _, holds = orc.lemma_max_check(law, n, K)
                 assert holds, (n, j, K)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 10), Fraction(1), Fraction(7)])
+@pytest.mark.parametrize("masses,message", [
+    # theta = K/(j n) = 2 unclamped at n = 1: P(0) = -1, P(c) = 2
+    ((-1, 2), "probabilities must be nonnegative"),
+    ((Fraction(1, 2), Fraction(1, 4)), "sum to 3/4, not 1"),
+])
+def test_lemma_max_rejects_a_non_law(c, masses, message):
+    law = orc.DiscreteLaw(((Fraction(0), Fraction(masses[0])), (c, Fraction(masses[1]))))
+    with pytest.raises(ValueError, match=message):
+        orc.lemma_max_check(law, 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_quantile_bisection_matches_closed_form():
 
 
 def test_quantile_rejects_nonmonotone_tail():
-    # pieces built directly, past the loader's grid check
+    # loaded or built directly, a model is checked when it is built
     doc = {"name": "bad", "sign_law": "symmetric", "pieces": [
         {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 0.2}},
         {"t_lo": 1.0, "t_hi": None, "formula_id": "power",
@@ -175,11 +175,32 @@ def test_quantile_rejects_nonmonotone_tail():
     ]}
     with pytest.raises(NonMonotoneTail):
         tm.load_model(doc)
-    bad = tm.TailModel(name="bad", pieces=(tm.piece(0.0, 1.0, "constant", value=0.2),
-                                           tm.piece(1.0, math.inf, "power",
-                                                    scale=0.9, power=1.0)))
     with pytest.raises(NonMonotoneTail):
-        tm.inverse_survival(bad, 1 / 10)
+        tm.TailModel(name="bad", pieces=(tm.piece(0.0, 1.0, "constant", value=0.2),
+                                         tm.piece(1.0, math.inf, "power", scale=0.9, power=1.0)))
+
+
+POWER = ("power", {"scale": 1.0, "power": 1.0})
+
+
+@pytest.mark.parametrize("pieces", [
+    [(0.0, 1.0, "constant", {"value": 1.0}), (2.0, None, *POWER)],
+    [(0.0, 1.0, "constant", {"value": 1.0}), (1.0, 1.0, "constant", {"value": 1.0}),
+     (1.0, None, *POWER)],
+    [(0.0, 1.0, "constant", {"value": 1.0}), (1.0, 5.0, *POWER)],
+    [(0.0, None, "constant", {"value": 0.5})],
+], ids=["gap", "empty-piece", "bounded-last-piece", "non-vanishing"])
+def test_direct_model_is_checked_like_a_loaded_one(pieces):
+    doc = {"name": "bad", "sign_law": "symmetric", "pieces": [
+        {"t_lo": lo, "t_hi": hi, "formula_id": formula, "params": params}
+        for lo, hi, formula, params in pieces]}
+    with pytest.raises(ValueError) as loaded:
+        tm.load_model(doc)
+    with pytest.raises(ValueError) as direct:
+        tm.TailModel(name="bad", pieces=tuple(
+            tm.piece(lo, math.inf if hi is None else hi, formula, **params)
+            for lo, hi, formula, params in pieces))
+    assert (type(direct.value), str(direct.value)) == (type(loaded.value), str(loaded.value))
 
 
 # the README's inline custom model, and a log-loglog piece with exponents
