@@ -1,11 +1,13 @@
 """Clause-by-clause convergence classification of the membership conditions.
 
 Each analytic condition is an improper integral or series built from the
-survival function:
+survival function S.  Every integral is one increasing map h of ||X||, the
+tail integral int_0^inf P(h(||X||) > t)^r dt = int_0^inf S(h^-1(t))^r dt
+that `_classify_tail_integral` evaluates:
 
-    integral condition   int_0^inf P^{q/p}(||X||^q > t) dt
-    p-th moment          int_0^inf P(||X||^p > t) dt
-    log-moment           E[ ||X||^p ln^delta(1 + ||X||) ]
+    integral condition   h(x) = x^q, r = q/p
+    p-th moment          h(x) = x^p, r = 1 (the integral condition at q = p)
+    log-moment           h(x) = x^p ln^delta(1 + x), r = 1: E[h(||X||)]
     truncated series     sum_n E[ ||X||^p 1(min{u_n^p, n} < ||X||^p <= n) ] / n
 
 A Verdict records the value accumulated on the evaluated window, a
@@ -38,7 +40,6 @@ import numpy as np
 
 from . import tail_models as tm
 from .asymptotics import EQ_TOL, LogPolyTail, integral_converges, tail_remainder
-from .errors import InversionFailure
 from .quadrature import integrate
 from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, Verdict, fit_line
 
@@ -67,29 +68,34 @@ def _divergence_diagnostics(f, hi: float) -> dict:
     }
 
 
-def _classify_tail_integral(f, *, t_cap: float, knee: float, asym: LogPolyTail | None,
-                            cutoff: float, breakpoints, bound_tail: LogPolyTail | None,
+def _classify_tail_integral(model: tm.TailModel, h, h_inv, power: float, *, t_cap: float,
+                            asym: LogPolyTail | None, bound_tail: LogPolyTail | None,
                             log_arg: float | None) -> Verdict:
-    """Shared classifier for int_0^inf f(t) dt with f nonnegative and
-    nonincreasing past its knees; `asym` carries the exponents of f's tail,
-    needed when `cutoff` (the end of the support) is infinite.  The remainder past t_cap
-    is `tail_remainder(bound_tail, t_cap, f(t_cap), log_arg)`, so `bound_tail`
-    and `log_arg` must meet that function's assumptions for f on [t_cap, inf):
-    an unbounded tail needs t_cap past `knee`, where f's last piece starts."""
-    upper = min(t_cap, cutoff)
-    if math.isinf(cutoff) and t_cap <= knee:
+    """Classify int_0^inf P(h(||X||) > t)^power dt for increasing h: the
+    integrand f(t) = S(h_inv(t))^power, and its knee, support end and
+    breakpoints are h of the model's.  `asym` carries the exponents of f's
+    tail, needed when the support is unbounded.  The remainder past t_cap is
+    `tail_remainder(bound_tail, t_cap, f(t_cap), log_arg)`, so `bound_tail` and
+    `log_arg` must meet that function's assumptions for f on [t_cap, inf): an
+    unbounded tail needs t_cap past h(knee), where f's last piece starts."""
+    def f(t):
+        with np.errstate(over="ignore"):  # h^-1(t) = inf has survival 0
+            x = h_inv(np.asarray(t, dtype=float))
+        return tm.survival(model, x) ** power
+
+    cutoff = h(tm.support_upper(model))
+    if math.isinf(cutoff) and t_cap <= h(model.knee):
         raise ValueError("t_cap must exceed the knee of the transformed tail")
-    value = integrate(f, [0.0, upper], breakpoints=breakpoints).values[0]
+    breakpoints = [h(e) for e in model.piece_edges()]
+    value = integrate(f, [0.0, min(t_cap, cutoff)], breakpoints=breakpoints).values[0]
+    f_cap = float(f(np.array([t_cap]))[0])
 
     if math.isfinite(cutoff):
-        rem = 0.0
-        if cutoff > t_cap:
-            rem = float(np.asarray(f(np.array([t_cap])))[0]) * (cutoff - t_cap)
+        rem = f_cap * (cutoff - t_cap) if cutoff > t_cap else 0.0
         return Verdict(CONVERGES, value, remainder_bound=rem, method="bounded-support")
 
     diagnostics = {"exponents": (asym.a, asym.b, asym.c)}
     if integral_converges(asym):
-        f_cap = float(np.asarray(f(np.array([t_cap])))[0])
         rem = None if bound_tail is None else tail_remainder(bound_tail, t_cap, f_cap, log_arg)
         return Verdict(CONVERGES, value, remainder_bound=rem,
                        method="tail-exponents", diagnostics=diagnostics)
@@ -99,21 +105,15 @@ def _classify_tail_integral(f, *, t_cap: float, knee: float, asym: LogPolyTail |
 
 def integral_pq(model: tm.TailModel, p: float, q: float,
                 t_cap: float = T_CAP_DEFAULT) -> Verdict:
-    """Classify int_0^inf P^{q/p}(||X||^q > t) dt."""
+    """Classify int_0^inf P^{q/p}(||X||^q > t) dt: the map x^q, the power q/p."""
     if not (0.0 < p < 2.0 and q > 0.0):
         raise ValueError("need 0 < p < 2 and q > 0")
-    s_q, ratio = tm.power_survival(model, q), q / p
-
-    def f(t):
-        return s_q(t) ** ratio
-
     asym = tm.tail_asymptote(model)
     if asym is not None:
-        asym = asym.power_arg(q).powered(ratio)
-    cutoff = tm.support_upper(model) ** q
-    return _classify_tail_integral(f, t_cap=t_cap, knee=model.knee**q, asym=asym,
-                                   cutoff=cutoff, breakpoints=tm.transformed_edges(model, q),
-                                   bound_tail=asym, log_arg=math.log(t_cap) / q)
+        asym = asym.power_arg(q).powered(q / p)
+    return _classify_tail_integral(model, lambda x: x**q, lambda t: t ** (1.0 / q), q / p,
+                                   t_cap=t_cap, asym=asym, bound_tail=asym,
+                                   log_arg=math.log(t_cap) / q)
 
 
 def p_moment(model: tm.TailModel, p: float, t_cap: float = T_CAP_DEFAULT) -> Verdict:
@@ -123,57 +123,34 @@ def p_moment(model: tm.TailModel, p: float, t_cap: float = T_CAP_DEFAULT) -> Ver
 
 
 def _moment_map(p: float, delta: float):
+    """h(x) = x^p ln^delta(1 + x) and its inverse, bisected in s = ln x: the
+    root of p s + delta ln ln(1 + e^s) = ln t on [-745, 709], where e^-745 is
+    the least positive double and e^709 is finite; t past h(e^709) maps to e^709."""
     def h(x):
         x = np.asarray(x, dtype=float)
         return x**p * np.log1p(x) ** delta
 
-    return h
+    def h_inv(t):
+        with np.errstate(divide="ignore"):  # ln 0 = -inf maps to e^-745
+            ln_t = np.log(t)
+        return np.exp(tm.bisect(lambda s: p * s + delta * np.log(np.log1p(np.exp(s))) - ln_t,
+                                -745.0, 709.0))
 
-
-def _invert_increasing(h, targets: np.ndarray) -> np.ndarray:
-    """inf{x : h(x) >= t} for increasing h, vectorized bisection."""
-    targets = np.asarray(targets, dtype=float)
-    hi = np.ones_like(targets)
-    lo = np.zeros_like(targets)
-    for _ in range(1100):
-        need = h(hi) < targets
-        if not np.any(need):
-            break
-        lo = np.where(need, hi, lo)
-        hi = np.where(need, 2.0 * hi, hi)
-        if np.any(hi[need] > 8.9e307):
-            raise InversionFailure("monotone transform could not be bracketed")
-    else:
-        raise InversionFailure("monotone transform could not be bracketed")
-    for _ in range(120):
-        # each element stops once its own bracket is narrow enough, so its
-        # result does not depend on the other targets of the batch
-        i = np.flatnonzero(hi - lo > 1e-13 * np.maximum(hi, 1.0))
-        if not i.size:
-            break
-        mid = 0.5 * (lo[i] + hi[i])
-        low_side = h(mid) < targets[i]
-        lo[i] = np.where(low_side, mid, lo[i])
-        hi[i] = np.where(low_side, hi[i], mid)
-    return hi
+    return h, h_inv
 
 
 def llogl_moment(model: tm.TailModel, p: float, delta: float,
                  t_cap: float = T_CAP_DEFAULT) -> Verdict:
-    """Classify E[ ||X||^p ln^delta(1 + ||X||) ] via the tail of the transform."""
+    """Classify E[ ||X||^p ln^delta(1 + ||X||) ] via the tail of the transform:
+    the map h(x) = x^p ln^delta(1 + x), the power 1."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    h = _moment_map(p, delta)
-
-    def f(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.ones_like(t)
-        pos = t > 0.0
-        if np.any(pos):
-            x = _invert_increasing(h, t[pos])
-            out[pos] = tm.survival(model, x)
-        return out
-
+    h, h_inv = _moment_map(p, delta)
+    with np.errstate(over="ignore"):
+        t_max = float(h(math.exp(709.0)))
+    if t_cap > t_max:
+        raise ValueError(f"t_cap must be at most h(e^709) = {t_max:g}, where h^-1 is "
+                         f"bracketed, got {t_cap!r}")
     base = tm.tail_asymptote(model)
     asym = majorant = None
     if base is not None:
@@ -182,16 +159,11 @@ def llogl_moment(model: tm.TailModel, p: float, delta: float,
         # X = h^-1(t_cap): -d ln f/d ln t = sigma(x)/(d ln h/d ln x), where
         # sigma(x) = a + b/ln x + c/(ln x lnln x) >= sigma_X as in tail_remainder
         # and d ln h/d ln x <= p + delta/ln X: the slope is >= sigma_X/(p + delta/ln X).
-        x_cap = float(_invert_increasing(h, np.array([t_cap]))[0])
-        lx = math.log(x_cap)
+        lx = math.log(float(h_inv(np.array([t_cap]))[0]))
         if lx > 1.0:
             sigma = base.a + min(base.b, 0.0) / lx + min(base.c, 0.0) / (lx * math.log(lx))
             majorant = LogPolyTail(1.0, sigma / (p + delta / lx))
-    upper_x = tm.support_upper(model)
-    cutoff = float(h(np.array([upper_x]))[0]) if math.isfinite(upper_x) else math.inf
-    edges = [float(h(np.array([e]))[0]) for e in model.piece_edges()]
-    return _classify_tail_integral(f, t_cap=t_cap, knee=float(h(np.array([model.knee]))[0]),
-                                   asym=asym, cutoff=cutoff, breakpoints=edges,
+    return _classify_tail_integral(model, h, h_inv, 1.0, t_cap=t_cap, asym=asym,
                                    bound_tail=majorant, log_arg=None)
 
 

@@ -14,10 +14,6 @@ class QuadratureFailure(PqsllnError):
     """Adaptive refinement exhausted its subdivision budget before meeting tolerance."""
 
 
-class InversionFailure(PqsllnError):
-    """A monotone transform could not be bracketed for inversion."""
-
-
 class StateSpaceExceeded(PqsllnError):
     """An exact convolution would exceed the enumerable state-space cap."""
 

@@ -132,7 +132,7 @@ class TailModel:
     name: str
     pieces: tuple[TailPiece, ...]
     negative_prob: float = 0.5  # P(X < 0 | X != 0); see negative_prob()
-    origin: tuple = ()  # (builtin_name, params in call order); () for a custom model
+    origin: tuple = ()  # (builtin_name, magnitude params in call order); () if custom
     # per piece, the survival at its left end and its limit at t_hi from the
     # left, as `validate_model` finds them when the model is built
     edge_values: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
@@ -179,6 +179,17 @@ def survival(model: TailModel, t) -> np.ndarray | float:
     return float(out) if scalar else out
 
 
+def bisect(f, left, right):
+    """A point where f changes sign on each bracket [left, right], f(left) <= 0
+    < f(right), elementwise for arrays and each apart from the others: the right
+    ends after 100 halvings, adjacent floats for a root of size width / 2^48 or more."""
+    for _ in range(100):
+        mid = 0.5 * (left + right)
+        low = f(mid) <= 0.0
+        left, right = np.where(low, mid, left), np.where(low, right, mid)
+    return right
+
+
 # Newton steps for the log-corrected pieces: from the start below, six reach
 # rounding level for the catalog's exponent sets; the rest are bisected.
 NEWTON_STEPS = 6
@@ -197,7 +208,7 @@ def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float) -> np.ndarray:
     a, b, c = pc.tail.a, pc.tail.b, pc.tail.c
     v_lo, v_hi = math.log(math.log(lo)), math.log(math.log(pc.t_hi))
     rhs = math.log(pc.tail.const) - np.log(u)
-    def gap_and_slope(v, rhs, gap, slope):  # g(v) - rhs and g'(v), in place
+    def gap_and_slope(v, rhs, gap, slope):  # g(v) - rhs and g'(v) in place; returns gap
         np.exp(v, out=slope)
         slope *= a
         np.multiply(v, b, out=gap)
@@ -207,6 +218,7 @@ def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float) -> np.ndarray:
         if c:
             gap += c * np.log(v)
             slope += c / v
+        return gap
 
     v = np.log(np.maximum(rhs, a * math.exp(v_lo)) / a) if a > 0.0 else np.full_like(rhs, v_lo)
     gap, slope = np.empty_like(v), np.empty_like(v)
@@ -219,13 +231,7 @@ def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float) -> np.ndarray:
     if np.any(slow):  # bisect on the sign of g - ln(scale/u); e^(e^6.6) overflows
         r = rhs[slow]
         gap, slope = np.empty_like(r), np.empty_like(r)
-        left, right = np.full_like(r, v_lo), np.full_like(r, min(v_hi, 6.6))
-        for _ in range(100):  # halves a width below 50 down to adjacent floats
-            mid = 0.5 * (left + right)
-            gap_and_slope(mid, r, gap, slope)
-            np.copyto(left, mid, where=gap <= 0.0)
-            np.copyto(right, mid, where=gap > 0.0)
-        v[slow] = right
+        v[slow] = bisect(lambda mid: gap_and_slope(mid, r, gap, slope), v_lo, min(v_hi, 6.6))
     return np.clip(np.exp(np.exp(v)), lo, pc.t_hi)
 
 
@@ -281,8 +287,9 @@ def power_survival(model: TailModel, p: float):
     inv = 1.0 / p
 
     def s_y(t):
-        t = np.asarray(t, dtype=float)
-        return survival(model, t**inv)
+        with np.errstate(over="ignore"):  # t^(1/p) = inf has survival 0
+            x = np.asarray(t, dtype=float) ** inv
+        return survival(model, x)
 
     return s_y
 
@@ -308,10 +315,13 @@ class CumulativeTailTable:
         self.t_max = float(t_max)
         s_y = power_survival(model, p)
         edges = [e for e in transformed_edges(model, p) if 0.0 < e < t_max]
-        t_lo = min([t_max * 1e-6, 1e-3, *edges]) if edges else min(t_max * 1e-6, 1e-3)
+        # S_Y is flat below t_lo: below every edge, and below x0^p, where a
+        # first piece that is a power from 0 leaves 1 (x0 > 1 is past 1e-3)
+        x0 = inverse_survival(model, 1.0)
+        t_lo = min([t_max * 1e-6, 1e-3, *edges, *([x0**self.p] if 0.0 < x0 <= 1.0 else [])])
         grid = np.geomspace(t_lo, t_max, TABLE_POINTS)
         grid = np.unique(np.concatenate([grid, np.asarray(edges), [t_max]]))
-        self._head_value = float(s_y(np.array([t_lo * 0.5]))[0])  # S is flat below the first edge
+        self._head_value = float(s_y(np.array([t_lo * 0.5]))[0])
         self.grid = grid
         self.values = np.cumsum([self._head_value * grid[0], *integrate(s_y, grid).values])
         if np.any(np.diff(self.values) < -1e-12):
@@ -375,14 +385,6 @@ def mean_zero(model: TailModel) -> bool | None:
 V_MAX = math.log(math.log(np.finfo(float).max))  # no double t has a larger ln ln t
 
 
-def _bisect(f, left: float, right: float) -> float:
-    """A point where f changes sign on [left, right], f(left) <= 0 < f(right)."""
-    for _ in range(100):  # halves a width below 40 down to adjacent floats
-        mid = 0.5 * (left + right)
-        left, right = (mid, right) if f(mid) <= 0.0 else (left, mid)
-    return right
-
-
 def _log_piece_rises(pc: TailPiece) -> bool:
     """Whether the clamped survival of a log-corrected piece rises on the piece.
 
@@ -398,8 +400,8 @@ def _log_piece_rises(pc: TailPiece) -> bool:
     turn = lambda v: math.exp(v) * v * v - c / a  # increases on v > 0, where c != 0
     cuts = [math.log(math.log(pc.t_lo)), min(math.log(math.log(pc.t_hi)), V_MAX)]
     if a * c > 0.0 and turn(cuts[0]) < 0.0 < turn(cuts[1]):
-        cuts.insert(1, _bisect(turn, *cuts))
-    starts = [lo if slope(lo) < 0.0 else _bisect(lambda v: -slope(v), lo, hi)
+        cuts.insert(1, bisect(turn, *cuts))
+    starts = [lo if slope(lo) < 0.0 else bisect(lambda v: -slope(v), lo, hi)
               for lo, hi in zip(cuts, cuts[1:]) if min(slope(lo), slope(hi)) < 0.0]
     return any(g(v) > math.log(pc.tail.const) + 1e-12 for v in starts)
 
@@ -448,9 +450,10 @@ def validate_model(model: TailModel) -> tuple[tuple[float, float], ...]:
 
 def _builtin(kind: str, name: str, pieces: tuple[TailPiece, ...], sign_law,
              **params) -> TailModel:
-    """A builtin model; its origin records the params it was made from."""
+    """A builtin model; its origin records the params of its magnitude law, as
+    the sign law is its `negative_prob`."""
     return TailModel(name=name, pieces=pieces, negative_prob=negative_prob(sign_law),
-                     origin=(kind, (*params.items(), ("sign_law", sign_law))))
+                     origin=(kind, tuple(params.items())))
 
 
 def pareto(alpha: float, sign_law="symmetric") -> TailModel:

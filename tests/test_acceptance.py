@@ -184,22 +184,9 @@ def test_criterion_10_mz_ratio_decay():
 
 
 def test_criterion_11_mc_vs_exact():
-    law = orc.rademacher_law()
-    worst = 0.0
-    ok = True
-    for p in (1.0, 1.5):
-        for q in (0.5, 1.0):
-            exact = orc.exact_series_small(law, p, q, 12)
-            mean, se = mc.dense_ratio_moments(tm.rademacher(), p, q, 12,
-                                              100_000, master_seed=2024)
-            for n in range(12):
-                diff = float(abs(mean[n] - exact[n]))
-                band = 4.0 * float(se[n])
-                if band == 0.0:
-                    ok = ok and diff == 0.0
-                else:
-                    ok = ok and diff <= band
-                    worst = max(worst, diff / band)
+    results = cli._verify_small_series(2024)
+    ok = len(results) == 4 and all(r["holds"] for r in results)
+    worst = max(r["worst_fraction_of_band"] for r in results)
     report(11, "MC ratio moments match exact enumeration within 4 SE",
            ok, f"worst band fraction {worst:.2f}")
 

@@ -80,6 +80,24 @@ def test_criteria_inconclusive_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["membership"] == "Inconclusive"
 
 
+def test_expectation_cap_past_the_bracket_exits_2(tmp_path, capsys):
+    # h^-1 of x^p ln(1 + x) is bracketed up to x = e^709, about 6e156 at p = 0.5
+    cfg = criteria_config(tmp_path, {"builtin": "pareto", "params": {"alpha": 2.0}}, 0.5, 0.5,
+                          t_cap=1e200, criterion="expectation")
+    assert cli.main(["criteria", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "t_cap must be at most" in err
+    assert len(err.strip().split("\n")) == 1
+
+
+def test_almost_sure_cap_past_the_largest_power_prints_only_membership(tmp_path, capsys):
+    # t^(1/q) overflows to inf on the way to t_cap = 1e300, silently
+    cfg = criteria_config(tmp_path, {"builtin": "pareto", "params": {"alpha": 2.0}}, 0.5, 0.25,
+                          t_cap=1e300)
+    assert cli.main(["criteria", "--config", cfg]) == 0
+    assert capsys.readouterr().err == "membership: Member\n"
+
+
 def test_config_parse_error_has_line_and_column(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": 1,\n  "model": {')

@@ -8,7 +8,6 @@ import pytest
 from clause_facts import clause_facts
 from pqslln import criteria as cr
 from pqslln import tail_models as tm
-from pqslln.errors import InversionFailure
 
 
 def member_model_family(p, q):
@@ -103,7 +102,8 @@ def test_moment_remainders_bound_closed_forms():
     assert cr.p_moment(model, 0.5).remainder_bound >= exact
     # pareto(2) with h(x) = x ln(1+x): the tail past T is
     # int_X^inf x^-2 h'(x) dx = ln(1+X)/X + 2 ln(1 + 1/X), X = h^-1(T)
-    x_cap = float(cr._invert_increasing(cr._moment_map(1.0, 1.0), np.array([T]))[0])
+    _, h_inv = cr._moment_map(1.0, 1.0)
+    x_cap = float(h_inv(np.array([T]))[0])
     exact = math.log1p(x_cap) / x_cap + 2.0 * math.log1p(1.0 / x_cap)
     assert cr.llogl_moment(tm.pareto(2.0), 1.0, 1.0).remainder_bound >= exact
 
@@ -124,17 +124,30 @@ def test_pure_power_remainder_is_rounded_outward(p, q):
     assert cr.integral_pq(model, p, q).remainder_bound >= closed * (1.0 + 0.5 * margin)
 
 
+@pytest.mark.parametrize("p, q", [(0.01, 0.01), (0.5, 0.001)])
+def test_overflowing_power_of_the_cap_is_no_warning(p, q):
+    # t^(1/p) past the largest double is inf, whose survival is 0; under the
+    # suite's error filter a numpy overflow warning would raise here
+    report = cr.classify_slln(tm.pareto(2.0), p, q)
+    assert report.membership == cr.MEMBER
+
+
 def test_inversion_is_independent_of_the_batch():
-    h = cr._moment_map(0.5, 1.0)
+    _, h_inv = cr._moment_map(0.5, 1.0)
     targets = np.geomspace(1e-3, 1e12, 300)
-    batched = cr._invert_increasing(h, targets)
-    alone = [cr._invert_increasing(h, np.array([t]))[0] for t in targets]
+    batched = h_inv(targets)
+    alone = [h_inv(np.array([t]))[0] for t in targets]
     assert batched.tolist() == alone
 
 
-def test_inversion_failure_on_saturating_transform():
-    with pytest.raises(InversionFailure):
-        cr._invert_increasing(lambda x: np.arctan(x), np.array([2.0]))
+def test_moment_cap_past_the_bracket_is_rejected():
+    # h^-1 is bracketed up to x = e^709, so a cap past h(e^709) is refused
+    # before any quadrature; at p = 0.5, delta = 1 that is about 1e156
+    h, _ = cr._moment_map(0.5, 1.0)
+    t_max = float(h(math.exp(709.0)))
+    assert cr.llogl_moment(tm.pareto(2.0), 0.5, 1.0, t_cap=t_max).kind == cr.CONVERGES
+    with pytest.raises(ValueError, match="t_cap must be at most"):
+        cr.llogl_moment(tm.pareto(2.0), 0.5, 1.0, t_cap=2.0 * t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +203,18 @@ def test_series_remainder_bounds_pareto_closed_form(alpha):
     assert verdict.kind == cr.CONVERGES
     assert verdict.remainder_bound >= exact
     assert verdict.remainder_bound <= exact * (1.0 + 1e-4)
+
+
+def test_series_of_a_power_from_zero_matches_closed_form():
+    # S = C t^-2 from t = 0 at p = 0.5: S_Y(t) = C t^-k, k = 4, and every window
+    # is (y_n, n] with y_n = (Cn)^(1/k), so term_n = k/(k-1) (y_n/n^2 - C n^-k)
+    C, k, n_max = 1e-30, 4.0, 1000
+    model = tm.load_model({"name": "power-from-zero", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": None, "formula_id": "power", "params": {"scale": C, "power": 2.0}}]})
+    n = np.arange(1, n_max + 1, dtype=float)
+    closed = math.fsum(k / (k - 1.0) * ((C * n) ** (1.0 / k) / n**2 - C * n**-k))
+    table, _ = cr.truncated_series(model, 0.5, n_max)
+    assert table.partial_sums[-1] == pytest.approx(closed, rel=1e-6)
 
 
 def test_growing_log_factor_remainder_is_a_bound_or_none():

@@ -331,6 +331,37 @@ def test_cumulative_table_nodes_equal_per_cell_sums(model):
     assert table.values.tolist() == g
 
 
+def test_cumulative_table_below_a_power_from_zero():
+    # S = 1e-30 t^-2 from t = 0 leaves 1 at t = 1e-15, far below the table's
+    # default start; at p = 0.5, S_Y(t) = C t^-4, so G(t) = (4/3) C^(1/4) - C t^-3 / 3
+    model = tm.load_model({"name": "power-from-zero", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": None, "formula_id": "power",
+         "params": {"scale": 1e-30, "power": 2.0}}]})
+    table = tm.CumulativeTailTable(model, 0.5, 1e5)
+    for t in (1e-3, 1.0, 1e5):
+        assert table(t) == pytest.approx(4.0 / 3.0 * 1e-30**0.25 - 1e-30 * t**-3 / 3.0,
+                                         rel=1e-9)
+
+
+def test_bisect_returns_the_right_end_at_the_root():
+    root = math.sqrt(2.0)
+    got = float(tm.bisect(lambda x: x * x - 2.0, 0.0, 2.0))
+    assert math.nextafter(root, 0.0) <= got <= math.nextafter(root, 3.0)
+    # a bracket per element, each a linear f with an exact root
+    roots = np.array([0.3, -2.5, 7.0, 123.456])
+    got = tm.bisect(lambda x: x - roots, roots - [1.0, 40.0, 0.5, 1e3],
+                    roots + [2.0, 1.0, 9.0, 1.0])
+    assert np.all(got > roots)
+    assert np.all(got <= np.nextafter(roots, np.inf))
+
+
+def test_builtin_origin_is_hashable_with_a_custom_sign_law():
+    custom = {"kind": "custom", "negative_prob": 0.3}
+    model = tm.pareto(2.0, custom)
+    assert hash(model) == hash(tm.pareto(2.0, custom))
+    assert model.origin == ("pareto", (("alpha", 2.0),)) and model.negative_prob == 0.3
+
+
 # ---------------------------------------------------------------------------
 # JSON catalog
 # ---------------------------------------------------------------------------
