@@ -7,7 +7,6 @@ Every tolerance is pinned here; nothing is calibrated at run time.
 import json
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from pqslln import banach_lp as lp
 from pqslln import cli
 from pqslln import criteria as cr
 from pqslln import mc_engine as mc
-from pqslln import oracles as orc
 from pqslln import tail_models as tm
 
 
@@ -114,44 +112,31 @@ def test_criterion_06_counterexample_exact():
                f"verdict {verdict.kind}")
 
 
-def test_criterion_07_max_inequality_lattice():
+@pytest.fixture(scope="module")
+def verified_lemmas():
+    """`verify lemmas` at seed 2024 and its run time: criteria 07 and 08 read
+    its records, so the tests check the instances the CLI checks."""
     started = time.perf_counter()
-    violations = 0
-    count = 0
-    for K in (1, 2):
-        for n in range(1, (1 << 10) + 1):
-            for j in range(1, 11):
-                theta = min(Fraction(K, j * n), 1)
-                for c in (Fraction(1, 10), Fraction(1), Fraction(7)):
-                    law = orc.DiscreteLaw(((Fraction(0), 1 - theta), (c, theta)))
-                    _, _, holds = orc.lemma_max_check(law, n, K)
-                    count += 1
-                    violations += not holds
-    elapsed = time.perf_counter() - started
+    results = cli._verify_lemmas(2024)
+    return results, time.perf_counter() - started
+
+
+def test_criterion_07_max_inequality_lattice(verified_lemmas):
+    results, elapsed = verified_lemmas
+    rows = [r for r in results if r["check"] == "max-inequality"]
+    violations = sum(not r["holds"] for r in rows)
+    count = next((r["count"] for r in rows if r["instance"] == "full lattice"), 0)
     report(7, "maximal inequality holds on the full lattice",
-           violations == 0, f"{count} instances, {violations} violations, {elapsed:.1f}s")
+           violations == 0 and count == 2 * (1 << 10) * 10 * 3,
+           f"{count} instances, {violations} violations, {elapsed:.1f}s")
 
 
-def test_criterion_08_symmetrization_lattice():
-    from pqslln import rng
-
-    gen = rng.generator(2024, 0, rng.ROLE_PROBE)
-    violations = 0
-    count = 0
-    for _ in range(100):
-        k = int(gen.integers(2, 7))
-        values = np.round(gen.uniform(-4.0, 4.0, size=k), 6)
-        weights = gen.integers(1, 20, size=k)
-        total = int(weights.sum())
-        law = orc.DiscreteLaw.from_pairs(
-            [(float(v), Fraction(int(w), total)) for v, w in zip(values, weights)])
-        for p_exp in (0.3, 0.7, 1.0, 1.5):
-            for t in (0.0, 0.25, 0.5, 1.0, 2.0):
-                _, _, holds = orc.symmetrization_check(law, p_exp, t)
-                count += 1
-                violations += not holds
+def test_criterion_08_symmetrization_lattice(verified_lemmas):
+    results, _ = verified_lemmas
+    summary = next((r for r in results if r["instance"] == "100 laws x 4 x 5"), None)
+    violations = summary["violations"] if summary else None
     report(8, "symmetrization inequality holds on 100 random laws x 4 x 5",
-           violations == 0, f"{count} checks, {violations} violations")
+           violations == 0, f"{100 * 4 * 5} checks, {violations} violations")
 
 
 def test_criterion_09_marcus_pisier():

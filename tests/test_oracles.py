@@ -58,10 +58,23 @@ def test_lemma_max_two_atom_direct_enumeration():
     assert holds
 
 
+LEMMA_MAX = (orc.lemma_max_check, orc.lemma_max_holds)
+
+
 def test_lemma_max_precondition():
     law = orc.two_point(Fraction(1, 2), 1, Fraction(1, 2))
-    with pytest.raises(PreconditionViolated):
-        orc.lemma_max_check(law, 10, 1)
+    for entry in LEMMA_MAX:
+        with pytest.raises(PreconditionViolated):
+            entry(law, 10, 1)
+
+
+@pytest.mark.parametrize("entry", LEMMA_MAX)
+@pytest.mark.parametrize("n", [2.5, 10.0, 0, -3])
+def test_lemma_max_requires_an_int_n_of_at_least_one(entry, n):
+    # a float n would take F^n in floats and leave exact arithmetic
+    law = orc.two_point(Fraction(9, 10), 1, Fraction(1, 10))
+    with pytest.raises(ValueError, match="n must be an int >= 1"):
+        entry(law, n, 1)
 
 
 def test_lemma_max_lattice_subset():
@@ -82,8 +95,107 @@ def test_lemma_max_lattice_subset():
 ])
 def test_lemma_max_rejects_a_non_law(c, masses, message):
     law = orc.DiscreteLaw(((Fraction(0), Fraction(masses[0])), (c, Fraction(masses[1]))))
-    with pytest.raises(ValueError, match=message):
-        orc.lemma_max_check(law, 1, 2)
+    for entry in LEMMA_MAX:
+        with pytest.raises(ValueError, match=message):
+            entry(law, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the float filter of lemma_max_holds
+# ---------------------------------------------------------------------------
+
+
+def _float_and_exact(law, n, K):
+    levels = orc._max_levels(law, n, K)
+    return orc._float_sides(*levels, n), orc._exact_sides(*levels, n)
+
+
+def _assert_bound(law, n, K):
+    """The float sides are within the filter's bound of the exact sides, and
+    lemma_max_holds answers as lemma_max_check, whose holds is e_max >= rhs."""
+    sides, (e_max, rhs) = _float_and_exact(law, n, K)
+    assert sides is not None
+    lhs_f, rhs_f, bound = sides
+    assert abs(Fraction(lhs_f) - e_max) + abs(Fraction(rhs_f) - rhs) < Fraction(bound)
+    assert orc.lemma_max_holds(law, n, K) == (e_max >= rhs)
+
+
+@st.composite
+def max_instances(draw):
+    """(law, n, K) within the precondition: values 1e-300 .. 1e300 (some not
+    dyadic), masses with denominators up to about 1e20, and K up to 2n, so
+    that no atom need sit at 0 and F_i^n can underflow."""
+    n = draw(st.integers(1, 4096))
+    K = draw(st.one_of(st.integers(1, 2 * n),
+                       st.fractions(min_value=1, max_value=2 * n, max_denominator=1000)))
+    m = draw(st.integers(1, 5))
+    values = [Fraction(draw(st.floats(1e-300, 1e300))) / draw(st.integers(1, 1000))
+              for _ in range(m)]
+    weights = [draw(st.integers(1, 10**6)) for _ in range(m)]
+    theta = min(Fraction(K) / n, 1) * Fraction(draw(st.integers(1, 10**6)), 10**6)
+    atoms = [(Fraction(0), 1 - theta)]
+    atoms += [(v, theta * Fraction(w, sum(weights))) for v, w in zip(values, weights)]
+    return orc.DiscreteLaw(tuple(atoms)), n, K
+
+
+@given(max_instances())
+@settings(max_examples=40, deadline=None)
+def test_filter_bound_and_decision_on_random_laws(instance):
+    _assert_bound(*instance)
+
+
+@pytest.mark.parametrize("n", [1030, 1060, 1073, 1100, 4096])
+def test_filter_bound_with_subnormal_powers(n):
+    # F_1 = 1/2: F_1^n is subnormal for 1022 < n <= 1074 and underflows past it
+    law = orc.DiscreteLaw(((Fraction(1, 3), Fraction(1, 2)), (Fraction(5), Fraction(1, 2))))
+    _assert_bound(law, n, n)
+    # a subnormal atom and a large-denominator mass
+    tiny = orc.DiscreteLaw(((Fraction(3, 10**320), Fraction(1, 2) + Fraction(1, 10**40)),
+                            (Fraction(2, 10**310), Fraction(1, 2) - Fraction(1, 10**40))))
+    _assert_bound(tiny, n, n)
+
+
+def _counting_exact_sides(monkeypatch):
+    calls = []
+    exact = orc._exact_sides
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(orc, "_exact_sides", counted)
+    return calls
+
+
+def test_filter_decides_a_lattice_sample_without_the_exact_path(monkeypatch):
+    gen = np.random.default_rng(18)
+    points = [(int(gen.integers(1, 3)), int(gen.integers(1, 1025)), int(gen.integers(1, 11)),
+               (Fraction(1, 10), Fraction(1), Fraction(7))[gen.integers(0, 3)])
+              for _ in range(400)]
+    laws = []
+    for K, n, j, c in points:
+        theta = min(Fraction(K, j * n), 1)
+        laws.append((orc.DiscreteLaw(((Fraction(0), 1 - theta), (c, theta))), n, K))
+    calls = _counting_exact_sides(monkeypatch)
+    decided = [orc.lemma_max_holds(*instance) for instance in laws]
+    assert calls == []
+    assert decided == [orc.lemma_max_check(*instance)[2] for instance in laws]
+
+
+@pytest.mark.parametrize("law,n,K", [
+    # lhs = rhs = 0
+    (orc.DiscreteLaw.from_pairs([(0, 1)]), 5, 1),
+    # float(10**400) overflows
+    (orc.DiscreteLaw(((Fraction(0), Fraction(1, 2)), (Fraction(10**400), Fraction(1, 2)))), 2, 1),
+    # lhs - rhs = 2.5e-319 is inside the bound's absolute term
+    (orc.DiscreteLaw(((Fraction(0), Fraction(1, 2)), (Fraction(1, 10**318), Fraction(1, 2)))), 2, 1),
+], ids=["zero-law", "overflow", "inseparable"])
+def test_filter_defers_to_the_exact_path(monkeypatch, law, n, K):
+    sides, (e_max, rhs) = _float_and_exact(law, n, K)
+    assert sides is None or abs(sides[0] - sides[1]) <= sides[2]
+    calls = _counting_exact_sides(monkeypatch)
+    assert orc.lemma_max_holds(law, n, K) == (e_max >= rhs)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +218,16 @@ def test_symmetrization_five_atom_example():
     for t in (0.0, 0.5, 1.0):
         lhs, rhs, holds = orc.symmetrization_check(law, 0.7, t)
         assert holds, (t, lhs, rhs)
+
+
+def test_symmetrization_builds_the_difference_once_per_law():
+    law = orc.DiscreteLaw.from_pairs(
+        [(-2, "1/10"), (-1, "2/10"), (0, "3/10"), (1, "2/10"), (3, "2/10")])
+    orc._convolve_difference.cache_clear()
+    checks = [orc.symmetrization_check(law, p, t) for p in (0.3, 1.5) for t in (0.0, 1.0)]
+    assert orc._convolve_difference.cache_info().misses == 1
+    orc._convolve_difference.cache_clear()
+    assert checks[-1] == orc.symmetrization_check(law, 1.5, 1.0)
 
 
 @given(st.integers(0, 10_000))
