@@ -10,13 +10,14 @@ that `_classify_tail_integral` evaluates:
     log-moment           h(x) = x^p ln^delta(1 + x), r = 1: E[h(||X||)]
     truncated series     sum_n E[ ||X||^p 1(min{u_n^p, n} < ||X||^p <= n) ] / n
 
-A Verdict records the value accumulated on the evaluated window, a
+An integral's window is [0, end], end = min(t_cap, h(support end), h(X_MAX))
+with X_MAX the largest double: the window ends where h^-1(t) is still a
+double.  A Verdict records the value accumulated on the evaluated window, a
 three-valued classification and, when convergent, `remainder_bound`: a
-proved upper bound of the part past the window (`tail_remainder`,
-`_series_remainder`), or None where no bound is proved.  The one exception
-is the truncated series of a tail P(||X||^p > t) = t^-1 times log factors,
-whose bound rests on the asymptotic form of its terms.  Every model is a
-catalog of exact pieces, so the classification is decided in two tiers:
+proved upper bound of the part past the window (`tail_remainder` from end,
+`_series_remainder` past n_max), or None where no bound is proved.  Every
+model is a catalog of exact pieces, so the classification is decided in two
+tiers:
 
 1. bounded support: the integral terminates; Converges, with the part past
    the evaluated window bounded by the integrand there times its length.
@@ -48,6 +49,7 @@ NON_MEMBER = "NonMember"
 UNDECIDED = "Inconclusive"
 
 T_CAP_DEFAULT = 1e12
+X_MAX = float(np.finfo(float).max)
 SERIES_N_MAX_DEFAULT = 100_000
 _EQ = 1e-12
 
@@ -57,50 +59,59 @@ CLAUSE_P_GE_1 = "q<1<=p<2"
 CLAUSE_OUT = "out-of-scope"
 
 
-def _divergence_diagnostics(f, hi: float) -> dict:
-    """Running values of the integral across the last decade (Diverges invariant)."""
-    grid = np.geomspace(hi / 10.0, hi, 11)
-    partials = np.cumsum(integrate(f, grid).values)
-    slope, _, _ = fit_line(np.log(grid[1:]), partials)
-    return {
-        "last_decade_partials": partials.tolist(),
-        "last_decade_slope": float(slope),
-    }
-
-
 def _classify_tail_integral(model: tm.TailModel, h, h_inv, power: float, *, t_cap: float,
-                            asym: LogPolyTail | None, bound_tail: LogPolyTail | None,
-                            log_arg: float | None) -> Verdict:
+                            asym: LogPolyTail | None, bound_tail) -> Verdict:
     """Classify int_0^inf P(h(||X||) > t)^power dt for increasing h: the
     integrand f(t) = S(h_inv(t))^power, and its knee, support end and
-    breakpoints are h of the model's.  `asym` carries the exponents of f's
-    tail, needed when the support is unbounded.  The remainder past t_cap is
-    `tail_remainder(bound_tail, t_cap, f(t_cap), log_arg)`, so `bound_tail` and
-    `log_arg` must meet that function's assumptions for f on [t_cap, inf): an
-    unbounded tail needs t_cap past h(knee), where f's last piece starts."""
-    def f(t):
-        with np.errstate(over="ignore"):  # h^-1(t) = inf has survival 0
-            x = h_inv(np.asarray(t, dtype=float))
-        return tm.survival(model, x) ** power
+    breakpoints are h of the model's.  The window is [0, end], end =
+    min(t_cap, h(support end), h(X_MAX)): past h(X_MAX) h^-1 is no double, and
+    h^-1 is clamped to X_MAX so that rounding cannot send it to inf.  `asym`
+    carries the exponents of f's tail, needed when the support is unbounded;
+    the remainder past end is `tail_remainder(bound_tail(ln X), end, f(end),
+    ln X)`, X = h^-1(end), so `bound_tail(ln X)` must meet that function's
+    assumptions for f on [end, inf): an unbounded tail needs end past h(knee),
+    where f's last piece starts.  A divergent verdict integrates the last
+    decade of the window as ten more cells of the same call, and reports
+    their running values and slope."""
+    def x_of(t):
+        with np.errstate(over="ignore"):  # rounding can send h^-1(h(X_MAX)) to inf
+            return np.minimum(h_inv(np.asarray(t, dtype=float)), X_MAX)
 
-    cutoff = h(tm.support_upper(model))
-    if math.isinf(cutoff) and t_cap <= h(model.knee):
+    def f(t):
+        return tm.survival(model, x_of(t)) ** power
+
+    with np.errstate(over="ignore"):  # X_MAX^q is inf for q > 1
+        cutoff, h_max = (float(h(np.float64(x))) for x in (tm.support_upper(model), X_MAX))
+    end = min(t_cap, cutoff, h_max)
+    if math.isinf(cutoff) and end <= h(model.knee):
         raise ValueError("t_cap must exceed the knee of the transformed tail")
-    breakpoints = [h(e) for e in model.piece_edges()]
-    value = integrate(f, [0.0, min(t_cap, cutoff)], breakpoints=breakpoints).values[0]
-    f_cap = float(f(np.array([t_cap]))[0])
+    converges = math.isfinite(cutoff) or integral_converges(asym)
+    decade = None if converges else np.geomspace(end / 10.0, end, 11)
+    quad = integrate(f, [0.0, end] if converges else [0.0, *decade],
+                     breakpoints=[h(e) for e in model.piece_edges()])
+    value = math.fsum(quad.values)
+    x_end = x_of(np.array([end]))
+    s_end = tm.survival(model, x_end)
+    f_end = float((s_end**power)[0])
 
     if math.isfinite(cutoff):
-        rem = f_cap * (cutoff - t_cap) if cutoff > t_cap else 0.0
+        rem = f_end * (cutoff - end) if cutoff > end else 0.0
         return Verdict(CONVERGES, value, remainder_bound=rem, method="bounded-support")
 
     diagnostics = {"exponents": (asym.a, asym.b, asym.c)}
-    if integral_converges(asym):
-        rem = None if bound_tail is None else tail_remainder(bound_tail, t_cap, f_cap, log_arg)
+    if converges:
+        # no bound rests on ln X <= 1, nor on an S(X) below the least normal
+        # double: it has lost its relative accuracy, or is 0 where the tail is not
+        log_x = math.log(max(float(x_end[0]), 1.0))
+        proved = log_x > 1.0 and s_end[0] >= np.finfo(float).tiny
+        rem = tail_remainder(bound_tail(log_x), end, f_end, log_x) if proved else None
         return Verdict(CONVERGES, value, remainder_bound=rem,
                        method="tail-exponents", diagnostics=diagnostics)
+    partials = np.cumsum(quad.values[1:])
+    slope, _, _ = fit_line(np.log(decade[1:]), partials)
     return Verdict(DIVERGES, value, method="tail-exponents",
-                   diagnostics={**diagnostics, **_divergence_diagnostics(f, t_cap)})
+                   diagnostics={**diagnostics, "last_decade_partials": partials.tolist(),
+                                "last_decade_slope": float(slope)})
 
 
 def integral_pq(model: tm.TailModel, p: float, q: float,
@@ -112,8 +123,7 @@ def integral_pq(model: tm.TailModel, p: float, q: float,
     if asym is not None:
         asym = asym.power_arg(q).powered(q / p)
     return _classify_tail_integral(model, lambda x: x**q, lambda t: t ** (1.0 / q), q / p,
-                                   t_cap=t_cap, asym=asym, bound_tail=asym,
-                                   log_arg=math.log(t_cap) / q)
+                                   t_cap=t_cap, asym=asym, bound_tail=lambda log_x: asym)
 
 
 def p_moment(model: tm.TailModel, p: float, t_cap: float = T_CAP_DEFAULT) -> Verdict:
@@ -124,8 +134,8 @@ def p_moment(model: tm.TailModel, p: float, t_cap: float = T_CAP_DEFAULT) -> Ver
 
 def _moment_map(p: float, delta: float):
     """h(x) = x^p ln^delta(1 + x) and its inverse, bisected in s = ln x: the
-    root of p s + delta ln ln(1 + e^s) = ln t on [-745, 709], where e^-745 is
-    the least positive double and e^709 is finite; t past h(e^709) maps to e^709."""
+    root of p s + delta ln ln(1 + e^s) = ln t on [-745, ln X_MAX], where e^-745
+    is the least positive double and X_MAX the largest."""
     def h(x):
         x = np.asarray(x, dtype=float)
         return x**p * np.log1p(x) ** delta
@@ -134,7 +144,7 @@ def _moment_map(p: float, delta: float):
         with np.errstate(divide="ignore"):  # ln 0 = -inf maps to e^-745
             ln_t = np.log(t)
         return np.exp(tm.bisect(lambda s: p * s + delta * np.log(np.log1p(np.exp(s))) - ln_t,
-                                -745.0, 709.0))
+                                -745.0, math.log(X_MAX)))
 
     return h, h_inv
 
@@ -146,25 +156,19 @@ def llogl_moment(model: tm.TailModel, p: float, delta: float,
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     h, h_inv = _moment_map(p, delta)
-    with np.errstate(over="ignore"):
-        t_max = float(h(math.exp(709.0)))
-    if t_cap > t_max:
-        raise ValueError(f"t_cap must be at most h(e^709) = {t_max:g}, where h^-1 is "
-                         f"bracketed, got {t_cap!r}")
     base = tm.tail_asymptote(model)
-    asym = majorant = None
-    if base is not None:
-        asym = base.moment_transform(p, delta)
+    asym = None if base is None else base.moment_transform(p, delta)
+
+    def majorant(lx):
         # asym is only asymptotic, so the bound takes the exact slope on [X, inf),
-        # X = h^-1(t_cap): -d ln f/d ln t = sigma(x)/(d ln h/d ln x), where
+        # lx = ln X > 1: -d ln f/d ln t = sigma(x)/(d ln h/d ln x), where
         # sigma(x) = a + b/ln x + c/(ln x lnln x) >= sigma_X as in tail_remainder
         # and d ln h/d ln x <= p + delta/ln X: the slope is >= sigma_X/(p + delta/ln X).
-        lx = math.log(float(h_inv(np.array([t_cap]))[0]))
-        if lx > 1.0:
-            sigma = base.a + min(base.b, 0.0) / lx + min(base.c, 0.0) / (lx * math.log(lx))
-            majorant = LogPolyTail(1.0, sigma / (p + delta / lx))
+        sigma = base.a + min(base.b, 0.0) / lx + min(base.c, 0.0) / (lx * math.log(lx))
+        return LogPolyTail(1.0, sigma / (p + delta / lx))
+
     return _classify_tail_integral(model, h, h_inv, 1.0, t_cap=t_cap, asym=asym,
-                                   bound_tail=majorant, log_arg=None)
+                                   bound_tail=majorant)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +194,7 @@ class SeriesTable:
     clamped_terms: int
 
 
-def _series_tail_verdict(sy: LogPolyTail):
+def _series_tail_verdict(sy: LogPolyTail) -> str:
     """Exact verdict for sum_n E[Y 1(min{u_n', n} < Y <= n)]/n from the tail of Y.
 
     Writing S_Y ~ C t^(-ay) (ln t)^(-by) (lnln t)^(-cy):
@@ -206,15 +210,12 @@ def _series_tail_verdict(sy: LogPolyTail):
     tol = 1e-9
     ay, by, cy, c0 = sy.a, sy.b, sy.c, sy.const
     if ay > 1.0 + tol or ay < 1.0 - tol:
-        return CONVERGES, None
+        return CONVERGES
     if by > tol:
-        reduced = LogPolyTail(c0, 1.0, by, cy - 1.0)
-        return (CONVERGES if integral_converges(reduced) else DIVERGES), reduced
+        return CONVERGES if integral_converges(LogPolyTail(c0, 1.0, by, cy - 1.0)) else DIVERGES
     if cy > tol:
-        return DIVERGES, LogPolyTail(c0, 1.0, 0.0, cy - 1.0)
-    if c0 >= 1.0 - tol:
-        return CONVERGES, None
-    return DIVERGES, LogPolyTail(c0, 1.0, 0.0, 0.0)
+        return DIVERGES
+    return CONVERGES if c0 >= 1.0 - tol else DIVERGES
 
 
 def _series_remainder(model: tm.TailModel, p: float, n_max: int) -> float | None:
@@ -309,18 +310,10 @@ def truncated_series(model: tm.TailModel, p: float,
     # zero terms decide nothing: a divergent tail can keep its windows empty
     # past any N, so the exponents decide even then
     sy = tm.tail_asymptote(model).power_arg(p)
-    kind, reduced = _series_tail_verdict(sy)
+    kind = _series_tail_verdict(sy)
+    rem = _series_remainder(model, p, n_max) if kind == CONVERGES else None
     if kind == CONVERGES and zero:
-        return table_out, Verdict(CONVERGES, estimate, method="zero-terms",
-                                  remainder_bound=_series_remainder(model, p, n_max))
-    rem = None
-    if kind == CONVERGES:
-        if reduced is not None:
-            # the reduced tail is the asymptotic form of the terms, not an exact
-            # piece, so this bound is not proved
-            rem = tail_remainder(reduced, float(n_max), float(terms[-1]) * n_max)
-        else:
-            rem = _series_remainder(model, p, n_max)
+        return table_out, Verdict(CONVERGES, estimate, remainder_bound=rem, method="zero-terms")
     diag = {"tail_exponents": (sy.a, sy.b, sy.c)}
     if kind == DIVERGES:
         last = partials[idx[-2]] if len(idx) > 1 else 0.0

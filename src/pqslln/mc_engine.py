@@ -103,13 +103,17 @@ class CheckpointTable:
     config: ExperimentConfig
     checkpoints: np.ndarray          # (K,)
     s_norm: np.ndarray               # (reps, K)
-    ratio: np.ndarray                # (reps, K)
     w_partial: np.ndarray            # (reps, K)
     censored: np.ndarray             # (reps,) bool
 
     @property
     def active(self) -> np.ndarray:
         return ~self.censored
+
+    @property
+    def ratio(self) -> np.ndarray:
+        """|S_n| / n^(1/p) at every checkpoint, (reps, K)."""
+        return self.s_norm / self.checkpoints.astype(float) ** (1.0 / self.config.p)
 
     def censoring_report(self) -> dict:
         return {
@@ -120,11 +124,12 @@ class CheckpointTable:
 
     def to_csv(self) -> str:
         lines = ["replication,n,s_norm,ratio,w_partial"]
+        ratio = self.ratio
         for r in range(self.s_norm.shape[0]):
             for k, n in enumerate(self.checkpoints):
                 lines.append(
                     f"{r},{int(n)},{float(self.s_norm[r, k])!r},"
-                    f"{float(self.ratio[r, k])!r},{float(self.w_partial[r, k])!r}"
+                    f"{float(ratio[r, k])!r},{float(self.w_partial[r, k])!r}"
                 )
         return "\n".join(lines) + "\n"
 
@@ -212,12 +217,9 @@ def _counterexample_table(config: ExperimentConfig) -> CheckpointTable:
     exactly, so the ratio is identically 1 and W is the harmonic number."""
     checkpoints = config.checkpoints
     k_total = checkpoints.size
-    inv_p = 1.0 / config.p
-    # norm^p accumulates an integer count; the ratio is computed from it so
-    # that it is bitwise 1.0
-    counts = checkpoints.astype(float)
-    ratio_row = (counts / checkpoints.astype(float)) ** inv_p
-    s_row = counts ** inv_p
+    # norm^p accumulates an integer count, so the norm is n^(1/p) computed as
+    # the ratio's denominator is, and the ratio is bitwise 1.0
+    s_row = checkpoints.astype(float) ** (1.0 / config.p)
     inv_m = 1.0 / np.arange(1, config.n_max + 1, dtype=float)
     w_row = np.empty(k_total)
     acc = 0.0
@@ -231,7 +233,6 @@ def _counterexample_table(config: ExperimentConfig) -> CheckpointTable:
         config=config,
         checkpoints=checkpoints,
         s_norm=np.tile(s_row, (reps, 1)),
-        ratio=np.tile(ratio_row, (reps, 1)),
         w_partial=np.tile(w_row, (reps, 1)),
         censored=np.zeros(reps, dtype=bool),
     )
@@ -257,9 +258,7 @@ def run_paths(config: ExperimentConfig, workers: int = 1) -> CheckpointTable:
         w_partial[r] = w_vals
         censored[r] = cens
 
-    ratio = np.abs(s_norm) / checkpoints.astype(float) ** (1.0 / config.p)
-    return CheckpointTable(config=config, checkpoints=checkpoints,
-                           s_norm=np.abs(s_norm), ratio=ratio,
+    return CheckpointTable(config=config, checkpoints=checkpoints, s_norm=np.abs(s_norm),
                            w_partial=w_partial, censored=censored)
 
 

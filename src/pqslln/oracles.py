@@ -235,16 +235,23 @@ def lemma_max_holds(law: DiscreteLaw, n: int, K) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _convolve(left, right) -> dict[Fraction, Fraction]:
+    """Value-indexed law of A + B for independent A and B given as (value,
+    mass) pairs: exact Fraction sums over all pairs of atoms."""
+    out: dict[Fraction, Fraction] = {}
+    for a, pa in left:
+        for b, pb in right:
+            key = a + b
+            out[key] = out.get(key, 0) + pa * pb
+    return out
+
+
 @functools.lru_cache(maxsize=1)
 def _convolve_difference(law: DiscreteLaw) -> DiscreteLaw:
     """Exact law of V - V' over atom pairs; built once for a run of checks
     on the same law."""
-    out: dict[Fraction, Fraction] = {}
-    for v1, p1 in law.atoms:
-        for v2, p2 in law.atoms:
-            key = v1 - v2
-            out[key] = out.get(key, 0) + p1 * p2
-    return DiscreteLaw(tuple(sorted(out.items())))
+    negated = [(-v, p) for v, p in law.atoms]
+    return DiscreteLaw(tuple(sorted(_convolve(law.atoms, negated).items())))
 
 
 def symmetrization_check(law: DiscreteLaw, p_exponent: float, t: float
@@ -271,19 +278,6 @@ def symmetrization_check(law: DiscreteLaw, p_exponent: float, t: float
 # ---------------------------------------------------------------------------
 # Exact moments of normalized partial sums
 # ---------------------------------------------------------------------------
-
-
-def _convolve_step(current: dict, law: DiscreteLaw, n: int) -> dict:
-    """Law of S_n from the law of S_(n-1) on a value-indexed map."""
-    if len(current) * len(law.atoms) > _CONV_CAP:
-        raise StateSpaceExceeded(
-            f"convolution support would exceed {_CONV_CAP} entries at n={n}")
-    nxt: dict[Fraction, Fraction] = {}
-    for s, ps in current.items():
-        for v, pv in law.atoms:
-            key = s + v
-            nxt[key] = nxt.get(key, 0) + ps * pv
-    return nxt
 
 
 def _support_bound(law: DiscreteLaw, n: int) -> int:
@@ -315,7 +309,7 @@ def exact_series_small(law: DiscreteLaw, p: float, q: float, n_limit: int
     current: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
     out: list[float] = []
     for n in range(1, n_limit + 1):
-        current = _convolve_step(current, law, n)
+        current = _convolve(current.items(), law.atoms)
         if sum(current.values(), Fraction(0)) != 1:
             raise AssertionError("convolution lost probability mass")
         scale = n ** (1.0 / p)

@@ -80,14 +80,21 @@ def test_criteria_inconclusive_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["membership"] == "Inconclusive"
 
 
-def test_expectation_cap_past_the_bracket_exits_2(tmp_path, capsys):
-    # h^-1 of x^p ln(1 + x) is bracketed up to x = e^709, about 6e156 at p = 0.5
+def test_expectation_cap_past_the_largest_double_clips_the_window(tmp_path, capsys):
+    # h^-1 of x^p ln(1 + x) is a double up to h(X_MAX), about 1e157 at p = 0.5,
+    # so the window of t_cap = 1e200 ends there and the run gives its verdict
     cfg = criteria_config(tmp_path, {"builtin": "pareto", "params": {"alpha": 2.0}}, 0.5, 0.5,
                           t_cap=1e200, criterion="expectation")
-    assert cli.main(["criteria", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "t_cap must be at most" in err
-    assert len(err.strip().split("\n")) == 1
+    assert cli.main(["criteria", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["membership"] == "Member"
+
+
+def test_expectation_at_small_p_runs_the_default_cap(tmp_path, capsys):
+    # h(X_MAX) is about 1e9 at p = q = 0.02, below the default cap of 1e12
+    cfg = criteria_config(tmp_path, {"builtin": "pareto", "params": {"alpha": 2.0}}, 0.02, 0.02,
+                          criterion="expectation")
+    assert cli.main(["criteria", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["membership"] == "Member"
 
 
 def test_almost_sure_cap_past_the_largest_power_prints_only_membership(tmp_path, capsys):

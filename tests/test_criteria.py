@@ -49,16 +49,46 @@ def test_integral_diverges_below_critical_q(q_frac):
     assert v.diagnostics["last_decade_slope"] > 0.0
 
 
+def test_one_quadrature_call_per_verdict(monkeypatch):
+    # the divergent verdict's last-decade cells ride in the window's own call
+    calls = []
+    real = cr.integrate
+    monkeypatch.setattr(cr, "integrate", lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    diverges = cr.integral_pq(member_model_family(0.5, 0.2), 0.5, 0.2)
+    converges = cr.llogl_moment(member_model_family(0.5, 0.5), 0.5, 0.5)
+    assert (diverges.kind, converges.kind) == (cr.DIVERGES, cr.CONVERGES)
+    assert [len(nodes) for nodes in calls] == [12, 2]
+
+
 @pytest.mark.parametrize("model,kind", [(tm.pareto(2.0), cr.CONVERGES),
                                         (tm.log_power_tail(1.0, 2.0), cr.DIVERGES)],
                          ids=lambda x: getattr(x, "name", x))
 def test_integral_small_q_sees_zero_tail_at_overflow(model, kind):
-    # t^(1/q) overflows to inf inside the window; the tail is 0 there, not NaN.
+    # t^(1/q) would overflow inside the cap, so the window ends at X_MAX^q,
+    # where the tail is 0 or tiny, not NaN.
     # The integrands are t^-2 and t^-1 (ln t)^-0.04 beyond the knee.
     with np.errstate(over="ignore"):
         v = cr.integral_pq(model, 1.0, 0.02)
     assert v.kind == kind
     assert math.isfinite(v.estimate_on_window)
+
+
+@pytest.mark.parametrize("q", [0.03, 0.02, 0.01])
+def test_window_ends_where_the_power_is_a_double(q):
+    # pareto(0.6) at p = 0.5: the integrand is min(1, t^-1.2), whose total is 6.
+    # The window ends at X_MAX^q, below the cap, and the pure-power bound of
+    # the part past it is the exact remainder rounded outward.
+    v = cr.integral_pq(tm.pareto(0.6), 0.5, q)
+    assert v.kind == cr.CONVERGES
+    assert 6.0 - 1e-9 <= v.estimate_on_window + v.remainder_bound <= 6.0 + 1e-9
+
+
+def test_underflowed_survival_proves_no_remainder():
+    # pareto(2) at p = 1, q = 0.02: the window ends at X_MAX^0.02, about 1.5e6,
+    # where S(X_MAX) = X_MAX^-2 underflows to 0; the integrand there is t^-2,
+    # which leaves 1/end past the window, so no bound rests on a zero f(end)
+    v = cr.integral_pq(tm.pareto(2.0), 1.0, 0.02)
+    assert v.kind == cr.CONVERGES and v.remainder_bound is None
 
 
 def test_integral_requires_cap_beyond_knee():
@@ -140,14 +170,13 @@ def test_inversion_is_independent_of_the_batch():
     assert batched.tolist() == alone
 
 
-def test_moment_cap_past_the_bracket_is_rejected():
-    # h^-1 is bracketed up to x = e^709, so a cap past h(e^709) is refused
-    # before any quadrature; at p = 0.5, delta = 1 that is about 1e156
+def test_moment_cap_past_the_largest_double_clips_the_window():
+    # h^-1 is bracketed up to X_MAX, so a cap past h(X_MAX), about 1e157 at
+    # p = 0.5, delta = 1, gives the verdict of the window clipped there
     h, _ = cr._moment_map(0.5, 1.0)
-    t_max = float(h(math.exp(709.0)))
-    assert cr.llogl_moment(tm.pareto(2.0), 0.5, 1.0, t_cap=t_max).kind == cr.CONVERGES
-    with pytest.raises(ValueError, match="t_cap must be at most"):
-        cr.llogl_moment(tm.pareto(2.0), 0.5, 1.0, t_cap=2.0 * t_max)
+    clipped = cr.llogl_moment(tm.pareto(2.0), 0.5, 1.0, t_cap=float(h(cr.X_MAX)))
+    assert cr.llogl_moment(tm.pareto(2.0), 0.5, 1.0, t_cap=1e200) == clipped
+    assert clipped.kind == cr.CONVERGES
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +211,8 @@ def test_series_marginal_divergent():
 def test_series_member_tail_converges():
     _, verdict = cr.truncated_series(member_model_family(0.5, 0.5), 0.5, 100_000)
     assert verdict.kind == cr.CONVERGES
-    assert verdict.remainder_bound is not None and np.isfinite(verdict.remainder_bound)
+    # k = 1 with log factors: no bound of the remainder is proved yet
+    assert verdict.remainder_bound is None
 
 
 def _hurwitz_tail(s, n):
