@@ -272,27 +272,46 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+_LATTICE_SCALES = (Fraction(1, 10), Fraction(1), Fraction(7))
+
+
+def _max_lattice():
+    """The maximal-inequality lattice as one `oracles.MaxInstances`, in the
+    order K = 1, 2; n = 1..2^10; j = 1..10; c of `_LATTICE_SCALES`, with the
+    (j, index of c) of each row.  Row (K, n, j, c) is the law with mass
+    theta = min(K/(j n), 1) at c and the rest at 0, theta kept as the
+    integers min(K, j n) over j n."""
+    K, n, j, c = (a.ravel() for a in np.meshgrid(
+        [1, 2], np.arange(1, (1 << 10) + 1), np.arange(1, 11),
+        np.arange(len(_LATTICE_SCALES)), indexing="ij"))
+    jn = j * n
+    theta = np.minimum(K, jn)
+    c_num = np.array([s.numerator for s in _LATTICE_SCALES])[c]
+    c_den = np.array([s.denominator for s in _LATTICE_SCALES])[c]
+    batch = oracles.MaxInstances(
+        values=np.stack([np.zeros_like(c_num), c_num], axis=1), value_den=c_den,
+        masses=np.stack([jn - theta, theta], axis=1), mass_den=jn, n=n, k_num=K, k_den=1)
+    return batch, j, c
+
+
 def _verify_lemmas(seed: int) -> list[dict]:
     results = []
-    # maximal-inequality lattice: all n up to 2^10, theta = min(K/(j n), 1), c scales;
-    # the float filter decides each point, and the exact path gives the values
-    # of the rows recorded (n = 1, n = 2^10 and any violation)
-    for K in (1, 2):
-        for n in range(1, (1 << 10) + 1):
-            for j in range(1, 11):
-                theta = min(Fraction(K, j * n), 1)
-                zero = (Fraction(0), 1 - theta)
-                for c in (Fraction(1, 10), Fraction(1), Fraction(7)):
-                    law = oracles.DiscreteLaw((zero, (c, theta)))
-                    if n in (1, 1 << 10) or not oracles.lemma_max_holds(law, n, K):
-                        lhs, rhs, holds = oracles.lemma_max_check(law, n, K)
-                        results.append({"check": "max-inequality",
-                                        "instance": {"n": n, "j": j, "c": float(c), "K": K},
-                                        "lhs": lhs, "rhs": rhs, "holds": holds})
-                        if not holds:
-                            return results
+    # maximal-inequality lattice: one batch call decides every point, and the
+    # exact path gives the values of the rows recorded (n = 1, n = 2^10 and
+    # any violation, up to the first)
+    batch, j, c = _max_lattice()
+    holds = oracles.lemma_max_holds_batch(batch)
+    for i in np.flatnonzero(np.isin(batch.n, (1, 1 << 10)) | ~holds):
+        law, n, K = batch.instance(i)
+        lhs, rhs, exact_holds = oracles.lemma_max_check(law, n, K)
+        results.append({"check": "max-inequality",
+                        "instance": {"n": n, "j": int(j[i]),
+                                     "c": float(_LATTICE_SCALES[c[i]]), "K": int(K)},
+                        "lhs": lhs, "rhs": rhs, "holds": exact_holds})
+        if not exact_holds:
+            return results
     results.append({"check": "max-inequality", "instance": "full lattice",
-                    "count": 2 * (1 << 10) * 10 * 3, "holds": True})
+                    "count": len(holds), "holds": True})
 
     # symmetrization lattice: randomized rational laws
     gen = rng.generator(seed, 0, rng.ROLE_PROBE)

@@ -7,11 +7,14 @@ checks cannot fail from rounding; real-valued functionals of the atoms
 Convolutions are computed on value-indexed maps with exact Fraction values,
 never on the raw product space.
 
-The maximal inequality has two entry points with one exact decision.
+The maximal inequality has three entry points with one exact decision.
 `lemma_max_check` evaluates both sides as Fractions and returns them rounded
 once, so its values are exact.  `lemma_max_holds` answers first from a float
 filter whose error bound is proved in its docstring, and runs the exact
 Fraction path only where that bound cannot separate the two sides.
+`lemma_max_holds_batch` decides a `MaxInstances` of laws, given as exact
+integer arrays, with the same filter: one kernel, `_float_sides`, evaluates
+every law of a batch at once, and the single law is its batch of one.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import PreconditionViolated, StateSpaceExceeded
 
@@ -120,51 +125,64 @@ def _exact_sides(values, masses, cum, kf, n: int) -> tuple[Fraction, Fraction]:
     return e_max, Fraction(n) / (2 * kf) * e_y
 
 
-def _power(x: float, n: int) -> float:
-    """x**n by binary powering: squarings and products, each rounded once,
-    which the bound of `lemma_max_holds` counts (`x ** n` states no bound)."""
-    result = 1.0
-    while True:
-        if n & 1:
-            result *= x
-        n >>= 1
-        if not n:
-            return result
-        x *= x
+def _power(x, n):
+    """x**n elementwise for (B, m) doubles x and a (B,) exponent n >= 0, by
+    binary powering on each row's own bits: squarings and products, each
+    rounded once, which the bound of `lemma_max_holds` counts (`x ** n`
+    states no bound).  A row multiplies only on its set bits, so it takes
+    exactly the products that powering it alone would."""
+    result = np.ones_like(x)
+    bits = n[:, None]
+    while bits.any():
+        result = np.where(bits & 1, result * x, result)
+        bits = bits >> 1
+        x = x * x
+    return result
 
 
 _FILTER_MAX_K = 1 << 23  # k = 2n + m + 8 past this voids the bound's k u <= 2^-30
 _TINY = 2.0**-1060  # 2^15 times the largest underflow error 2^-1075
+_EXACT_INT = 1 << 53  # integers below this convert to doubles exactly
 
 
-def _float_sides(values, masses, cum, kf, n: int):
-    """(lhs, rhs, bound) in doubles with |lhs - E max| + |rhs - n/(2K) E Y| < bound.
+def _float_sides(values, masses, cum, n, scale):
+    """(lhs, rhs, bound) of B laws in doubles, with |lhs - E max| +
+    |rhs - n/(2K) E Y| < bound on every row.
 
-    The bound is proved in `lemma_max_holds`.  Returns None where it does not
-    apply: a value too large for a double, k past `_FILTER_MAX_K`, or a side
-    or bound that is not finite.
+    values, masses and cum are (B, m) arrays of fl(v_i), fl(p_i) and fl(F_i)
+    over each law's sorted levels, n the (B,) int64 exponents and scale the
+    (B,) doubles fl(n/(2K)).  Every operation is one IEEE double operation
+    per element and the sums run left to right over the m columns, so the
+    bound proved in `lemma_max_holds` holds on each row.  The bound is +inf
+    where it does not apply: k past `_FILTER_MAX_K`, or a side or bound that
+    is not finite.
     """
-    m = len(values)
+    m = values.shape[1]
+    applies = n <= (_FILTER_MAX_K - m - 8) // 2  # k = 2n + m + 8 <= _FILTER_MAX_K
+    n = np.where(applies, n, 0)
     k = 2 * n + m + 8
-    if k > _FILTER_MAX_K:
-        return None
-    lhs = wide = rhs = atoms = prev = 0.0
-    for v, p, f in zip(values, masses, cum):
-        try:  # x.numerator / x.denominator is float(x): int / int rounds once
-            v = v.numerator / v.denominator
-        except OverflowError:
-            return None
-        g = _power(f.numerator / f.denominator, n)
-        lhs += v * (g - prev)
-        wide += v * (g + prev)
-        rhs += v * (p.numerator / p.denominator)
-        atoms += v
-        prev = g
-    rhs *= n * kf.denominator / (2 * kf.numerator)  # int / int rounds once
-    bound = k * 2.0**-52 * (wide + rhs) + _TINY * n * (atoms + m + 1)
-    if not math.isfinite(lhs + rhs + bound):  # all three are >= 0 or nan
-        return None
-    return lhs, rhs, bound
+    with np.errstate(all="ignore"):  # overflow and nan are caught by the finite test
+        g = _power(cum, n)
+        lhs = wide = rhs = atoms = prev = np.zeros(len(n))
+        for v, p, g_i in zip(values.T, masses.T, g.T):
+            lhs = lhs + v * (g_i - prev)
+            wide = wide + v * (g_i + prev)
+            rhs = rhs + v * p
+            atoms = atoms + v
+            prev = g_i
+        rhs = rhs * scale
+        bound = k * 2.0**-52 * (wide + rhs) + _TINY * n * (atoms + m + 1)
+        applies &= np.isfinite(lhs + rhs + bound)  # all three are >= 0 or nan
+    return lhs, rhs, np.where(applies, bound, np.inf)
+
+
+def _law_doubles(values, masses, cum, kf, n: int):
+    """`_float_sides` arguments (B = 1) for one law's levels: each double is
+    an int / int, which Python rounds once.  Raises OverflowError where a
+    value is too large for a double or n for an int64."""
+    rows = [[x.numerator / x.denominator for x in xs] for xs in (values, masses, cum)]
+    return (*(np.array([row]) for row in rows), np.array([n], dtype=np.int64),
+            np.array([n * kf.denominator / (2 * kf.numerator)]))
 
 
 def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
@@ -220,14 +238,98 @@ def lemma_max_holds(law: DiscreteLaw, n: int, K) -> bool:
        |fl(L^ - R^)| > E gives L - R != 0 with the sign of L^ - R^.
     """
     levels = _max_levels(law, n, K)
-    sides = _float_sides(*levels, n)
-    if sides is not None:
-        lhs, rhs, bound = sides
-        diff = lhs - rhs
-        if abs(diff) > bound:
-            return diff > 0
+    try:
+        doubles = _law_doubles(*levels, n)
+    except OverflowError:  # the exact path takes what a double cannot hold
+        pass
+    else:
+        (lhs,), (rhs,), (bound,) = _float_sides(*doubles)
+        if abs(lhs - rhs) > bound:
+            return bool(lhs > rhs)
     e_max, rhs_exact = _exact_sides(*levels, n)
     return e_max >= rhs_exact
+
+
+class MaxInstances:
+    """B instances (law, n, K) of the maximal inequality as exact integers.
+
+    Law i has m atoms values[i, j] / value_den[i] with masses
+    masses[i, j] / mass_den[i], and is checked at n[i] and
+    K = k_num[i] / k_den[i].  The fields are stored as int64 arrays of
+    shapes (B, m), m >= 1, and (B,), broadcast from what is given;
+    ValueError unless each has an integer dtype that casts to int64 without
+    loss and every denominator is >= 1.  Whether a row is a law is checked by
+    `lemma_max_holds_batch`.
+    """
+
+    __slots__ = ("values", "value_den", "masses", "mass_den", "n", "k_num", "k_den")
+
+    def __init__(self, values, value_den, masses, mass_den, n, k_num, k_den):
+        n = np.asarray(n)
+        if not np.can_cast(n.dtype, np.int64):
+            raise ValueError(f"n must be an int >= 1, got an array of {n.dtype}")
+        fields = {"n": n}
+        for name, a in (("values", values), ("value_den", value_den), ("masses", masses),
+                        ("mass_den", mass_den), ("k_num", k_num), ("k_den", k_den)):
+            fields[name] = np.asarray(a)
+            if not np.can_cast(fields[name].dtype, np.int64):
+                raise ValueError(f"{name} must be an integer array, got {fields[name].dtype}")
+        values, masses = np.broadcast_arrays(fields.pop("values"), fields.pop("masses"))
+        if values.ndim != 2 or values.shape[1] == 0:
+            raise ValueError("values and masses must be (B, m) arrays with m >= 1")
+        fields = {name: np.broadcast_to(a, len(values)) for name, a in fields.items()}
+        if min(fields[name].min(initial=1) for name in ("value_den", "mass_den", "k_den")) < 1:
+            raise ValueError("denominators must be >= 1")
+        for name, a in (*fields.items(), ("values", values), ("masses", masses)):
+            setattr(self, name, a.astype(np.int64))
+
+    def instance(self, i: int) -> tuple[DiscreteLaw, int, Fraction]:
+        """Row i as the exact (law, n, K) that `lemma_max_check` takes."""
+        vd, pd = int(self.value_den[i]), int(self.mass_den[i])
+        atoms = tuple((Fraction(v, vd), Fraction(p, pd))
+                      for v, p in zip(self.values[i].tolist(), self.masses[i].tolist()))
+        return (DiscreteLaw(atoms), int(self.n[i]),
+                Fraction(int(self.k_num[i]), int(self.k_den[i])))
+
+
+def lemma_max_holds_batch(batch: MaxInstances) -> np.ndarray:
+    """`lemma_max_holds` on every row of `batch`, as a boolean array.
+
+    Each row is checked in int64 arithmetic, exactly: every integer is in
+    [0, 2^53), so it converts to a double exactly and each fl(a / b) is the
+    one rounding of the scalar entry's int / int; the precondition products
+    (b - a) n K_den and K_num b are computed only where their float values
+    bound them below 2^62, so none wraps.  The rows that pass go through
+    `_float_sides` in one call, and `_exact_sides` runs only for those the
+    filter cannot decide.  Every other row (not a law, values not strictly
+    increasing, or integers too large for these checks) is decided by
+    `lemma_max_holds` on `batch.instance(i)`, which raises its errors.
+    """
+    v, p, n = batch.values, batch.masses, batch.n
+    vd, pd, kn, kd = batch.value_den, batch.mass_den, batch.k_num, batch.k_den
+    ints = np.column_stack([v, p, vd, pd, n, kn, kd])
+    cum = np.cumsum(p, axis=1)  # exact until a partial sum passes mass_den
+    a = np.where(v[:, 0] == 0, p[:, 0], 0)  # P(Y = 0) = a / mass_den
+    # float products of integers below 2^53 bound the int64 ones: below 2^62
+    # none wraps, and below 2^53 n K_den is exact as a double
+    nf = n.astype(float)
+    fits = (((pd - a) * nf * kd < 2.0**62) & (kn * pd.astype(float) < 2.0**62)
+            & (nf * kd < _EXACT_INT))
+    clean = (np.all((ints >= 0) & (ints < _EXACT_INT), axis=1) & fits
+             & (n >= 1) & (kn >= kd) & np.all(np.diff(v, axis=1) > 0, axis=1)
+             & np.all(cum <= pd[:, None], axis=1) & (cum[:, -1] == pd)
+             & ((pd - a) * n * kd <= kn * pd))  # P(Y > 0) <= K/n; wraps only where not fits
+    r = np.flatnonzero(clean)
+    den = pd[r, None]
+    lhs, rhs, bound = _float_sides(v[r] / vd[r, None], p[r] / den, cum[r] / den, n[r],
+                                   n[r] * kd[r] / (2 * kn[r]))
+    holds = np.zeros(len(clean), dtype=bool)
+    decided = np.zeros(len(clean), dtype=bool)
+    holds[r] = lhs > rhs
+    decided[r] = np.abs(lhs - rhs) > bound
+    for i in np.flatnonzero(~decided):
+        holds[i] = lemma_max_holds(*batch.instance(i))
+    return holds
 
 
 # ---------------------------------------------------------------------------

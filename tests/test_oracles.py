@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqslln import cli
 from pqslln import oracles as orc
 from pqslln.errors import PreconditionViolated, StateSpaceExceeded
 
@@ -58,7 +60,28 @@ def test_lemma_max_two_atom_direct_enumeration():
     assert holds
 
 
-LEMMA_MAX = (orc.lemma_max_check, orc.lemma_max_holds)
+def _batch(instances):
+    """MaxInstances of (law, n, K) triples with one atom count, each row over
+    the lcm of its value denominators and of its mass denominators."""
+    cols = {"values": [], "value_den": [], "masses": [], "mass_den": [],
+            "n": [], "k_num": [], "k_den": []}
+    for law, n, K in instances:
+        values, masses = [Fraction(v) for v, _ in law.atoms], [Fraction(p) for _, p in law.atoms]
+        vd = math.lcm(*(v.denominator for v in values))
+        pd = math.lcm(*(p.denominator for p in masses))
+        K = Fraction(K)
+        for name, x in (("values", [int(v * vd) for v in values]), ("value_den", vd),
+                        ("masses", [int(p * pd) for p in masses]), ("mass_den", pd),
+                        ("n", n), ("k_num", K.numerator), ("k_den", K.denominator)):
+            cols[name].append(x)
+    return orc.MaxInstances(**{name: np.array(x) for name, x in cols.items()})
+
+
+def _holds_in_a_batch(law, n, K):
+    return bool(orc.lemma_max_holds_batch(_batch([(law, n, K)]))[0])
+
+
+LEMMA_MAX = (orc.lemma_max_check, orc.lemma_max_holds, _holds_in_a_batch)
 
 
 def test_lemma_max_precondition():
@@ -100,14 +123,69 @@ def test_lemma_max_rejects_a_non_law(c, masses, message):
             entry(law, 1, 2)
 
 
+@pytest.mark.parametrize("bad,error,message", [
+    # theta = K/(j n) = 2 unclamped at n = 1, K = 2, j = 1
+    (([0, 1], 1, [-1, 2], 1, 1, 2), ValueError, "probabilities must be nonnegative"),
+    (([0, 1], 1, [2, 1], 4, 1, 2), ValueError, "sum to 3/4, not 1"),
+    (([0, 1], 1, [1, 1], 2, 10, 1), PreconditionViolated, "exceeds K/n"),
+    (([0, 1], 1, [9, 1], 10, 0, 1), ValueError, "n must be an int >= 1"),
+], ids=["negative-mass", "mass-3/4", "precondition", "n-0"])
+def test_batch_rejects_a_bad_row_among_laws(bad, error, message):
+    good = ([0, 7], 10, [9, 1], 10, 10, 1)  # values, value_den, masses, mass_den, n, K
+    columns = [np.array(column) for column in zip(good, bad, good)]
+    batch = orc.MaxInstances(*columns, k_den=1)
+    with pytest.raises(error, match=message):
+        orc.lemma_max_holds_batch(batch)
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"n": [2.5]}, "n must be an int >= 1"),
+    ({"masses": [[0.5, 0.5]]}, "masses must be an integer array"),
+    ({"values": [[0, 2**70]]}, "values must be an integer array"),  # no int64 holds it
+    ({"values": np.array([[0, 1]], dtype=np.uint64)}, "values must be an integer array"),
+    ({"mass_den": [0]}, "denominators must be >= 1"),
+])
+def test_max_instances_take_only_exact_integers(fields, message):
+    row = {"values": [[0, 1]], "value_den": [1], "masses": [[1, 1]], "mass_den": [2],
+           "n": [1], "k_num": [1], "k_den": [1]}
+    with pytest.raises(ValueError, match=message):
+        orc.MaxInstances(**(row | fields))
+
+
+@pytest.mark.parametrize("atoms,n,K", [
+    # values out of order, and a repeated value: lemma_max_holds sorts and merges
+    (((7, Fraction(1, 20)), (0, Fraction(19, 20))), 10, 1),
+    (((0, Fraction(9, 10)), (3, Fraction(1, 20)), (3, Fraction(1, 20))), 10, 1),
+    # a value numerator past 2^53 would not convert to a double exactly
+    (((0, Fraction(9, 10)), (2**60 + 1, Fraction(1, 10))), 10, 1),
+    # (b - a) n K_den = (2^40 + 1) 2^11 2^40 would wrap an int64
+    (((0, 1 - Fraction(2**40 + 1, 2**52)), (5, Fraction(2**40 + 1, 2**52))), 2**11,
+     Fraction(2**40 + 1, 2**40)),
+], ids=["unsorted", "repeated", "wide-value", "wide-product"])
+def test_batch_leaves_rows_past_its_int64_checks_to_the_scalar_entry(monkeypatch, atoms, n, K):
+    law = orc.DiscreteLaw(tuple((Fraction(v), p) for v, p in atoms))
+    scalar_calls = []
+    scalar = orc.lemma_max_holds
+    monkeypatch.setattr(orc, "lemma_max_holds",
+                        lambda *args: scalar_calls.append(args) or scalar(*args))
+    assert _holds_in_a_batch(law, n, K) == orc.lemma_max_check(law, n, K)[2]
+    assert len(scalar_calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # the float filter of lemma_max_holds
 # ---------------------------------------------------------------------------
 
 
 def _float_and_exact(law, n, K):
+    """The filter's (lhs, rhs, bound) for one law, None where a value does
+    not fit a double, and the exact sides."""
     levels = orc._max_levels(law, n, K)
-    return orc._float_sides(*levels, n), orc._exact_sides(*levels, n)
+    try:
+        doubles = orc._law_doubles(*levels, n)
+    except OverflowError:
+        return None, orc._exact_sides(*levels, n)
+    return tuple(float(x[0]) for x in orc._float_sides(*doubles)), orc._exact_sides(*levels, n)
 
 
 def _assert_bound(law, n, K):
@@ -116,19 +194,21 @@ def _assert_bound(law, n, K):
     sides, (e_max, rhs) = _float_and_exact(law, n, K)
     assert sides is not None
     lhs_f, rhs_f, bound = sides
+    assert math.isfinite(bound)
     assert abs(Fraction(lhs_f) - e_max) + abs(Fraction(rhs_f) - rhs) < Fraction(bound)
     assert orc.lemma_max_holds(law, n, K) == (e_max >= rhs)
 
 
 @st.composite
-def max_instances(draw):
+def max_instances(draw, atoms=st.integers(1, 5)):
     """(law, n, K) within the precondition: values 1e-300 .. 1e300 (some not
     dyadic), masses with denominators up to about 1e20, and K up to 2n, so
-    that no atom need sit at 0 and F_i^n can underflow."""
+    that no atom need sit at 0 and F_i^n can underflow.  The law has an atom
+    at 0 and `atoms` more."""
     n = draw(st.integers(1, 4096))
     K = draw(st.one_of(st.integers(1, 2 * n),
                        st.fractions(min_value=1, max_value=2 * n, max_denominator=1000)))
-    m = draw(st.integers(1, 5))
+    m = draw(atoms)
     values = [Fraction(draw(st.floats(1e-300, 1e300))) / draw(st.integers(1, 1000))
               for _ in range(m)]
     weights = [draw(st.integers(1, 10**6)) for _ in range(m)]
@@ -144,15 +224,87 @@ def test_filter_bound_and_decision_on_random_laws(instance):
     _assert_bound(*instance)
 
 
-@pytest.mark.parametrize("n", [1030, 1060, 1073, 1100, 4096])
-def test_filter_bound_with_subnormal_powers(n):
+SUBNORMAL_NS = [1030, 1060, 1073, 1100, 4096]
+
+
+def _subnormal_power_laws(n):
     # F_1 = 1/2: F_1^n is subnormal for 1022 < n <= 1074 and underflows past it
     law = orc.DiscreteLaw(((Fraction(1, 3), Fraction(1, 2)), (Fraction(5), Fraction(1, 2))))
-    _assert_bound(law, n, n)
     # a subnormal atom and a large-denominator mass
     tiny = orc.DiscreteLaw(((Fraction(3, 10**320), Fraction(1, 2) + Fraction(1, 10**40)),
                             (Fraction(2, 10**310), Fraction(1, 2) - Fraction(1, 10**40))))
-    _assert_bound(tiny, n, n)
+    return [(law, n, n), (tiny, n, n)]
+
+
+@pytest.mark.parametrize("n", SUBNORMAL_NS)
+def test_filter_bound_with_subnormal_powers(n):
+    for instance in _subnormal_power_laws(n):
+        _assert_bound(*instance)
+
+
+def _reference_float_sides(values, masses, cum, kf, n):
+    """The filter as one scalar loop over a law's levels, every step the
+    double operation the proof of `lemma_max_holds` counts; None where the
+    bound does not apply.  `_float_sides` must match it bit for bit."""
+    m = len(values)
+    k = 2 * n + m + 8
+    if k > orc._FILTER_MAX_K:
+        return None
+    lhs = wide = rhs = atoms = prev = 0.0
+    for v, p, f in zip(values, masses, cum):
+        v = v.numerator / v.denominator
+        g, x, e = 1.0, f.numerator / f.denominator, n
+        while True:  # binary powering
+            if e & 1:
+                g *= x
+            e >>= 1
+            if not e:
+                break
+            x *= x
+        lhs += v * (g - prev)
+        wide += v * (g + prev)
+        rhs += v * (p.numerator / p.denominator)
+        atoms += v
+        prev = g
+    rhs *= n * kf.denominator / (2 * kf.numerator)
+    bound = k * 2.0**-52 * (wide + rhs) + orc._TINY * n * (atoms + m + 1)
+    return (lhs, rhs, bound) if math.isfinite(lhs + rhs + bound) else None
+
+
+def _bits(xs):
+    return [float(x).hex() for x in xs]
+
+
+def _assert_batch_matches_single_laws(instances):
+    """Laws stacked by level count into one `_float_sides` call give, row by
+    row, the bits of the B = 1 call and of the scalar reference loop."""
+    groups = {}
+    for law, n, K in instances:
+        levels = orc._max_levels(law, n, K)
+        groups.setdefault(len(levels[0]), []).append((levels, n))
+    for group in groups.values():
+        singles = [orc._law_doubles(*levels, n) for levels, n in group]
+        batched = orc._float_sides(*(np.concatenate(part) for part in zip(*singles)))
+        for row, (single, (levels, n)) in enumerate(zip(singles, group)):
+            sides = [x[row] for x in batched]
+            assert _bits(sides) == _bits(x[0] for x in orc._float_sides(*single))
+            reference = _reference_float_sides(*levels, n)
+            if reference is None:
+                assert sides[2] == math.inf
+            else:
+                assert _bits(sides) == _bits(reference)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda m: st.lists(max_instances(st.just(m)), min_size=2, max_size=8)))
+@settings(max_examples=25, deadline=None)
+def test_batched_filter_matches_each_law_bit_for_bit(instances):
+    _assert_batch_matches_single_laws(instances)
+
+
+def test_batched_filter_matches_each_law_with_subnormal_powers():
+    _assert_batch_matches_single_laws(
+        [instance for n in SUBNORMAL_NS for instance in _subnormal_power_laws(n)])
 
 
 def _counting_exact_sides(monkeypatch):
@@ -167,19 +319,19 @@ def _counting_exact_sides(monkeypatch):
     return calls
 
 
-def test_filter_decides_a_lattice_sample_without_the_exact_path(monkeypatch):
-    gen = np.random.default_rng(18)
-    points = [(int(gen.integers(1, 3)), int(gen.integers(1, 1025)), int(gen.integers(1, 11)),
-               (Fraction(1, 10), Fraction(1), Fraction(7))[gen.integers(0, 3)])
-              for _ in range(400)]
-    laws = []
-    for K, n, j, c in points:
-        theta = min(Fraction(K, j * n), 1)
-        laws.append((orc.DiscreteLaw(((Fraction(0), 1 - theta), (c, theta))), n, K))
+def test_filter_decides_the_whole_lattice_without_the_exact_path(monkeypatch):
+    batch, _, _ = cli._max_lattice()
     calls = _counting_exact_sides(monkeypatch)
-    decided = [orc.lemma_max_holds(*instance) for instance in laws]
-    assert calls == []
-    assert decided == [orc.lemma_max_check(*instance)[2] for instance in laws]
+    laws_built = []
+    instance = orc.MaxInstances.instance
+    monkeypatch.setattr(orc.MaxInstances, "instance",
+                        lambda self, i: laws_built.append(i) or instance(self, i))
+    holds = orc.lemma_max_holds_batch(batch)
+    assert calls == [] and laws_built == []
+    assert len(holds) == 2 * (1 << 10) * 10 * 3 and holds.all()
+    gen = np.random.default_rng(18)
+    for i in gen.choice(len(holds), 400, replace=False):
+        assert holds[i] == orc.lemma_max_check(*batch.instance(i))[2]
 
 
 @pytest.mark.parametrize("law,n,K", [
