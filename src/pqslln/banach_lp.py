@@ -4,8 +4,10 @@ For iid magnitudes X_1..X_n with nonincreasing rearrangement X*_k and
 r >= 1, P(sup_k k^(1/r) X*_k > u) <= (2e/u^r) sup_t t^r sum_k P(||X_k|| > t).
 `sup_power_weighted_tail` computes the supremum on the right from the tail
 model's pieces, and `marcus_pisier_check` sets the empirical left side beside
-the bound on a grid of u.  The disjoint-coordinate l_p witness is simulated
-by `mc_engine` as the `lp-counterexample` sequence rule.
+the bound on a grid of u.  Its draws stream in pieces of at most 2^16
+magnitudes (one path when n is larger), so its memory is bounded by the
+piece size, not by the replication count.  The disjoint-coordinate l_p
+witness is simulated by `mc_engine` as the `lp-counterexample` sequence rule.
 """
 
 from __future__ import annotations
@@ -72,14 +74,20 @@ def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
     (2e/u^r) sup_t t^r sum_k P(||X_k|| > t) for iid draws.
 
     X*_k is the nonincreasing rearrangement of the n magnitudes, computed by a
-    full sort per replication.
+    full sort per replication.  Probe stream b draws block b of 2^22 // n
+    paths, in pieces of at most max(n, 2^16) magnitudes; each piece is
+    counted before the next is drawn.
     """
     if r < 1.0:
         raise ValueError("the inequality requires r >= 1")
+    if n < 1:
+        raise ValueError("the inequality needs paths of length n >= 1")
+    if replications < 1:
+        raise ValueError("the empirical side needs at least one replication")
     u_grid = np.asarray(sorted(float(u) for u in u_grid))
     weights = np.arange(1, n + 1, dtype=float) ** (1.0 / r)
     counts = np.zeros(u_grid.size)
-    per_block = max(1, (1 << 22) // max(n, 1))
+    per_block = max(1, (1 << 22) // n)
     for mags in mc.probe_blocks(model, replications, per_block, n, master_seed, 0.0):
         mags[:, ::-1].sort(axis=1)  # descending
         stat = np.max(weights[None, :] * mags, axis=1)

@@ -159,13 +159,24 @@ def draw_batch(gen: np.random.Generator, sampler: MagnitudeSampler,
 
 def probe_blocks(model: tm.TailModel, replications: int, per_block: int, n: int,
                  master_seed: int, threshold: float):
-    """Signed draws for `replications` probe paths of length n, yielded as
-    (m, n) blocks of at most `per_block` paths; block b draws from probe
-    stream b, so the blocks are reproducible for a fixed seed."""
+    """Signed draws for `replications` probe paths of length n, in blocks of
+    at most `per_block` paths; block b draws from probe stream b, so the
+    draws are reproducible for a fixed seed.
+
+    Each block is yielded in (m, n) pieces of max(1, _CHUNK // n) rows, one
+    draw_batch call each, in order from the block's stream, so no piece holds
+    more than max(n, _CHUNK) doubles.  Unsigned draws (`threshold` <= 0) do
+    not depend on the piece size: the uniforms continue one stream.  A signed
+    piece draws its magnitudes and then its signs, so a signed block of more
+    than _CHUNK elements draws in a different order than one call would.
+    """
     sampler = MagnitudeSampler(model)
+    rows = max(1, _CHUNK // max(n, 1))
     for block_id, done in enumerate(range(0, replications, per_block)):
         gen = rng.generator(master_seed, block_id, rng.ROLE_PROBE)
-        yield draw_batch(gen, sampler, threshold, (min(per_block, replications - done), n))
+        size = min(per_block, replications - done)
+        for start in range(0, size, rows):
+            yield draw_batch(gen, sampler, threshold, (min(rows, size - start), n))
 
 
 def parallel_map(fn, items, workers: int) -> list:

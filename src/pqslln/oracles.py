@@ -62,6 +62,11 @@ class DiscreteLaw:
     def values(self) -> list[Fraction]:
         return [v for v, _ in self.atoms]
 
+    @functools.cached_property
+    def float_atoms(self) -> tuple[tuple[float, float], ...]:
+        """The atoms rounded to doubles, converted once per law."""
+        return tuple((float(v), float(p)) for v, p in self.atoms)
+
 
 def rademacher_law() -> DiscreteLaw:
     return DiscreteLaw.from_pairs([(-1, Fraction(1, 2)), (1, Fraction(1, 2))])
@@ -364,13 +369,13 @@ def symmetrization_check(law: DiscreteLaw, p_exponent: float, t: float
         raise ValueError("p_exponent must be positive")
     beta = max(1.0, 2.0 ** (p_exponent - 1.0))
 
-    def g(v: Fraction) -> float:
-        return abs(float(v)) ** p_exponent
+    def g(v: float) -> float:
+        return abs(v) ** p_exponent
 
-    e_g = math.fsum(g(v) * float(p) for v, p in law.atoms)
-    p_le_t = math.fsum(float(p) for v, p in law.atoms if g(v) <= t)
-    hat = _convolve_difference(law)
-    e_g_hat = math.fsum(g(v) * float(p) for v, p in hat.atoms)
+    atoms = law.float_atoms
+    e_g = math.fsum(g(v) * p for v, p in atoms)
+    p_le_t = math.fsum(p for v, p in atoms if g(v) <= t)
+    e_g_hat = math.fsum(g(v) * p for v, p in _convolve_difference(law).float_atoms)
     lhs = p_le_t * e_g
     rhs = e_g_hat + beta * t
     holds = lhs <= rhs + 1e-12 * max(1.0, abs(rhs))

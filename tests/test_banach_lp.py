@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from pqslln import banach_lp as lp
 from pqslln import criteria as cr
 from pqslln import mc_engine as mc
+from pqslln import rng
 from pqslln import tail_models as tm
 
 
@@ -66,3 +68,32 @@ def test_marcus_pisier_pareto_bound():
 def test_marcus_pisier_requires_r_at_least_one():
     with pytest.raises(ValueError):
         lp.marcus_pisier_check(tm.pareto(2.0), 8, 0.8, [1.0], 10)
+
+
+def test_marcus_pisier_rejects_empty_input():
+    with pytest.raises(ValueError, match="n >= 1"):
+        lp.marcus_pisier_check(tm.pareto(2.0), 0, 1.2, [1.0], 10)
+    with pytest.raises(ValueError, match="replication"):
+        lp.marcus_pisier_check(tm.pareto(2.0), 8, 1.2, [1.0], 0)
+
+
+def test_marcus_pisier_streams_in_bounded_memory():
+    # n = 2^15: blocks of 128 and 2 paths, drawn in pieces of 2 paths
+    model = tm.pareto(1.5, "nonnegative")
+    n, r, reps, grid = 1 << 15, 1.2, 130, np.geomspace(1.0, 1e4, 8)
+    tracemalloc.start()
+    try:
+        table = lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20
+    # one-shot reference: each block drawn whole, sorted and counted
+    weights = np.arange(1, n + 1, dtype=float) ** (1.0 / r)
+    counts = np.zeros(grid.size)
+    for b, size in enumerate((128, 2)):
+        gen = rng.generator(3, b, rng.ROLE_PROBE)
+        mags = mc.draw_batch(gen, mc.MagnitudeSampler(model), 0.0, (size, n))
+        stat = np.max(weights * -np.sort(-mags, axis=1), axis=1)
+        counts += (stat[None, :] > grid[:, None]).sum(axis=1)
+    assert table.empirical_lhs == tuple((counts / reps).tolist())

@@ -131,6 +131,28 @@ def test_probe_blocks_one_stream_per_block():
     for b, block in enumerate(blocks):
         gen = rng.generator(3, b, rng.ROLE_PROBE)
         np.testing.assert_array_equal(block, mc.draw_batch(gen, sampler, threshold, block.shape))
+    # blocks of 5 and 2 paths at n = 30,000: pieces of 2 rows, and the pieces
+    # of block b joined are one unsigned draw_batch of the block from stream b
+    model = tm.pareto(1.5, "nonnegative")
+    sampler = mc.MagnitudeSampler(model)
+    n = 30_000
+    pieces = list(mc.probe_blocks(model, 7, 5, n, 3, 0.0))
+    assert [piece.shape for piece in pieces] == [(2, n), (2, n), (1, n), (2, n)]
+    for b, block in enumerate((np.concatenate(pieces[:3]), pieces[3])):
+        gen = rng.generator(3, b, rng.ROLE_PROBE)
+        np.testing.assert_array_equal(block, mc.draw_batch(gen, sampler, 0.0, block.shape))
+
+
+def test_unsigned_draws_in_pieces_equal_one_call():
+    # one 64-bit word per double: consecutive calls continue the same stream
+    sampler = mc.MagnitudeSampler(tm.pareto(2.0, "nonnegative"))
+    sizes = (1, 6, 1000, mc._CHUNK)
+    for draw in (lambda gen, m: rng.open_uniforms(gen, m),
+                 lambda gen, m: mc.draw_batch(gen, sampler, 0.0, m)):
+        gen = rng.generator(5, 1, rng.ROLE_PROBE)
+        whole = draw(gen, sum(sizes))
+        gen = rng.generator(5, 1, rng.ROLE_PROBE)
+        np.testing.assert_array_equal(np.concatenate([draw(gen, m) for m in sizes]), whole)
 
 
 def test_w_monotone_per_replication():
