@@ -136,10 +136,12 @@ class CheckpointTable:
 
 class MagnitudeSampler:
     """Inverse-transform sampler for ||X||: the model's exact piecewise
-    inverse survival function."""
+    inverse survival function.  Building it builds the model's Newton start
+    tables, so no draw, and no worker thread, pays for them."""
 
     def __init__(self, model: tm.TailModel):
         self.model = model
+        model.root_tables  # built here, before any draw
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return tm.inverse_survival(self.model, u)

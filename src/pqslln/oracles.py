@@ -67,6 +67,13 @@ class DiscreteLaw:
         """The atoms rounded to doubles, converted once per law."""
         return tuple((float(v), float(p)) for v, p in self.atoms)
 
+    @functools.cached_property
+    def difference(self) -> "DiscreteLaw":
+        """Exact law of V - V' for an independent copy V', over atom pairs;
+        built once per law."""
+        negated = [(-v, p) for v, p in self.atoms]
+        return DiscreteLaw(tuple(sorted(_convolve(self.atoms, negated).items())))
+
 
 def rademacher_law() -> DiscreteLaw:
     return DiscreteLaw.from_pairs([(-1, Fraction(1, 2)), (1, Fraction(1, 2))])
@@ -353,14 +360,6 @@ def _convolve(left, right) -> dict[Fraction, Fraction]:
     return out
 
 
-@functools.lru_cache(maxsize=1)
-def _convolve_difference(law: DiscreteLaw) -> DiscreteLaw:
-    """Exact law of V - V' over atom pairs; built once for a run of checks
-    on the same law."""
-    negated = [(-v, p) for v, p in law.atoms]
-    return DiscreteLaw(tuple(sorted(_convolve(law.atoms, negated).items())))
-
-
 def symmetrization_check(law: DiscreteLaw, p_exponent: float, t: float
                          ) -> tuple[float, float, bool]:
     """Check P(g(V) <= t) E(g(V)) <= E(g(V_hat)) + beta t for g(x) = |x|^p,
@@ -375,7 +374,7 @@ def symmetrization_check(law: DiscreteLaw, p_exponent: float, t: float
     atoms = law.float_atoms
     e_g = math.fsum(g(v) * p for v, p in atoms)
     p_le_t = math.fsum(p for v, p in atoms if g(v) <= t)
-    e_g_hat = math.fsum(g(v) * p for v, p in _convolve_difference(law).float_atoms)
+    e_g_hat = math.fsum(g(v) * p for v, p in law.difference.float_atoms)
     lhs = p_le_t * e_g
     rhs = e_g_hat + beta * t
     holds = lhs <= rhs + 1e-12 * max(1.0, abs(rhs))

@@ -53,4 +53,5 @@ def generator(master_seed: int, stream: int, role: int = ROLE_PATH) -> np.random
 
 def open_uniforms(gen: np.random.Generator, size: int) -> np.ndarray:
     """Uniforms in (0, 1]: never zero, so survival inversion cannot blow up."""
-    return 1.0 - gen.random(size)
+    u = gen.random(size)
+    return np.subtract(1.0, u, out=u)

@@ -12,12 +12,18 @@ the exponents.  The formula catalog (constant, power, power-log,
 power-log-loglog, indicator-below) is only the input language of
 `load_model`.
 
+A log-corrected piece is inverted by two Newton steps in x = ln t, started
+from a table of bisected roots at 1024 nodes in ln(1 - ln u) that the model
+builds once (`TailModel.root_tables`); an element the two steps do not
+settle is bisected.
+
 All probabilities are clamped to [0, 1] after evaluation: the log-corrected
 pieces can exceed 1 by a few ulps near their knees.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -140,6 +146,14 @@ class TailModel:
     def __post_init__(self):
         object.__setattr__(self, "edge_values", validate_model(self))
 
+    @functools.cached_property
+    def root_tables(self) -> tuple[RootTable | None, ...]:
+        """Per piece, the start table of its log-corrected inverse (None for a
+        piece without log factors), built on first use."""
+        return tuple(RootTable.build(pc, pc.t_lo if i else 0.0, *edges)
+                     if pc.tail.b or pc.tail.c else None
+                     for i, (pc, edges) in enumerate(zip(self.pieces, self.edge_values)))
+
     @property
     def knee(self) -> float:
         """Last piece boundary; the tail is a single smooth formula beyond it."""
@@ -190,49 +204,129 @@ def bisect(f, left, right):
     return right
 
 
-# Newton steps for the log-corrected pieces: from the start below, six reach
-# rounding level for the catalog's exponent sets; the rest are bisected.
-NEWTON_STEPS = 6
+ROOT_NODES = 1024  # nodes of a log-corrected piece's start table
+S_MAX = math.log(1.0 - math.log(5e-324))  # s = ln(1 - ln u) at the least subnormal u
+X_CAP = 710.0  # e^710 overflows: a root past it is t = inf
 
 
-def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float) -> np.ndarray:
+def _log_gap(pc: TailPiece, x, rhs, gap, slope):
+    """g(x) - rhs and g'(x) in place, for g(x) = a x + b ln x + c lnln x =
+    ln(const / S(e^x)); returns gap."""
+    a, b, c = pc.tail.a, pc.tail.b, pc.tail.c
+    log_x = np.log(x)
+    np.multiply(x, a, out=gap)
+    gap -= rhs  # first: near the root the two nearly cancel, so little rounds
+    np.multiply(log_x, b, out=slope)
+    gap += slope
+    if c:  # g' = a + (b + c / ln x) / x
+        np.log(log_x, out=slope)
+        slope *= c
+        gap += slope
+        np.divide(c, log_x, out=slope)
+        slope += b
+        slope /= x
+    else:
+        np.divide(b, x, out=slope)
+    slope += a
+    return gap
+
+
+def _x_range(pc: TailPiece, lo: float) -> tuple[float, float]:
+    """The piece in x = ln t, capped where e^x overflows."""
+    return math.log(lo), min(math.log(pc.t_hi), X_CAP)
+
+
+def _bisect_roots(pc: TailPiece, rhs: np.ndarray, lo: float) -> np.ndarray:
+    """The roots x of g(x) = rhs on the piece, for rhs >= g(ln lo), by bisection
+    on the sign of g - rhs: S is nonincreasing, so the sign changes once."""
+    gap, slope = np.empty_like(rhs), np.empty_like(rhs)
+    return bisect(lambda mid: _log_gap(pc, mid, rhs, gap, slope), *_x_range(pc, lo))
+
+
+@dataclass(frozen=True)
+class RootTable:
+    """Start table of a log-corrected piece's inverse: the root x = ln t at
+    ROOT_NODES nodes uniform in s = ln(1 - ln u), from s_lo, the node of
+    u = S(lo), to s_hi, the node of u = S(t_hi-) or, for the last piece, of
+    the least subnormal u.  So every u the piece takes lies between two nodes,
+    and no cell straddles a jump at either end.  g_lo = g(ln lo) is the least
+    ln(const/u) whose root lies in the piece."""
+
+    s_lo: float
+    s_hi: float
+    g_lo: float
+    x: np.ndarray = field(repr=False)  # the root at each node but the last
+    dx: np.ndarray = field(repr=False)  # the step from it to the next node's root
+
+    @classmethod
+    def build(cls, pc: TailPiece, lo: float, at_lo: float, at_hi: float) -> "RootTable":
+        """Bisect the root at each node s_k, where ln(const/u) = ln const + e^s_k - 1."""
+        tiny = np.finfo(float).tiny
+        s_lo = math.log(1.0 - math.log(at_lo)) if at_lo >= tiny else 0.0
+        s_hi = math.log(1.0 - math.log(at_hi)) if at_hi >= tiny else S_MAX
+        if not s_lo < s_hi:  # an underflowed piece, or one flat under the clamp at 1
+            s_lo, s_hi = 0.0, S_MAX
+        g_lo = float(_log_gap(pc, np.array([math.log(lo)]), 0.0, np.empty(1), np.empty(1))[0])
+        rhs = math.log(pc.tail.const) + np.expm1(np.linspace(s_lo, s_hi, ROOT_NODES))
+        x = _bisect_roots(pc, np.maximum(rhs, g_lo), lo)
+        return cls(s_lo, s_hi, g_lo, x[:-1], np.diff(x))
+
+
+def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float, table: RootTable) -> np.ndarray:
     """Solve const * t^-a (ln t)^-b (lnln t)^-c = u on the piece, for S(lo) >= u > S(t_hi-).
 
-    In v = ln ln t: g(v) = a e^v + b v + c ln v = ln(const/u).  Newton starts
-    at the pure-power root ln(ln(const/u) / a), moved into the piece.  An
-    element whose last correction exceeds 1e-9 (quadratic convergence leaves
-    rounding error below that), or that rests where g decreases (a growing
-    log factor under the clamp at 1), is bisected on the sign of
-    g - ln(const/u) instead: S is nonincreasing, so the sign changes once.
+    In x = ln t: g(x) = a x + b ln x + c lnln x = ln(const/u), raised to
+    g(ln lo) where u > S(lo), whose root is the left edge.  The start
+    interpolates `table` linearly in s = ln(1 - ln u); two Newton steps in x
+    follow.  An element whose last correction exceeds 1e-9 max(|x|, 1)
+    (quadratic convergence leaves rounding error below that), or that rests
+    where g decreases (a growing log factor under the clamp at 1), is bisected
+    on the sign of g - ln(const/u) instead.
     """
-    a, b, c = pc.tail.a, pc.tail.b, pc.tail.c
-    v_lo, v_hi = math.log(math.log(lo)), math.log(math.log(pc.t_hi))
-    rhs = math.log(pc.tail.const) - np.log(u)
-    def gap_and_slope(v, rhs, gap, slope):  # g(v) - rhs and g'(v) in place; returns gap
-        np.exp(v, out=slope)
-        slope *= a
-        np.multiply(v, b, out=gap)
-        gap += slope
-        gap -= rhs
-        slope += b
-        if c:
-            gap += c * np.log(v)
-            slope += c / v
-        return gap
-
-    v = np.log(np.maximum(rhs, a * math.exp(v_lo)) / a) if a > 0.0 else np.full_like(rhs, v_lo)
-    gap, slope = np.empty_like(v), np.empty_like(v)
-    for _ in range(NEWTON_STEPS):
-        np.clip(v, v_lo, v_hi, out=v)
-        gap_and_slope(v, rhs, gap, slope)
+    x_lo, x_hi = _x_range(pc, lo)
+    pos = np.log(u)
+    rhs = np.subtract(math.log(pc.tail.const), pos)
+    np.maximum(rhs, table.g_lo, out=rhs)
+    np.subtract(1.0, pos, out=pos)
+    np.log(pos, out=pos)
+    pos -= table.s_lo
+    pos *= (ROOT_NODES - 1) / (table.s_hi - table.s_lo)
+    k = pos.astype(np.intp)  # a cell index; `take` clips it to the table
+    pos -= k
+    x = table.dx.take(k, mode="clip")
+    x *= pos
+    x += table.x.take(k, mode="clip")
+    gap, slope = pos, np.empty_like(x)
+    for _ in range(2):
+        np.clip(x, x_lo, x_hi, out=x)
+        _log_gap(pc, x, rhs, gap, slope)
         gap /= slope
-        v -= gap
-    slow = ~(np.abs(gap) <= 1e-9 * np.maximum(np.abs(v), 1.0)) | (slope <= 0.0)
-    if np.any(slow):  # bisect on the sign of g - ln(scale/u); e^(e^6.6) overflows
-        r = rhs[slow]
-        gap, slope = np.empty_like(r), np.empty_like(r)
-        v[slow] = bisect(lambda mid: gap_and_slope(mid, r, gap, slope), v_lo, min(v_hi, 6.6))
-    return np.clip(np.exp(np.exp(v)), lo, pc.t_hi)
+        x -= gap
+    excess = np.abs(gap, out=gap)  # the last correction less its bound
+    excess -= 1e-9 * np.maximum(np.abs(x), 1.0)
+    if not (excess.max() <= 0.0 and slope.min() > 0.0):
+        slow = ~(excess <= 0.0) | (slope <= 0.0)
+        x[slow] = _bisect_roots(pc, rhs[slow], lo)
+    return np.clip(np.exp(x, out=x), lo, pc.t_hi, out=x)
+
+
+def _piece_inverse(model: TailModel, i: int, w: np.ndarray) -> np.ndarray:
+    """inf{t : survival(t) < u} for the u of `w` that piece i takes: the left
+    edge for a constant, a closed form for a power, and `_log_piece_root` for
+    a log-corrected piece."""
+    pc, (at_lo, _) = model.pieces[i], model.edge_values[i]
+    lo, tail = pc.t_lo if i else 0.0, pc.tail
+    if tail.a == tail.b == tail.c == 0.0:
+        return np.full_like(w, lo)
+    if tail.b == tail.c == 0.0:
+        with np.errstate(divide="ignore", over="ignore"):
+            t_star = (tail.const / w) ** (1.0 / tail.a)
+        return np.maximum(t_star, lo, out=t_star)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = _log_piece_root(pc, w, lo, model.root_tables[i])
+    if at_lo < 1.0:
+        root[w > at_lo] = lo  # a jump down at lo
+    return root
 
 
 def inverse_survival(model: TailModel, u) -> np.ndarray | float:
@@ -241,34 +335,30 @@ def inverse_survival(model: TailModel, u) -> np.ndarray | float:
     The infimum sits in the first piece whose survival drops strictly below
     u, found from the running minimum m_i of the pieces' values at their
     right ends: piece i takes m_i < u <= m_(i-1).  That piece's own inverse
-    gives it, chosen by its exponents: the left edge for a constant, a
-    closed form for a power, and Newton for a log-corrected piece.
+    gives it (`_piece_inverse`).  When one piece takes every u, as for the
+    builtins, it inverts the input whole; otherwise each piece gathers its
+    u and scatters its roots.
     """
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
-    if uu.size and not (uu.min() > 0.0 and uu.max() <= 1.0):
+    if not uu.size:
+        return np.zeros_like(uu)
+    u_min, u_max = uu.min(), uu.max()
+    if not (u_min > 0.0 and u_max <= 1.0):
         raise ValueError("uniforms must lie in (0, 1]")
     # a valid model ends at 0, so every u > 0 finds a piece
     right_min = np.minimum.accumulate([at_hi for _, at_hi in model.edge_values])
-    out = np.zeros_like(uu)
-    for i, (pc, (at_lo, _)) in enumerate(zip(model.pieces, model.edge_values)):
-        here = uu > right_min[i]
-        if i:
-            here &= uu <= right_min[i - 1]
-        if not np.any(here):
-            continue
-        lo, w, tail = pc.t_lo if i else 0.0, uu[here], pc.tail
-        if tail.a == tail.b == tail.c == 0.0:
-            root = lo
-        elif tail.b == tail.c == 0.0:
-            with np.errstate(divide="ignore", over="ignore"):
-                t_star = (tail.const / w) ** (1.0 / tail.a)
-            root = np.maximum(t_star, lo)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                root = _log_piece_root(pc, w, lo)
-            root[w > at_lo] = lo  # a jump down at lo
-        out[here] = root
+    first, last = int(np.argmax(right_min < u_max)), int(np.argmax(right_min < u_min))
+    if first == last:
+        out = _piece_inverse(model, first, uu)
+    else:
+        out = np.zeros_like(uu)
+        for i in range(first, last + 1):
+            here = uu > right_min[i]
+            if i:
+                here &= uu <= right_min[i - 1]
+            if np.any(here):
+                out[here] = _piece_inverse(model, i, uu[here])
     return float(out[0]) if scalar else out
 
 
@@ -283,13 +373,25 @@ def transformed_edges(model: TailModel, p: float) -> tuple[float, ...]:
 
 
 def power_survival(model: TailModel, p: float):
-    """Callable t -> P(||X||^p > t), vectorized."""
+    """Callable t -> P(||X||^p > t), vectorized.
+
+    Where t is finite but x = t^(1/p) overflows, x lies in the last piece,
+    which is evaluated from ln x = ln(t)/p in the log domain."""
     inv = 1.0 / p
+    last = model.pieces[-1].tail
 
     def s_y(t):
-        with np.errstate(over="ignore"):  # t^(1/p) = inf has survival 0
-            x = np.asarray(t, dtype=float) ** inv
-        return survival(model, x)
+        tt = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore"):
+            x = tt ** inv
+        out = np.asarray(survival(model, x))
+        big = np.isinf(x) & np.isfinite(tt)
+        if np.any(big) and last.const > 0.0:
+            log_x = np.log(tt[big]) * inv
+            log_s = math.log(last.const) - last.a * log_x - last.b * np.log(log_x) \
+                - last.c * np.log(np.log(log_x))
+            out[big] = np.minimum(np.exp(log_s), 1.0)
+        return out
 
     return s_y
 

@@ -247,6 +247,17 @@ def test_series_of_a_power_from_zero_matches_closed_form():
     assert table.partial_sums[-1] == pytest.approx(closed, rel=1e-6)
 
 
+def test_series_where_the_power_of_t_overflows_matches_closed_form():
+    # pareto(0.02) at p = 0.01: S_Y(t) = t^-2 past 1 and u_n^p = n^(1/2), so
+    # term_n = 2 (n^(-1/2) - n^-1) / n; t^(1/p) = t^100 overflows past t = 1210,
+    # where S_Y is read from ln t^(1/p) = 100 ln t instead
+    n = np.arange(1, 100_001, dtype=float)
+    closed = math.fsum(2.0 * (n**-0.5 - 1.0 / n) / n)
+    assert closed == pytest.approx(1.922253, abs=1e-6)
+    _, verdict = cr.truncated_series(tm.pareto(0.02), 0.01)
+    assert verdict.estimate_on_window == pytest.approx(closed, abs=1e-6)
+
+
 def test_growing_log_factor_remainder_is_a_bound_or_none():
     # 2.117 t^-1.05 (ln t)^2 past t = 10: the factor (ln t)^2 grows, and past
     # T = 1e12 the tail is 2.117 e^(-eps L) (L^2/eps + 2L/eps^2 + 2/eps^3),

@@ -273,7 +273,7 @@ def test_symmetrize_pareto_mean_zero():
 
 def test_symmetrized_two_point_law():
     # difference of two fair signs: {-2, 0, 2} with masses {1/4, 1/2, 1/4}
-    conv = oracles._convolve_difference(oracles.rademacher_law())
+    conv = oracles.rademacher_law().difference
     masses = {float(v): p for v, p in conv.atoms}
     assert masses == {-2.0: Fraction(1, 4), 0.0: Fraction(1, 2), 2.0: Fraction(1, 4)}
     cfg = small_config(tm.rademacher(), n_max=1 << 10, reps=4000, seed=23,

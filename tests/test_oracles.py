@@ -372,14 +372,17 @@ def test_symmetrization_five_atom_example():
         assert holds, (t, lhs, rhs)
 
 
-def test_symmetrization_builds_the_difference_once_per_law():
+def test_symmetrization_builds_the_difference_once_per_law(monkeypatch):
     law = orc.DiscreteLaw.from_pairs(
         [(-2, "1/10"), (-1, "2/10"), (0, "3/10"), (1, "2/10"), (3, "2/10")])
-    orc._convolve_difference.cache_clear()
+    convolutions = []
+    convolve = orc._convolve
+    monkeypatch.setattr(orc, "_convolve", lambda *pair: convolutions.append(1) or convolve(*pair))
     checks = [orc.symmetrization_check(law, p, t) for p in (0.3, 1.5) for t in (0.0, 1.0)]
-    assert orc._convolve_difference.cache_info().misses == 1
-    orc._convolve_difference.cache_clear()
-    assert checks[-1] == orc.symmetrization_check(law, 1.5, 1.0)
+    assert len(convolutions) == 1
+    fresh = orc.DiscreteLaw.from_pairs(law.atoms)
+    assert checks[-1] == orc.symmetrization_check(fresh, 1.5, 1.0)
+    assert len(convolutions) == 2 and fresh.difference == law.difference
 
 
 @given(st.integers(0, 10_000))

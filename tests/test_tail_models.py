@@ -1,5 +1,7 @@
+import decimal
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -219,9 +221,9 @@ LOGLOG_MODEL = {"name": "loglog-half", "sign_law": "symmetric", "pieces": [
 
 
 # pieces starting where ln t < 1 (power-log from 2) or ln ln t < 1 (loglog
-# from 5), where the log terms of a e^v + b v + c ln v are negative and the
-# pure-power Newton start can fall left of the piece; and a growing log
-# factor (ln t)^1.5 whose rise up to t = e^3 is clamped at 1
+# from 5), where the log terms of g(x) = a x + b ln x + c lnln x are
+# negative, which a start table indexed on ln ln(const/u) would not cover;
+# and a growing log factor (ln t)^1.5 whose rise up to t = e^3 is clamped at 1
 EARLY_LOG_MODEL = {"name": "log-from-2", "sign_law": "symmetric", "pieces": [
     {"t_lo": 0.0, "t_hi": 2.0, "formula_id": "constant", "params": {"value": 1.0}},
     {"t_lo": 2.0, "t_hi": None, "formula_id": "power-log",
@@ -237,6 +239,20 @@ GROWING_LOG_MODEL = {"name": "growing-log", "sign_law": "symmetric", "pieces": [
     {"t_lo": 0.0, "t_hi": 2.0, "formula_id": "constant", "params": {"value": 1.0}},
     {"t_lo": 2.0, "t_hi": None, "formula_id": "power-log",
      "params": {"scale": 3.0, "power": 0.5, "log_power": -1.5}},
+]}
+
+
+# one piece of every formula_id, nonincreasing across the edges; the
+# indicator's threshold lies past its piece, so it loads as a constant 1
+ALL_FORMULAS_MODEL = {"name": "all-formulas", "sign_law": {"kind": "custom", "negative_prob": 0.25},
+                      "pieces": [
+    {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "indicator-below", "params": {"threshold": 2.0}},
+    {"t_lo": 1.0, "t_hi": 2.0, "formula_id": "constant", "params": {"value": 0.9}},
+    {"t_lo": 2.0, "t_hi": 4.0, "formula_id": "power", "params": {"scale": 1.6, "power": 1.0}},
+    {"t_lo": 4.0, "t_hi": 10.0, "formula_id": "power-log",
+     "params": {"scale": 1.0, "power": 0.5, "log_power": 1.0}},
+    {"t_lo": 10.0, "t_hi": None, "formula_id": "power-log-loglog",
+     "params": {"scale": 0.6, "power": 0.5, "log_power": 1.0, "loglog_power": 2.0}},
 ]}
 
 
@@ -256,6 +272,58 @@ def test_inverse_is_generalized_inverse(model):
     ref, _ = bisect_decreasing(lambda x: tm.survival(model, x), us,
                                hi_seed=2.0 * model.knee, rel_tol=1e-14)
     assert np.max(np.abs(t - ref) / np.maximum(ref, 1.0)) <= 1e-12
+
+
+def decimal_inverse(pc: tm.TailPiece, u: float, digits: int = 60) -> float:
+    """inf{t : S(t) < u} on the log-corrected piece pc, S = const t^-a (ln t)^-b
+    (lnln t)^-c with b, c >= 0, to `digits` decimal digits: Newton on
+    g(x) = a x + b ln x + c lnln x = ln(const/u) in x = ln t.  g rises and is
+    concave, so from x = ln(const/u)/a, right of the root, the iterates close
+    in on it; a u above S(t_lo) gives t_lo."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        const, a, b, c = (Decimal(v) for v in (pc.tail.const, pc.tail.a, pc.tail.b, pc.tail.c))
+        g = lambda x: a * x + b * x.ln() + (c * x.ln().ln() if c else 0)
+        slope = lambda x: a + b / x + (c / (x * x.ln()) if c else 0)
+        x_lo = Decimal(pc.t_lo).ln()
+        rhs = const.ln() - Decimal(u).ln()
+        if rhs <= g(x_lo):
+            return pc.t_lo
+        x = max(rhs / a, x_lo)
+        for _ in range(200):
+            step = (g(x) - rhs) / slope(x)
+            x = max(x - step, x_lo)
+            if abs(step) < Decimal(10) ** (10 - digits):
+                return float(x.exp())
+    raise AssertionError(f"Newton did not settle at u = {u}")
+
+
+# the log-corrected laws whose draws two Newton steps settle, and the probe
+# uniforms 2^-(k/2), k = 0..106
+NEWTON_LAWS = [tm.log_power_tail(0.5, 2.0), tm.log_loglog_power_tail(0.5),
+               tm.load_model(README_MODEL), tm.load_model(LOGLOG_MODEL)]
+PROBE_U = np.exp2(-np.arange(107) / 2.0)
+
+
+@pytest.mark.parametrize("model", NEWTON_LAWS, ids=lambda m: m.name)
+def test_sampler_matches_a_decimal_reference(model):
+    got = mc.MagnitudeSampler(model)(PROBE_U)
+    want = np.array([decimal_inverse(model.pieces[-1], float(u)) for u in PROBE_U])
+    assert np.max(np.abs(got - want) / want) <= 2.4e-14
+
+
+@pytest.mark.parametrize("model", NEWTON_LAWS + [tm.load_model(ALL_FORMULAS_MODEL)],
+                         ids=lambda m: m.name)
+def test_sampler_draws_bisect_nothing(model, monkeypatch):
+    # the start tables are bisected when the sampler is built; the draws,
+    # probes and random uniforms alike, are settled by the Newton steps, also
+    # next to the jumps at either end of a piece that is not the last
+    sampler = mc.MagnitudeSampler(model)
+    bisected = []
+    bisect = tm.bisect
+    monkeypatch.setattr(tm, "bisect", lambda *args: bisected.append(args) or bisect(*args))
+    sampler(np.concatenate([PROBE_U, 1.0 - np.random.default_rng(5).random(10_000)]))
+    assert bisected == []
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +433,6 @@ def test_builtin_origin_is_hashable_with_a_custom_sign_law():
 # ---------------------------------------------------------------------------
 # JSON catalog
 # ---------------------------------------------------------------------------
-
-
-# one piece of every formula_id, nonincreasing across the edges; the
-# indicator's threshold lies past its piece, so it loads as a constant 1
-ALL_FORMULAS_MODEL = {"name": "all-formulas", "sign_law": {"kind": "custom", "negative_prob": 0.25},
-                      "pieces": [
-    {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "indicator-below", "params": {"threshold": 2.0}},
-    {"t_lo": 1.0, "t_hi": 2.0, "formula_id": "constant", "params": {"value": 0.9}},
-    {"t_lo": 2.0, "t_hi": 4.0, "formula_id": "power", "params": {"scale": 1.6, "power": 1.0}},
-    {"t_lo": 4.0, "t_hi": 10.0, "formula_id": "power-log",
-     "params": {"scale": 1.0, "power": 0.5, "log_power": 1.0}},
-    {"t_lo": 10.0, "t_hi": None, "formula_id": "power-log-loglog",
-     "params": {"scale": 0.6, "power": 0.5, "log_power": 1.0, "loglog_power": 2.0}},
-]}
 
 
 def test_load_custom_model_round_trip():
