@@ -280,10 +280,11 @@ def truncated_series(model: tm.TailModel, p: float,
         s_y = tm.power_survival(model, p)
         aa, bb = a[nonempty], b[nonempty]
         s_a = tm.survival(model, u[nonempty])   # a = u^p on nonempty windows
-        raw = (aa * s_a - bb * s_y(bb) + table(bb) - table(aa)) / ns[nonempty]
+        g_a, g_b = table(aa), table(bb)
+        raw = (aa * s_a - bb * s_y(bb) + g_b - g_a) / ns[nonempty]
         clamped = int(np.count_nonzero(raw < 0.0))
         terms[nonempty] = np.maximum(raw, 0.0)
-        integral_terms[nonempty] = np.maximum(table(bb) - table(aa), 0.0) / ns[nonempty]
+        integral_terms[nonempty] = np.maximum(g_b - g_a, 0.0) / ns[nonempty]
 
     partials = np.cumsum(terms)
     int_partials = np.cumsum(integral_terms)

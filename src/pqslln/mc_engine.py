@@ -413,23 +413,30 @@ def summary_dict(table: CheckpointTable) -> dict:
             "w_verdict": asdict(w_verdict)}
 
 
-def dense_ratio_moments(model: tm.TailModel, p: float, q: float, n_upto: int,
-                        replications: int, master_seed: int):
-    """E (||S_n|| / n^(1/p))^q for every n <= n_upto, estimated from
-    `replications` iid paths; returns (means, standard errors).
+def dense_ratio_moments(model: tm.TailModel, pairs, n_upto: int, replications: int,
+                        master_seed: int) -> list:
+    """E (||S_n|| / n^(1/p))^q for every n <= n_upto and every (p, q) of
+    `pairs`, estimated from `replications` iid paths; returns one
+    (means, standard errors) per pair, in the order of `pairs`.
 
     Replications are drawn in fixed blocks of 4096 paths, each on its own
-    counter-based stream, so results are reproducible for a fixed seed.
+    counter-based stream, so results are reproducible for a fixed seed.  The
+    paths are drawn once for all pairs, and each pair's sums run over the
+    same pieces in the same order, so a pair's result does not depend on the
+    other pairs.
     """
-    sums = np.zeros(n_upto)
-    sumsq = np.zeros(n_upto)
-    scale = np.arange(1, n_upto + 1, dtype=float) ** (1.0 / p)
+    sums = np.zeros((len(pairs), n_upto))
+    sumsq = np.zeros((len(pairs), n_upto))
+    ns = np.arange(1, n_upto + 1, dtype=float)
+    scales = [ns ** (1.0 / p) for p, _ in pairs]
     for x in probe_blocks(model, replications, 4096, n_upto, master_seed,
                           model.negative_prob):
-        rq = (np.abs(np.cumsum(x, axis=1)) / scale) ** q
-        sums += rq.sum(axis=0)
-        sumsq += (rq**2).sum(axis=0)
+        s = np.abs(np.cumsum(x, axis=1))
+        for j, ((_, q), scale) in enumerate(zip(pairs, scales)):
+            rq = (s / scale) ** q
+            sums[j] += rq.sum(axis=0)
+            sumsq[j] += (rq**2).sum(axis=0)
     mean = sums / replications
     var = np.maximum(sumsq / replications - mean**2, 0.0)
     se = np.sqrt(var / replications)
-    return mean, se
+    return list(zip(mean, se))

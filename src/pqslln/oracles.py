@@ -7,14 +7,13 @@ checks cannot fail from rounding; real-valued functionals of the atoms
 Convolutions are computed on value-indexed maps with exact Fraction values,
 never on the raw product space.
 
-The maximal inequality has three entry points with one exact decision.
-`lemma_max_check` evaluates both sides as Fractions and returns them rounded
-once, so its values are exact.  `lemma_max_holds` answers first from a float
-filter whose error bound is proved in its docstring, and runs the exact
-Fraction path only where that bound cannot separate the two sides.
-`lemma_max_holds_batch` decides a `MaxInstances` of laws, given as exact
-integer arrays, with the same filter: one kernel, `_float_sides`, evaluates
-every law of a batch at once, and the single law is its batch of one.
+The maximal inequality has two entry points with one exact decision.
+`lemma_max_check` evaluates both sides of one law as Fractions and returns
+them rounded once, so its values are exact.  `lemma_max_holds_batch` decides
+a `MaxInstances` of laws, given as exact integer arrays: one kernel,
+`_float_sides`, evaluates every law of the batch in doubles under an error
+bound proved in its docstring, and `lemma_max_check` decides only the laws
+that bound cannot separate.
 """
 
 from __future__ import annotations
@@ -140,7 +139,7 @@ def _exact_sides(values, masses, cum, kf, n: int) -> tuple[Fraction, Fraction]:
 def _power(x, n):
     """x**n elementwise for (B, m) doubles x and a (B,) exponent n >= 0, by
     binary powering on each row's own bits: squarings and products, each
-    rounded once, which the bound of `lemma_max_holds` counts (`x ** n`
+    rounded once, which the bound of `_float_sides` counts (`x ** n`
     states no bound).  A row multiplies only on its set bits, so it takes
     exactly the products that powering it alone would."""
     result = np.ones_like(x)
@@ -163,65 +162,15 @@ def _float_sides(values, masses, cum, n, scale):
 
     values, masses and cum are (B, m) arrays of fl(v_i), fl(p_i) and fl(F_i)
     over each law's sorted levels, n the (B,) int64 exponents and scale the
-    (B,) doubles fl(n/(2K)).  Every operation is one IEEE double operation
-    per element and the sums run left to right over the m columns, so the
-    bound proved in `lemma_max_holds` holds on each row.  The bound is +inf
-    where it does not apply: k past `_FILTER_MAX_K`, or a side or bound that
-    is not finite.
-    """
-    m = values.shape[1]
-    applies = n <= (_FILTER_MAX_K - m - 8) // 2  # k = 2n + m + 8 <= _FILTER_MAX_K
-    n = np.where(applies, n, 0)
-    k = 2 * n + m + 8
-    with np.errstate(all="ignore"):  # overflow and nan are caught by the finite test
-        g = _power(cum, n)
-        lhs = wide = rhs = atoms = prev = np.zeros(len(n))
-        for v, p, g_i in zip(values.T, masses.T, g.T):
-            lhs = lhs + v * (g_i - prev)
-            wide = wide + v * (g_i + prev)
-            rhs = rhs + v * p
-            atoms = atoms + v
-            prev = g_i
-        rhs = rhs * scale
-        bound = k * 2.0**-52 * (wide + rhs) + _TINY * n * (atoms + m + 1)
-        applies &= np.isfinite(lhs + rhs + bound)  # all three are >= 0 or nan
-    return lhs, rhs, np.where(applies, bound, np.inf)
-
-
-def _law_doubles(values, masses, cum, kf, n: int):
-    """`_float_sides` arguments (B = 1) for one law's levels: each double is
-    an int / int, which Python rounds once.  Raises OverflowError where a
-    value is too large for a double or n for an int64."""
-    rows = [[x.numerator / x.denominator for x in xs] for xs in (values, masses, cum)]
-    return (*(np.array([row]) for row in rows), np.array([n], dtype=np.int64),
-            np.array([n * kf.denominator / (2 * kf.numerator)]))
-
-
-def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
-    """Check E(max of n iid copies) >= n/(2K) * E(Y) under P(Y > 0) <= K/n.
-
-    Both sides are exact rationals: P(max <= v) = F(v)^n over the sorted atom
-    levels.  Returns (lhs, rhs, holds) with lhs and rhs the exact values
-    rounded once to doubles and holds the exact comparison.  Raises
-    ValueError unless n is an int >= 1, K >= 1 and the law is one (masses
-    nonnegative, summing to 1), and PreconditionViolated when
-    P(Y > 0) > K/n.  `lemma_max_holds` gives the same holds faster.
-    """
-    e_max, rhs = _exact_sides(*_max_levels(law, n, K), n)
-    return float(e_max), float(rhs), e_max >= rhs
-
-
-def lemma_max_holds(law: DiscreteLaw, n: int, K) -> bool:
-    """`lemma_max_check(law, n, K)[2]`, decided by a float filter first.
-
-    The answer is exact, and the errors are those of `lemma_max_check`.
-    A filter in the manner of Shewchuk (1997, "Adaptive precision
-    floating-point arithmetic") evaluates both sides in doubles,
+    (B,) doubles fl(n/(2K)).  A filter in the manner of Shewchuk (1997,
+    "Adaptive precision floating-point arithmetic") evaluates both sides,
     L^ = sum fl(v_i)(g_i - g_(i-1)) and R^ = fl(n/(2K)) sum fl(v_i) fl(p_i),
     with g_i = fl(F_i)^n by binary powering and every sum taken left to
-    right.  When |L^ - R^| > E, the bound below, it returns L^ > R^.
-    Otherwise, or when a value overflows or is not finite, the exact
-    Fraction sides decide.
+    right over the m columns.  Every operation is one IEEE double operation
+    per element, so the bound E proved below holds on each row, and
+    |L^ - R^| > E decides the exact comparison as L^ > R^.  The bound is
+    +inf where it does not apply: k past `_FILTER_MAX_K`, or a side or bound
+    that is not finite.
 
     Proof of the bound.  Let u = 2^-53, eta = 2^-1075 and
     gamma_j = j u / (1 - j u).  Rounding a real r to a double gives
@@ -249,17 +198,37 @@ def lemma_max_holds(law: DiscreteLaw, n: int, K) -> bool:
        L^ - R^, each at most a factor 1 + u and an absolute eta.  So
        |fl(L^ - R^)| > E gives L - R != 0 with the sign of L^ - R^.
     """
-    levels = _max_levels(law, n, K)
-    try:
-        doubles = _law_doubles(*levels, n)
-    except OverflowError:  # the exact path takes what a double cannot hold
-        pass
-    else:
-        (lhs,), (rhs,), (bound,) = _float_sides(*doubles)
-        if abs(lhs - rhs) > bound:
-            return bool(lhs > rhs)
-    e_max, rhs_exact = _exact_sides(*levels, n)
-    return e_max >= rhs_exact
+    m = values.shape[1]
+    applies = n <= (_FILTER_MAX_K - m - 8) // 2  # k = 2n + m + 8 <= _FILTER_MAX_K
+    n = np.where(applies, n, 0)
+    k = 2 * n + m + 8
+    with np.errstate(all="ignore"):  # overflow and nan are caught by the finite test
+        g = _power(cum, n)
+        lhs = wide = rhs = atoms = prev = np.zeros(len(n))
+        for v, p, g_i in zip(values.T, masses.T, g.T):
+            lhs = lhs + v * (g_i - prev)
+            wide = wide + v * (g_i + prev)
+            rhs = rhs + v * p
+            atoms = atoms + v
+            prev = g_i
+        rhs = rhs * scale
+        bound = k * 2.0**-52 * (wide + rhs) + _TINY * n * (atoms + m + 1)
+        applies &= np.isfinite(lhs + rhs + bound)  # all three are >= 0 or nan
+    return lhs, rhs, np.where(applies, bound, np.inf)
+
+
+def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
+    """Check E(max of n iid copies) >= n/(2K) * E(Y) under P(Y > 0) <= K/n.
+
+    Both sides are exact rationals: P(max <= v) = F(v)^n over the sorted atom
+    levels.  Returns (lhs, rhs, holds) with lhs and rhs the exact values
+    rounded once to doubles and holds the exact comparison.  Raises
+    ValueError unless n is an int >= 1, K >= 1 and the law is one (masses
+    nonnegative, summing to 1), and PreconditionViolated when
+    P(Y > 0) > K/n.  `lemma_max_holds_batch` gives the same holds faster.
+    """
+    e_max, rhs = _exact_sides(*_max_levels(law, n, K), n)
+    return float(e_max), float(rhs), e_max >= rhs
 
 
 class MaxInstances:
@@ -305,17 +274,18 @@ class MaxInstances:
 
 
 def lemma_max_holds_batch(batch: MaxInstances) -> np.ndarray:
-    """`lemma_max_holds` on every row of `batch`, as a boolean array.
+    """`lemma_max_check(law, n, K)[2]` on every row of `batch`, as a boolean
+    array.
 
     Each row is checked in int64 arithmetic, exactly: every integer is in
-    [0, 2^53), so it converts to a double exactly and each fl(a / b) is the
-    one rounding of the scalar entry's int / int; the precondition products
+    [0, 2^53), so it converts to a double exactly and each fl(a / b) is one
+    rounding of the exact quotient; the precondition products
     (b - a) n K_den and K_num b are computed only where their float values
     bound them below 2^62, so none wraps.  The rows that pass go through
-    `_float_sides` in one call, and `_exact_sides` runs only for those the
-    filter cannot decide.  Every other row (not a law, values not strictly
-    increasing, or integers too large for these checks) is decided by
-    `lemma_max_holds` on `batch.instance(i)`, which raises its errors.
+    `_float_sides` in one call.  Every other row (not a law, values not
+    strictly increasing, or integers too large for these checks), and every
+    row the filter cannot decide, is decided by `lemma_max_check` on
+    `batch.instance(i)`, which raises its errors.
     """
     v, p, n = batch.values, batch.masses, batch.n
     vd, pd, kn, kd = batch.value_den, batch.mass_den, batch.k_num, batch.k_den
@@ -340,7 +310,7 @@ def lemma_max_holds_batch(batch: MaxInstances) -> np.ndarray:
     holds[r] = lhs > rhs
     decided[r] = np.abs(lhs - rhs) > bound
     for i in np.flatnonzero(~decided):
-        holds[i] = lemma_max_holds(*batch.instance(i))
+        holds[i] = lemma_max_check(*batch.instance(i))[2]
     return holds
 
 

@@ -163,17 +163,20 @@ def test_w_monotone_per_replication():
 
 
 def test_small_n_against_exact_enumeration():
-    # dyadic checkpoints n in {1, 2, 4, 8} vs exact convolution, 4 SE band
+    # every dyadic checkpoint n = 1 .. 2^10 vs the exact binomial mean
+    # E|S_n| / n = sum_k C(n, k) |2k - n| / (2^n n), 4 SE band
     cfg = small_config(tm.rademacher(), p=1.0, q=1.0, n_max=1 << 10,
                        reps=20_000, seed=71)
     table = mc.run_paths(cfg, workers=4)
-    exact = oracles.exact_series_small(oracles.rademacher_law(), 1.0, 1.0, 8)
     est = mc.summary_dict(table)["estimates"]
-    for k, n in enumerate((1, 2, 4, 8)):
-        e = est[k]
+    assert [e["n"] for e in est] == [1 << k for k in range(11)]
+    for e in est:
+        n = e["n"]
+        exact = float(Fraction(sum(math.comb(n, k) * abs(2 * k - n) for k in range(n + 1)),
+                               2**n * n))
         band = 4.0 * e["se_mean_rq"]
-        diff = abs(e["mean_rq"] - exact[n - 1])
-        assert diff <= max(band, 1e-12), (n, e["mean_rq"], exact[n - 1])
+        diff = abs(e["mean_rq"] - exact)
+        assert diff <= max(band, 1e-12), (n, e["mean_rq"], exact)
 
 
 def test_overflow_censoring_reported_not_fatal():

@@ -81,7 +81,7 @@ def _holds_in_a_batch(law, n, K):
     return bool(orc.lemma_max_holds_batch(_batch([(law, n, K)]))[0])
 
 
-LEMMA_MAX = (orc.lemma_max_check, orc.lemma_max_holds, _holds_in_a_batch)
+LEMMA_MAX = (orc.lemma_max_check, _holds_in_a_batch)
 
 
 def test_lemma_max_precondition():
@@ -153,7 +153,7 @@ def test_max_instances_take_only_exact_integers(fields, message):
 
 
 @pytest.mark.parametrize("atoms,n,K", [
-    # values out of order, and a repeated value: lemma_max_holds sorts and merges
+    # values out of order, and a repeated value: lemma_max_check sorts and merges
     (((7, Fraction(1, 20)), (0, Fraction(19, 20))), 10, 1),
     (((0, Fraction(9, 10)), (3, Fraction(1, 20)), (3, Fraction(1, 20))), 10, 1),
     # a value numerator past 2^53 would not convert to a double exactly
@@ -162,19 +162,30 @@ def test_max_instances_take_only_exact_integers(fields, message):
     (((0, 1 - Fraction(2**40 + 1, 2**52)), (5, Fraction(2**40 + 1, 2**52))), 2**11,
      Fraction(2**40 + 1, 2**40)),
 ], ids=["unsorted", "repeated", "wide-value", "wide-product"])
-def test_batch_leaves_rows_past_its_int64_checks_to_the_scalar_entry(monkeypatch, atoms, n, K):
+def test_batch_leaves_rows_past_its_int64_checks_to_the_exact_entry(monkeypatch, atoms, n, K):
     law = orc.DiscreteLaw(tuple((Fraction(v), p) for v, p in atoms))
-    scalar_calls = []
-    scalar = orc.lemma_max_holds
-    monkeypatch.setattr(orc, "lemma_max_holds",
-                        lambda *args: scalar_calls.append(args) or scalar(*args))
-    assert _holds_in_a_batch(law, n, K) == orc.lemma_max_check(law, n, K)[2]
-    assert len(scalar_calls) == 1
+    exact_calls = []
+    exact = orc.lemma_max_check
+    expected = exact(law, n, K)[2]
+    monkeypatch.setattr(orc, "lemma_max_check",
+                        lambda *args: exact_calls.append(args) or exact(*args))
+    assert _holds_in_a_batch(law, n, K) == expected
+    assert len(exact_calls) == 1
 
 
 # ---------------------------------------------------------------------------
-# the float filter of lemma_max_holds
+# the float filter of lemma_max_holds_batch
 # ---------------------------------------------------------------------------
+
+
+def _doubles_of_levels(values, masses, cum, kf, n):
+    """`_float_sides` arguments (B = 1) for one law's levels: each double is
+    an int / int, which Python rounds once, so any law that fits a double is
+    covered, not only an int64 row.  Raises OverflowError where a value is
+    too large for a double."""
+    rows = [[x.numerator / x.denominator for x in xs] for xs in (values, masses, cum)]
+    return (*(np.array([row]) for row in rows), np.array([n], dtype=np.int64),
+            np.array([n * kf.denominator / (2 * kf.numerator)]))
 
 
 def _float_and_exact(law, n, K):
@@ -182,7 +193,7 @@ def _float_and_exact(law, n, K):
     not fit a double, and the exact sides."""
     levels = orc._max_levels(law, n, K)
     try:
-        doubles = orc._law_doubles(*levels, n)
+        doubles = _doubles_of_levels(*levels, n)
     except OverflowError:
         return None, orc._exact_sides(*levels, n)
     return tuple(float(x[0]) for x in orc._float_sides(*doubles)), orc._exact_sides(*levels, n)
@@ -190,13 +201,15 @@ def _float_and_exact(law, n, K):
 
 def _assert_bound(law, n, K):
     """The float sides are within the filter's bound of the exact sides, and
-    lemma_max_holds answers as lemma_max_check, whose holds is e_max >= rhs."""
+    where they are further apart than the bound, their order is that of the
+    exact sides: lemma_max_check's holds, e_max >= rhs."""
     sides, (e_max, rhs) = _float_and_exact(law, n, K)
     assert sides is not None
     lhs_f, rhs_f, bound = sides
     assert math.isfinite(bound)
     assert abs(Fraction(lhs_f) - e_max) + abs(Fraction(rhs_f) - rhs) < Fraction(bound)
-    assert orc.lemma_max_holds(law, n, K) == (e_max >= rhs)
+    if abs(lhs_f - rhs_f) > bound:
+        assert (lhs_f > rhs_f) == (e_max >= rhs)
 
 
 @st.composite
@@ -244,7 +257,7 @@ def test_filter_bound_with_subnormal_powers(n):
 
 def _reference_float_sides(values, masses, cum, kf, n):
     """The filter as one scalar loop over a law's levels, every step the
-    double operation the proof of `lemma_max_holds` counts; None where the
+    double operation the proof of `_float_sides` counts; None where the
     bound does not apply.  `_float_sides` must match it bit for bit."""
     m = len(values)
     k = 2 * n + m + 8
@@ -283,7 +296,7 @@ def _assert_batch_matches_single_laws(instances):
         levels = orc._max_levels(law, n, K)
         groups.setdefault(len(levels[0]), []).append((levels, n))
     for group in groups.values():
-        singles = [orc._law_doubles(*levels, n) for levels, n in group]
+        singles = [_doubles_of_levels(*levels, n) for levels, n in group]
         batched = orc._float_sides(*(np.concatenate(part) for part in zip(*singles)))
         for row, (single, (levels, n)) in enumerate(zip(singles, group)):
             sides = [x[row] for x in batched]
@@ -334,20 +347,23 @@ def test_filter_decides_the_whole_lattice_without_the_exact_path(monkeypatch):
         assert holds[i] == orc.lemma_max_check(*batch.instance(i))[2]
 
 
-@pytest.mark.parametrize("law,n,K", [
+@pytest.mark.parametrize("law,n,K,fits_a_row", [
     # lhs = rhs = 0
-    (orc.DiscreteLaw.from_pairs([(0, 1)]), 5, 1),
+    (orc.DiscreteLaw.from_pairs([(0, 1)]), 5, 1, True),
     # float(10**400) overflows
-    (orc.DiscreteLaw(((Fraction(0), Fraction(1, 2)), (Fraction(10**400), Fraction(1, 2)))), 2, 1),
+    (orc.DiscreteLaw(((Fraction(0), Fraction(1, 2)), (Fraction(10**400), Fraction(1, 2)))), 2, 1,
+     False),
     # lhs - rhs = 2.5e-319 is inside the bound's absolute term
-    (orc.DiscreteLaw(((Fraction(0), Fraction(1, 2)), (Fraction(1, 10**318), Fraction(1, 2)))), 2, 1),
+    (orc.DiscreteLaw(((Fraction(0), Fraction(1, 2)), (Fraction(1, 10**318), Fraction(1, 2)))), 2, 1,
+     False),
 ], ids=["zero-law", "overflow", "inseparable"])
-def test_filter_defers_to_the_exact_path(monkeypatch, law, n, K):
+def test_filter_defers_to_the_exact_path(monkeypatch, law, n, K, fits_a_row):
     sides, (e_max, rhs) = _float_and_exact(law, n, K)
     assert sides is None or abs(sides[0] - sides[1]) <= sides[2]
-    calls = _counting_exact_sides(monkeypatch)
-    assert orc.lemma_max_holds(law, n, K) == (e_max >= rhs)
-    assert len(calls) == 1
+    if fits_a_row:  # no int64 holds the other two laws
+        calls = _counting_exact_sides(monkeypatch)
+        assert _holds_in_a_batch(law, n, K) == (e_max >= rhs)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
