@@ -74,6 +74,16 @@ class LogPolyTail:
             out = out * np.log(np.log(t)) ** -self.c
         return out
 
+    def log_value(self, log_t):
+        """ln value(t) from ln t, for const > 0; like `value`, it takes each
+        log factor only where its exponent is nonzero."""
+        out = math.log(self.const) - self.a * np.asarray(log_t, dtype=float)
+        if self.b:
+            out = out - self.b * np.log(log_t)
+        if self.c:
+            out = out - self.c * np.log(np.log(log_t))
+        return out
+
 
 def integral_converges(tail: LogPolyTail) -> bool:
     """Whether int^inf t^(-a) (ln t)^(-b) (lnln t)^(-c) dt is finite.

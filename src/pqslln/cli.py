@@ -37,6 +37,9 @@ from .errors import ConfigError, NonMonotoneTail, PqsllnError
 SCHEMA_VERSION = 1
 # what building a model from a spec raises on bad input
 _MODEL_ERRORS = (AttributeError, KeyError, TypeError, ValueError, NonMonotoneTail)
+# the criterion names, each with the classifier of its report
+_CLASSIFIERS = {"almost-sure": criteria.classify_slln,
+                "expectation": criteria.series_expectation_criterion}
 # the ways to give a model, each with the keys it may carry
 _MODEL_FORMS = {"builtin": {"builtin", "params"}, "custom": {"custom"}, "file": {"file"},
                 "sequence": {"sequence"}}
@@ -51,9 +54,9 @@ _SCHEMA = {
            "simulate": (dict, {})},
     "criteria": {"t_cap": (float, criteria.T_CAP_DEFAULT),
                  "series_n_max": (int, criteria.SERIES_N_MAX_DEFAULT),
-                 "criterion": (("almost-sure", "expectation"), "almost-sure")},
+                 "criterion": (tuple(_CLASSIFIERS), "almost-sure")},
     "simulate": {"n_max": (int, 1 << 14), "replications": (int, 64),
-                 "master_seed": (int, 0), "mode": (("plain", "symmetrized"), "plain")},
+                 "master_seed": (int, 0), "mode": (mc_engine.MODES, "plain")},
 }
 _KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string", dict: "an object"}
 
@@ -151,12 +154,10 @@ def resolve_model(spec: dict) -> tuple[tm.TailModel | None, str | None]:
 
 def _criterion_report(model: tm.TailModel, cfg: dict, criterion: str):
     """The `criterion` report of `model` at the config's p, q and criteria settings."""
-    classify = {"almost-sure": criteria.classify_slln,
-                "expectation": criteria.series_expectation_criterion}[criterion]
     settings = cfg["criteria"]
     try:
-        return classify(model, cfg["p"], cfg["q"], t_cap=settings["t_cap"],
-                        series_n_max=settings["series_n_max"])
+        return _CLASSIFIERS[criterion](model, cfg["p"], cfg["q"], t_cap=settings["t_cap"],
+                                       series_n_max=settings["series_n_max"])
     except ValueError as exc:  # t_cap or series_n_max out of range
         raise ConfigError(f"bad criteria settings: {exc}") from exc
 

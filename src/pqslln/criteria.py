@@ -2,8 +2,8 @@
 
 Each analytic condition is an improper integral or series built from the
 survival function S.  Every integral is one increasing map h of ||X||, the
-tail integral int_0^inf P(h(||X||) > t)^r dt = int_0^inf S(h^-1(t))^r dt
-that `_classify_tail_integral` evaluates:
+tail integral int_0^inf P(h(||X||) > t)^r dt that `_classify_tail_integral`
+evaluates; a power map's integrand is `tail_models.power_survival`:
 
     integral condition   h(x) = x^q, r = q/p
     p-th moment          h(x) = x^p, r = 1 (the integral condition at q = p)
@@ -59,27 +59,24 @@ CLAUSE_P_GE_1 = "q<1<=p<2"
 CLAUSE_OUT = "out-of-scope"
 
 
-def _classify_tail_integral(model: tm.TailModel, h, h_inv, power: float, *, t_cap: float,
+def _classify_tail_integral(model: tm.TailModel, h, h_inv, f, *, t_cap: float,
                             asym: LogPolyTail | None, bound_tail) -> Verdict:
-    """Classify int_0^inf P(h(||X||) > t)^power dt for increasing h: the
-    integrand f(t) = S(h_inv(t))^power, and its knee, support end and
-    breakpoints are h of the model's.  The window is [0, end], end =
-    min(t_cap, h(support end), h(X_MAX)): past h(X_MAX) h^-1 is no double, and
-    h^-1 is clamped to X_MAX so that rounding cannot send it to inf.  `asym`
-    carries the exponents of f's tail, needed when the support is unbounded;
-    the remainder past end is `tail_remainder(bound_tail(ln X), end, f(end),
-    ln X)`, X = h^-1(end), so `bound_tail(ln X)` must meet that function's
-    assumptions for f on [end, inf): an unbounded tail needs end past h(knee),
-    where f's last piece starts.  A divergent verdict integrates the last
-    decade of the window as ten more cells of the same call, and reports
-    their running values and slope."""
-    def x_of(t):
-        with np.errstate(over="ignore"):  # rounding can send h^-1(h(X_MAX)) to inf
-            return np.minimum(h_inv(np.asarray(t, dtype=float)), X_MAX)
-
-    def f(t):
-        return tm.survival(model, x_of(t)) ** power
-
+    """Classify int_0^inf f(t) dt for f(t) = P(h(||X||) > t)^r, h increasing:
+    f's knee, support end and breakpoints are h of the model's.  The window is
+    [0, end], end = min(t_cap, h(support end), h(X_MAX)): past h(X_MAX) h^-1
+    is no double.  `asym` carries the exponents of f's tail, needed when the
+    support is unbounded; the remainder past end is `tail_remainder(
+    bound_tail(ln X), end, f(end), ln X)`, X = h^-1(end) clamped to X_MAX, so
+    `bound_tail(ln X)` must meet that function's assumptions for f on
+    [end, inf): an unbounded tail needs end past h(knee), where f's last piece
+    starts.  Its margin budgets a rounding of (1 + |a ln T| + |b| lnln X) eps
+    in f(end), and a log-domain f(end) of `power_survival` meets it: there
+    ln f(end) = r ln C - a ln T - b lnln X - c lnlnln X in f's exponents, each
+    term within a few eps of itself, r ln C at most the rest where
+    f(end) < 1 <= C, lnlnln X < 2; exp turns that absolute error into a
+    relative one.  A divergent verdict integrates the last decade of the
+    window as ten more cells of the same call, and reports their running
+    values and slope."""
     with np.errstate(over="ignore"):  # X_MAX^q is inf for q > 1
         cutoff, h_max = (float(h(np.float64(x))) for x in (tm.support_upper(model), X_MAX))
     end = min(t_cap, cutoff, h_max)
@@ -90,9 +87,7 @@ def _classify_tail_integral(model: tm.TailModel, h, h_inv, power: float, *, t_ca
     quad = integrate(f, [0.0, end] if converges else [0.0, *decade],
                      breakpoints=[h(e) for e in model.piece_edges()])
     value = math.fsum(quad.values)
-    x_end = x_of(np.array([end]))
-    s_end = tm.survival(model, x_end)
-    f_end = float((s_end**power)[0])
+    f_end = float(f(np.array([end]))[0])
 
     if math.isfinite(cutoff):
         rem = f_end * (cutoff - end) if cutoff > end else 0.0
@@ -100,10 +95,11 @@ def _classify_tail_integral(model: tm.TailModel, h, h_inv, power: float, *, t_ca
 
     diagnostics = {"exponents": (asym.a, asym.b, asym.c)}
     if converges:
-        # no bound rests on ln X <= 1, nor on an S(X) below the least normal
+        # no bound rests on ln X <= 1, nor on an f(end) below the least normal
         # double: it has lost its relative accuracy, or is 0 where the tail is not
-        log_x = math.log(max(float(x_end[0]), 1.0))
-        proved = log_x > 1.0 and s_end[0] >= np.finfo(float).tiny
+        with np.errstate(over="ignore"):  # rounding can send h^-1(h(X_MAX)) to inf
+            log_x = math.log(max(min(float(h_inv(np.float64(end))), X_MAX), 1.0))
+        proved = log_x > 1.0 and f_end >= np.finfo(float).tiny
         rem = tail_remainder(bound_tail(log_x), end, f_end, log_x) if proved else None
         return Verdict(CONVERGES, value, remainder_bound=rem,
                        method="tail-exponents", diagnostics=diagnostics)
@@ -116,14 +112,16 @@ def _classify_tail_integral(model: tm.TailModel, h, h_inv, power: float, *, t_ca
 
 def integral_pq(model: tm.TailModel, p: float, q: float,
                 t_cap: float = T_CAP_DEFAULT) -> Verdict:
-    """Classify int_0^inf P^{q/p}(||X||^q > t) dt: the map x^q, the power q/p."""
+    """Classify int_0^inf P^{q/p}(||X||^q > t) dt: the map x^q, the integrand
+    `power_survival(model, q, q / p)`."""
     if not (0.0 < p < 2.0 and q > 0.0):
         raise ValueError("need 0 < p < 2 and q > 0")
     asym = tm.tail_asymptote(model)
     if asym is not None:
         asym = asym.power_arg(q).powered(q / p)
-    return _classify_tail_integral(model, lambda x: x**q, lambda t: t ** (1.0 / q), q / p,
-                                   t_cap=t_cap, asym=asym, bound_tail=lambda log_x: asym)
+    return _classify_tail_integral(model, lambda x: x**q, lambda t: t ** (1.0 / q),
+                                   tm.power_survival(model, q, q / p), t_cap=t_cap,
+                                   asym=asym, bound_tail=lambda log_x: asym)
 
 
 def p_moment(model: tm.TailModel, p: float, t_cap: float = T_CAP_DEFAULT) -> Verdict:
@@ -135,7 +133,8 @@ def p_moment(model: tm.TailModel, p: float, t_cap: float = T_CAP_DEFAULT) -> Ver
 def _moment_map(p: float, delta: float):
     """h(x) = x^p ln^delta(1 + x) and its inverse, bisected in s = ln x: the
     root of p s + delta ln ln(1 + e^s) = ln t on [-745, ln X_MAX], where e^-745
-    is the least positive double and X_MAX the largest."""
+    is the least positive double and X_MAX the largest (e^(ln X_MAX) rounds
+    below it, so h^-1 is never inf)."""
     def h(x):
         x = np.asarray(x, dtype=float)
         return x**p * np.log1p(x) ** delta
@@ -152,7 +151,7 @@ def _moment_map(p: float, delta: float):
 def llogl_moment(model: tm.TailModel, p: float, delta: float,
                  t_cap: float = T_CAP_DEFAULT) -> Verdict:
     """Classify E[ ||X||^p ln^delta(1 + ||X||) ] via the tail of the transform:
-    the map h(x) = x^p ln^delta(1 + x), the power 1."""
+    the map h(x) = x^p ln^delta(1 + x), the integrand S(h^-1(t))."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     h, h_inv = _moment_map(p, delta)
@@ -167,8 +166,8 @@ def llogl_moment(model: tm.TailModel, p: float, delta: float,
         sigma = base.a + min(base.b, 0.0) / lx + min(base.c, 0.0) / (lx * math.log(lx))
         return LogPolyTail(1.0, sigma / (p + delta / lx))
 
-    return _classify_tail_integral(model, h, h_inv, 1.0, t_cap=t_cap, asym=asym,
-                                   bound_tail=majorant)
+    return _classify_tail_integral(model, h, h_inv, lambda t: tm.survival(model, h_inv(t)),
+                                   t_cap=t_cap, asym=asym, bound_tail=majorant)
 
 
 # ---------------------------------------------------------------------------

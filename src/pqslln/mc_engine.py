@@ -32,6 +32,7 @@ from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, Verdict, fit_line
 # all its sign uniforms (see draw_batch), so changing the chunk size changes
 # every signed draw.
 _CHUNK = 1 << 16
+MODES = ("plain", "symmetrized")  # symmetrized replaces X by X - X'
 _EULER = 0.57721566490153286060651209008240243
 
 # Growth-verdict constants.  rho is the fitted per-doubling decay ratio of
@@ -75,7 +76,7 @@ class ExperimentConfig:
     n_max: int
     replications: int
     master_seed: int
-    mode: str = "plain"  # plain | symmetrized
+    mode: str = "plain"  # one of MODES
     sequence: str | None = None  # e.g. "lp-counterexample" instead of an iid model
 
     def __post_init__(self):
@@ -86,7 +87,7 @@ class ExperimentConfig:
         rng.check_seed(self.master_seed)
         if not (0.0 < self.p < 2.0 and self.q > 0.0):
             raise ConfigError("need 0 < p < 2 and q > 0")
-        if self.mode not in ("plain", "symmetrized"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.sequence is None and self.model is None:
             raise ConfigError("config needs a model or a sequence rule")

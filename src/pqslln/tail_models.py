@@ -186,7 +186,7 @@ def survival(model: TailModel, t) -> np.ndarray | float:
     for i, pc in enumerate(model.pieces):
         mask = tt < pc.t_hi if i == 0 else (tt >= pc.t_lo) & (tt < pc.t_hi)
         if np.any(mask):
-            with np.errstate(divide="ignore"):  # t^-a at t = 0 is inf, clipped to 1
+            with np.errstate(divide="ignore", over="ignore"):  # t^-a near 0 is inf, clipped to 1
                 out[mask] = pc.tail.value(tt[mask])
     out[tt == math.inf] = 0.0  # ||X|| is finite
     out = np.clip(out, 0.0, 1.0)
@@ -372,25 +372,24 @@ def transformed_edges(model: TailModel, p: float) -> tuple[float, ...]:
     return tuple(e**p for e in model.piece_edges())
 
 
-def power_survival(model: TailModel, p: float):
-    """Callable t -> P(||X||^p > t), vectorized.
-
-    Where t is finite but x = t^(1/p) overflows, x lies in the last piece,
-    which is evaluated from ln x = ln(t)/p in the log domain."""
-    inv = 1.0 / p
-    last = model.pieces[-1].tail
+def power_survival(model: TailModel, p: float, r: float = 1.0):
+    """Callable t -> P(||X||^p > t)^r, vectorized: every power-map integrand,
+    and the one place a survival is raised to a power.  Where S(t^(1/p)) is no
+    normal double, on finite t with x = t^(1/p) in the last piece (x = inf
+    where t^(1/p) overflows), that piece is exp(r ln S(x)) from ln x = ln(t)/p:
+    S^r keeps its value where S alone underflows."""
+    inv, last = 1.0 / p, model.pieces[-1]
 
     def s_y(t):
         tt = np.asarray(t, dtype=float)
         with np.errstate(over="ignore"):
             x = tt ** inv
-        out = np.asarray(survival(model, x))
-        big = np.isinf(x) & np.isfinite(tt)
-        if np.any(big) and last.const > 0.0:
-            log_x = np.log(tt[big]) * inv
-            log_s = math.log(last.const) - last.a * log_x - last.b * np.log(log_x) \
-                - last.c * np.log(np.log(log_x))
-            out[big] = np.minimum(np.exp(log_s), 1.0)
+        s = np.asarray(survival(model, x))
+        out = np.asarray(s ** r)
+        deep = (s < np.finfo(float).tiny) & (x >= last.t_lo) & np.isfinite(tt)
+        if last.tail.const > 0.0 and np.any(deep):
+            log_x = np.log(tt[deep]) * inv
+            out[deep] = np.minimum(np.exp(r * last.tail.log_value(log_x)), 1.0)
         return out
 
     return s_y

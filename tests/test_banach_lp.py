@@ -42,6 +42,19 @@ def test_sup_weighted_tail_closed_forms():
     assert lp.sup_power_weighted_tail(tm.pareto(1.1), 1.5) == math.inf
 
 
+def test_sup_weighted_tail_log_corrected_pieces():
+    # t^r S(t) falls on each piece, so both maxima sit at the log piece's left
+    # edge: e^2 t^-2 (ln t)^-2 at t = e gives e^1.5 for r = 1.5, and
+    # e^(e+1) t^-1 (ln t)^-1 (lnln t)^-2 at t = e^e gives e^(e/2) for r = 0.5
+    assert lp.sup_power_weighted_tail(tm.log_power_tail(2.0, 2.0), 1.5) == \
+        pytest.approx(math.exp(1.5), rel=1e-12)
+    assert lp.sup_power_weighted_tail(tm.log_loglog_power_tail(1.0), 0.5) == \
+        pytest.approx(math.exp(math.e / 2.0), rel=1e-12)
+    # r above the tail exponent: unbounded
+    assert lp.sup_power_weighted_tail(tm.log_power_tail(0.5, 2.0), 1.0) == math.inf
+    assert lp.sup_power_weighted_tail(tm.log_loglog_power_tail(0.5), 0.75) == math.inf
+
+
 def test_marcus_pisier_degenerate_trivial():
     table = lp.marcus_pisier_check(tm.degenerate(1.0), 8, 1.0, [2.0, 100.0], 2000, 5)
     # u = 2 < n: the statistic sup_k k X*_k = n always exceeds it, and the

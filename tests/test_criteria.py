@@ -73,22 +73,45 @@ def test_integral_small_q_sees_zero_tail_at_overflow(model, kind):
     assert math.isfinite(v.estimate_on_window)
 
 
-@pytest.mark.parametrize("q", [0.03, 0.02, 0.01])
-def test_window_ends_where_the_power_is_a_double(q):
-    # pareto(0.6) at p = 0.5: the integrand is min(1, t^-1.2), whose total is 6.
-    # The window ends at X_MAX^q, below the cap, and the pure-power bound of
-    # the part past it is the exact remainder rounded outward.
-    v = cr.integral_pq(tm.pareto(0.6), 0.5, q)
+@pytest.mark.parametrize("model,p,q,total", [
+    pytest.param(tm.pareto(0.6), 0.5, q, 6.0, id=str(q)) for q in (0.03, 0.02, 0.01)] + [
+    pytest.param(tm.pareto(2.0), 1.0, q, 2.0, id=f"pareto2-{q}") for q in (0.02, 0.01)])
+def test_window_ends_where_the_power_is_a_double(model, p, q, total):
+    # The integrand is min(1, t^-k), k = alpha/p, whose total is 1 + 1/(k - 1):
+    # 6 for pareto(0.6) at p = 0.5, 2 for pareto(2) at p = 1, although there
+    # S(t^(1/q)) = t^(-2/q) underflows past t = 41 at q = 0.01.  The window
+    # ends at X_MAX^q, below the cap, and the pure-power bound of the part
+    # past it is the exact remainder rounded outward.
+    v = cr.integral_pq(model, p, q)
+    k = tm.tail_asymptote(model).a / p
+    tail = (cr.X_MAX**q) ** (1.0 - k) / (k - 1.0)  # past the window end X_MAX^q
     assert v.kind == cr.CONVERGES
-    assert 6.0 - 1e-9 <= v.estimate_on_window + v.remainder_bound <= 6.0 + 1e-9
+    assert v.estimate_on_window == pytest.approx(total - tail, rel=0.0, abs=1e-9)
+    assert v.remainder_bound >= tail
+    assert total - 1e-9 <= v.estimate_on_window + v.remainder_bound <= total + 1e-9
 
 
-def test_underflowed_survival_proves_no_remainder():
+def test_underflowed_survival_proves_its_remainder():
     # pareto(2) at p = 1, q = 0.02: the window ends at X_MAX^0.02, about 1.5e6,
-    # where S(X_MAX) = X_MAX^-2 underflows to 0; the integrand there is t^-2,
-    # which leaves 1/end past the window, so no bound rests on a zero f(end)
+    # where S(X_MAX) = X_MAX^-2 underflows to 0, but the integrand there,
+    # t^-2 from the log domain, is a normal double; it leaves 1/end past the window
     v = cr.integral_pq(tm.pareto(2.0), 1.0, 0.02)
-    assert v.kind == cr.CONVERGES and v.remainder_bound is None
+    assert v.kind == cr.CONVERGES
+    assert v.remainder_bound >= 1.0 / cr.X_MAX**0.02
+    assert v.estimate_on_window + v.remainder_bound == pytest.approx(2.0, rel=0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 1.0, 1.5])
+def test_log_domain_keeps_the_integrand_and_proves_the_remainder(p):
+    # pareto(3) at q = 0.1: the integrand is min(1, t^-k), k = 3/p, on the
+    # window [0, 1e12], though S(t^10) = t^-30 underflows past t = 1.8e10;
+    # the bound of the part past the cap covers its tail end^(1-k)/(k-1)
+    v = cr.integral_pq(tm.pareto(3.0), p, 0.1)
+    k, end = 3.0 / p, 1e12
+    tail = end ** (1.0 - k) / (k - 1.0)
+    assert v.kind == cr.CONVERGES
+    assert v.estimate_on_window == pytest.approx(1.0 + 1.0 / (k - 1.0) - tail, rel=0.0, abs=1e-12)
+    assert v.remainder_bound >= tail
 
 
 def test_integral_requires_cap_beyond_knee():

@@ -194,6 +194,50 @@ def test_overflow_censoring_reported_not_fatal():
 # ---------------------------------------------------------------------------
 
 
+def median_abs_rademacher_sum(n: int) -> int:
+    """The population (lower) median of |S_n| = |2B - n|, B ~ Binomial(n, 1/2):
+    the pmf from the center k0 = ceil(n/2) outward by cumulative log ratios
+    C(n, k)/C(n, k - 1) = (n - k + 1)/k, each |2k - n| > 0 taken twice."""
+    k0 = (n + 1) // 2
+    k = np.arange(k0 + 1, n + 1, dtype=float)
+    rel = np.exp(np.concatenate([[0.0], np.cumsum(np.log((n - k + 1.0) / k))]))
+    mass = 2.0 * rel
+    if 2 * k0 == n:
+        mass[0] = rel[0]
+    cdf = np.cumsum(mass) / mass.sum()
+    return 2 * (k0 + int(np.argmax(cdf >= 0.5))) - n
+
+
+def test_exact_median_matches_integer_binomials():
+    for n in (1, 2, 3, 4, 7, 1 << 10):
+        mass = {}
+        for k in range(n + 1):
+            mass[abs(2 * k - n)] = mass.get(abs(2 * k - n), 0) + math.comb(n, k)
+        below, median = 0, None
+        for m in sorted(mass):
+            below += mass[m]
+            if median is None and 2 * below >= 2**n:
+                median = m
+        assert median_abs_rademacher_sum(n) == median
+
+
+@pytest.mark.parametrize("p,q,rho,kind", [
+    (1.5, 0.5, 0.9441, cr.INCONCLUSIVE), (0.7, 0.35, 0.7984, cr.CONVERGES),
+    (1.0, 0.5, 0.8411, cr.CONVERGES), (1.0, 1.0, 0.7075, cr.CONVERGES),
+    (1.5, 1.0, 0.8914, cr.CONVERGES)])
+def test_verdict_rule_on_exact_rademacher_curves(p, q, rho, kind):
+    # the harmonic-block curve of the population median r^q that `summary_dict`
+    # classifies, exact at every dyadic n <= 2^20: what the rule says with no
+    # noise at all.  At (1.5, 0.5) median r^q ~ n^(-1/12), so rho ~ 2^(-1/12),
+    # inside the abstention band: the best a Rademacher run there can do
+    ns = 2 ** np.arange(21)
+    med_rq = (np.array([median_abs_rademacher_sum(int(n)) for n in ns]) / ns ** (1.0 / p)) ** q
+    weights = np.diff(mc.harmonic(ns), prepend=0.0)
+    verdict = mc.growth_verdict(ns, np.cumsum(weights * med_rq))
+    assert verdict.kind == kind
+    assert verdict.diagnostics["rho"] == pytest.approx(rho, abs=5e-5)
+
+
 def test_harmonic_matches_exact_sums():
     # the fsum table below 64 and Euler-Maclaurin above, against exact H_n
     exact, worst = Fraction(0), 0.0

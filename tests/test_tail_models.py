@@ -362,6 +362,29 @@ def test_sampler_consistency_binomial_band(model, t_lo, t_hi):
 # ---------------------------------------------------------------------------
 
 
+POWER_FROM_ZERO_MODEL = {"name": "power-from-zero", "sign_law": "symmetric", "pieces": [
+    {"t_lo": 0.0, "t_hi": None, "formula_id": "power", "params": {"scale": 1e-30, "power": 2.0}}]}
+
+
+@pytest.mark.parametrize("model", builtin_zoo() + [
+    tm.load_model(doc) for doc in (README_MODEL, LOGLOG_MODEL, EARLY_LOG_MODEL,
+                                   EARLY_LOGLOG_MODEL, GROWING_LOG_MODEL, ALL_FORMULAS_MODEL,
+                                   POWER_FROM_ZERO_MODEL)], ids=lambda m: m.name)
+def test_power_survival_is_the_powered_survival(model):
+    # S(t^(1/p))^r bit for bit wherever S is a normal double at a finite
+    # t^(1/p); past that, the log domain, and never NaN
+    t = np.geomspace(1e-300, 1e300, 4001)
+    for p in (0.01, 0.5, 1.5):
+        with np.errstate(over="ignore"):
+            x = t ** (1.0 / p)
+        s = tm.survival(model, x)
+        normal = np.isfinite(x) & (s >= np.finfo(float).tiny)
+        for r in (1.0, 0.5, 0.01):
+            got = tm.power_survival(model, p, r)(t)
+            assert np.array_equal(got[normal], s[normal] ** r)
+            assert np.all((got >= 0.0) & (got <= 1.0))  # so no NaN either
+
+
 def test_cumulative_table_closed_forms():
     # G(t) = min(t, 1) for a unit magnitude at p = 1
     table = tm.CumulativeTailTable(tm.degenerate(1.0), 1.0, 8.0)
