@@ -3,7 +3,8 @@
 Each analytic condition is an improper integral or series built from the
 survival function S.  Every integral is one increasing map h of ||X||, the
 tail integral int_0^inf P(h(||X||) > t)^r dt that `_classify_tail_integral`
-evaluates; a power map's integrand is `tail_models.power_survival`:
+evaluates; a power map's integrand is `tail_models.power_survival`, and
+the log-moment's is `tail_models.powered_survival` along its bisected h^-1:
 
     integral condition   h(x) = x^q, r = q/p
     p-th moment          h(x) = x^p, r = 1 (the integral condition at q = p)
@@ -66,17 +67,21 @@ def _classify_tail_integral(model: tm.TailModel, h, h_inv, f, *, t_cap: float,
     [0, end], end = min(t_cap, h(support end), h(X_MAX)): past h(X_MAX) h^-1
     is no double.  `asym` carries the exponents of f's tail, needed when the
     support is unbounded; the remainder past end is `tail_remainder(
-    bound_tail(ln X), end, f(end), ln X)`, X = h^-1(end) clamped to X_MAX, so
-    `bound_tail(ln X)` must meet that function's assumptions for f on
-    [end, inf): an unbounded tail needs end past h(knee), where f's last piece
-    starts.  Its margin budgets a rounding of (1 + |a ln T| + |b| lnln X) eps
-    in f(end), and a log-domain f(end) of `power_survival` meets it: there
-    ln f(end) = r ln C - a ln T - b lnln X - c lnlnln X in f's exponents, each
-    term within a few eps of itself, r ln C at most the rest where
-    f(end) < 1 <= C, lnlnln X < 2; exp turns that absolute error into a
-    relative one.  A divergent verdict integrates the last decade of the
-    window as ten more cells of the same call, and reports their running
-    values and slope."""
+    bound_tail(ln X), end, max(f(end), tiny), ln X)`, X = h^-1(end) clamped
+    to X_MAX and tiny the least normal double, so `bound_tail(ln X)` must meet
+    that function's assumptions for f on [end, inf): an unbounded tail needs
+    end past h(knee), where f's last piece starts.  Its margin budgets a
+    rounding of (1 + |a ln T| + |b| lnln X) eps in f(end), and a log-domain
+    f(end) of `powered_survival` meets it: there ln f(end) = r ln C - a ln T -
+    b lnln X - c lnlnln X in f's exponents, each term within a few eps of
+    itself, r ln C at most the rest where f(end) < 1 <= C, lnlnln X < 2; exp
+    turns that absolute error into a relative one.  (For `llogl_moment` the
+    terms are those of S at X, and its majorant's a ln T is at least
+    sigma_X ln X past X = e^e.)  Where that exp falls below tiny it has lost
+    its relative accuracy, but then the true f(end) is below tiny within the
+    same budget, so tiny stands in for it.  A divergent verdict integrates the
+    last decade of the window as ten more cells of the same call, and reports
+    their running values and slope."""
     with np.errstate(over="ignore"):  # X_MAX^q is inf for q > 1
         cutoff, h_max = (float(h(np.float64(x))) for x in (tm.support_upper(model), X_MAX))
     end = min(t_cap, cutoff, h_max)
@@ -95,12 +100,10 @@ def _classify_tail_integral(model: tm.TailModel, h, h_inv, f, *, t_cap: float,
 
     diagnostics = {"exponents": (asym.a, asym.b, asym.c)}
     if converges:
-        # no bound rests on ln X <= 1, nor on an f(end) below the least normal
-        # double: it has lost its relative accuracy, or is 0 where the tail is not
         with np.errstate(over="ignore"):  # rounding can send h^-1(h(X_MAX)) to inf
             log_x = math.log(max(min(float(h_inv(np.float64(end))), X_MAX), 1.0))
-        proved = log_x > 1.0 and f_end >= np.finfo(float).tiny
-        rem = tail_remainder(bound_tail(log_x), end, f_end, log_x) if proved else None
+        f_cap = max(f_end, np.finfo(float).tiny)  # an upper bound of f(end)
+        rem = tail_remainder(bound_tail(log_x), end, f_cap, log_x)  # None for ln X <= 1
         return Verdict(CONVERGES, value, remainder_bound=rem,
                        method="tail-exponents", diagnostics=diagnostics)
     partials = np.cumsum(quad.values[1:])
@@ -166,8 +169,12 @@ def llogl_moment(model: tm.TailModel, p: float, delta: float,
         sigma = base.a + min(base.b, 0.0) / lx + min(base.c, 0.0) / (lx * math.log(lx))
         return LogPolyTail(1.0, sigma / (p + delta / lx))
 
-    return _classify_tail_integral(model, h, h_inv, lambda t: tm.survival(model, h_inv(t)),
-                                   t_cap=t_cap, asym=asym, bound_tail=majorant)
+    def f(t):
+        x = h_inv(t)
+        return tm.powered_survival(model, x, np.log(x))
+
+    return _classify_tail_integral(model, h, h_inv, f, t_cap=t_cap, asym=asym,
+                                   bound_tail=majorant)
 
 
 # ---------------------------------------------------------------------------

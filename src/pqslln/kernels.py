@@ -24,6 +24,13 @@ carry add about two more, so W at every snapshot is within gamma_32
 (3.6e-15) of the exact sum of the computed terms; tests/test_kernels.py
 holds it to 1e-14 against exact Fraction sums.  Rounding in the terms
 themselves (the power and the cumulative sum) is not part of this bound.
+
+Buffers.  The chunk-sized arrays of a chunk -- the running S, |S|^q, n^e1
+and their product -- live in a `Workspace` that the caller owns and passes to
+every chunk of one size, so a stream of chunks allocates nothing per chunk; a
+call without one makes its own.  Either way each array is computed by the
+same operations in the same order, so the terms and the bound above do not
+depend on where they are stored.
 """
 
 from __future__ import annotations
@@ -42,18 +49,37 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     return s, err
 
 
-def accumulate_chunk(x, n0, state, q, e1, snaps):
+class Workspace:
+    """The arrays `accumulate_chunk` fills for a chunk of `size` increments:
+    the running S, the terms, n^e1, and the offsets 0..size-1 that n is built
+    from.  Their contents mean nothing between calls, and one workspace
+    serves one stream at a time."""
+
+    def __init__(self, size: int):
+        self.s_run, self.terms, self.n = np.empty((3, size))
+        self.steps = np.arange(size, dtype=float)
+
+
+def accumulate_chunk(x, n0, state, q, e1, snaps, work: Workspace | None = None):
     """Stream one chunk.
 
     x: increments; n0: count consumed before this chunk; state: (S, W, comp);
     q, e1: exponents with e1 = -(q/p) - 1; snaps: sorted local indices at which
-    to report.  Returns (s_at_snaps, w_at_snaps, new_state).
+    to report; work: a `Workspace` of x's size, or None to allocate one.
+    Returns (s_at_snaps, w_at_snaps, new_state), none of which shares memory
+    with `work`.
     """
+    x = np.asarray(x, dtype=float)
+    work = work or Workspace(x.size)
     s0, w, comp = (float(v) for v in state)
     snaps = np.asarray(snaps, dtype=np.int64)
-    s_run = s0 + np.cumsum(np.asarray(x, dtype=float))
-    n = float(n0) + 1.0 + np.arange(s_run.size, dtype=float)
-    terms = np.abs(s_run) ** float(q) * n ** float(e1)
+    s_run = np.cumsum(x, out=work.s_run)
+    s_run += s0
+    terms = np.abs(s_run, out=work.terms)
+    terms **= float(q)
+    n = np.add(work.steps, float(n0) + 1.0, out=work.n)
+    n **= float(e1)
+    terms *= n  # |S_m|^q m^e1
     ends = snaps + 1
     if not ends.size or ends[-1] < terms.size:
         ends = np.append(ends, terms.size)  # the tail after the last snapshot

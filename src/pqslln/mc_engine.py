@@ -13,6 +13,16 @@ Replications whose running sums leave the floating-point safe range are
 flagged and excluded from means but counted in a censoring report: the
 infinite-moment tails produce extreme values by design, and that is a
 result, not an error.
+
+A replication streams in chunks of _CHUNK steps.  The draw contract: each
+chunk draws all its magnitude uniforms and then all its sign uniforms from
+the replication's path stream, and in symmetrized mode the same again from
+its copy stream; a draw takes the sign of (sign uniform - P(X < 0)).  The
+chunk-sized arrays -- uniforms, draws, the sampler's scratch and the
+kernel's workspace -- are one `ChunkBuffers` that the replication makes and
+every chunk reuses, so streaming allocates nothing per chunk.  They belong
+to the replication: the `MagnitudeSampler` that worker threads share holds
+none.
 """
 
 from __future__ import annotations
@@ -138,26 +148,59 @@ class CheckpointTable:
 class MagnitudeSampler:
     """Inverse-transform sampler for ||X||: the model's exact piecewise
     inverse survival function.  Building it builds the model's Newton start
-    tables, so no draw, and no worker thread, pays for them."""
+    tables and inverse route, so no draw, and no worker thread, pays for
+    them.  Worker threads share one sampler, so it holds no buffers: a caller
+    that wants a call to allocate nothing passes its own `out` and `scratch`
+    (see `tail_models.inverse_survival`)."""
 
     def __init__(self, model: tm.TailModel):
         self.model = model
         model.root_tables  # built here, before any draw
+        model.inverse_route
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return tm.inverse_survival(self.model, u)
+    def __call__(self, u: np.ndarray, out: np.ndarray | None = None,
+                 scratch: tm.InverseScratch | None = None) -> np.ndarray:
+        return tm.inverse_survival(self.model, u, out, scratch)
+
+
+class ChunkBuffers:
+    """The chunk-sized arrays of one replication, reused by every chunk it
+    streams: the uniforms (each chunk's magnitude uniforms, then its sign
+    uniforms), the draws of each of its `streams` streams, the sampler's
+    scratch and the kernel's workspace.  Each replication makes its own, so
+    no two threads write to one."""
+
+    def __init__(self, size: int, streams: int):
+        self.uniforms = np.empty(size)
+        self.draws = np.empty((streams, size))
+        self.inverse = tm.InverseScratch(size)
+        self.kernel = kernels.Workspace(size)
 
 
 def draw_batch(gen: np.random.Generator, sampler: MagnitudeSampler,
-               threshold: float, shape) -> np.ndarray:
+               threshold: float, shape, out: np.ndarray | None = None,
+               buffers: ChunkBuffers | None = None) -> np.ndarray:
     """Signed iid draws of the given shape: magnitude uniforms first, then
     sign uniforms, which are drawn only when the negative sign has mass
-    (`threshold` > 0 is the probability of a negative sign)."""
+    (`threshold` > 0 is the probability of a negative sign).
+
+    Sign rule: a draw takes the sign of u - threshold, u its sign uniform,
+    by `np.copysign` in place.  u - threshold is negative exactly where
+    u < threshold and +0 where they are equal, so this is bit for bit
+    np.where(u < threshold, -mag, mag), zeros and infinities included.
+
+    The draws land in `out` (a 1-d array of the shape's size) and the
+    uniforms and the sampler's temporaries in `buffers`, where given, so a
+    call with both allocates nothing; without them it allocates its own.
+    """
     size = int(np.prod(shape))
-    mag = sampler(rng.open_uniforms(gen, size)).reshape(shape)
+    u = rng.open_uniforms(gen, size, None if buffers is None else buffers.uniforms)
+    mag = sampler(u, out, None if buffers is None else buffers.inverse).reshape(shape)
     if threshold <= 0.0:
         return mag
-    return np.where(gen.random(shape) < threshold, -mag, mag)
+    signs = gen.random(size, out=u)  # the magnitudes are drawn: u is free
+    signs -= threshold
+    return np.copysign(mag, signs.reshape(shape), out=mag)
 
 
 def probe_blocks(model: tm.TailModel, replications: int, per_block: int, n: int,
@@ -194,32 +237,36 @@ def parallel_map(fn, items, workers: int) -> list:
 
 def _run_one_path(config: ExperimentConfig, sampler: MagnitudeSampler, r: int,
                   checkpoints: np.ndarray):
+    """Replication r, streamed in chunks of m steps through one `ChunkBuffers`:
+    each chunk draws stream by stream into the buffers' draws (X, and X' in
+    symmetrized mode, subtracted in place), and the kernel extends S and W."""
     gens = [rng.generator(config.master_seed, r, rng.ROLE_PATH)]
     if config.mode == "symmetrized":
         gens.append(rng.generator(config.master_seed, r, rng.ROLE_COPY))
     threshold = config.model.negative_prob
     e1 = -(config.q / config.p) - 1.0
+    m = min(_CHUNK, config.n_max)  # both are powers of two: m divides n_max
+    buffers = ChunkBuffers(m, len(gens))
+    x = buffers.draws[0]
     k_total = checkpoints.size
     out_s = np.full(k_total, np.nan)
     out_w = np.full(k_total, np.nan)
     state = (0.0, 0.0, 0.0)
-    pos = 0
     filled = 0
     censored = False
-    while pos < config.n_max:
-        m = int(min(_CHUNK, config.n_max - pos))
+    for pos in range(0, config.n_max, m):
         local = checkpoints[(checkpoints > pos) & (checkpoints <= pos + m)] - pos - 1
         # an overflow censors the replication (checked below): a result, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            x = draw_batch(gens[0], sampler, threshold, m)
+            for gen, draws in zip(gens, buffers.draws):
+                draw_batch(gen, sampler, threshold, m, draws, buffers)
             if config.mode == "symmetrized":
-                x = x - draw_batch(gens[1], sampler, threshold, m)
+                x -= buffers.draws[1]
             s_vals, w_vals, state = kernels.accumulate_chunk(
-                x, pos, state, config.q, e1, local)
+                x, pos, state, config.q, e1, local, buffers.kernel)
         out_s[filled:filled + s_vals.size] = s_vals
         out_w[filled:filled + w_vals.size] = w_vals
         filled += s_vals.size
-        pos += m
         if not (math.isfinite(state[0]) and math.isfinite(state[1])):
             censored = True
             break

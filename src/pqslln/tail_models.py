@@ -15,7 +15,10 @@ power-log-loglog, indicator-below) is only the input language of
 A log-corrected piece is inverted by two Newton steps in x = ln t, started
 from a table of bisected roots at 1024 nodes in ln(1 - ln u) that the model
 builds once (`TailModel.root_tables`); an element the two steps do not
-settle is bisected.
+settle is bisected.  `inverse_survival` writes into a caller's output array
+and `InverseScratch` when it is given them, so a caller that inverts many
+batches of one size allocates nothing wherever one piece takes every u, as
+for the builtins.
 
 All probabilities are clamped to [0, 1] after evaluation: the log-corrected
 pieces can exceed 1 by a few ulps near their knees.
@@ -154,6 +157,17 @@ class TailModel:
                      if pc.tail.b or pc.tail.c else None
                      for i, (pc, edges) in enumerate(zip(self.pieces, self.edge_values)))
 
+    @functools.cached_property
+    def inverse_route(self) -> tuple[np.ndarray, tuple[str, ...]]:
+        """How `inverse_survival` finds and inverts a piece, worked out once:
+        the running minimum m_i of the pieces' values at their right ends
+        (piece i takes m_i < u <= m_(i-1)), and each piece's inverse: CONSTANT
+        (no exponent), POWER (no log factor) or NEWTON (log-corrected)."""
+        right_min = np.minimum.accumulate([at_hi for _, at_hi in self.edge_values])
+        kinds = tuple(NEWTON if pc.tail.b or pc.tail.c else POWER if pc.tail.a else CONSTANT
+                      for pc in self.pieces)
+        return right_min, kinds
+
     @property
     def knee(self) -> float:
         """Last piece boundary; the tail is a single smooth formula beyond it."""
@@ -204,16 +218,18 @@ def bisect(f, left, right):
     return right
 
 
+# the inverse of a piece, by the exponents it has (`TailModel.inverse_route`)
+CONSTANT, POWER, NEWTON = "constant", "power", "newton"
 ROOT_NODES = 1024  # nodes of a log-corrected piece's start table
 S_MAX = math.log(1.0 - math.log(5e-324))  # s = ln(1 - ln u) at the least subnormal u
 X_CAP = 710.0  # e^710 overflows: a root past it is t = inf
 
 
-def _log_gap(pc: TailPiece, x, rhs, gap, slope):
+def _log_gap(pc: TailPiece, x, rhs, gap, slope, log_x=None):
     """g(x) - rhs and g'(x) in place, for g(x) = a x + b ln x + c lnln x =
-    ln(const / S(e^x)); returns gap."""
+    ln(const / S(e^x)); `log_x`, if given, receives ln x.  Returns gap."""
     a, b, c = pc.tail.a, pc.tail.b, pc.tail.c
-    log_x = np.log(x)
+    log_x = np.log(x, out=log_x)
     np.multiply(x, a, out=gap)
     gap -= rhs  # first: near the root the two nearly cancel, so little rounds
     np.multiply(log_x, b, out=slope)
@@ -239,8 +255,8 @@ def _x_range(pc: TailPiece, lo: float) -> tuple[float, float]:
 def _bisect_roots(pc: TailPiece, rhs: np.ndarray, lo: float) -> np.ndarray:
     """The roots x of g(x) = rhs on the piece, for rhs >= g(ln lo), by bisection
     on the sign of g - rhs: S is nonincreasing, so the sign changes once."""
-    gap, slope = np.empty_like(rhs), np.empty_like(rhs)
-    return bisect(lambda mid: _log_gap(pc, mid, rhs, gap, slope), *_x_range(pc, lo))
+    gap, slope, log_x = np.empty((3, *np.shape(rhs)))
+    return bisect(lambda mid: _log_gap(pc, mid, rhs, gap, slope, log_x), *_x_range(pc, lo))
 
 
 @dataclass(frozen=True)
@@ -272,8 +288,22 @@ class RootTable:
         return cls(s_lo, s_hi, g_lo, x[:-1], np.diff(x))
 
 
-def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float, table: RootTable) -> np.ndarray:
-    """Solve const * t^-a (ln t)^-b (lnln t)^-c = u on the piece, for S(lo) >= u > S(t_hi-).
+class InverseScratch:
+    """Work arrays of `inverse_survival` for `size` uniforms at a time: four
+    rows of doubles and one of cell indices.  A caller that inverts many
+    batches of one size makes one and passes it to every call, so no call
+    allocates them; their contents mean nothing between calls.  Each caller
+    owns its own: two threads must never share one."""
+
+    def __init__(self, size: int):
+        self.floats = np.empty((4, size))
+        self.cells = np.empty(size, dtype=np.intp)
+
+
+def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float, table: RootTable,
+                    out: np.ndarray, scratch: InverseScratch) -> np.ndarray:
+    """Solve const * t^-a (ln t)^-b (lnln t)^-c = u on the piece, for S(lo) >= u > S(t_hi-),
+    into `out`, with `scratch` (of u's size) for every temporary.
 
     In x = ln t: g(x) = a x + b ln x + c lnln x = ln(const/u), raised to
     g(ln lo) where u > S(lo), whose root is the left edge.  The start
@@ -284,60 +314,74 @@ def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float, table: RootTable) -
     on the sign of g - ln(const/u) instead.
     """
     x_lo, x_hi = _x_range(pc, lo)
-    pos = np.log(u)
-    rhs = np.subtract(math.log(pc.tail.const), pos)
+    rhs, pos, slope, log_x = scratch.floats
+    k = scratch.cells
+    np.log(u, out=pos)
+    np.subtract(math.log(pc.tail.const), pos, out=rhs)
     np.maximum(rhs, table.g_lo, out=rhs)
     np.subtract(1.0, pos, out=pos)
     np.log(pos, out=pos)
     pos -= table.s_lo
     pos *= (ROOT_NODES - 1) / (table.s_hi - table.s_lo)
-    k = pos.astype(np.intp)  # a cell index; `take` clips it to the table
+    np.copyto(k, pos, casting="unsafe")  # a cell index; `take` clips it to the table
     pos -= k
-    x = table.dx.take(k, mode="clip")
+    x = table.dx.take(k, mode="clip", out=out)
     x *= pos
-    x += table.x.take(k, mode="clip")
-    gap, slope = pos, np.empty_like(x)
+    x += table.x.take(k, mode="clip", out=slope)
+    gap = pos
     for _ in range(2):
         np.clip(x, x_lo, x_hi, out=x)
-        _log_gap(pc, x, rhs, gap, slope)
+        _log_gap(pc, x, rhs, gap, slope, log_x)
         gap /= slope
         x -= gap
     excess = np.abs(gap, out=gap)  # the last correction less its bound
-    excess -= 1e-9 * np.maximum(np.abs(x), 1.0)
+    bound = np.abs(x, out=log_x)
+    np.maximum(bound, 1.0, out=bound)
+    bound *= 1e-9
+    excess -= bound
     if not (excess.max() <= 0.0 and slope.min() > 0.0):
         slow = ~(excess <= 0.0) | (slope <= 0.0)
         x[slow] = _bisect_roots(pc, rhs[slow], lo)
     return np.clip(np.exp(x, out=x), lo, pc.t_hi, out=x)
 
 
-def _piece_inverse(model: TailModel, i: int, w: np.ndarray) -> np.ndarray:
-    """inf{t : survival(t) < u} for the u of `w` that piece i takes: the left
-    edge for a constant, a closed form for a power, and `_log_piece_root` for
-    a log-corrected piece."""
+def _piece_inverse(model: TailModel, i: int, w: np.ndarray, out: np.ndarray,
+                   scratch: InverseScratch | None) -> np.ndarray:
+    """inf{t : survival(t) < u} into `out` for the u of `w` that piece i takes:
+    the left edge for a constant, a closed form for a power, and
+    `_log_piece_root` for a log-corrected piece (with `scratch`, or its own
+    when None)."""
     pc, (at_lo, _) = model.pieces[i], model.edge_values[i]
-    lo, tail = pc.t_lo if i else 0.0, pc.tail
-    if tail.a == tail.b == tail.c == 0.0:
-        return np.full_like(w, lo)
-    if tail.b == tail.c == 0.0:
+    lo, tail, kind = pc.t_lo if i else 0.0, pc.tail, model.inverse_route[1][i]
+    if kind == CONSTANT:
+        out.fill(lo)
+        return out
+    if kind == POWER:
         with np.errstate(divide="ignore", over="ignore"):
-            t_star = (tail.const / w) ** (1.0 / tail.a)
+            t_star = np.divide(tail.const, w, out=out)
+            t_star **= 1.0 / tail.a
         return np.maximum(t_star, lo, out=t_star)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = _log_piece_root(pc, w, lo, model.root_tables[i])
+        root = _log_piece_root(pc, w, lo, model.root_tables[i], out,
+                               scratch or InverseScratch(w.size))
     if at_lo < 1.0:
         root[w > at_lo] = lo  # a jump down at lo
     return root
 
 
-def inverse_survival(model: TailModel, u) -> np.ndarray | float:
+def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
+                     scratch: InverseScratch | None = None) -> np.ndarray | float:
     """Generalized inverse inf{t : survival(t) < u} for u in (0, 1].
 
     The infimum sits in the first piece whose survival drops strictly below
-    u, found from the running minimum m_i of the pieces' values at their
-    right ends: piece i takes m_i < u <= m_(i-1).  That piece's own inverse
-    gives it (`_piece_inverse`).  When one piece takes every u, as for the
-    builtins, it inverts the input whole; otherwise each piece gathers its
-    u and scatters its roots.
+    u, found from the running minimum of `TailModel.inverse_route`.  That
+    piece's own inverse gives it (`_piece_inverse`).  When one piece takes
+    every u, as for the builtins, it inverts the input whole, into `out` (an
+    array of u's size other than u) and with `scratch` (an `InverseScratch`
+    of u's size) where they are given, so a caller that passes both
+    allocates nothing; otherwise each piece gathers its u and scatters its
+    roots into `out`.  Where `out` or `scratch` is None the call allocates
+    its own.
     """
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
@@ -346,19 +390,21 @@ def inverse_survival(model: TailModel, u) -> np.ndarray | float:
     u_min, u_max = uu.min(), uu.max()
     if not (u_min > 0.0 and u_max <= 1.0):
         raise ValueError("uniforms must lie in (0, 1]")
+    if out is None:
+        out = np.empty_like(uu)
     # a valid model ends at 0, so every u > 0 finds a piece
-    right_min = np.minimum.accumulate([at_hi for _, at_hi in model.edge_values])
+    right_min = model.inverse_route[0]
     first, last = int(np.argmax(right_min < u_max)), int(np.argmax(right_min < u_min))
     if first == last:
-        out = _piece_inverse(model, first, uu)
+        out = _piece_inverse(model, first, uu, out, scratch)
     else:
-        out = np.zeros_like(uu)
         for i in range(first, last + 1):
             here = uu > right_min[i]
             if i:
                 here &= uu <= right_min[i - 1]
             if np.any(here):
-                out[here] = _piece_inverse(model, i, uu[here])
+                w = uu[here]
+                out[here] = _piece_inverse(model, i, w, np.empty_like(w), None)
     return float(out[0]) if scalar else out
 
 
@@ -372,25 +418,31 @@ def transformed_edges(model: TailModel, p: float) -> tuple[float, ...]:
     return tuple(e**p for e in model.piece_edges())
 
 
+def powered_survival(model: TailModel, x, log_x, r: float = 1.0) -> np.ndarray:
+    """S(x)^r, vectorized, for x >= 0 given with log_x = ln x (which stays
+    finite where x itself overflowed to inf): the one place a survival is
+    raised to a power.  Where S(x) is no normal double, on finite ln x with x
+    in the last piece, that piece is exp(r ln S(x)) from ln x: S^r keeps its
+    value where S alone underflows."""
+    last = model.pieces[-1]
+    s = np.asarray(survival(model, x))
+    out = np.asarray(s ** r)
+    deep = (s < np.finfo(float).tiny) & (x >= last.t_lo) & np.isfinite(log_x)
+    if last.tail.const > 0.0 and np.any(deep):
+        out[deep] = np.minimum(np.exp(r * last.tail.log_value(log_x[deep])), 1.0)
+    return out
+
+
 def power_survival(model: TailModel, p: float, r: float = 1.0):
     """Callable t -> P(||X||^p > t)^r, vectorized: every power-map integrand,
-    and the one place a survival is raised to a power.  Where S(t^(1/p)) is no
-    normal double, on finite t with x = t^(1/p) in the last piece (x = inf
-    where t^(1/p) overflows), that piece is exp(r ln S(x)) from ln x = ln(t)/p:
-    S^r keeps its value where S alone underflows."""
-    inv, last = 1.0 / p, model.pieces[-1]
+    `powered_survival` at x = t^(1/p) with ln x = ln(t)/p."""
+    inv = 1.0 / p
 
     def s_y(t):
         tt = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore"):
-            x = tt ** inv
-        s = np.asarray(survival(model, x))
-        out = np.asarray(s ** r)
-        deep = (s < np.finfo(float).tiny) & (x >= last.t_lo) & np.isfinite(tt)
-        if last.tail.const > 0.0 and np.any(deep):
-            log_x = np.log(tt[deep]) * inv
-            out[deep] = np.minimum(np.exp(r * last.tail.log_value(log_x)), 1.0)
-        return out
+        with np.errstate(over="ignore", divide="ignore"):  # t^(1/p) = inf, ln 0 = -inf
+            x, log_x = tt ** inv, np.log(tt) * inv
+        return powered_survival(model, x, log_x, r)
 
     return s_y
 

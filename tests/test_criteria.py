@@ -161,6 +161,46 @@ def test_moment_remainders_bound_closed_forms():
     assert cr.llogl_moment(tm.pareto(2.0), 1.0, 1.0).remainder_bound >= exact
 
 
+@pytest.mark.parametrize("p", [0.01, 0.02, 0.05])
+def test_llogl_remainder_where_the_survival_underflows(p):
+    # E ||X||^p ln(1 + ||X||) for pareto(2): at the window end X the survival
+    # X^-2 is below the least subnormal (X = X_MAX at p = 0.01 and 0.02, where
+    # h(X_MAX) is below the cap), yet a finite remainder is proved, and it
+    # covers what a window 10x longer adds, up to the quadrature's rounding
+    # (at p = 0.01 and 0.02 the longer window is the same: no double X is
+    # past X_MAX)
+    model = tm.pareto(2.0)
+    h, _ = cr._moment_map(p, 1.0)
+    end = min(cr.T_CAP_DEFAULT, float(h(cr.X_MAX)))
+    v = cr.llogl_moment(model, p, 1.0)
+    assert v.kind == cr.CONVERGES
+    assert v.remainder_bound is not None and 0.0 < v.remainder_bound < math.inf
+    longer = cr.llogl_moment(model, p, 1.0, t_cap=10.0 * end)
+    assert longer.estimate_on_window <= v.estimate_on_window + v.remainder_bound + 1e-12
+
+
+def test_llogl_remainder_from_the_log_domain():
+    # C t^-1.05 (ln t)^8 past e^8 (continuous there, decreasing past it): at
+    # X_MAX, t^-1.05 underflows and the double survival reads 0, while the
+    # survival is e^-701.  Past the window end T = h(X_MAX) at p = 0.01 the
+    # integrand's slope -d ln f/d ln t is at most a/p (b < 0, d ln h/d ln x >= p),
+    # so the tail is at least f(T) T / (a/p - 1), and the proved bound covers it
+    knee, a, p = math.exp(8.0), 1.05, 0.01
+    model = tm.load_model({"name": "late-growing-log", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": knee, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": knee, "t_hi": None, "formula_id": "power-log",
+         "params": {"scale": knee**a / 8.0**8, "power": a, "log_power": -8.0}},
+    ]})
+    assert tm.survival(model, cr.X_MAX) == 0.0
+    h, _ = cr._moment_map(p, 1.0)
+    end = float(h(cr.X_MAX))
+    assert end < cr.T_CAP_DEFAULT
+    f_end = math.exp(model.pieces[-1].tail.log_value(math.log(cr.X_MAX)))
+    v = cr.llogl_moment(model, p, 1.0)
+    assert v.kind == cr.CONVERGES
+    assert v.remainder_bound >= f_end * end / (a / p - 1.0)
+
+
 @pytest.mark.parametrize("p, q", [(0.4, 0.4), (0.3, 0.2)])
 def test_pure_power_remainder_is_rounded_outward(p, q):
     # 20^0.9 x^-0.9 past 20: the integrand is C^(q/p) t^-a with a = 0.9/p, whose

@@ -1,7 +1,9 @@
 """The streaming kernel against exact rational sums of the same float terms.
 
 W at every snapshot must be within REL_BOUND of the exact sum of the terms
-the kernel computes (the bound in the kernels module docstring).
+the kernel computes (the bound in the kernels module docstring).  Every
+stream runs twice: with the kernel allocating its arrays, and with one
+workspace per chunk size reused for every chunk of that size.
 """
 
 from fractions import Fraction
@@ -21,16 +23,40 @@ def chunk_terms(x, n0, s0, q, e1):
     return s_run, np.abs(s_run) ** float(q) * n ** float(e1)
 
 
+def workspaces():
+    """size -> a workspace made on first use and reused after, filled with NaN
+    first so that no result can rest on what a workspace held before."""
+    spaces = {}
+
+    def work(size):
+        if size not in spaces:
+            spaces[size] = space = kernels.Workspace(size)
+            for arr in (space.s_run, space.terms, space.n):
+                arr.fill(np.nan)
+        return spaces[size]
+
+    return work
+
+
 def stream(chunks, q, e1, snaps_of):
-    """Run the kernel over consecutive chunks, checking S bit for bit and W
-    against the exact running sum at every snapshot; returns the final state."""
+    """Run the kernel over consecutive chunks, allocating and then with
+    reused workspaces, checking S bit for bit and W against the exact running
+    sum at every snapshot; returns the final state, the same both ways."""
+    states = [stream_once(chunks, q, e1, snaps_of, work_of)
+              for work_of in (lambda size: None, workspaces())]
+    assert states[0] == states[1]
+    return states[0]
+
+
+def stream_once(chunks, q, e1, snaps_of, work_of):
     state = (0.0, 0.0, 0.0)
     exact = Fraction(0)
     n0 = 0
     for x in chunks:
         snaps = np.asarray(snaps_of(n0, len(x)), dtype=np.int64)
         s_ref, terms = chunk_terms(x, n0, state[0], q, e1)
-        s_vals, w_vals, state = kernels.accumulate_chunk(x, n0, state, q, e1, snaps)
+        s_vals, w_vals, state = kernels.accumulate_chunk(x, n0, state, q, e1, snaps,
+                                                         work_of(len(x)))
         np.testing.assert_array_equal(s_vals, s_ref[snaps])
         prev = 0
         for k, snap in enumerate(snaps.tolist()):
@@ -96,9 +122,11 @@ def test_overflow_leaves_w_non_finite():
     # censors the replication, and nothing raises
     x = np.zeros(1024)
     x[0] = 1e308
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, w_vals, state = kernels.accumulate_chunk(x, 0, (0.0, 0.0, 0.0), 1.0, 0.0, [1023])
-    assert not np.isfinite(w_vals[0]) and not np.isfinite(state[1])
+    for work in (None, kernels.Workspace(x.size)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, w_vals, state = kernels.accumulate_chunk(x, 0, (0.0, 0.0, 0.0), 1.0, 0.0,
+                                                        [1023], work)
+        assert not np.isfinite(w_vals[0]) and not np.isfinite(state[1])
 
 
 @pytest.mark.parametrize("size", [1, 511, 512, 513, 1025])

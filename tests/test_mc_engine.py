@@ -82,11 +82,24 @@ def test_nonnegative_stream_draws_no_sign_uniforms():
         np.testing.assert_allclose(table.s_norm[r], s_ref[cfg.checkpoints - 1], rtol=1e-12)
 
 
+# a power from 0 down to 1/2 at t = 4, then a power-log piece: a chunk's
+# uniforms fall in both pieces, so inverse_survival gathers each piece's
+# uniforms and scatters its roots
+TWO_PIECE = tm.load_model({
+    "name": "power-then-log", "sign_law": {"kind": "custom", "negative_prob": 0.3},
+    "pieces": [
+        {"t_lo": 0.0, "t_hi": 4.0, "formula_id": "power",
+         "params": {"scale": 1.0, "power": 0.5}},
+        {"t_lo": 4.0, "t_hi": None, "formula_id": "power-log",
+         "params": {"scale": math.log(4.0), "power": 0.5, "log_power": 1.0}},
+    ]})
+
+
 def test_signed_stream_draws_chunk_by_chunk(monkeypatch):
     # two chunks of a signed model: each chunk is one draw_batch call of
-    # _CHUNK draws, its magnitude uniforms first and then its sign uniforms
-    model = tm.pareto(2.0)
-    cfg = small_config(model, p=1.0, q=0.5, n_max=2 * mc._CHUNK, reps=2, seed=13)
+    # _CHUNK draws per stream, its magnitude uniforms first and then its sign
+    # uniforms; a symmetrized chunk is the path stream's draws less the copy
+    # stream's.  The stream reuses one set of buffers; the reference allocates.
     seen = []
     accumulate = mc.kernels.accumulate_chunk
 
@@ -95,16 +108,86 @@ def test_signed_stream_draws_chunk_by_chunk(monkeypatch):
         return accumulate(x, *args)
 
     monkeypatch.setattr(mc.kernels, "accumulate_chunk", record)
-    mc.run_paths(cfg)
-    sampler = mc.MagnitudeSampler(model)
-    threshold = model.negative_prob
-    assert threshold > 0.0 and len(seen) == 2 * cfg.replications
-    for r in range(cfg.replications):
-        gen = rng.generator(cfg.master_seed, r, rng.ROLE_PATH)
-        for chunk in seen[2 * r:2 * r + 2]:
-            mag = sampler(rng.open_uniforms(gen, mc._CHUNK))
-            np.testing.assert_array_equal(chunk, np.where(gen.random(mc._CHUNK) < threshold,
-                                                          -mag, mag))
+    for model, mode in ((tm.pareto(2.0), "plain"),
+                        (tm.log_loglog_power_tail(0.5), "symmetrized"),
+                        (TWO_PIECE, "symmetrized")):
+        cfg = small_config(model, p=1.0, q=0.5, n_max=2 * mc._CHUNK, reps=2, seed=13,
+                           mode=mode)
+        seen.clear()
+        mc.run_paths(cfg)
+        sampler = mc.MagnitudeSampler(model)
+        threshold = model.negative_prob
+        roles = [rng.ROLE_PATH] + ([rng.ROLE_COPY] if mode == "symmetrized" else [])
+        assert threshold > 0.0 and len(seen) == 2 * cfg.replications
+        for r in range(cfg.replications):
+            gens = [rng.generator(cfg.master_seed, r, role) for role in roles]
+            for chunk in seen[2 * r:2 * r + 2]:
+                signed = []
+                for gen in gens:
+                    mag = sampler(rng.open_uniforms(gen, mc._CHUNK))
+                    signed.append(np.where(gen.random(mc._CHUNK) < threshold, -mag, mag))
+                want = signed[0] - signed[1] if len(signed) > 1 else signed[0]
+                # bit for bit, so a zero's sign counts too
+                np.testing.assert_array_equal(chunk.view(np.int64), want.view(np.int64))
+    assert np.any(mag < 4.0) and np.any(mag > 4.0)  # TWO_PIECE's draws use both pieces
+
+
+class _PresetGenerator:
+    """Stands in for a Generator: `random` hands out preset values in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size, out=None):
+        vals = np.asarray(self.draws.pop(0), dtype=float)
+        assert vals.size == size
+        if out is None:
+            return vals.copy()
+        out[...] = vals
+        return out
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.3, 1e-12, 1.0])
+def test_copysign_sign_rule_is_the_where_rule(threshold):
+    # signs by copysign(mag, u - threshold) are np.where(u < threshold, -mag,
+    # mag) bit for bit: at u == threshold, at the floats next to it, on zero,
+    # subnormal and infinite magnitudes
+    tiny = 5e-324
+    us = np.array([0.0, tiny, threshold, np.nextafter(threshold, 0.0),
+                   np.nextafter(threshold, 2.0), 0.999999, 0.5, 1e-300])
+    us = us[us < 1.0]  # a Generator draws from [0, 1)
+    mags = np.resize([0.0, tiny, np.inf, 1.0, 3.5], us.size)
+
+    def sampler(u, out=None, scratch=None):
+        out = np.empty_like(mags) if out is None else out
+        out[...] = mags
+        return out
+
+    want = np.where(us < threshold, -mags, mags)
+    for out, buffers in ((None, None), (np.empty(us.size), mc.ChunkBuffers(us.size, 1))):
+        gen = _PresetGenerator(np.zeros(us.size), us)
+        got = mc.draw_batch(gen, sampler, threshold, us.size, out, buffers)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("model, p, q, mode", [
+    (tm.log_loglog_power_tail(0.5), 0.5, 0.25, "symmetrized"),
+    (tm.pareto(2.0), 1.0, 0.5, "plain"),
+], ids=lambda v: getattr(v, "name", v))
+def test_streaming_touches_no_new_pages_per_chunk(model, p, q, mode):
+    # a replication reuses one set of chunk buffers, so streaming 8 times as
+    # many chunks takes no more minor page faults (each fresh chunk-sized
+    # temporary would fault in 128 pages)
+    resource = pytest.importorskip("resource")
+
+    def faults(n_max):
+        cfg = small_config(model, p=p, q=q, n_max=n_max, reps=2, seed=3, mode=mode)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        mc.run_paths(cfg, workers=1)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults(1 << 17)  # the model's tables and the allocator's first arenas
+    assert faults(1 << 20) - faults(1 << 17) <= 1000
 
 
 def test_parallel_map_pool_never_outnumbers_items(monkeypatch):
