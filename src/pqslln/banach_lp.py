@@ -4,10 +4,10 @@ For iid magnitudes X_1..X_n with nonincreasing rearrangement X*_k and
 r >= 1, P(sup_k k^(1/r) X*_k > u) <= (2e/u^r) sup_t t^r sum_k P(||X_k|| > t).
 `sup_power_weighted_tail` computes the supremum on the right from the tail
 model's pieces, and `marcus_pisier_check` sets the empirical left side beside
-the bound on a grid of u.  Its draws stream in pieces of at most 2^16
-magnitudes (one path when n is larger), so its memory is bounded by the
-piece size, not by the replication count.  The disjoint-coordinate l_p
-witness is simulated by `mc_engine` as the `lp-counterexample` sequence rule.
+the bound on a grid of u.  Its draws stream in unsigned `draw_batch` pieces
+of at most 2^16 magnitudes (one path when n is larger), so its memory is
+bounded by the piece size, not by the replication count.  The
+disjoint-coordinate l_p witness is the `lp-counterexample` rule of `mc_engine`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc_engine as mc
+from . import rng
 from . import tail_models as tm
 
 __all__ = ["sup_power_weighted_tail", "MarcusPisierTable", "marcus_pisier_check"]
@@ -75,8 +76,9 @@ def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
 
     X*_k is the nonincreasing rearrangement of the n magnitudes, computed by a
     full sort per replication.  Probe stream b draws block b of 2^22 // n
-    paths, in pieces of at most max(n, 2^16) magnitudes; each piece is
-    counted before the next is drawn.
+    paths, in pieces of max(1, 2^16 // n) paths, each counted before the next
+    is drawn; unsigned draws continue one stream, so the pieces join to one
+    draw of the block.
     """
     if r < 1.0:
         raise ValueError("the inequality requires r >= 1")
@@ -87,11 +89,17 @@ def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
     u_grid = np.asarray(sorted(float(u) for u in u_grid))
     weights = np.arange(1, n + 1, dtype=float) ** (1.0 / r)
     counts = np.zeros(u_grid.size)
-    per_block = max(1, (1 << 22) // n)
-    for mags in mc.probe_blocks(model, replications, per_block, n, master_seed, 0.0):
-        mags[:, ::-1].sort(axis=1)  # descending
-        stat = np.max(weights[None, :] * mags, axis=1)
-        counts += (stat[None, :] > u_grid[:, None]).sum(axis=1)
+    sampler = mc.MagnitudeSampler(model)
+    per_block, rows = max(1, (1 << 22) // n), max(1, (1 << 16) // n)
+    for block_id, done in enumerate(range(0, replications, per_block)):
+        gen = rng.generator(master_seed, block_id, rng.ROLE_PROBE)
+        size = min(per_block, replications - done)
+        for start in range(0, size, rows):
+            buffers = mc.ChunkBuffers(min(rows, size - start) * n, 1)
+            mags = mc.draw_batch(gen, sampler, 0.0, buffers.draws[0], buffers).reshape(-1, n)
+            mags[:, ::-1].sort(axis=1)  # descending
+            stat = np.max(weights[None, :] * mags, axis=1)
+            counts += (stat[None, :] > u_grid[:, None]).sum(axis=1)
     lhs = counts / replications
     se = np.sqrt(lhs * (1.0 - lhs) / replications)
     sup_val = sup_power_weighted_tail(model, r)

@@ -82,21 +82,24 @@ def _classify_tail_integral(model: tm.TailModel, h, h_inv, f, *, t_cap: float,
     same budget, so tiny stands in for it.  A divergent verdict integrates the
     last decade of the window as ten more cells of the same call, and reports
     their running values and slope."""
+    upper = tm.support_upper(model)
+    bounded = math.isfinite(upper)  # h(upper) may still overflow: M^p past X_MAX
     with np.errstate(over="ignore"):  # X_MAX^q is inf for q > 1
-        cutoff, h_max = (float(h(np.float64(x))) for x in (tm.support_upper(model), X_MAX))
+        cutoff, h_max, knee, *edges = (float(h(np.float64(x))) for x in
+                                       (upper, X_MAX, model.knee, *model.piece_edges()))
     end = min(t_cap, cutoff, h_max)
-    if math.isinf(cutoff) and end <= h(model.knee):
+    if not bounded and end <= knee:
         raise ValueError("t_cap must exceed the knee of the transformed tail")
-    converges = math.isfinite(cutoff) or integral_converges(asym)
+    converges = bounded or integral_converges(asym)
     decade = None if converges else np.geomspace(end / 10.0, end, 11)
-    quad = integrate(f, [0.0, end] if converges else [0.0, *decade],
-                     breakpoints=[h(e) for e in model.piece_edges()])
+    quad = integrate(f, [0.0, end] if converges else [0.0, *decade], breakpoints=edges)
     value = math.fsum(quad.values)
     f_end = float(f(np.array([end]))[0])
 
-    if math.isfinite(cutoff):
+    if bounded:
         rem = f_end * (cutoff - end) if cutoff > end else 0.0
-        return Verdict(CONVERGES, value, remainder_bound=rem, method="bounded-support")
+        return Verdict(CONVERGES, value, remainder_bound=rem if math.isfinite(rem) else None,
+                       method="bounded-support")
 
     diagnostics = {"exponents": (asym.a, asym.b, asym.c)}
     if converges:

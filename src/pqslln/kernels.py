@@ -27,10 +27,10 @@ themselves (the power and the cumulative sum) is not part of this bound.
 
 Buffers.  The chunk-sized arrays of a chunk -- the running S, |S|^q, n^e1
 and their product -- live in a `Workspace` that the caller owns and passes to
-every chunk of one size, so a stream of chunks allocates nothing per chunk; a
-call without one makes its own.  Either way each array is computed by the
-same operations in the same order, so the terms and the bound above do not
-depend on where they are stored.
+every chunk of one size, so a stream of chunks allocates nothing per chunk.
+Each array is computed by the same operations in the same order whatever the
+workspace held before, so the terms and the bound above do not depend on
+where they are stored.
 """
 
 from __future__ import annotations
@@ -60,17 +60,16 @@ class Workspace:
         self.steps = np.arange(size, dtype=float)
 
 
-def accumulate_chunk(x, n0, state, q, e1, snaps, work: Workspace | None = None):
+def accumulate_chunk(x, n0, state, q, e1, snaps, work: Workspace):
     """Stream one chunk.
 
     x: increments; n0: count consumed before this chunk; state: (S, W, comp);
     q, e1: exponents with e1 = -(q/p) - 1; snaps: sorted local indices at which
-    to report; work: a `Workspace` of x's size, or None to allocate one.
+    to report; work: a `Workspace` of x's size.
     Returns (s_at_snaps, w_at_snaps, new_state), none of which shares memory
     with `work`.
     """
     x = np.asarray(x, dtype=float)
-    work = work or Workspace(x.size)
     s0, w, comp = (float(v) for v in state)
     snaps = np.asarray(snaps, dtype=np.int64)
     s_run = np.cumsum(x, out=work.s_run)

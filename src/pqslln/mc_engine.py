@@ -14,15 +14,15 @@ flagged and excluded from means but counted in a censoring report: the
 infinite-moment tails produce extreme values by design, and that is a
 result, not an error.
 
-A replication streams in chunks of _CHUNK steps.  The draw contract: each
-chunk draws all its magnitude uniforms and then all its sign uniforms from
-the replication's path stream, and in symmetrized mode the same again from
-its copy stream; a draw takes the sign of (sign uniform - P(X < 0)).  The
-chunk-sized arrays -- uniforms, draws, the sampler's scratch and the
-kernel's workspace -- are one `ChunkBuffers` that the replication makes and
-every chunk reuses, so streaming allocates nothing per chunk.  They belong
-to the replication: the `MagnitudeSampler` that worker threads share holds
-none.
+`draw_batch` is the one place that turns uniforms into draws: a batch's
+magnitude uniforms, then its sign uniforms, from one stream into a caller's
+`ChunkBuffers`, a draw taking the sign of (sign uniform - P(X < 0)).  A
+replication draws one batch per chunk of _CHUNK steps from its path stream,
+and in symmetrized mode one from its copy stream, into one set of buffers
+that every chunk reuses.  The probes draw block b from probe stream b:
+`dense_ratio_moments` as one signed batch of at most 4096 paths, and
+`banach_lp.marcus_pisier_check` in unsigned pieces of at most max(n, _CHUNK)
+magnitudes.  The `MagnitudeSampler` that worker threads share holds no buffers.
 """
 
 from __future__ import annotations
@@ -149,9 +149,8 @@ class MagnitudeSampler:
     """Inverse-transform sampler for ||X||: the model's exact piecewise
     inverse survival function.  Building it builds the model's Newton start
     tables and inverse route, so no draw, and no worker thread, pays for
-    them.  Worker threads share one sampler, so it holds no buffers: a caller
-    that wants a call to allocate nothing passes its own `out` and `scratch`
-    (see `tail_models.inverse_survival`)."""
+    them.  Worker threads share one sampler, so it holds no buffers: a call
+    with u alone allocates, and `draw_batch` passes its caller's."""
 
     def __init__(self, model: tm.TailModel):
         self.model = model
@@ -164,65 +163,36 @@ class MagnitudeSampler:
 
 
 class ChunkBuffers:
-    """The chunk-sized arrays of one replication, reused by every chunk it
-    streams: the uniforms (each chunk's magnitude uniforms, then its sign
-    uniforms), the draws of each of its `streams` streams, the sampler's
-    scratch and the kernel's workspace.  Each replication makes its own, so
-    no two threads write to one."""
+    """The arrays of `draw_batch` for batches of `size` draws: the uniforms,
+    one draws row for each of `streams` streams, and the sampler's scratch.
+    Each caller makes its own, so no two threads write to one."""
 
     def __init__(self, size: int, streams: int):
         self.uniforms = np.empty(size)
         self.draws = np.empty((streams, size))
         self.inverse = tm.InverseScratch(size)
-        self.kernel = kernels.Workspace(size)
 
 
-def draw_batch(gen: np.random.Generator, sampler: MagnitudeSampler,
-               threshold: float, shape, out: np.ndarray | None = None,
-               buffers: ChunkBuffers | None = None) -> np.ndarray:
-    """Signed iid draws of the given shape: magnitude uniforms first, then
-    sign uniforms, which are drawn only when the negative sign has mass
-    (`threshold` > 0 is the probability of a negative sign).
+def draw_batch(gen: np.random.Generator, sampler: MagnitudeSampler, threshold: float,
+               out: np.ndarray, buffers: ChunkBuffers) -> np.ndarray:
+    """Signed iid draws into `out`, a draws row of `buffers`: magnitude
+    uniforms first, then sign uniforms, which are drawn only when the
+    negative sign has mass (`threshold` > 0 is the probability of a negative
+    sign).  Where one piece of the model takes every uniform, the call
+    allocates nothing.
 
     Sign rule: a draw takes the sign of u - threshold, u its sign uniform,
     by `np.copysign` in place.  u - threshold is negative exactly where
     u < threshold and +0 where they are equal, so this is bit for bit
     np.where(u < threshold, -mag, mag), zeros and infinities included.
-
-    The draws land in `out` (a 1-d array of the shape's size) and the
-    uniforms and the sampler's temporaries in `buffers`, where given, so a
-    call with both allocates nothing; without them it allocates its own.
     """
-    size = int(np.prod(shape))
-    u = rng.open_uniforms(gen, size, None if buffers is None else buffers.uniforms)
-    mag = sampler(u, out, None if buffers is None else buffers.inverse).reshape(shape)
+    u = rng.open_uniforms(gen, buffers.uniforms)
+    mag = sampler(u, out, buffers.inverse)
     if threshold <= 0.0:
         return mag
-    signs = gen.random(size, out=u)  # the magnitudes are drawn: u is free
+    signs = gen.random(out=u)  # the magnitudes are drawn: u is free
     signs -= threshold
-    return np.copysign(mag, signs.reshape(shape), out=mag)
-
-
-def probe_blocks(model: tm.TailModel, replications: int, per_block: int, n: int,
-                 master_seed: int, threshold: float):
-    """Signed draws for `replications` probe paths of length n, in blocks of
-    at most `per_block` paths; block b draws from probe stream b, so the
-    draws are reproducible for a fixed seed.
-
-    Each block is yielded in (m, n) pieces of max(1, _CHUNK // n) rows, one
-    draw_batch call each, in order from the block's stream, so no piece holds
-    more than max(n, _CHUNK) doubles.  Unsigned draws (`threshold` <= 0) do
-    not depend on the piece size: the uniforms continue one stream.  A signed
-    piece draws its magnitudes and then its signs, so a signed block of more
-    than _CHUNK elements draws in a different order than one call would.
-    """
-    sampler = MagnitudeSampler(model)
-    rows = max(1, _CHUNK // max(n, 1))
-    for block_id, done in enumerate(range(0, replications, per_block)):
-        gen = rng.generator(master_seed, block_id, rng.ROLE_PROBE)
-        size = min(per_block, replications - done)
-        for start in range(0, size, rows):
-            yield draw_batch(gen, sampler, threshold, (min(rows, size - start), n))
+    return np.copysign(mag, signs, out=mag)
 
 
 def parallel_map(fn, items, workers: int) -> list:
@@ -247,6 +217,7 @@ def _run_one_path(config: ExperimentConfig, sampler: MagnitudeSampler, r: int,
     e1 = -(config.q / config.p) - 1.0
     m = min(_CHUNK, config.n_max)  # both are powers of two: m divides n_max
     buffers = ChunkBuffers(m, len(gens))
+    work = kernels.Workspace(m)
     x = buffers.draws[0]
     k_total = checkpoints.size
     out_s = np.full(k_total, np.nan)
@@ -259,11 +230,11 @@ def _run_one_path(config: ExperimentConfig, sampler: MagnitudeSampler, r: int,
         # an overflow censors the replication (checked below): a result, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for gen, draws in zip(gens, buffers.draws):
-                draw_batch(gen, sampler, threshold, m, draws, buffers)
+                draw_batch(gen, sampler, threshold, draws, buffers)
             if config.mode == "symmetrized":
                 x -= buffers.draws[1]
             s_vals, w_vals, state = kernels.accumulate_chunk(
-                x, pos, state, config.q, e1, local, buffers.kernel)
+                x, pos, state, config.q, e1, local, work)
         out_s[filled:filled + s_vals.size] = s_vals
         out_w[filled:filled + w_vals.size] = w_vals
         filled += s_vals.size
@@ -467,19 +438,23 @@ def dense_ratio_moments(model: tm.TailModel, pairs, n_upto: int, replications: i
     `pairs`, estimated from `replications` iid paths; returns one
     (means, standard errors) per pair, in the order of `pairs`.
 
-    Replications are drawn in fixed blocks of 4096 paths, each on its own
-    counter-based stream, so results are reproducible for a fixed seed.  The
-    paths are drawn once for all pairs, and each pair's sums run over the
-    same pieces in the same order, so a pair's result does not depend on the
-    other pairs.
+    Block b of at most 4096 paths is one signed `draw_batch` from probe
+    stream b, so results are reproducible for a fixed seed.  The paths are
+    drawn once for all pairs, and each pair's sums run over the same blocks
+    in the same order, so a pair's result does not depend on the other
+    pairs.
     """
     sums = np.zeros((len(pairs), n_upto))
     sumsq = np.zeros((len(pairs), n_upto))
     ns = np.arange(1, n_upto + 1, dtype=float)
     scales = [ns ** (1.0 / p) for p, _ in pairs]
-    for x in probe_blocks(model, replications, 4096, n_upto, master_seed,
-                          model.negative_prob):
-        s = np.abs(np.cumsum(x, axis=1))
+    sampler = MagnitudeSampler(model)
+    for block_id, done in enumerate(range(0, replications, 4096)):
+        gen = rng.generator(master_seed, block_id, rng.ROLE_PROBE)
+        size = min(4096, replications - done)
+        buffers = ChunkBuffers(size * n_upto, 1)
+        x = draw_batch(gen, sampler, model.negative_prob, buffers.draws[0], buffers)
+        s = np.abs(np.cumsum(x.reshape(size, n_upto), axis=1))
         for j, ((_, q), scale) in enumerate(zip(pairs, scales)):
             rq = (s / scale) ** q
             sums[j] += rq.sum(axis=0)

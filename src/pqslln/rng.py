@@ -51,10 +51,8 @@ def generator(master_seed: int, stream: int, role: int = ROLE_PATH) -> np.random
     return np.random.Generator(np.random.Philox(key=stream_key(master_seed, stream, role)))
 
 
-def open_uniforms(gen: np.random.Generator, size: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """`size` uniforms in (0, 1]: never zero, so survival inversion cannot blow
-    up.  They are drawn into `out` (of `size` doubles) when it is given, and
-    into a new array otherwise; the draws are the same either way."""
-    u = gen.random(size, out=out)
+def open_uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with uniforms in (0, 1]: never zero, so survival inversion
+    cannot blow up."""
+    u = gen.random(out=out)
     return np.subtract(1.0, u, out=u)

@@ -15,10 +15,9 @@ power-log-loglog, indicator-below) is only the input language of
 A log-corrected piece is inverted by two Newton steps in x = ln t, started
 from a table of bisected roots at 1024 nodes in ln(1 - ln u) that the model
 builds once (`TailModel.root_tables`); an element the two steps do not
-settle is bisected.  `inverse_survival` writes into a caller's output array
-and `InverseScratch` when it is given them, so a caller that inverts many
-batches of one size allocates nothing wherever one piece takes every u, as
-for the builtins.
+settle is bisected.  `mc_engine.draw_batch` hands `inverse_survival` its
+output array and `InverseScratch`, so a draw allocates nothing wherever one
+piece takes every u, as for the builtins.
 
 All probabilities are clamped to [0, 1] after evaluation: the log-corrected
 pieces can exceed 1 by a few ulps near their knees.
@@ -290,10 +289,9 @@ class RootTable:
 
 class InverseScratch:
     """Work arrays of `inverse_survival` for `size` uniforms at a time: four
-    rows of doubles and one of cell indices.  A caller that inverts many
-    batches of one size makes one and passes it to every call, so no call
-    allocates them; their contents mean nothing between calls.  Each caller
-    owns its own: two threads must never share one."""
+    rows of doubles and one of cell indices, which mean nothing between calls.
+    Every draw reuses the one in its caller's `mc_engine.ChunkBuffers`; two
+    threads must never share one."""
 
     def __init__(self, size: int):
         self.floats = np.empty((4, size))
@@ -346,11 +344,11 @@ def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float, table: RootTable,
 
 
 def _piece_inverse(model: TailModel, i: int, w: np.ndarray, out: np.ndarray,
-                   scratch: InverseScratch | None) -> np.ndarray:
+                   scratch: InverseScratch) -> np.ndarray:
     """inf{t : survival(t) < u} into `out` for the u of `w` that piece i takes:
     the left edge for a constant, a closed form for a power, and
-    `_log_piece_root` for a log-corrected piece (with `scratch`, or its own
-    when None)."""
+    `_log_piece_root` (with `scratch`, of w's size) for a log-corrected
+    piece."""
     pc, (at_lo, _) = model.pieces[i], model.edge_values[i]
     lo, tail, kind = pc.t_lo if i else 0.0, pc.tail, model.inverse_route[1][i]
     if kind == CONSTANT:
@@ -362,8 +360,7 @@ def _piece_inverse(model: TailModel, i: int, w: np.ndarray, out: np.ndarray,
             t_star **= 1.0 / tail.a
         return np.maximum(t_star, lo, out=t_star)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = _log_piece_root(pc, w, lo, model.root_tables[i], out,
-                               scratch or InverseScratch(w.size))
+        root = _log_piece_root(pc, w, lo, model.root_tables[i], out, scratch)
     if at_lo < 1.0:
         root[w > at_lo] = lo  # a jump down at lo
     return root
@@ -377,11 +374,10 @@ def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
     u, found from the running minimum of `TailModel.inverse_route`.  That
     piece's own inverse gives it (`_piece_inverse`).  When one piece takes
     every u, as for the builtins, it inverts the input whole, into `out` (an
-    array of u's size other than u) and with `scratch` (an `InverseScratch`
-    of u's size) where they are given, so a caller that passes both
-    allocates nothing; otherwise each piece gathers its u and scatters its
-    roots into `out`.  Where `out` or `scratch` is None the call allocates
-    its own.
+    array of u's size other than u) with `scratch` (an `InverseScratch` of
+    u's size); `mc_engine.draw_batch` passes both and allocates nothing, and
+    either is made here where it is None.  Otherwise each piece gathers its
+    u and scatters its roots into `out`, with arrays of its own.
     """
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
@@ -396,7 +392,7 @@ def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
     right_min = model.inverse_route[0]
     first, last = int(np.argmax(right_min < u_max)), int(np.argmax(right_min < u_min))
     if first == last:
-        out = _piece_inverse(model, first, uu, out, scratch)
+        out = _piece_inverse(model, first, uu, out, scratch or InverseScratch(uu.size))
     else:
         for i in range(first, last + 1):
             here = uu > right_min[i]
@@ -404,7 +400,8 @@ def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
                 here &= uu <= right_min[i - 1]
             if np.any(here):
                 w = uu[here]
-                out[here] = _piece_inverse(model, i, w, np.empty_like(w), None)
+                out[here] = _piece_inverse(model, i, w, np.empty_like(w),
+                                           InverseScratch(w.size))
     return float(out[0]) if scalar else out
 
 

@@ -90,6 +90,20 @@ def test_marcus_pisier_rejects_empty_input():
         lp.marcus_pisier_check(tm.pareto(2.0), 8, 1.2, [1.0], 0)
 
 
+def one_shot_lhs(model, n, r, grid, blocks, seed):
+    """The empirical side with block b of `blocks` drawn whole from probe
+    stream b, then sorted and counted."""
+    sampler = mc.MagnitudeSampler(model)
+    weights = np.arange(1, n + 1, dtype=float) ** (1.0 / r)
+    counts = np.zeros(grid.size)
+    for b, size in enumerate(blocks):
+        gen = rng.generator(seed, b, rng.ROLE_PROBE)
+        mags = sampler(1.0 - gen.random(size * n)).reshape(size, n)
+        stat = np.max(weights * -np.sort(-mags, axis=1), axis=1)
+        counts += (stat[None, :] > grid[:, None]).sum(axis=1)
+    return tuple((counts / sum(blocks)).tolist())
+
+
 def test_marcus_pisier_streams_in_bounded_memory():
     # n = 2^15: blocks of 128 and 2 paths, drawn in pieces of 2 paths
     model = tm.pareto(1.5, "nonnegative")
@@ -101,12 +115,13 @@ def test_marcus_pisier_streams_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 16 << 20
-    # one-shot reference: each block drawn whole, sorted and counted
-    weights = np.arange(1, n + 1, dtype=float) ** (1.0 / r)
-    counts = np.zeros(grid.size)
-    for b, size in enumerate((128, 2)):
-        gen = rng.generator(3, b, rng.ROLE_PROBE)
-        mags = mc.draw_batch(gen, mc.MagnitudeSampler(model), 0.0, (size, n))
-        stat = np.max(weights * -np.sort(-mags, axis=1), axis=1)
-        counts += (stat[None, :] > grid[:, None]).sum(axis=1)
-    assert table.empirical_lhs == tuple((counts / reps).tolist())
+    assert table.empirical_lhs == one_shot_lhs(model, n, r, grid, (128, 2), 3)
+
+
+def test_marcus_pisier_pieces_join_to_one_draw_per_block():
+    # n = 3000: blocks of 1398 and 2 paths in pieces of 21 paths, so block 0
+    # ends in a piece of 12 paths; the pieces of a block are one draw of it
+    model = tm.pareto(3.0, "nonnegative")
+    n, r, grid = 3000, 1.5, np.geomspace(1.0, 1e3, 6)
+    table = lp.marcus_pisier_check(model, n, r, grid, 1400, master_seed=4)
+    assert table.empirical_lhs == one_shot_lhs(model, n, r, grid, (1398, 2), 4)

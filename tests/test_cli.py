@@ -105,6 +105,16 @@ def test_almost_sure_cap_past_the_largest_power_prints_only_membership(tmp_path,
     assert capsys.readouterr().err == "membership: Member\n"
 
 
+def test_bounded_support_past_the_double_range_of_its_power(tmp_path, capsys):
+    # the p-th power of the support bound 1e210 overflows: a verdict, not a traceback
+    cfg = criteria_config(tmp_path, {"builtin": "degenerate", "params": {"value": 1e210}},
+                          1.5, 0.5)
+    assert cli.main(["criteria", "--config", cfg]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["p_moment_verdict"]["remainder_bound"] is None
+    assert "Traceback" not in err and "Infinity" not in out
+
+
 def test_config_parse_error_has_line_and_column(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": 1,\n  "model": {')

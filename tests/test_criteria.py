@@ -425,6 +425,29 @@ def test_bounded_custom_model_with_edge_jump_is_member():
     assert report.truncated_series_verdict.method == "bounded-support"
 
 
+@pytest.mark.parametrize("sign, membership", [("nonnegative", cr.NON_MEMBER),
+                                                ("symmetric", cr.MEMBER)])
+def test_bounded_support_past_the_double_range_of_its_power(sign, membership):
+    # M^1.5 = 1e315 is no double: the support is still bounded, and a
+    # remainder that is no double is reported as none
+    report = cr.classify_slln(tm.degenerate(1e210, sign), 1.5, 0.5)
+    assert report.membership == membership
+    integral, pmom = report.integral_verdict, report.p_moment_verdict
+    assert integral.kind == pmom.kind == cr.CONVERGES
+    assert integral.method == pmom.method == "bounded-support"
+    assert integral.remainder_bound == pytest.approx(1e105)
+    assert pmom.remainder_bound is None
+
+
+def test_divergent_fit_of_partials_near_the_double_range_is_no_warning():
+    # last-decade partials of about 1e306 at t_cap = 1e308: under the suite's
+    # error filter an overflow in the line fit would raise here
+    report = cr.classify_slln(tm.pareto(0.01), 1.5, 0.5, t_cap=1e308)
+    pmom = report.p_moment_verdict
+    assert pmom.kind == cr.DIVERGES and max(pmom.diagnostics["last_decade_partials"]) > 1e305
+    assert 0.0 < pmom.diagnostics["last_decade_slope"] < math.inf
+
+
 def test_bounded_support_beyond_the_cap():
     # support bound 100 past t_cap 10: Converges, remainder f(t_cap) (M - t_cap)
     v = cr.p_moment(tm.degenerate(100.0), 1.0, t_cap=10.0)

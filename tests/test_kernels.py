@@ -2,7 +2,7 @@
 
 W at every snapshot must be within REL_BOUND of the exact sum of the terms
 the kernel computes (the bound in the kernels module docstring).  Every
-stream runs twice: with the kernel allocating its arrays, and with one
+stream runs twice: with a fresh workspace for each chunk, and with one
 workspace per chunk size reused for every chunk of that size.
 """
 
@@ -39,11 +39,11 @@ def workspaces():
 
 
 def stream(chunks, q, e1, snaps_of):
-    """Run the kernel over consecutive chunks, allocating and then with
+    """Run the kernel over consecutive chunks, with fresh and then with
     reused workspaces, checking S bit for bit and W against the exact running
     sum at every snapshot; returns the final state, the same both ways."""
     states = [stream_once(chunks, q, e1, snaps_of, work_of)
-              for work_of in (lambda size: None, workspaces())]
+              for work_of in (kernels.Workspace, workspaces())]
     assert states[0] == states[1]
     return states[0]
 
@@ -122,11 +122,10 @@ def test_overflow_leaves_w_non_finite():
     # censors the replication, and nothing raises
     x = np.zeros(1024)
     x[0] = 1e308
-    for work in (None, kernels.Workspace(x.size)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, w_vals, state = kernels.accumulate_chunk(x, 0, (0.0, 0.0, 0.0), 1.0, 0.0,
-                                                        [1023], work)
-        assert not np.isfinite(w_vals[0]) and not np.isfinite(state[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, w_vals, state = kernels.accumulate_chunk(x, 0, (0.0, 0.0, 0.0), 1.0, 0.0,
+                                                    [1023], kernels.Workspace(x.size))
+    assert not np.isfinite(w_vals[0]) and not np.isfinite(state[1])
 
 
 @pytest.mark.parametrize("size", [1, 511, 512, 513, 1025])

@@ -78,7 +78,7 @@ def test_nonnegative_stream_draws_no_sign_uniforms():
     sampler = mc.MagnitudeSampler(model)
     for r in range(cfg.replications):
         gen = rng.generator(cfg.master_seed, r, rng.ROLE_PATH)
-        s_ref = np.cumsum(sampler(rng.open_uniforms(gen, cfg.n_max)))
+        s_ref = np.cumsum(sampler(rng.open_uniforms(gen, np.empty(cfg.n_max))))
         np.testing.assert_allclose(table.s_norm[r], s_ref[cfg.checkpoints - 1], rtol=1e-12)
 
 
@@ -124,7 +124,7 @@ def test_signed_stream_draws_chunk_by_chunk(monkeypatch):
             for chunk in seen[2 * r:2 * r + 2]:
                 signed = []
                 for gen in gens:
-                    mag = sampler(rng.open_uniforms(gen, mc._CHUNK))
+                    mag = sampler(1.0 - gen.random(mc._CHUNK))
                     signed.append(np.where(gen.random(mc._CHUNK) < threshold, -mag, mag))
                 want = signed[0] - signed[1] if len(signed) > 1 else signed[0]
                 # bit for bit, so a zero's sign counts too
@@ -138,11 +138,9 @@ class _PresetGenerator:
     def __init__(self, *draws):
         self.draws = list(draws)
 
-    def random(self, size, out=None):
+    def random(self, out):
         vals = np.asarray(self.draws.pop(0), dtype=float)
-        assert vals.size == size
-        if out is None:
-            return vals.copy()
+        assert vals.size == out.size
         out[...] = vals
         return out
 
@@ -158,16 +156,15 @@ def test_copysign_sign_rule_is_the_where_rule(threshold):
     us = us[us < 1.0]  # a Generator draws from [0, 1)
     mags = np.resize([0.0, tiny, np.inf, 1.0, 3.5], us.size)
 
-    def sampler(u, out=None, scratch=None):
-        out = np.empty_like(mags) if out is None else out
+    def sampler(u, out, scratch):
         out[...] = mags
         return out
 
     want = np.where(us < threshold, -mags, mags)
-    for out, buffers in ((None, None), (np.empty(us.size), mc.ChunkBuffers(us.size, 1))):
-        gen = _PresetGenerator(np.zeros(us.size), us)
-        got = mc.draw_batch(gen, sampler, threshold, us.size, out, buffers)
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    buffers = mc.ChunkBuffers(us.size, 1)
+    gen = _PresetGenerator(np.zeros(us.size), us)
+    got = mc.draw_batch(gen, sampler, threshold, buffers.draws[0], buffers)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("model, p, q, mode", [
@@ -205,37 +202,26 @@ def test_parallel_map_pool_never_outnumbers_items(monkeypatch):
     assert sizes == [3, 2]
 
 
-def test_probe_blocks_one_stream_per_block():
-    model = tm.rademacher()
+def test_dense_ratio_moments_draws_block_b_from_probe_stream_b():
+    # blocks of 4096 and 4 paths of n = 3 signed pareto steps: block b is its
+    # magnitudes and then its signs, drawn whole from probe stream b
+    model, pairs, n, reps = tm.pareto(1.5), [(1.0, 0.5), (1.5, 1.0)], 3, 4100
     sampler = mc.MagnitudeSampler(model)
-    threshold = model.negative_prob
-    blocks = list(mc.probe_blocks(model, 10, 4, 6, 3, threshold))
-    assert [b.shape for b in blocks] == [(4, 6), (4, 6), (2, 6)]
-    for b, block in enumerate(blocks):
+    sums, sumsq = np.zeros((2, len(pairs), n))
+    for b, size in enumerate((4096, 4)):
         gen = rng.generator(3, b, rng.ROLE_PROBE)
-        np.testing.assert_array_equal(block, mc.draw_batch(gen, sampler, threshold, block.shape))
-    # blocks of 5 and 2 paths at n = 30,000: pieces of 2 rows, and the pieces
-    # of block b joined are one unsigned draw_batch of the block from stream b
-    model = tm.pareto(1.5, "nonnegative")
-    sampler = mc.MagnitudeSampler(model)
-    n = 30_000
-    pieces = list(mc.probe_blocks(model, 7, 5, n, 3, 0.0))
-    assert [piece.shape for piece in pieces] == [(2, n), (2, n), (1, n), (2, n)]
-    for b, block in enumerate((np.concatenate(pieces[:3]), pieces[3])):
-        gen = rng.generator(3, b, rng.ROLE_PROBE)
-        np.testing.assert_array_equal(block, mc.draw_batch(gen, sampler, 0.0, block.shape))
-
-
-def test_unsigned_draws_in_pieces_equal_one_call():
-    # one 64-bit word per double: consecutive calls continue the same stream
-    sampler = mc.MagnitudeSampler(tm.pareto(2.0, "nonnegative"))
-    sizes = (1, 6, 1000, mc._CHUNK)
-    for draw in (lambda gen, m: rng.open_uniforms(gen, m),
-                 lambda gen, m: mc.draw_batch(gen, sampler, 0.0, m)):
-        gen = rng.generator(5, 1, rng.ROLE_PROBE)
-        whole = draw(gen, sum(sizes))
-        gen = rng.generator(5, 1, rng.ROLE_PROBE)
-        np.testing.assert_array_equal(np.concatenate([draw(gen, m) for m in sizes]), whole)
+        mag = sampler(1.0 - gen.random(size * n))
+        x = np.where(gen.random(size * n) < model.negative_prob, -mag, mag)
+        s = np.abs(np.cumsum(x.reshape(size, n), axis=1))
+        for j, (p, q) in enumerate(pairs):
+            rq = (s / np.arange(1.0, n + 1) ** (1.0 / p)) ** q
+            sums[j] += rq.sum(axis=0)
+            sumsq[j] += (rq**2).sum(axis=0)
+    for (mean, se), total, total_sq in zip(mc.dense_ratio_moments(model, pairs, n, reps, 3),
+                                          sums, sumsq):
+        np.testing.assert_array_equal(mean, total / reps)
+        var = np.maximum(total_sq / reps - mean**2, 0.0)
+        np.testing.assert_array_equal(se, np.sqrt(var / reps))
 
 
 def test_w_monotone_per_replication():
