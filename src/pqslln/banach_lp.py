@@ -28,8 +28,8 @@ def sup_power_weighted_tail(model: tm.TailModel, r: float) -> float:
     """sup_{t>0} t^r P(||X|| > t), exact on pieces without log factors,
     grid-refined on the log-corrected ones."""
     best = 0.0
-    for i, pc in enumerate(model.pieces):
-        lo = max(pc.t_lo, 1e-12) if i > 0 else 1e-12
+    for pc in model.pieces:
+        lo = max(pc.t_lo, 1e-12)
         hi = pc.t_hi
         const, a = pc.tail.const, pc.tail.a
         if const <= 0.0:

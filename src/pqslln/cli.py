@@ -11,7 +11,8 @@ report     consolidate manifests into a CSV comparing analytic verdicts
 
 Exit codes: criteria 0 on Member/NonMember, 3 on Inconclusive; any config
 parse error exits 2 with line/column diagnostics; verify exits 1 if any
-inequality is violated.  No partial artifacts survive a failed run.
+inequality is violated; a write error or running out of memory exits 1 with
+one error line.  No partial artifacts survive a failed run.
 """
 
 from __future__ import annotations
@@ -171,31 +172,41 @@ def _read_json(path: str, what: str):
 
 
 class _AtomicWriter:
-    """Collects output files and finalizes them together; a failure removes
-    everything, so no partial artifacts are left behind."""
+    """Output files of a `with` block, written to temporaries and renamed into
+    place when it exits cleanly; a failed block or rename removes every
+    temporary and every file already renamed, so no partial artifacts remain."""
 
-    def __init__(self):
+    def __enter__(self) -> "_AtomicWriter":
         self._pending: list[tuple[str, str]] = []
-        self._final: list[str] = []
+        return self
 
     def write(self, path: str, content: str) -> None:
         tmp = f"{path}.tmp.{os.getpid()}"
+        self._pending.append((tmp, path))  # before the write, which may fail halfway
         with open(tmp, "w") as fh:
             fh.write(content)
-        self._pending.append((tmp, path))
 
-    def commit(self) -> None:
-        for tmp, path in self._pending:
-            os.replace(tmp, path)
-            self._final.append(path)
-        self._pending.clear()
+    def __exit__(self, exc_type, *_) -> None:
+        renamed = []
+        try:
+            if exc_type is None:
+                for tmp, path in self._pending:
+                    os.replace(tmp, path)
+                    renamed.append(path)
+        finally:
+            if len(renamed) < len(self._pending):  # the block or a rename failed
+                for path in [tmp for tmp, _ in self._pending] + renamed:
+                    with contextlib.suppress(OSError):
+                        os.unlink(path)
 
-    def abort(self) -> None:
-        for path in [tmp for tmp, _ in self._pending] + self._final:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-        self._pending.clear()
-        self._final.clear()
+
+def _make_out_dir(out_dir: str | None) -> None:
+    """Make `--out` before any work; a path that cannot be a directory is a ConfigError."""
+    if out_dir:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out_dir}: {exc}") from exc
 
 
 def _emit(out_dir: str | None, name: str, text: str) -> None:
@@ -203,11 +214,9 @@ def _emit(out_dir: str | None, name: str, text: str) -> None:
     if not out_dir:
         print(text, end="")
         return
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    writer = _AtomicWriter()
-    writer.write(path, text)
-    writer.commit()
+    with _AtomicWriter() as writer:
+        writer.write(path, text)
     print(path)
 
 
@@ -221,6 +230,7 @@ def cmd_criteria(args) -> int:
     model, sequence = resolve_model(cfg["model"])
     if sequence is not None:
         raise ConfigError("criteria evaluation needs an iid tail model")
+    _make_out_dir(args.out)
     report = _criterion_report(model, cfg, cfg["criteria"]["criterion"])
 
     _emit(args.out, "criterion_report.json",
@@ -237,12 +247,11 @@ def cmd_simulate(args) -> int:
     config = mc_engine.ExperimentConfig(model=model, p=cfg["p"], q=cfg["q"],
                                         sequence=sequence, **cfg["simulate"])
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     stem = cfg["name"] or os.path.splitext(os.path.basename(args.config))[0]
 
     started = time.perf_counter()
-    writer = _AtomicWriter()
-    try:
+    with _AtomicWriter() as writer:
         table = mc_engine.run_paths(config, workers=args.workers)
         summary = {"config": cfg, **mc_engine.summary_dict(table)}
         wall = time.perf_counter() - started
@@ -265,10 +274,6 @@ def cmd_simulate(args) -> int:
         }
         writer.write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
         writer.write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        writer.commit()
-    except Exception:
-        writer.abort()
-        raise
     print(manifest_path)
     return 0
 
@@ -377,6 +382,7 @@ def cmd_verify(args) -> int:
         "small-series": _verify_small_series,
     }
     chosen = list(suites) if args.suite == "all" else [args.suite]
+    _make_out_dir(args.out)
     results = []
     for name in chosen:
         results.extend(suites[name](seed))
@@ -400,6 +406,7 @@ def _field(doc, path: str, what: str):
 
 
 def cmd_report(args) -> int:
+    _make_out_dir(args.out)
     rows = []
     contradictions = 0
     for manifest_path in args.manifests:
@@ -495,8 +502,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PqsllnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PqsllnError, OSError, MemoryError) as exc:  # also a failed write or allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -110,7 +110,7 @@ def _classify_tail_integral(model: tm.TailModel, h, h_inv, f, *, t_cap: float,
         return Verdict(CONVERGES, value, remainder_bound=rem,
                        method="tail-exponents", diagnostics=diagnostics)
     partials = np.cumsum(quad.values[1:])
-    slope, _, _ = fit_line(np.log(decade[1:]), partials)
+    slope, _ = fit_line(np.log(decade[1:]), partials)
     return Verdict(DIVERGES, value, method="tail-exponents",
                    diagnostics={**diagnostics, "last_decade_partials": partials.tolist(),
                                 "last_decade_slope": float(slope)})
@@ -328,7 +328,7 @@ def truncated_series(model: tm.TailModel, p: float,
     if kind == DIVERGES:
         last = partials[idx[-2]] if len(idx) > 1 else 0.0
         win = slice(max(1, n_max // 10) - 1, n_max)
-        slope, _, _ = fit_line(np.log(ns[win]), partials[win])
+        slope, _ = fit_line(np.log(ns[win]), partials[win])
         diag["last_decade_increase"] = float(partials[-1] - last)
         diag["last_decade_slope"] = float(slope)
     return table_out, Verdict(kind, estimate, remainder_bound=rem,

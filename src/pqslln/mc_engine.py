@@ -147,15 +147,14 @@ class CheckpointTable:
 
 class MagnitudeSampler:
     """Inverse-transform sampler for ||X||: the model's exact piecewise
-    inverse survival function.  Building it builds the model's Newton start
-    tables and inverse route, so no draw, and no worker thread, pays for
-    them.  Worker threads share one sampler, so it holds no buffers: a call
-    with u alone allocates, and `draw_batch` passes its caller's."""
+    inverse survival function.  Building it builds the model's inverse
+    route, Newton start tables included, so no draw, and no worker thread,
+    pays for it.  Worker threads share one sampler, so it holds no buffers: a
+    call with u alone allocates, and `draw_batch` passes its caller's."""
 
     def __init__(self, model: tm.TailModel):
         self.model = model
-        model.root_tables  # built here, before any draw
-        model.inverse_route
+        model.inverse_route  # built here, before any draw
 
     def __call__(self, u: np.ndarray, out: np.ndarray | None = None,
                  scratch: tm.InverseScratch | None = None) -> np.ndarray:
@@ -357,16 +356,16 @@ def growth_verdict(ns, partial_sums, inc_se=None) -> Verdict:
     if np.count_nonzero(pos) >= 3:
         k_idx = np.arange(incs.size, dtype=float)[pos]
         log_inc = np.log(np.abs(incs[pos]))
-        slope, _, slope_se = fit_line(k_idx, log_inc)
+        slope, slope_se = fit_line(k_idx, log_inc)
         rho = math.exp(slope)
         rho_se = abs(rho) * slope_se
         half = k_idx >= k_idx[k_idx.size // 2 - 1] if k_idx.size >= 4 else \
             np.ones_like(k_idx, dtype=bool)
         if np.count_nonzero(half) >= 3:
-            slope_l, _, slope_l_se = fit_line(k_idx[half], log_inc[half])
+            slope_l, slope_l_se = fit_line(k_idx[half], log_inc[half])
             rho_late = math.exp(slope_l)
             late_se = abs(rho_late) * slope_l_se
-    slope_v, _, se_v = fit_line(np.log(nw), vw)
+    slope_v, se_v = fit_line(np.log(nw), vw)
 
     diagnostics = {"rho": rho, "rho_se": rho_se, "rho_late": rho_late,
                    "slope": slope_v, "slope_se": se_v}

@@ -3,18 +3,18 @@
 A model is a survival function t -> P(||X|| > t) given as ordered pieces,
 each an interval and the log-polynomial const * t^-a (ln t)^-b (lnln t)^-c
 that holds on it, plus the probability of a negative sign.  Every model,
-builtin or loaded, is checked when it is built: its pieces tile [0, inf),
-and its survival never rises and vanishes at infinity.  Everything
-downstream -- quantiles u_n = inf{t : P(||X|| > t) < 1/n}, inverse-transform
-sampling, the cumulative tail table of the truncated series, and the
-asymptotic exponents used by the convergence classifiers -- is derived from
-the exponents.  The formula catalog (constant, power, power-log,
-power-log-loglog, indicator-below) is only the input language of
-`load_model`.
+builtin or loaded, is checked when it is built: its first piece starts at
+t = 0, its pieces tile [0, inf), and its survival never rises and vanishes
+at infinity.  Everything downstream -- quantiles u_n = inf{t : P(||X|| > t)
+< 1/n}, inverse-transform sampling, the cumulative tail table of the
+truncated series, and the asymptotic exponents used by the convergence
+classifiers -- is derived from the exponents.  The formula catalog
+(constant, power, power-log, power-log-loglog, indicator-below) is only the
+input language of `load_model`.
 
 A log-corrected piece is inverted by two Newton steps in x = ln t, started
 from a table of bisected roots at 1024 nodes in ln(1 - ln u) that the model
-builds once (`TailModel.root_tables`); an element the two steps do not
+builds once (`TailModel.inverse_route`); an element the two steps do not
 settle is bisected.  `mc_engine.draw_batch` hands `inverse_survival` its
 output array and `InverseScratch`, so a draw allocates nothing wherever one
 piece takes every u, as for the builtins.
@@ -63,7 +63,7 @@ def negative_prob(sign_law) -> float:
 
 @dataclass(frozen=True)
 class TailPiece:
-    """Survival `tail.value(t)` on [t_lo, t_hi) (first piece: from 0)."""
+    """Survival `tail.value(t)` on [t_lo, t_hi); a model's first piece has t_lo = 0."""
 
     t_lo: float
     t_hi: float
@@ -149,31 +149,23 @@ class TailModel:
         object.__setattr__(self, "edge_values", validate_model(self))
 
     @functools.cached_property
-    def root_tables(self) -> tuple[RootTable | None, ...]:
-        """Per piece, the start table of its log-corrected inverse (None for a
-        piece without log factors), built on first use."""
-        return tuple(RootTable.build(pc, pc.t_lo if i else 0.0, *edges)
-                     if pc.tail.b or pc.tail.c else None
-                     for i, (pc, edges) in enumerate(zip(self.pieces, self.edge_values)))
-
-    @functools.cached_property
-    def inverse_route(self) -> tuple[np.ndarray, tuple[str, ...]]:
+    def inverse_route(self) -> tuple[np.ndarray, tuple[RootTable | None, ...]]:
         """How `inverse_survival` finds and inverts a piece, worked out once:
         the running minimum m_i of the pieces' values at their right ends
-        (piece i takes m_i < u <= m_(i-1)), and each piece's inverse: CONSTANT
-        (no exponent), POWER (no log factor) or NEWTON (log-corrected)."""
+        (piece i takes m_i < u <= m_(i-1)), and per piece the start table of
+        its log-corrected inverse (None for a piece without log factors)."""
         right_min = np.minimum.accumulate([at_hi for _, at_hi in self.edge_values])
-        kinds = tuple(NEWTON if pc.tail.b or pc.tail.c else POWER if pc.tail.a else CONSTANT
-                      for pc in self.pieces)
-        return right_min, kinds
+        tables = tuple(RootTable.build(pc, *edges) if pc.tail.b or pc.tail.c else None
+                       for pc, edges in zip(self.pieces, self.edge_values))
+        return right_min, tables
 
     @property
     def knee(self) -> float:
         """Last piece boundary; the tail is a single smooth formula beyond it."""
-        return max(p.t_lo for p in self.pieces)
+        return self.pieces[-1].t_lo
 
     def piece_edges(self) -> tuple[float, ...]:
-        return tuple(t for t in sorted({p.t_lo for p in self.pieces}) if t > 0.0)
+        return tuple(pc.t_lo for pc in self.pieces[1:])
 
     def to_json(self):
         sign_law = next((name for name, prob in SIGN_LAWS.items() if prob == self.negative_prob),
@@ -196,8 +188,8 @@ def survival(model: TailModel, t) -> np.ndarray | float:
     if np.any(tt < 0.0):
         raise ValueError("survival is defined for t >= 0")
     out = np.full_like(tt, np.nan)
-    for i, pc in enumerate(model.pieces):
-        mask = tt < pc.t_hi if i == 0 else (tt >= pc.t_lo) & (tt < pc.t_hi)
+    for pc in model.pieces:
+        mask = (tt >= pc.t_lo) & (tt < pc.t_hi)
         if np.any(mask):
             with np.errstate(divide="ignore", over="ignore"):  # t^-a near 0 is inf, clipped to 1
                 out[mask] = pc.tail.value(tt[mask])
@@ -217,8 +209,6 @@ def bisect(f, left, right):
     return right
 
 
-# the inverse of a piece, by the exponents it has (`TailModel.inverse_route`)
-CONSTANT, POWER, NEWTON = "constant", "power", "newton"
 ROOT_NODES = 1024  # nodes of a log-corrected piece's start table
 S_MAX = math.log(1.0 - math.log(5e-324))  # s = ln(1 - ln u) at the least subnormal u
 X_CAP = 710.0  # e^710 overflows: a root past it is t = inf
@@ -246,25 +236,25 @@ def _log_gap(pc: TailPiece, x, rhs, gap, slope, log_x=None):
     return gap
 
 
-def _x_range(pc: TailPiece, lo: float) -> tuple[float, float]:
+def _x_range(pc: TailPiece) -> tuple[float, float]:
     """The piece in x = ln t, capped where e^x overflows."""
-    return math.log(lo), min(math.log(pc.t_hi), X_CAP)
+    return math.log(pc.t_lo), min(math.log(pc.t_hi), X_CAP)
 
 
-def _bisect_roots(pc: TailPiece, rhs: np.ndarray, lo: float) -> np.ndarray:
-    """The roots x of g(x) = rhs on the piece, for rhs >= g(ln lo), by bisection
-    on the sign of g - rhs: S is nonincreasing, so the sign changes once."""
+def _bisect_roots(pc: TailPiece, rhs: np.ndarray) -> np.ndarray:
+    """The roots x of g(x) = rhs on the piece, for rhs >= g(ln t_lo), by
+    bisection on the sign of g - rhs: S is nonincreasing, so the sign changes once."""
     gap, slope, log_x = np.empty((3, *np.shape(rhs)))
-    return bisect(lambda mid: _log_gap(pc, mid, rhs, gap, slope, log_x), *_x_range(pc, lo))
+    return bisect(lambda mid: _log_gap(pc, mid, rhs, gap, slope, log_x), *_x_range(pc))
 
 
 @dataclass(frozen=True)
 class RootTable:
     """Start table of a log-corrected piece's inverse: the root x = ln t at
     ROOT_NODES nodes uniform in s = ln(1 - ln u), from s_lo, the node of
-    u = S(lo), to s_hi, the node of u = S(t_hi-) or, for the last piece, of
+    u = S(t_lo), to s_hi, the node of u = S(t_hi-) or, for the last piece, of
     the least subnormal u.  So every u the piece takes lies between two nodes,
-    and no cell straddles a jump at either end.  g_lo = g(ln lo) is the least
+    and no cell straddles a jump at either end.  g_lo = g(ln t_lo) is the least
     ln(const/u) whose root lies in the piece."""
 
     s_lo: float
@@ -274,16 +264,17 @@ class RootTable:
     dx: np.ndarray = field(repr=False)  # the step from it to the next node's root
 
     @classmethod
-    def build(cls, pc: TailPiece, lo: float, at_lo: float, at_hi: float) -> "RootTable":
+    def build(cls, pc: TailPiece, at_lo: float, at_hi: float) -> "RootTable":
         """Bisect the root at each node s_k, where ln(const/u) = ln const + e^s_k - 1."""
         tiny = np.finfo(float).tiny
         s_lo = math.log(1.0 - math.log(at_lo)) if at_lo >= tiny else 0.0
         s_hi = math.log(1.0 - math.log(at_hi)) if at_hi >= tiny else S_MAX
         if not s_lo < s_hi:  # an underflowed piece, or one flat under the clamp at 1
             s_lo, s_hi = 0.0, S_MAX
-        g_lo = float(_log_gap(pc, np.array([math.log(lo)]), 0.0, np.empty(1), np.empty(1))[0])
+        g_lo = float(_log_gap(pc, np.array([math.log(pc.t_lo)]), 0.0, np.empty(1),
+                              np.empty(1))[0])
         rhs = math.log(pc.tail.const) + np.expm1(np.linspace(s_lo, s_hi, ROOT_NODES))
-        x = _bisect_roots(pc, np.maximum(rhs, g_lo), lo)
+        x = _bisect_roots(pc, np.maximum(rhs, g_lo))
         return cls(s_lo, s_hi, g_lo, x[:-1], np.diff(x))
 
 
@@ -298,20 +289,20 @@ class InverseScratch:
         self.cells = np.empty(size, dtype=np.intp)
 
 
-def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float, table: RootTable,
-                    out: np.ndarray, scratch: InverseScratch) -> np.ndarray:
-    """Solve const * t^-a (ln t)^-b (lnln t)^-c = u on the piece, for S(lo) >= u > S(t_hi-),
+def _log_piece_root(pc: TailPiece, u: np.ndarray, table: RootTable, out: np.ndarray,
+                    scratch: InverseScratch) -> np.ndarray:
+    """Solve const * t^-a (ln t)^-b (lnln t)^-c = u on the piece, for S(t_lo) >= u > S(t_hi-),
     into `out`, with `scratch` (of u's size) for every temporary.
 
     In x = ln t: g(x) = a x + b ln x + c lnln x = ln(const/u), raised to
-    g(ln lo) where u > S(lo), whose root is the left edge.  The start
+    g(ln t_lo) where u > S(t_lo), whose root is the left edge.  The start
     interpolates `table` linearly in s = ln(1 - ln u); two Newton steps in x
     follow.  An element whose last correction exceeds 1e-9 max(|x|, 1)
     (quadratic convergence leaves rounding error below that), or that rests
     where g decreases (a growing log factor under the clamp at 1), is bisected
     on the sign of g - ln(const/u) instead.
     """
-    x_lo, x_hi = _x_range(pc, lo)
+    x_lo, x_hi = _x_range(pc)
     rhs, pos, slope, log_x = scratch.floats
     k = scratch.cells
     np.log(u, out=pos)
@@ -339,30 +330,30 @@ def _log_piece_root(pc: TailPiece, u: np.ndarray, lo: float, table: RootTable,
     excess -= bound
     if not (excess.max() <= 0.0 and slope.min() > 0.0):
         slow = ~(excess <= 0.0) | (slope <= 0.0)
-        x[slow] = _bisect_roots(pc, rhs[slow], lo)
-    return np.clip(np.exp(x, out=x), lo, pc.t_hi, out=x)
+        x[slow] = _bisect_roots(pc, rhs[slow])
+    return np.clip(np.exp(x, out=x), pc.t_lo, pc.t_hi, out=x)
 
 
 def _piece_inverse(model: TailModel, i: int, w: np.ndarray, out: np.ndarray,
                    scratch: InverseScratch) -> np.ndarray:
-    """inf{t : survival(t) < u} into `out` for the u of `w` that piece i takes:
-    the left edge for a constant, a closed form for a power, and
-    `_log_piece_root` (with `scratch`, of w's size) for a log-corrected
-    piece."""
+    """inf{t : survival(t) < u} into `out` for the u of `w` that piece i takes,
+    by the piece's entry in `TailModel.inverse_route`: without a start table,
+    the left edge t_lo for a constant (tail.a = 0) and a closed form for a
+    power; with one, `_log_piece_root` (with `scratch`, of w's size)."""
     pc, (at_lo, _) = model.pieces[i], model.edge_values[i]
-    lo, tail, kind = pc.t_lo if i else 0.0, pc.tail, model.inverse_route[1][i]
-    if kind == CONSTANT:
-        out.fill(lo)
+    tail, table = pc.tail, model.inverse_route[1][i]
+    if table is None and not tail.a:
+        out.fill(pc.t_lo)
         return out
-    if kind == POWER:
+    if table is None:
         with np.errstate(divide="ignore", over="ignore"):
             t_star = np.divide(tail.const, w, out=out)
             t_star **= 1.0 / tail.a
-        return np.maximum(t_star, lo, out=t_star)
+        return np.maximum(t_star, pc.t_lo, out=t_star)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = _log_piece_root(pc, w, lo, model.root_tables[i], out, scratch)
+        root = _log_piece_root(pc, w, table, out, scratch)
     if at_lo < 1.0:
-        root[w > at_lo] = lo  # a jump down at lo
+        root[w > at_lo] = pc.t_lo  # a jump down at t_lo
     return root
 
 
@@ -395,9 +386,7 @@ def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
         out = _piece_inverse(model, first, uu, out, scratch or InverseScratch(uu.size))
     else:
         for i in range(first, last + 1):
-            here = uu > right_min[i]
-            if i:
-                here &= uu <= right_min[i - 1]
+            here = (uu > right_min[i]) & (uu <= (right_min[i - 1] if i else 1.0))
             if np.any(here):
                 w = uu[here]
                 out[here] = _piece_inverse(model, i, w, np.empty_like(w),
@@ -408,11 +397,6 @@ def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
 def quantiles_un(model: TailModel, ns: np.ndarray) -> np.ndarray:
     """u_n = inf{t : P(||X|| > t) < 1/n} for each n of an integer array."""
     return inverse_survival(model, 1.0 / np.asarray(ns, dtype=float))
-
-
-def transformed_edges(model: TailModel, p: float) -> tuple[float, ...]:
-    """Piece edges of the tail of Y = ||X||^p, for quadrature splitting."""
-    return tuple(e**p for e in model.piece_edges())
 
 
 def powered_survival(model: TailModel, x, log_x, r: float = 1.0) -> np.ndarray:
@@ -464,7 +448,7 @@ class CumulativeTailTable:
         self.p = float(p)
         self.t_max = float(t_max)
         s_y = power_survival(model, p)
-        edges = [e for e in transformed_edges(model, p) if 0.0 < e < t_max]
+        edges = [e for e in (x**p for x in model.piece_edges()) if 0.0 < e < t_max]
         # S_Y is flat below t_lo: below every edge, and below x0^p, where a
         # first piece that is a power from 0 leaves 1 (x0 > 1 is past 1e-3)
         x0 = inverse_survival(model, 1.0)
@@ -557,14 +541,17 @@ def _log_piece_rises(pc: TailPiece) -> bool:
 
 
 def validate_model(model: TailModel) -> tuple[tuple[float, float], ...]:
-    """Check that the pieces tile [0, inf) edge to edge, that survival never
-    rises, across an edge or inside a piece (a piece without log factors rises
-    iff its power is negative and it starts below 1), and that it vanishes at
-    infinity; raise on violation.  Returns each piece's survival at its left
-    end and its limit at its right end from the left."""
+    """Check that the pieces tile [0, inf) edge to edge from t = 0, that
+    survival never rises, across an edge or inside a piece (a piece without
+    log factors rises iff its power is negative and it starts below 1), and
+    that it vanishes at infinity; raise on violation.  Returns each piece's
+    survival at its left end and its limit at its right end from the left."""
     pieces = model.pieces
     if not pieces or pieces[-1].t_hi != math.inf:
         raise ValueError(f"{model.name}: the last piece must be unbounded")
+    if pieces[0].t_lo != 0.0:
+        raise ValueError(f"{model.name}: the first piece must start at t = 0, "
+                         f"not {pieces[0].t_lo:g}")
     edges = []
     for i, pc in enumerate(pieces):
         if not pc.t_lo < pc.t_hi:
@@ -572,7 +559,7 @@ def validate_model(model: TailModel) -> tuple[tuple[float, float], ...]:
         if i and pc.t_lo != pieces[i - 1].t_hi:
             raise ValueError(f"{model.name}: pieces must meet, but one ends at "
                              f"{pieces[i - 1].t_hi:g} and the next starts at {pc.t_lo:g}")
-        lo, tail = pc.t_lo if i else 0.0, pc.tail
+        lo, tail = pc.t_lo, pc.tail
         floor = E if tail.c else 1.0 if tail.b else -math.inf
         if lo <= floor:  # the log factors must be positive
             raise ValueError(f"{model.name}: a piece with a {'lnln' if tail.c else 'ln'} t "
@@ -688,18 +675,26 @@ def make_builtin(name: str, **params) -> TailModel:
     return BUILTINS[name](**params)
 
 
+def _known_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}; have {sorted(keys)}")
+
+
 def load_model(obj: dict) -> TailModel:
     """Build a custom model from a parsed JSON document.
 
     Schema: {"name": str, "sign_law": ..., "pieces": [{"t_lo", "t_hi",
-    "formula_id", "params"}, ...]} with formula_id from `CATALOG`.
+    "formula_id", "params"}, ...]} with formula_id from `CATALOG`, and no other key.
     """
     if not isinstance(obj, dict):
         raise ValueError("custom model document must be an object")
+    _known_keys(obj, ("name", "sign_law", "pieces"), "the custom model document")
     if "sign_law" not in obj:
         raise ValueError("custom model document must declare a sign_law")
     pieces = []
     for raw in obj["pieces"]:
+        _known_keys(raw, ("t_lo", "t_hi", "formula_id", "params"), "a custom model piece")
         t_hi = raw.get("t_hi")
         pieces.extend(_catalog_pieces(raw["t_lo"], math.inf if t_hi is None else t_hi,
                                      raw["formula_id"], raw.get("params", {})))

@@ -22,24 +22,22 @@ class Verdict:
 
 
 def fit_line(x, y):
-    """Ordinary least squares y ~ a + b x.  Returns (slope, intercept, slope_se)."""
+    """Ordinary least squares y ~ a + b x.  Returns (slope, slope_se)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     top = float(np.max(np.abs(y), initial=0.0))
     if 2.0**500 < top < np.inf:  # fit y / 2^k, exact, so no product below overflows
         k = int(np.frexp(top)[1])
-        with np.errstate(over="ignore"):  # an intercept past the double range is inf
-            return tuple(float(np.ldexp(v, k)) for v in fit_line(x, np.ldexp(y, -k)))
+        return tuple(float(np.ldexp(v, k)) for v in fit_line(x, np.ldexp(y, -k)))
     if x.size < 2:
-        return 0.0, float(y[0]) if y.size else 0.0, np.inf
+        return 0.0, np.inf
     xm = x - x.mean()
     sxx = float(np.dot(xm, xm))
     if sxx == 0.0:
-        return 0.0, float(y.mean()), np.inf
+        return 0.0, np.inf
     slope = float(np.dot(xm, y) / sxx)
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
     dof = max(x.size - 2, 1)
     se = float(np.sqrt(np.dot(resid, resid) / dof / sxx))
-    return slope, intercept, se
-
+    return slope, se

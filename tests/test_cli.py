@@ -348,6 +348,17 @@ def test_simulate_json_format_lists_only_written_files(tmp_path):
     ("criteria", {"model": {"builtin": "rademacher"}, "p": 1.5, "q": 0.0}, "0 < p < 2"),
     ("simulate", {"model": {"builtin": "rademacher"}, "p": 2.0, "q": 0.5,
                   "simulate": {"n_max": 1024}}, "0 < p < 2"),
+    # a first piece that does not start at 0, and keys outside the model document's
+    *[("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [
+        {"t_lo": t_lo, "t_hi": None, "formula_id": "power",
+         "params": {"scale": 1.0, "power": 2.0}}]}}, "p": 0.5, "q": 0.25},
+       f"the first piece must start at t = 0, not {t_lo:g}") for t_lo in (5.0, -3.0)],
+    ("criteria", {"model": {"custom": {**tm.pareto(2.0).to_json(), "scale": 2.0}},
+                  "p": 0.5, "q": 0.25}, "unknown key 'scale' in the custom model document"),
+    ("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_high": 1e3, "formula_id": "power",
+         "params": {"scale": 0.5, "power": 2.0}}]}}, "p": 0.5, "q": 0.25},
+     "unknown key 't_high' in a custom model piece"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needle):
     cfg = write_config(tmp_path, "badnum.json", {"schema": 1, **payload})
@@ -355,6 +366,65 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needl
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and needle in err and len(err.strip().split("\n")) == 1
+
+
+@pytest.mark.parametrize("command", ["criteria", "simulate", "verify"])
+def test_out_that_is_a_file_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("keep")
+    args = {"criteria": ["--config", criteria_config(tmp_path, {"builtin": "zero"}, 0.5, 0.3)],
+            "simulate": ["--config", simulate_config(tmp_path, {"builtin": "zero"}, 0.5, 0.3)],
+            "verify": ["small-series"]}[command]
+    assert cli.main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot make output directory {out}: ")
+    assert len(err.strip().split("\n")) == 1 and out.read_text() == "keep"
+
+
+def test_failed_write_is_one_line_and_leaves_no_temporary(tmp_path, capsys):
+    # the report's own path is a directory, so its rename fails
+    cfg = criteria_config(tmp_path, {"builtin": "zero"}, 0.5, 0.3)
+    out = tmp_path / "out"
+    (out / "criterion_report.json").mkdir(parents=True)
+    assert cli.main(["criteria", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().split("\n")) == 1
+    assert os.listdir(out) == ["criterion_report.json"]
+
+
+# 10^15 doubles are 8 PB, past any 64-bit user address space: the allocation always fails
+@pytest.mark.parametrize("command,payload", [
+    ("criteria", {"model": {"builtin": "log-loglog-power", "params": {"power": 0.5}},
+                  "p": 0.5, "q": 0.5, "criteria": {"series_n_max": 10**15}}),
+    ("simulate", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 1.0, "q": 0.5,
+                  "simulate": {"n_max": 1024, "replications": 10**15}}),
+], ids=["series_n_max", "replications"])
+def test_out_of_memory_is_one_line(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "huge.json", {"schema": 1, **payload})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and len(err.strip().split("\n")) == 1
+    assert not any(out.iterdir())
+
+
+def test_atomic_writer_removes_every_file_of_a_failed_block(tmp_path):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    # a write that fails halfway: its temporary exists, but holds no content
+    with pytest.raises(TypeError), cli._AtomicWriter() as writer:
+        writer.write(str(first), "one")
+        writer.write(str(second), None)
+    assert os.listdir(tmp_path) == []
+    # a rename that fails after the first one has succeeded
+    second.mkdir()
+    with pytest.raises(IsADirectoryError), cli._AtomicWriter() as writer:
+        writer.write(str(first), "one")
+        writer.write(str(second), "two")
+    assert os.listdir(tmp_path) == ["second.txt"] and os.listdir(second) == []
+    with cli._AtomicWriter() as writer:
+        writer.write(str(first), "one")
+    assert first.read_text() == "one"
+    assert sorted(os.listdir(tmp_path)) == ["first.txt", "second.txt"]
 
 
 def power_model(params):

@@ -105,6 +105,63 @@ def test_validate_model_rejects_log_pieces_outside_their_domain(formula, t_lo):
             {"t_lo": t_lo, "t_hi": None, "formula_id": formula, "params": params}]})
 
 
+@pytest.mark.parametrize("t_lo", [5.0, -3.0])
+def test_first_piece_must_start_at_zero(t_lo):
+    # a first piece declared on [5, inf) would otherwise cover [0, 5) as well
+    doc = {"name": "late", "sign_law": "symmetric", "pieces": [
+        {"t_lo": t_lo, "t_hi": None, "formula_id": "power",
+         "params": {"scale": 1.0, "power": 2.0}}]}
+    message = f"late: the first piece must start at t = 0, not {t_lo:g}"
+    with pytest.raises(ValueError) as loaded:
+        tm.load_model(doc)
+    with pytest.raises(ValueError) as built:
+        tm.TailModel(name="late",
+                     pieces=(tm.piece(t_lo, math.inf, "power", scale=1.0, power=2.0),))
+    assert str(loaded.value) == str(built.value) == message
+
+
+def test_a_lone_log_piece_gets_the_first_piece_message():
+    with pytest.raises(ValueError, match="first piece must start at t = 0, not 3$"):
+        tm.load_model({"name": "lone", "sign_law": "symmetric", "pieces": [
+            {"t_lo": 3.0, "t_hi": None, "formula_id": "power-log",
+             "params": {"scale": 1.0, "power": 1.0, "log_power": 1.0}}]})
+
+
+THREE_PIECES = {"name": "three", "sign_law": "symmetric", "pieces": [
+    {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 1.0}},
+    {"t_lo": 1.0, "t_hi": 1e3, "formula_id": "power", "params": {"scale": 1.0, "power": 0.5}},
+    {"t_lo": 1e3, "t_hi": None, "formula_id": "power-log",
+     "params": {"scale": 1e3**0.5 * math.log(1e3) ** 2, "power": 1.0, "log_power": 2.0}}]}
+
+
+@pytest.mark.parametrize("model,knee,edges", [
+    (tm.pareto(2.0), 1.0, (1.0,)),
+    (tm.log_power_tail(0.5, 2.0), E, (E,)),
+    (tm.log_loglog_power_tail(0.5), math.exp(E), (math.exp(E),)),
+    (tm.degenerate(2.5), 2.5, (2.5,)),
+    (tm.rademacher(), 1.0, (1.0,)),
+    (tm.zero(), 0.0, ()),
+    (tm.load_model(THREE_PIECES), 1e3, (1.0, 1e3)),
+], ids=lambda v: v.name if isinstance(v, tm.TailModel) else "")
+def test_knee_and_piece_edges(model, knee, edges):
+    assert model.knee == knee and model.piece_edges() == edges
+
+
+POWER_FROM_ZERO = {"t_lo": 0.0, "formula_id": "power", "params": {"scale": 0.5, "power": 2.0}}
+
+
+# a stray key was ignored, and a piece's "t_high" read as no t_hi: unbounded
+@pytest.mark.parametrize("doc,key,where", [
+    ({"name": "stray", "sign_law": "symmetric", "pieces": [{**POWER_FROM_ZERO, "t_hi": None}],
+      "scale": 2.0}, "scale", "the custom model document"),
+    ({"name": "typo", "sign_law": "symmetric", "pieces": [{**POWER_FROM_ZERO, "t_high": 1e3}]},
+     "t_high", "a custom model piece"),
+], ids=["document", "piece"])
+def test_load_model_rejects_unknown_keys(doc, key, where):
+    with pytest.raises(ValueError, match=f"^unknown key '{key}' in {where}; have "):
+        tm.load_model(doc)
+
+
 @pytest.mark.parametrize("doc", [
     # survival 0.79 at 1.01, back to 1.0 at 1.04: a dip right after the edge
     {"name": "log-dip", "sign_law": "symmetric", "pieces": [
@@ -405,8 +462,9 @@ def test_cumulative_table_monotone_and_matches_quadrature():
     vals = table(ts)
     assert np.all(np.diff(vals) >= -1e-12)
     s_y = tm.power_survival(model, 0.5)
+    edges = [e**0.5 for e in model.piece_edges()]
     for t in (7.3, 555.0, 99_000.0):
-        direct = integrate(s_y, [0.0, t], breakpoints=tm.transformed_edges(model, 0.5)).values[0]
+        direct = integrate(s_y, [0.0, t], breakpoints=edges).values[0]
         assert table(t) == pytest.approx(direct, rel=1e-7)
 
 
