@@ -14,10 +14,10 @@ flagged and excluded from means but counted in a censoring report: the
 infinite-moment tails produce extreme values by design, and that is a
 result, not an error.
 
-`draw_batch` is the one place that turns uniforms into draws: a batch's
-magnitude uniforms, then its sign uniforms, from one stream into a caller's
-`ChunkBuffers`, a draw taking the sign of (sign uniform - P(X < 0)).  A
-replication draws one batch per chunk of _CHUNK steps from its path stream,
+`draw_batch` is the one place that turns Philox output into draws: a batch's
+magnitude uniforms (none for a point mass), then its signs (a bit each when
+fair, else a uniform each), from one stream into a caller's `ChunkBuffers`.
+A replication draws one batch per chunk of _CHUNK steps from its path stream,
 and in symmetrized mode one from its copy stream, into one set of buffers
 that every chunk reuses.  The probes draw block b from probe stream b:
 `dense_ratio_moments` as one signed batch of at most 4096 paths, and
@@ -39,8 +39,8 @@ from .errors import ConfigError
 from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, Verdict, fit_line
 
 # Part of the draw contract: each chunk draws all its magnitude uniforms, then
-# all its sign uniforms (see draw_batch), so changing the chunk size changes
-# every signed draw.
+# all its sign bits or sign uniforms (see draw_batch), so changing the chunk
+# size changes every signed draw.
 _CHUNK = 1 << 16
 MODES = ("plain", "symmetrized")  # symmetrized replaces X by X - X'
 _EULER = 0.57721566490153286060651209008240243
@@ -150,11 +150,17 @@ class MagnitudeSampler:
     inverse survival function.  Building it builds the model's inverse
     route, Newton start tables included, so no draw, and no worker thread,
     pays for it.  Worker threads share one sampler, so it holds no buffers: a
-    call with u alone allocates, and `draw_batch` passes its caller's."""
+    call with u alone allocates, and `draw_batch` passes its caller's.
+
+    `point_mass` is the magnitude when the route sends every u in (0, 1] to
+    one constant piece (rademacher, degenerate, zero), else None."""
 
     def __init__(self, model: tm.TailModel):
         self.model = model
-        model.inverse_route  # built here, before any draw
+        right_min, tables = model.inverse_route  # built here, before any draw
+        i = int(np.argmax(right_min < 1.0))  # piece i takes right_min[i] < u <= 1
+        pc, every_u = model.pieces[i], right_min[i] == 0.0  # it takes every u in (0, 1]
+        self.point_mass = pc.t_lo if every_u and tables[i] is None and not pc.tail.a else None
 
     def __call__(self, u: np.ndarray, out: np.ndarray | None = None,
                  scratch: tm.InverseScratch | None = None) -> np.ndarray:
@@ -174,23 +180,34 @@ class ChunkBuffers:
 
 def draw_batch(gen: np.random.Generator, sampler: MagnitudeSampler, threshold: float,
                out: np.ndarray, buffers: ChunkBuffers) -> np.ndarray:
-    """Signed iid draws into `out`, a draws row of `buffers`: magnitude
-    uniforms first, then sign uniforms, which are drawn only when the
-    negative sign has mass (`threshold` > 0 is the probability of a negative
-    sign).  Where one piece of the model takes every uniform, the call
-    allocates nothing.
+    """Signed iid draws into `out`, a draws row of `buffers`, from `gen`:
+    first one magnitude uniform per draw, inverted by `sampler` (none for a
+    point mass, which fills `out`), then the signs unless threshold =
+    P(X < 0) is 0.  A fair sign (threshold 0.5) is one bit: ceil(size / 64)
+    words of `random_raw`, bit j of word k (least significant first) signing
+    draw 64k + j, a set bit negative, the last word's spare bits discarded.
+    Any other draw takes the sign of u - threshold, u its sign uniform.
 
-    Sign rule: a draw takes the sign of u - threshold, u its sign uniform,
-    by `np.copysign` in place.  u - threshold is negative exactly where
-    u < threshold and +0 where they are equal, so this is bit for bit
+    Signs are attached in place by `np.copysign` from `buffers.uniforms`
+    (+-0.5 for a bit), so no float array of the batch's size is allocated.
+    u - threshold is negative exactly where u < threshold and +0 where they
+    are equal, so the uniform rule is bit for bit
     np.where(u < threshold, -mag, mag), zeros and infinities included.
     """
-    u = rng.open_uniforms(gen, buffers.uniforms)
-    mag = sampler(u, out, buffers.inverse)
+    signs, mag = buffers.uniforms, out
+    if sampler.point_mass is None:
+        sampler(rng.open_uniforms(gen, signs), out, buffers.inverse)
+    else:
+        out.fill(sampler.point_mass)
     if threshold <= 0.0:
         return mag
-    signs = gen.random(out=u)  # the magnitudes are drawn: u is free
-    signs -= threshold
+    if threshold == 0.5:  # the magnitudes are drawn: the uniforms row is free
+        words = gen.bit_generator.random_raw(-(-out.size // 64)).astype("<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), count=out.size, bitorder="little")
+        np.subtract(0.5, bits, out=signs)
+    else:
+        gen.random(out=signs)
+        signs -= threshold
     return np.copysign(mag, signs, out=mag)
 
 

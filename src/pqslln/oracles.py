@@ -78,10 +78,6 @@ def rademacher_law() -> DiscreteLaw:
     return DiscreteLaw.from_pairs([(-1, Fraction(1, 2)), (1, Fraction(1, 2))])
 
 
-def two_point(zero_mass, value, value_mass) -> DiscreteLaw:
-    return DiscreteLaw.from_pairs([(0, zero_mass), (value, value_mass)])
-
-
 # ---------------------------------------------------------------------------
 # Maximal inequality for sparsely supported nonnegative variables
 # ---------------------------------------------------------------------------

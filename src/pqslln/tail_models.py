@@ -16,7 +16,7 @@ A log-corrected piece is inverted by two Newton steps in x = ln t, started
 from a table of bisected roots at 1024 nodes in ln(1 - ln u) that the model
 builds once (`TailModel.inverse_route`); an element the two steps do not
 settle is bisected.  `mc_engine.draw_batch` hands `inverse_survival` its
-output array and `InverseScratch`, so a draw allocates nothing wherever one
+output array and `InverseScratch`, so an inversion allocates nothing where one
 piece takes every u, as for the builtins.
 
 All probabilities are clamped to [0, 1] after evaluation: the log-corrected
@@ -112,8 +112,12 @@ CATALOG = {
 
 def _catalog_pieces(t_lo: float, t_hi: float, formula: str,
                     params: Mapping) -> tuple[TailPiece, ...]:
-    """The pieces a catalog entry loads as.  Its params must be exactly its
-    formula's, each a finite number, and a scale positive."""
+    """The pieces a catalog entry loads as.  Its edges (t_hi may be inf) and
+    params must be finite numbers, the params exactly its formula's, a scale positive."""
+    for name, edge in (("t_lo", t_lo), ("t_hi", t_hi)):
+        if not (_is_number(edge) or (name == "t_hi" and edge == math.inf)):
+            raise ValueError(f"piece edge {name!r} must be a finite number "
+                             f"(t_hi: null for inf), got {edge!r}")
     if formula not in CATALOG:
         raise ValueError(f"unknown formula_id {formula!r}")
     names, build = CATALOG[formula]
@@ -366,7 +370,7 @@ def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
     piece's own inverse gives it (`_piece_inverse`).  When one piece takes
     every u, as for the builtins, it inverts the input whole, into `out` (an
     array of u's size other than u) with `scratch` (an `InverseScratch` of
-    u's size); `mc_engine.draw_batch` passes both and allocates nothing, and
+    u's size); `mc_engine.draw_batch` passes both, so nothing is allocated, and
     either is made here where it is None.  Otherwise each piece gathers its
     u and scatters its roots into `out`, with arrays of its own.
     """
@@ -675,10 +679,13 @@ def make_builtin(name: str, **params) -> TailModel:
     return BUILTINS[name](**params)
 
 
-def _known_keys(doc: dict, keys: tuple[str, ...], where: str) -> None:
+def _known_keys(doc: dict, keys: tuple[str, ...], where: str, required: tuple[str, ...]) -> None:
     unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {where}; have {sorted(keys)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{where} is missing key {missing[0]!r}")
 
 
 def load_model(obj: dict) -> TailModel:
@@ -689,12 +696,12 @@ def load_model(obj: dict) -> TailModel:
     """
     if not isinstance(obj, dict):
         raise ValueError("custom model document must be an object")
-    _known_keys(obj, ("name", "sign_law", "pieces"), "the custom model document")
-    if "sign_law" not in obj:
-        raise ValueError("custom model document must declare a sign_law")
+    _known_keys(obj, ("name", "sign_law", "pieces"), "the custom model document",
+                ("sign_law", "pieces"))
     pieces = []
     for raw in obj["pieces"]:
-        _known_keys(raw, ("t_lo", "t_hi", "formula_id", "params"), "a custom model piece")
+        _known_keys(raw, ("t_lo", "t_hi", "formula_id", "params"), "a custom model piece",
+                    ("t_lo", "formula_id"))
         t_hi = raw.get("t_hi")
         pieces.extend(_catalog_pieces(raw["t_lo"], math.inf if t_hi is None else t_hi,
                                      raw["formula_id"], raw.get("params", {})))

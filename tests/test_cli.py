@@ -359,6 +359,22 @@ def test_simulate_json_format_lists_only_written_files(tmp_path):
         {"t_lo": 0.0, "t_high": 1e3, "formula_id": "power",
          "params": {"scale": 0.5, "power": 2.0}}]}}, "p": 0.5, "q": 0.25},
      "unknown key 't_high' in a custom model piece"),
+    # piece edges that are not numbers (t_hi null is inf), and keys the document lacks
+    *[("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [
+        {"t_lo": t_lo, "t_hi": t_hi, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 1.0, "t_hi": None, "formula_id": "constant", "params": {"value": 0.0}}]}},
+        "p": 0.5, "q": 0.25}, f"piece edge {name!r} must be a finite number")
+      for t_lo, t_hi, name in (("0", 1.0, "t_lo"), (False, 1.0, "t_lo"),
+                               (0.0, "1", "t_hi"), (0.0, True, "t_hi"))],
+    ("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric"}},
+                  "p": 0.5, "q": 0.25}, "the custom model document is missing key 'pieces'"),
+    ("criteria", {"model": {"custom": {"name": "x", "pieces": []}}, "p": 0.5, "q": 0.25},
+     "the custom model document is missing key 'sign_law'"),
+    *[("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [
+        {key: val for key, val in {"t_lo": 0.0, "t_hi": None, "formula_id": "power",
+                                   "params": {"scale": 1.0, "power": 2.0}}.items()
+         if key != missing}]}}, "p": 0.5, "q": 0.25},
+       f"a custom model piece is missing key {missing!r}") for missing in ("t_lo", "formula_id")],
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needle):
     cfg = write_config(tmp_path, "badnum.json", {"schema": 1, **payload})

@@ -95,11 +95,31 @@ TWO_PIECE = tm.load_model({
     ]})
 
 
+def contract_draws(gen, model, size, point_mass=None):
+    """The draw contract spelled out: `size` magnitudes, the constant
+    `point_mass` where it is given (no draws) and else one uniform each;
+    then the signs.  A fair sign is bit j of raw word k for draw 64k + j, a
+    set bit negative; any other sign law is np.where(u < P(X < 0), -mag, mag)."""
+    if point_mass is None:
+        mag = mc.MagnitudeSampler(model)(1.0 - gen.random(size))
+    else:
+        mag = np.full(size, point_mass)
+    threshold = model.negative_prob
+    if threshold == 0.5:
+        words = gen.bit_generator.random_raw(-(-size // 64))
+        bits = (words[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+        return np.where(bits.reshape(-1)[:size] == 1, -mag, mag)
+    if threshold > 0.0:
+        return np.where(gen.random(size) < threshold, -mag, mag)
+    return mag
+
+
 def test_signed_stream_draws_chunk_by_chunk(monkeypatch):
     # two chunks of a signed model: each chunk is one draw_batch call of
-    # _CHUNK draws per stream, its magnitude uniforms first and then its sign
-    # uniforms; a symmetrized chunk is the path stream's draws less the copy
-    # stream's.  The stream reuses one set of buffers; the reference allocates.
+    # _CHUNK draws per stream, its magnitude uniforms first (none for
+    # rademacher's point mass) and then its sign bits or sign uniforms; a
+    # symmetrized chunk is the path stream's draws less the copy stream's.
+    # The stream reuses one set of buffers; the reference allocates.
     seen = []
     accumulate = mc.kernels.accumulate_chunk
 
@@ -108,35 +128,81 @@ def test_signed_stream_draws_chunk_by_chunk(monkeypatch):
         return accumulate(x, *args)
 
     monkeypatch.setattr(mc.kernels, "accumulate_chunk", record)
-    for model, mode in ((tm.pareto(2.0), "plain"),
-                        (tm.log_loglog_power_tail(0.5), "symmetrized"),
-                        (TWO_PIECE, "symmetrized")):
+    for model, mode, point_mass in ((tm.rademacher(), "symmetrized", 1.0),
+                                    (tm.pareto(2.0), "plain", None),
+                                    (tm.log_loglog_power_tail(0.5), "symmetrized", None),
+                                    (TWO_PIECE, "symmetrized", None)):
         cfg = small_config(model, p=1.0, q=0.5, n_max=2 * mc._CHUNK, reps=2, seed=13,
                            mode=mode)
         seen.clear()
         mc.run_paths(cfg)
-        sampler = mc.MagnitudeSampler(model)
-        threshold = model.negative_prob
         roles = [rng.ROLE_PATH] + ([rng.ROLE_COPY] if mode == "symmetrized" else [])
-        assert threshold > 0.0 and len(seen) == 2 * cfg.replications
+        assert model.negative_prob > 0.0 and len(seen) == 2 * cfg.replications
         for r in range(cfg.replications):
             gens = [rng.generator(cfg.master_seed, r, role) for role in roles]
             for chunk in seen[2 * r:2 * r + 2]:
-                signed = []
-                for gen in gens:
-                    mag = sampler(1.0 - gen.random(mc._CHUNK))
-                    signed.append(np.where(gen.random(mc._CHUNK) < threshold, -mag, mag))
+                signed = [contract_draws(gen, model, mc._CHUNK, point_mass) for gen in gens]
                 want = signed[0] - signed[1] if len(signed) > 1 else signed[0]
                 # bit for bit, so a zero's sign counts too
                 np.testing.assert_array_equal(chunk.view(np.int64), want.view(np.int64))
-    assert np.any(mag < 4.0) and np.any(mag > 4.0)  # TWO_PIECE's draws use both pieces
+    # TWO_PIECE's draws use both pieces: the magnitudes of the first chunk
+    mag = mc.MagnitudeSampler(TWO_PIECE)(1.0 - rng.generator(13, 0).random(mc._CHUNK))
+    assert np.any(mag < 4.0) and np.any(mag > 4.0)
+
+
+def test_point_mass_is_found_from_the_inverse_route():
+    # the magnitude is a point mass exactly when every u lands in one constant piece
+    point = tm.load_model({"name": "at 2", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 2.0, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 2.0, "t_hi": None, "formula_id": "constant", "params": {"value": 0.0}}]})
+    two_point = tm.load_model({"name": "0 or 2", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 2.0, "formula_id": "constant", "params": {"value": 0.5}},
+        {"t_lo": 2.0, "t_hi": None, "formula_id": "constant", "params": {"value": 0.0}}]})
+    masses = {model.name: mc.MagnitudeSampler(model).point_mass for model in (
+        tm.rademacher(), tm.degenerate(3.0), tm.zero(), point, two_point, tm.pareto(2.0))}
+    assert masses == {"rademacher": 1.0, "degenerate(value=3)": 3.0, "zero": 0.0,
+                      "at 2": 2.0, "0 or 2": None, "pareto(alpha=2)": None}
+
+
+@pytest.mark.parametrize("model, mass, size, words", [
+    (tm.rademacher(), 1.0, 1, 1), (tm.rademacher(), 1.0, 64, 1),
+    (tm.rademacher(), 1.0, 100, 2), (tm.rademacher(), 1.0, mc._CHUNK, mc._CHUNK // 64),
+    (tm.degenerate(2.0), 2.0, mc._CHUNK, 0), (tm.zero(), 0.0, 100, 0),
+    (tm.degenerate(2.0, "symmetric"), 2.0, 65, 2),
+], ids=lambda v: getattr(v, "name", v))
+def test_point_mass_chunk_advances_its_stream_by_its_sign_words(model, mass, size, words):
+    # a point mass draws no magnitude: a fair-sign chunk of m steps takes
+    # ceil(m / 64) Philox words, a nonnegative one none
+    gen, fresh = rng.generator(5, 0), rng.generator(5, 0)
+    buffers = mc.ChunkBuffers(size, 1)
+    got = mc.draw_batch(gen, mc.MagnitudeSampler(model), model.negative_prob,
+                        buffers.draws[0], buffers)
+    np.testing.assert_array_equal(np.abs(got), np.full(size, mass))
+    assert gen.bit_generator.random_raw() == fresh.bit_generator.random_raw(words + 1)[-1]
+
+
+def test_fair_signs_discard_the_spare_bits_of_the_last_word():
+    # two batches of 100 fair signs take words 0-1 and then 2-3: the 28 high
+    # bits of words 1 and 3 sign nothing
+    model = tm.pareto(2.0)
+    gen, ref = rng.generator(9, 4), rng.generator(9, 4)
+    buffers = mc.ChunkBuffers(100, 1)
+    sampler = mc.MagnitudeSampler(model)
+    for _ in range(2):
+        got = mc.draw_batch(gen, sampler, 0.5, buffers.draws[0], buffers)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      contract_draws(ref, model, 100).view(np.int64))
+    assert gen.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
 
 class _PresetGenerator:
-    """Stands in for a Generator: `random` hands out preset values in order."""
+    """Stands in for a Generator: `random` hands out preset values in order,
+    and `bit_generator.random_raw` preset words."""
 
-    def __init__(self, *draws):
+    def __init__(self, *draws, words=()):
         self.draws = list(draws)
+        self.bit_generator = self
+        self.words = np.array(words, dtype=np.uint64)
 
     def random(self, out):
         vals = np.asarray(self.draws.pop(0), dtype=float)
@@ -144,12 +210,18 @@ class _PresetGenerator:
         out[...] = vals
         return out
 
+    def random_raw(self, size):
+        assert size == self.words.size
+        return self.words
+
 
 @pytest.mark.parametrize("threshold", [0.5, 0.3, 1e-12, 1.0])
 def test_copysign_sign_rule_is_the_where_rule(threshold):
     # signs by copysign(mag, u - threshold) are np.where(u < threshold, -mag,
     # mag) bit for bit: at u == threshold, at the floats next to it, on zero,
-    # subnormal and infinite magnitudes
+    # subnormal and infinite magnitudes.  A fair sign (0.5) takes bit j of
+    # the one raw word instead, a set bit negative, on the same magnitudes;
+    # the word's set bits past the batch sign nothing.
     tiny = 5e-324
     us = np.array([0.0, tiny, threshold, np.nextafter(threshold, 0.0),
                    np.nextafter(threshold, 2.0), 0.999999, 0.5, 1e-300])
@@ -160,9 +232,15 @@ def test_copysign_sign_rule_is_the_where_rule(threshold):
         out[...] = mags
         return out
 
-    want = np.where(us < threshold, -mags, mags)
+    sampler.point_mass = None
     buffers = mc.ChunkBuffers(us.size, 1)
-    gen = _PresetGenerator(np.zeros(us.size), us)
+    if threshold == 0.5:
+        word = 0b1001_0110 | 0xFF << 56
+        want = np.where([(word >> j) & 1 for j in range(us.size)], -mags, mags)
+        gen = _PresetGenerator(np.zeros(us.size), words=[word])
+    else:
+        want = np.where(us < threshold, -mags, mags)
+        gen = _PresetGenerator(np.zeros(us.size), us)
     got = mc.draw_batch(gen, sampler, threshold, buffers.draws[0], buffers)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -204,14 +282,12 @@ def test_parallel_map_pool_never_outnumbers_items(monkeypatch):
 
 def test_dense_ratio_moments_draws_block_b_from_probe_stream_b():
     # blocks of 4096 and 4 paths of n = 3 signed pareto steps: block b is its
-    # magnitudes and then its signs, drawn whole from probe stream b
+    # magnitudes and then its sign bits, drawn whole from probe stream b (the
+    # 12 signs of the short block use 12 bits of one word)
     model, pairs, n, reps = tm.pareto(1.5), [(1.0, 0.5), (1.5, 1.0)], 3, 4100
-    sampler = mc.MagnitudeSampler(model)
     sums, sumsq = np.zeros((2, len(pairs), n))
     for b, size in enumerate((4096, 4)):
-        gen = rng.generator(3, b, rng.ROLE_PROBE)
-        mag = sampler(1.0 - gen.random(size * n))
-        x = np.where(gen.random(size * n) < model.negative_prob, -mag, mag)
+        x = contract_draws(rng.generator(3, b, rng.ROLE_PROBE), model, size * n)
         s = np.abs(np.cumsum(x.reshape(size, n), axis=1))
         for j, (p, q) in enumerate(pairs):
             rq = (s / np.arange(1.0, n + 1) ** (1.0 / p)) ** q

@@ -16,6 +16,10 @@ from pqslln.errors import PreconditionViolated, StateSpaceExceeded
 # ---------------------------------------------------------------------------
 
 
+def two_point(zero_mass, value, value_mass) -> orc.DiscreteLaw:
+    return orc.DiscreteLaw.from_pairs([(0, zero_mass), (value, value_mass)])
+
+
 def test_law_validation():
     with pytest.raises(ValueError):
         orc.DiscreteLaw.from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 3))])
@@ -40,14 +44,14 @@ def test_lemma_max_zero_law():
 
 def test_lemma_max_bernoulli_example():
     # scaled Bernoulli(1/n) at n = 10: E max / c = 1 - 0.9^10
-    law = orc.two_point(Fraction(9, 10), 1, Fraction(1, 10))
+    law = two_point(Fraction(9, 10), 1, Fraction(1, 10))
     lhs, rhs, holds = orc.lemma_max_check(law, 10, 1)
     assert lhs == pytest.approx(1.0 - 0.9**10, abs=1e-15)
     assert rhs == pytest.approx(0.5)
     assert holds
     # scaling by c moves both sides together
     for c in (0.1, 7.0):
-        law_c = orc.two_point(Fraction(9, 10), c, Fraction(1, 10))
+        law_c = two_point(Fraction(9, 10), c, Fraction(1, 10))
         lhs_c, rhs_c, holds_c = orc.lemma_max_check(law_c, 10, 1)
         assert holds_c and lhs_c == pytest.approx(c * lhs, rel=1e-12)
 
@@ -85,7 +89,7 @@ LEMMA_MAX = (orc.lemma_max_check, _holds_in_a_batch)
 
 
 def test_lemma_max_precondition():
-    law = orc.two_point(Fraction(1, 2), 1, Fraction(1, 2))
+    law = two_point(Fraction(1, 2), 1, Fraction(1, 2))
     for entry in LEMMA_MAX:
         with pytest.raises(PreconditionViolated):
             entry(law, 10, 1)
@@ -95,7 +99,7 @@ def test_lemma_max_precondition():
 @pytest.mark.parametrize("n", [2.5, 10.0, 0, -3])
 def test_lemma_max_requires_an_int_n_of_at_least_one(entry, n):
     # a float n would take F^n in floats and leave exact arithmetic
-    law = orc.two_point(Fraction(9, 10), 1, Fraction(1, 10))
+    law = two_point(Fraction(9, 10), 1, Fraction(1, 10))
     with pytest.raises(ValueError, match="n must be an int >= 1"):
         entry(law, n, 1)
 
