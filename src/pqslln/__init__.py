@@ -11,12 +11,9 @@ Subpackages:
 - ``banach_lp``: the order-statistics maximal-inequality check.
 - ``oracles``: exact enumeration checks for the finite-n inequalities.
 - ``cli``: experiment runner.
+
+``import pqslln`` imports none of them, so a process loads only the
+submodules it names (``from pqslln import criteria``) and what they import.
 """
 
 __version__ = "0.1.0"
-
-from . import tail_models  # noqa: E402,F401  (dependency order matters)
-from . import criteria     # noqa: E402,F401
-from . import oracles      # noqa: E402,F401
-from . import mc_engine    # noqa: E402,F401
-from . import banach_lp    # noqa: E402,F401

@@ -23,17 +23,24 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 import time
 from dataclasses import asdict
-from fractions import Fraction
 
-import numpy as np
+# numpy reads this once, as it loads.  pqslln's only BLAS calls are the three
+# dot products of trend.fit_line, and it runs in parallel through --workers:
+# an OpenBLAS thread pool would only cost start-up time and make those sums
+# depend on the host's core count.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import __version__, banach_lp, criteria, mc_engine, oracles, rng
-from . import tail_models as tm
-from .errors import ConfigError, NonMonotoneTail, PqsllnError
+import numpy as np  # noqa: E402
+
+from . import __version__, criteria  # noqa: E402
+from . import tail_models as tm  # noqa: E402
+from .errors import ConfigError, NonMonotoneTail, PqsllnError  # noqa: E402
+from .trend import MODES  # noqa: E402
 
 SCHEMA_VERSION = 1
 # what building a model from a spec raises on bad input
@@ -57,7 +64,7 @@ _SCHEMA = {
                  "series_n_max": (int, criteria.SERIES_N_MAX_DEFAULT),
                  "criterion": (tuple(_CLASSIFIERS), "almost-sure")},
     "simulate": {"n_max": (int, 1 << 14), "replications": (int, 64),
-                 "master_seed": (int, 0), "mode": (mc_engine.MODES, "plain")},
+                 "master_seed": (int, 0), "mode": (MODES, "plain")},
 }
 _KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string", dict: "an object"}
 
@@ -240,6 +247,7 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import mc_engine
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_config(args.config, args.seed)
@@ -278,7 +286,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_LATTICE_SCALES = (Fraction(1, 10), Fraction(1), Fraction(7))
+_LATTICE_SCALES = ((1, 10), (1, 1), (7, 1))  # each c as (numerator, denominator)
 
 
 def _max_lattice():
@@ -287,13 +295,13 @@ def _max_lattice():
     (j, index of c) of each row.  Row (K, n, j, c) is the law with mass
     theta = min(K/(j n), 1) at c and the rest at 0, theta kept as the
     integers min(K, j n) over j n."""
+    from . import oracles
     K, n, j, c = (a.ravel() for a in np.meshgrid(
         [1, 2], np.arange(1, (1 << 10) + 1), np.arange(1, 11),
         np.arange(len(_LATTICE_SCALES)), indexing="ij"))
     jn = j * n
     theta = np.minimum(K, jn)
-    c_num = np.array([s.numerator for s in _LATTICE_SCALES])[c]
-    c_den = np.array([s.denominator for s in _LATTICE_SCALES])[c]
+    c_num, c_den = np.array(_LATTICE_SCALES).T[:, c]
     batch = oracles.MaxInstances(
         values=np.stack([np.zeros_like(c_num), c_num], axis=1), value_den=c_den,
         masses=np.stack([jn - theta, theta], axis=1), mass_den=jn, n=n, k_num=K, k_den=1)
@@ -301,6 +309,9 @@ def _max_lattice():
 
 
 def _verify_lemmas(seed: int) -> list[dict]:
+    from fractions import Fraction
+
+    from . import oracles, rng
     results = []
     # maximal-inequality lattice: one batch call decides every point, and the
     # exact path gives the values of the rows recorded (n = 1, n = 2^10 and
@@ -312,7 +323,7 @@ def _verify_lemmas(seed: int) -> list[dict]:
         lhs, rhs, exact_holds = oracles.lemma_max_check(law, n, K)
         results.append({"check": "max-inequality",
                         "instance": {"n": n, "j": int(j[i]),
-                                     "c": float(_LATTICE_SCALES[c[i]]), "K": int(K)},
+                                     "c": operator.truediv(*_LATTICE_SCALES[c[i]]), "K": int(K)},
                         "lhs": lhs, "rhs": rhs, "holds": exact_holds})
         if not exact_holds:
             return results
@@ -343,6 +354,7 @@ def _verify_lemmas(seed: int) -> list[dict]:
 
 
 def _verify_marcus_pisier(seed: int) -> list[dict]:
+    from . import banach_lp
     cases = [
         (tm.pareto(1.5, "nonnegative"), 64, 1.2, np.geomspace(1.0, 1e4, 16), 100_000),
         (tm.pareto(3.0, "nonnegative"), 128, 1.5, np.geomspace(1.0, 1e3, 12), 20_000),
@@ -360,6 +372,7 @@ def _verify_marcus_pisier(seed: int) -> list[dict]:
 
 
 def _verify_small_series(seed: int) -> list[dict]:
+    from . import mc_engine, oracles
     results = []
     law = oracles.rademacher_law()
     pairs = [(p, q) for p in (1.0, 1.5) for q in (0.5, 1.0)]
@@ -375,6 +388,7 @@ def _verify_small_series(seed: int) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    from . import rng
     seed = rng.check_seed(args.seed if args.seed is not None else 2024)
     suites = {
         "lemmas": _verify_lemmas,

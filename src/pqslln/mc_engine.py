@@ -36,13 +36,12 @@ import numpy as np
 from . import kernels, rng
 from . import tail_models as tm
 from .errors import ConfigError
-from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, Verdict, fit_line
+from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, MODES, Verdict, fit_line
 
 # Part of the draw contract: each chunk draws all its magnitude uniforms, then
 # all its sign bits or sign uniforms (see draw_batch), so changing the chunk
 # size changes every signed draw.
 _CHUNK = 1 << 16
-MODES = ("plain", "symmetrized")  # symmetrized replaces X by X - X'
 _EULER = 0.57721566490153286060651209008240243
 
 # Growth-verdict constants.  rho is the fitted per-doubling decay ratio of

@@ -458,7 +458,8 @@ class CumulativeTailTable:
         x0 = inverse_survival(model, 1.0)
         t_lo = min([t_max * 1e-6, 1e-3, *edges, *([x0**self.p] if 0.0 < x0 <= 1.0 else [])])
         grid = np.geomspace(t_lo, t_max, TABLE_POINTS)
-        grid = np.unique(np.concatenate([grid, np.asarray(edges), [t_max]]))
+        grid = np.sort(np.concatenate([grid, np.asarray(edges), [t_max]]))
+        grid = grid[np.append(True, grid[1:] != grid[:-1])]  # np.unique, without numpy.ma
         self._head_value = float(s_y(np.array([t_lo * 0.5]))[0])
         self.grid = grid
         self.values = np.cumsum([self._head_value * grid[0], *integrate(s_y, grid).values])

@@ -1,5 +1,6 @@
-"""The verdict type shared by the classifiers and the MC engine, and the
-least-squares line fit behind the growth and divergence diagnostics."""
+"""The verdict type shared by the classifiers and the MC engine, the
+least-squares line fit behind the growth and divergence diagnostics, and the
+simulation modes, which the config schema checks without loading the engine."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 CONVERGES = "Converges"
 DIVERGES = "Diverges"
 INCONCLUSIVE = "Inconclusive"
+MODES = ("plain", "symmetrized")  # symmetrized replaces X by X - X'
 
 
 @dataclass(frozen=True)

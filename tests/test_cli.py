@@ -540,3 +540,57 @@ def test_censoring_run_writes_nothing_to_stderr(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     summary = json.loads((tmp_path / "out" / "sim_summary.json").read_text())
     assert 0 < summary["censoring"]["censored"] < 16
+
+
+# ---------------------------------------------------------------------------
+# process start
+# ---------------------------------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+# modules that only simulate and verify use, and the numpy.ma that np.unique loads
+NOT_STARTED = ("pqslln.mc_engine", "pqslln.kernels", "pqslln.rng", "pqslln.oracles",
+               "pqslln.banach_lp", "concurrent.futures", "fractions", "numpy.ma")
+
+
+def run_python(*argv, blas_threads="4"):
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": blas_threads}
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode in (0, 3), proc.stderr
+    return proc.stdout
+
+
+def loglog_config(tmp_path):
+    # its 90,001-point last-decade fit is long enough for a threaded BLAS dot product
+    return criteria_config(tmp_path, {"builtin": "log-loglog-power", "params": {"power": 0.5}},
+                           0.5, 0.5, t_cap=1e12, series_n_max=100_000)
+
+
+def test_criteria_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    cfg = loglog_config(tmp_path)
+    outs = [run_python("-m", "pqslln.cli", "criteria", "--config", cfg, blas_threads=n)
+            for n in ("1", "2")]
+    assert json.loads(outs[0])["truncated_series_verdict"]["diagnostics"]["last_decade_slope"]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [["criteria", "--config"], ["--version"]])
+def test_a_command_loads_only_what_it_runs(tmp_path, argv):
+    if argv[0] == "criteria":
+        argv = [*argv, loglog_config(tmp_path)]
+    probe = ("import contextlib, io, sys\n"
+             "from pqslln import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+             "    cli.main(sys.argv[1:])\n"
+             f"print(*[name for name in {NOT_STARTED!r} if name in sys.modules])\n")
+    loaded = run_python("-c", probe, *argv)
+    assert loaded.split() == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_importing_the_cli_starts_no_blas_threads():
+    # OPENBLAS_NUM_THREADS=4 from the caller: one thread shows that the CLI's
+    # setting took effect before numpy loaded
+    out = run_python("-c", "import os\nfrom pqslln import cli\n"
+                           "print(len(os.listdir('/proc/self/task')))")
+    assert out.split() == ["1"]
