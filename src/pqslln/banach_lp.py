@@ -87,6 +87,8 @@ def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
     if replications < 1:
         raise ValueError("the empirical side needs at least one replication")
     u_grid = np.asarray(sorted(float(u) for u in u_grid))
+    if not (u_grid.size and np.all((0.0 < u_grid) & (u_grid < math.inf))):  # false for nan
+        raise ValueError("u_grid must be a nonempty list of finite positive numbers")
     weights = np.arange(1, n + 1, dtype=float) ** (1.0 / r)
     counts = np.zeros(u_grid.size)
     sampler = mc.MagnitudeSampler(model)

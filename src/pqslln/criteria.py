@@ -158,8 +158,9 @@ def llogl_moment(model: tm.TailModel, p: float, delta: float,
                  t_cap: float = T_CAP_DEFAULT) -> Verdict:
     """Classify E[ ||X||^p ln^delta(1 + ||X||) ] via the tail of the transform:
     the map h(x) = x^p ln^delta(1 + x), the integrand S(h^-1(t))."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    tm.check_p(p)
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be a finite positive number, got {delta!r}")
     h, h_inv = _moment_map(p, delta)
     base = tm.tail_asymptote(model)
     asym = None if base is None else base.moment_transform(p, delta)
@@ -273,6 +274,7 @@ def truncated_series(model: tm.TailModel, p: float,
     a = u_n^p is read at the quantile u_n itself, so that rounding in the
     powers cannot move it across a jump of the survival function.
     """
+    tm.check_p(p)
     if n_max < 1000:
         raise ValueError("n_max must be at least 10^3")
     ns = np.arange(1, n_max + 1, dtype=float)

@@ -220,11 +220,13 @@ def parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _run_one_path(config: ExperimentConfig, sampler: MagnitudeSampler, r: int,
-                  checkpoints: np.ndarray):
-    """Replication r, streamed in chunks of m steps through one `ChunkBuffers`:
-    each chunk draws stream by stream into the buffers' draws (X, and X' in
-    symmetrized mode, subtracted in place), and the kernel extends S and W."""
+def _run_one_path(table: CheckpointTable, sampler: MagnitudeSampler, r: int) -> None:
+    """Replication r of `table`, streamed in chunks of m steps through one
+    `ChunkBuffers`: each chunk draws stream by stream into the buffers' draws
+    (X, and X' in symmetrized mode, subtracted in place), and the kernel
+    extends S and W.  |S| and W at each checkpoint go straight into row r,
+    and a sum that leaves the doubles sets censored[r] and ends the row."""
+    config, checkpoints = table.config, table.checkpoints
     gens = [rng.generator(config.master_seed, r, rng.ROLE_PATH)]
     if config.mode == "symmetrized":
         gens.append(rng.generator(config.master_seed, r, rng.ROLE_COPY))
@@ -234,12 +236,8 @@ def _run_one_path(config: ExperimentConfig, sampler: MagnitudeSampler, r: int,
     buffers = ChunkBuffers(m, len(gens))
     work = kernels.Workspace(m)
     x = buffers.draws[0]
-    k_total = checkpoints.size
-    out_s = np.full(k_total, np.nan)
-    out_w = np.full(k_total, np.nan)
     state = (0.0, 0.0, 0.0)
     filled = 0
-    censored = False
     for pos in range(0, config.n_max, m):
         local = checkpoints[(checkpoints > pos) & (checkpoints <= pos + m)] - pos - 1
         # an overflow censors the replication (checked below): a result, not a warning
@@ -250,13 +248,12 @@ def _run_one_path(config: ExperimentConfig, sampler: MagnitudeSampler, r: int,
                 x -= buffers.draws[1]
             s_vals, w_vals, state = kernels.accumulate_chunk(
                 x, pos, state, config.q, e1, local, work)
-        out_s[filled:filled + s_vals.size] = s_vals
-        out_w[filled:filled + w_vals.size] = w_vals
+        np.abs(s_vals, out=table.s_norm[r, filled:filled + s_vals.size])
+        table.w_partial[r, filled:filled + w_vals.size] = w_vals
         filled += s_vals.size
         if not (math.isfinite(state[0]) and math.isfinite(state[1])):
-            censored = True
+            table.censored[r] = True
             break
-    return r, out_s, out_w, censored
 
 
 def _counterexample_table(config: ExperimentConfig) -> CheckpointTable:
@@ -290,23 +287,14 @@ def run_paths(config: ExperimentConfig, workers: int = 1) -> CheckpointTable:
     regardless of `workers`."""
     if config.sequence == SEQ_LP_COUNTEREXAMPLE:
         return _counterexample_table(config)
-    checkpoints = config.checkpoints
+    checkpoints, reps = config.checkpoints, config.replications
+    table = CheckpointTable(config=config, checkpoints=checkpoints,
+                            s_norm=np.full((reps, checkpoints.size), np.nan),
+                            w_partial=np.full((reps, checkpoints.size), np.nan),
+                            censored=np.zeros(reps, dtype=bool))
     sampler = MagnitudeSampler(config.model)
-    reps = config.replications
-    s_norm = np.empty((reps, checkpoints.size))
-    w_partial = np.empty((reps, checkpoints.size))
-    censored = np.zeros(reps, dtype=bool)
-
-    def work(r: int):
-        return _run_one_path(config, sampler, r, checkpoints)
-
-    for r, s_vals, w_vals, cens in parallel_map(work, range(reps), workers):
-        s_norm[r] = s_vals
-        w_partial[r] = w_vals
-        censored[r] = cens
-
-    return CheckpointTable(config=config, checkpoints=checkpoints, s_norm=np.abs(s_norm),
-                           w_partial=w_partial, censored=censored)
+    parallel_map(lambda r: _run_one_path(table, sampler, r), range(reps), workers)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +447,8 @@ def dense_ratio_moments(model: tm.TailModel, pairs, n_upto: int, replications: i
     in the same order, so a pair's result does not depend on the other
     pairs.
     """
+    if n_upto < 1 or replications < 1:
+        raise ValueError(f"need n_upto >= 1 and replications >= 1, got {n_upto}, {replications}")
     sums = np.zeros((len(pairs), n_upto))
     sumsq = np.zeros((len(pairs), n_upto))
     ns = np.arange(1, n_upto + 1, dtype=float)

@@ -1,9 +1,12 @@
 """Exact enumeration checks for the finite-n inequalities.
 
-Discrete laws carry their probabilities as exact rationals (ints, Fractions,
-or "a/b" strings; a float probability is rejected), so the inequality
-checks cannot fail from rounding; real-valued functionals of the atoms
-(fractional powers) are evaluated in floating point with compensated sums.
+Every oracle takes its law as a `DiscreteLaw`, checked and put in canonical
+form once, when it is built: values and probabilities are exact rationals (a
+float value is its exact binary value; a float probability is rejected), the
+probabilities are nonnegative and sum to 1, and the atoms are sorted by value
+with equal values merged.  So no oracle checks a law again, and the
+inequality checks cannot fail from rounding; real-valued functionals of the
+atoms (fractional powers) are evaluated in floating point with compensated sums.
 Convolutions are computed on value-indexed maps with exact Fraction values,
 never on the raw product space.
 
@@ -34,32 +37,36 @@ _CONV_CAP = 5_000_000  # value-map entries allowed during one convolution step
 
 def _as_prob(p) -> Fraction:
     if isinstance(p, (Fraction, int, str)):
-        return Fraction(p)
+        return p if isinstance(p, Fraction) else Fraction(p)
     raise ValueError(f"probability {p!r} must be an int, a Fraction or an 'a/b' string")
 
 
 @dataclass(frozen=True)
 class DiscreteLaw:
+    """A law on finitely many values, built from any (value, probability)
+    pairs into the canonical form of the module docstring, so laws built
+    from the same atoms in another order, or with an atom split in two,
+    compare and hash equal.  ValueError for a float probability, a negative
+    mass or a total other than 1 (an empty law included).
+    """
+
     atoms: tuple[tuple[Fraction, Fraction], ...]
 
-    @staticmethod
-    def from_pairs(pairs) -> "DiscreteLaw":
-        # Fraction(float) is the exact binary value, so float atoms stay exact.
-        atoms = tuple((v if isinstance(v, Fraction) else Fraction(v), _as_prob(p))
-                      for v, p in pairs)
-        law = DiscreteLaw(atoms)
-        law.validate()
-        return law
-
-    def validate(self) -> None:
-        if any((p < 0) for _, p in self.atoms):
-            raise ValueError("probabilities must be nonnegative")
-        total = sum((p for _, p in self.atoms), Fraction(0))
+    def __post_init__(self):
+        atoms: list = []
+        for v, p in sorted(((v if isinstance(v, Fraction) else Fraction(v), _as_prob(p))
+                            for v, p in self.atoms), key=operator.itemgetter(0)):
+            if p.numerator < 0:
+                raise ValueError("probabilities must be nonnegative")
+            if atoms and v == atoms[-1][0]:  # no dict: hashing values again costs time
+                atoms[-1] = (v, atoms[-1][1] + p)
+            else:
+                atoms.append((v, p))
+        den = math.lcm(*(p.denominator for _, p in atoms))  # one gcd per law, not per atom
+        total = Fraction(sum(p.numerator * (den // p.denominator) for _, p in atoms), den)
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-
-    def values(self) -> list[Fraction]:
-        return [v for v, _ in self.atoms]
+        object.__setattr__(self, "atoms", tuple(atoms))
 
     @functools.cached_property
     def float_atoms(self) -> tuple[tuple[float, float], ...]:
@@ -71,11 +78,11 @@ class DiscreteLaw:
         """Exact law of V - V' for an independent copy V', over atom pairs;
         built once per law."""
         negated = [(-v, p) for v, p in self.atoms]
-        return DiscreteLaw(tuple(sorted(_convolve(self.atoms, negated).items())))
+        return DiscreteLaw(tuple(_convolve(self.atoms, negated).items()))
 
 
 def rademacher_law() -> DiscreteLaw:
-    return DiscreteLaw.from_pairs([(-1, Fraction(1, 2)), (1, Fraction(1, 2))])
+    return DiscreteLaw(((-1, Fraction(1, 2)), (1, Fraction(1, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +91,11 @@ def rademacher_law() -> DiscreteLaw:
 
 
 def _max_levels(law: DiscreteLaw, n: int, K):
-    """Validated (values, masses, cumulative masses, K) of `law` at (n, K).
+    """Checked (values, masses, cumulative masses, K) of `law` at (n, K).
 
-    Equal values are merged after a sort, so the values are strictly
-    increasing and the last cumulative mass is 1; K comes back as an int or
-    a Fraction.  Raises ValueError unless n is an int >= 1, K >= 1 and the
-    law is one on [0, inf) (masses nonnegative, summing to 1), and
+    The values are the law's, strictly increasing, so the last cumulative
+    mass is 1; K comes back as an int or a Fraction.  Raises ValueError
+    unless n is an int >= 1, K >= 1 and the law is one on [0, inf), and
     PreconditionViolated when P(Y > 0) > K/n.  Atoms are exact rationals, so
     signs are read from numerators and the precondition is compared in ints.
     """
@@ -98,27 +104,15 @@ def _max_levels(law: DiscreteLaw, n: int, K):
     kf = K if isinstance(K, (int, Fraction)) else Fraction(K)
     if kf < 1:
         raise ValueError("K must be >= 1")
-    values: list = []
-    masses: list = []
-    for v, p in sorted(law.atoms, key=operator.itemgetter(0)):
-        if p.numerator < 0:
-            raise ValueError("probabilities must be nonnegative")
-        if values and v == values[-1]:
-            masses[-1] += p
-        else:
-            values.append(v)
-            masses.append(p)
-    if values and values[0].numerator < 0:
+    values, masses = zip(*law.atoms)
+    if values[0].numerator < 0:
         raise ValueError("law must be nonnegative")
-    cum = list(itertools.accumulate(masses))
-    if not cum or cum[-1] != 1:
-        raise ValueError(f"probabilities sum to {cum[-1] if cum else 0}, not 1")
     # P(Y > 0) = (b - a)/b with a/b the mass at 0; compare with K/n in ints
     a, b = (masses[0].numerator, masses[0].denominator) if values[0].numerator == 0 else (0, 1)
     if (b - a) * n * kf.denominator > kf.numerator * b:
         raise PreconditionViolated(
             f"P(Y>0) = {(b - a) / b:g} exceeds K/n = {float(kf / n):g}")
-    return values, masses, cum, kf
+    return values, masses, list(itertools.accumulate(masses)), kf
 
 
 def _exact_sides(values, masses, cum, kf, n: int) -> tuple[Fraction, Fraction]:
@@ -219,8 +213,8 @@ def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
     Both sides are exact rationals: P(max <= v) = F(v)^n over the sorted atom
     levels.  Returns (lhs, rhs, holds) with lhs and rhs the exact values
     rounded once to doubles and holds the exact comparison.  Raises
-    ValueError unless n is an int >= 1, K >= 1 and the law is one (masses
-    nonnegative, summing to 1), and PreconditionViolated when
+    ValueError unless n is an int >= 1, K >= 1 and the law's values are
+    nonnegative, and PreconditionViolated when
     P(Y > 0) > K/n.  `lemma_max_holds_batch` gives the same holds faster.
     """
     e_max, rhs = _exact_sides(*_max_levels(law, n, K), n)
@@ -235,8 +229,8 @@ class MaxInstances:
     K = k_num[i] / k_den[i].  The fields are stored as int64 arrays of
     shapes (B, m), m >= 1, and (B,), broadcast from what is given;
     ValueError unless each has an integer dtype that casts to int64 without
-    loss and every denominator is >= 1.  Whether a row is a law is checked by
-    `lemma_max_holds_batch`.
+    loss and every denominator is >= 1.  Whether a row is a law is checked
+    when `instance` builds it.
     """
 
     __slots__ = ("values", "value_den", "masses", "mass_den", "n", "k_num", "k_den")
@@ -261,7 +255,8 @@ class MaxInstances:
             setattr(self, name, a.astype(np.int64))
 
     def instance(self, i: int) -> tuple[DiscreteLaw, int, Fraction]:
-        """Row i as the exact (law, n, K) that `lemma_max_check` takes."""
+        """Row i as the exact (law, n, K) that `lemma_max_check` takes;
+        ValueError if the row is not a law."""
         vd, pd = int(self.value_den[i]), int(self.mass_den[i])
         atoms = tuple((Fraction(v, vd), Fraction(p, pd))
                       for v, p in zip(self.values[i].tolist(), self.masses[i].tolist()))
@@ -281,7 +276,7 @@ def lemma_max_holds_batch(batch: MaxInstances) -> np.ndarray:
     `_float_sides` in one call.  Every other row (not a law, values not
     strictly increasing, or integers too large for these checks), and every
     row the filter cannot decide, is decided by `lemma_max_check` on
-    `batch.instance(i)`, which raises its errors.
+    `batch.instance(i)`, and either raises its errors.
     """
     v, p, n = batch.values, batch.masses, batch.n
     vd, pd, kn, kd = batch.value_den, batch.mass_den, batch.k_num, batch.k_den
@@ -355,7 +350,7 @@ def symmetrization_check(law: DiscreteLaw, p_exponent: float, t: float
 def _support_bound(law: DiscreteLaw, n: int) -> int:
     """Upper bound on the number of values of S_n: the multisets of n atoms
     or the lattice points S_n can reach, whichever is fewer."""
-    values = sorted(set(law.values()))
+    values = [v for v, _ in law.atoms]
     den = math.lcm(*(v.denominator for v in values))
     steps = [int((v - values[0]) * den) for v in values]
     lattice = n * steps[-1] // (math.gcd(*steps) or 1) + 1
@@ -382,8 +377,6 @@ def exact_series_small(law: DiscreteLaw, p: float, q: float, n_limit: int
     out: list[float] = []
     for n in range(1, n_limit + 1):
         current = _convolve(current.items(), law.atoms)
-        if sum(current.values(), Fraction(0)) != 1:
-            raise AssertionError("convolution lost probability mass")
         scale = n ** (1.0 / p)
         out.append(math.fsum((abs(float(s)) / scale) ** q * float(ps)
                              for s, ps in current.items()))

@@ -435,6 +435,12 @@ def power_survival(model: TailModel, p: float, r: float = 1.0):
 TABLE_POINTS = 512  # geometric grid nodes of the cumulative tail table
 
 
+def check_p(p: float) -> None:
+    """ValueError unless p is a finite number in (0, 2), as the (p,q) laws need."""
+    if not 0.0 < p < 2.0:  # false for nan
+        raise ValueError(f"p must be a finite number in (0, 2), got {p!r}")
+
+
 class CumulativeTailTable:
     """Precomputed G(t) = int_0^t P(||X||^p > s) ds on a geometric grid.
 
@@ -446,6 +452,7 @@ class CumulativeTailTable:
     """
 
     def __init__(self, model: TailModel, p: float, t_max: float):
+        check_p(p)
         if t_max <= 0.0:
             raise ValueError("t_max must be positive")
         self.model = model

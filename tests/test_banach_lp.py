@@ -90,6 +90,13 @@ def test_marcus_pisier_rejects_empty_input():
         lp.marcus_pisier_check(tm.pareto(2.0), 8, 1.2, [1.0], 0)
 
 
+@pytest.mark.parametrize("grid", [[0.0, 1.0], [-1.0], [math.nan, 2.0], [math.inf], []],
+                         ids=["zero", "negative", "nan", "inf", "empty"])
+def test_marcus_pisier_rejects_a_bad_u_grid(grid):
+    with pytest.raises(ValueError, match="u_grid must be a nonempty list of finite positive"):
+        lp.marcus_pisier_check(tm.pareto(2.0), 8, 1.2, grid, 10)
+
+
 def one_shot_lhs(model, n, r, grid, blocks, seed):
     """The empirical side with block b of `blocks` drawn whole from probe
     stream b, then sorted and counted."""

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pqslln import cli
+from pqslln import cli, criteria
 from pqslln import tail_models as tm
 
 
@@ -235,6 +235,21 @@ def test_report_single_manifest(tmp_path, capsys):
     assert "rademacher" in lines[1]
     assert lines[1].split(",")[4] == "Member"
     assert "hard_contradictions: 0" in captured.err
+
+
+def test_criteria_and_report_call_the_classifier_on_criteria(tmp_path, monkeypatch, capsys):
+    # the classifier is looked up when it is called, so a patch of
+    # criteria.classify_slln (as a tracing wrapper makes) sees both commands
+    calls = []
+    classify = criteria.classify_slln
+    monkeypatch.setattr(criteria, "classify_slln",
+                        lambda *args, **kw: calls.append(args[1:3]) or classify(*args, **kw))
+    cfg = simulate_config(tmp_path, {"builtin": "rademacher"}, 1.5, 0.5)
+    assert cli.main(["criteria", "--config", cfg]) == 0
+    cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert cli.main(["report", str(tmp_path / "run" / "sim_manifest.json")]) == 0
+    capsys.readouterr()
+    assert calls == [(1.5, 0.5), (1.5, 0.5)]
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,24 @@ def test_series_requires_enough_terms():
         cr.truncated_series(tm.pareto(2.0), 0.5, 100)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda p: cr.truncated_series(tm.pareto(2.0), p),
+    lambda p: cr.truncated_series(tm.degenerate(1.0), p),
+    lambda p: cr.llogl_moment(tm.degenerate(1.0), p, 1.0),
+    lambda p: tm.CumulativeTailTable(tm.pareto(2.0), p, 10.0),
+], ids=["series-pareto", "series-degenerate", "llogl", "table"])
+@pytest.mark.parametrize("p", [math.nan, 0.0, -1.0, 2.0, math.inf])
+def test_analytic_entries_take_only_p_in_0_2(entry, p):
+    with pytest.raises(ValueError, match="p must be a finite number in"):
+        entry(p)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+def test_llogl_moment_takes_only_a_finite_positive_delta(delta):
+    with pytest.raises(ValueError, match="delta must be a finite positive number"):
+        cr.llogl_moment(tm.degenerate(1.0), 0.5, delta)
+
+
 # ---------------------------------------------------------------------------
 # clause classification
 # ---------------------------------------------------------------------------

@@ -280,6 +280,12 @@ def test_parallel_map_pool_never_outnumbers_items(monkeypatch):
     assert sizes == [3, 2]
 
 
+@pytest.mark.parametrize("n_upto,reps", [(0, 10), (3, 0)], ids=["no-steps", "no-paths"])
+def test_dense_ratio_moments_rejects_empty_input(n_upto, reps):
+    with pytest.raises(ValueError, match="need n_upto >= 1 and replications >= 1"):
+        mc.dense_ratio_moments(tm.pareto(1.5), [(1.0, 0.5)], n_upto, reps, 3)
+
+
 def test_dense_ratio_moments_draws_block_b_from_probe_stream_b():
     # blocks of 4096 and 4 paths of n = 3 signed pareto steps: block b is its
     # magnitudes and then its sign bits, drawn whole from probe stream b (the

@@ -17,18 +17,33 @@ from pqslln.errors import PreconditionViolated, StateSpaceExceeded
 
 
 def two_point(zero_mass, value, value_mass) -> orc.DiscreteLaw:
-    return orc.DiscreteLaw.from_pairs([(0, zero_mass), (value, value_mass)])
+    return orc.DiscreteLaw([(0, zero_mass), (value, value_mass)])
+
+
+NON_LAWS = [
+    ([(0, Fraction(1, 2)), (1, Fraction(1, 3))], "sum to 5/6, not 1"),
+    ([(0, Fraction(3, 2)), (1, Fraction(-1, 2))], "probabilities must be nonnegative"),
+    ([], "sum to 0, not 1"),
+    ([(0, 0.5), (1, "1/2")], "must be an int, a Fraction"),  # a float probability is not exact
+]
 
 
 def test_law_validation():
-    with pytest.raises(ValueError):
-        orc.DiscreteLaw.from_pairs([(0, Fraction(1, 2)), (1, Fraction(1, 3))])
-    with pytest.raises(ValueError):
-        orc.DiscreteLaw.from_pairs([(0, -1), (1, 2)])
-    with pytest.raises(ValueError):  # a float probability is not exact
-        orc.DiscreteLaw.from_pairs([(0, 0.5), (1, "1/2")])
-    law = orc.DiscreteLaw.from_pairs([(0, "1/3"), (1, "2/3")])
+    for atoms, message in NON_LAWS:
+        with pytest.raises(ValueError, match=message):
+            orc.DiscreteLaw(atoms)
+    law = orc.DiscreteLaw([(0, "1/3"), (1, "2/3")])
     assert law.atoms[1][1] == Fraction(2, 3)
+
+
+def test_law_is_canonical():
+    law = orc.DiscreteLaw([(Fraction(1, 2), "1/4"), (-1, "1/4"), (3, "1/2")])
+    assert law.atoms == ((-1, Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 4)),
+                         (3, Fraction(1, 2)))
+    assert all(isinstance(x, Fraction) for atom in law.atoms for x in atom)
+    for same in (orc.DiscreteLaw([(3, "1/2"), (0.5, "1/4"), (-1, "1/4")]),  # another order
+                 orc.DiscreteLaw([(-1, "1/4"), (3, "1/8"), (0.5, "1/4"), (3, "3/8")])):  # split
+        assert same == law and hash(same) == hash(law)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +52,7 @@ def test_law_validation():
 
 
 def test_lemma_max_zero_law():
-    law = orc.DiscreteLaw.from_pairs([(0, 1)])
+    law = orc.DiscreteLaw([(0, 1)])
     lhs, rhs, holds = orc.lemma_max_check(law, 5, 1)
     assert lhs == 0.0 and rhs == 0.0 and holds
 
@@ -57,7 +72,7 @@ def test_lemma_max_bernoulli_example():
 
 
 def test_lemma_max_two_atom_direct_enumeration():
-    law = orc.DiscreteLaw.from_pairs([(0, Fraction(15, 16)), (5, Fraction(1, 16))])
+    law = orc.DiscreteLaw([(0, Fraction(15, 16)), (5, Fraction(1, 16))])
     lhs, rhs, holds = orc.lemma_max_check(law, 8, 1)
     exact = 5.0 * (1.0 - (15.0 / 16.0) ** 8)
     assert lhs == pytest.approx(exact, rel=1e-12)
@@ -65,12 +80,13 @@ def test_lemma_max_two_atom_direct_enumeration():
 
 
 def _batch(instances):
-    """MaxInstances of (law, n, K) triples with one atom count, each row over
-    the lcm of its value denominators and of its mass denominators."""
+    """MaxInstances of (atoms, n, K) triples with one atom count, each row the
+    (value, mass) pairs as given, over the lcm of its value denominators and
+    of its mass denominators."""
     cols = {"values": [], "value_den": [], "masses": [], "mass_den": [],
             "n": [], "k_num": [], "k_den": []}
-    for law, n, K in instances:
-        values, masses = [Fraction(v) for v, _ in law.atoms], [Fraction(p) for _, p in law.atoms]
+    for atoms, n, K in instances:
+        values, masses = [Fraction(v) for v, _ in atoms], [Fraction(p) for _, p in atoms]
         vd = math.lcm(*(v.denominator for v in values))
         pd = math.lcm(*(p.denominator for p in masses))
         K = Fraction(K)
@@ -82,7 +98,7 @@ def _batch(instances):
 
 
 def _holds_in_a_batch(law, n, K):
-    return bool(orc.lemma_max_holds_batch(_batch([(law, n, K)]))[0])
+    return bool(orc.lemma_max_holds_batch(_batch([(law.atoms, n, K)]))[0])
 
 
 LEMMA_MAX = (orc.lemma_max_check, _holds_in_a_batch)
@@ -121,10 +137,11 @@ def test_lemma_max_lattice_subset():
     ((Fraction(1, 2), Fraction(1, 4)), "sum to 3/4, not 1"),
 ])
 def test_lemma_max_rejects_a_non_law(c, masses, message):
-    law = orc.DiscreteLaw(((Fraction(0), Fraction(masses[0])), (c, Fraction(masses[1]))))
-    for entry in LEMMA_MAX:
-        with pytest.raises(ValueError, match=message):
-            entry(law, 1, 2)
+    atoms = ((Fraction(0), Fraction(masses[0])), (c, Fraction(masses[1])))
+    with pytest.raises(ValueError, match=message):
+        orc.DiscreteLaw(atoms)
+    with pytest.raises(ValueError, match=message):  # the row, as raw integer columns
+        orc.lemma_max_holds_batch(_batch([(atoms, 1, 2)]))
 
 
 @pytest.mark.parametrize("bad,error,message", [
@@ -157,7 +174,7 @@ def test_max_instances_take_only_exact_integers(fields, message):
 
 
 @pytest.mark.parametrize("atoms,n,K", [
-    # values out of order, and a repeated value: lemma_max_check sorts and merges
+    # values out of order, and a repeated value: the law sorts and merges them
     (((7, Fraction(1, 20)), (0, Fraction(19, 20))), 10, 1),
     (((0, Fraction(9, 10)), (3, Fraction(1, 20)), (3, Fraction(1, 20))), 10, 1),
     # a value numerator past 2^53 would not convert to a double exactly
@@ -167,13 +184,13 @@ def test_max_instances_take_only_exact_integers(fields, message):
      Fraction(2**40 + 1, 2**40)),
 ], ids=["unsorted", "repeated", "wide-value", "wide-product"])
 def test_batch_leaves_rows_past_its_int64_checks_to_the_exact_entry(monkeypatch, atoms, n, K):
-    law = orc.DiscreteLaw(tuple((Fraction(v), p) for v, p in atoms))
     exact_calls = []
     exact = orc.lemma_max_check
-    expected = exact(law, n, K)[2]
+    expected = exact(orc.DiscreteLaw(atoms), n, K)[2]
     monkeypatch.setattr(orc, "lemma_max_check",
                         lambda *args: exact_calls.append(args) or exact(*args))
-    assert _holds_in_a_batch(law, n, K) == expected
+    batch = _batch([(atoms, n, K)])  # the row as given, not in the law's canonical order
+    assert bool(orc.lemma_max_holds_batch(batch)[0]) == expected
     assert len(exact_calls) == 1
 
 
@@ -353,7 +370,7 @@ def test_filter_decides_the_whole_lattice_without_the_exact_path(monkeypatch):
 
 @pytest.mark.parametrize("law,n,K,fits_a_row", [
     # lhs = rhs = 0
-    (orc.DiscreteLaw.from_pairs([(0, 1)]), 5, 1, True),
+    (orc.DiscreteLaw([(0, 1)]), 5, 1, True),
     # float(10**400) overflows
     (orc.DiscreteLaw(((Fraction(0), Fraction(1, 2)), (Fraction(10**400), Fraction(1, 2)))), 2, 1,
      False),
@@ -376,7 +393,7 @@ def test_filter_defers_to_the_exact_path(monkeypatch, law, n, K, fits_a_row):
 
 
 def test_symmetrization_trivial_cases():
-    zero = orc.DiscreteLaw.from_pairs([(0, 1)])
+    zero = orc.DiscreteLaw([(0, 1)])
     lhs, rhs, holds = orc.symmetrization_check(zero, 1.0, 0.3)
     assert lhs == 0.0 and holds
     # fair sign at t = 0: left side vanishes since P(|V| <= 0) = 0
@@ -385,7 +402,7 @@ def test_symmetrization_trivial_cases():
 
 
 def test_symmetrization_five_atom_example():
-    law = orc.DiscreteLaw.from_pairs(
+    law = orc.DiscreteLaw(
         [(-2, "1/10"), (-1, "2/10"), (0, "3/10"), (1, "2/10"), (3, "2/10")])
     for t in (0.0, 0.5, 1.0):
         lhs, rhs, holds = orc.symmetrization_check(law, 0.7, t)
@@ -393,14 +410,14 @@ def test_symmetrization_five_atom_example():
 
 
 def test_symmetrization_builds_the_difference_once_per_law(monkeypatch):
-    law = orc.DiscreteLaw.from_pairs(
+    law = orc.DiscreteLaw(
         [(-2, "1/10"), (-1, "2/10"), (0, "3/10"), (1, "2/10"), (3, "2/10")])
     convolutions = []
     convolve = orc._convolve
     monkeypatch.setattr(orc, "_convolve", lambda *pair: convolutions.append(1) or convolve(*pair))
     checks = [orc.symmetrization_check(law, p, t) for p in (0.3, 1.5) for t in (0.0, 1.0)]
     assert len(convolutions) == 1
-    fresh = orc.DiscreteLaw.from_pairs(law.atoms)
+    fresh = orc.DiscreteLaw(law.atoms)
     assert checks[-1] == orc.symmetrization_check(fresh, 1.5, 1.0)
     assert len(convolutions) == 2 and fresh.difference == law.difference
 
@@ -413,7 +430,7 @@ def test_symmetrization_random_rational_laws(seed):
     values = gen.uniform(-3.0, 3.0, size=k)
     weights = gen.integers(1, 12, size=k)
     total = int(weights.sum())
-    law = orc.DiscreteLaw.from_pairs(
+    law = orc.DiscreteLaw(
         [(float(v), Fraction(int(w), total)) for v, w in zip(values, weights)])
     for p in (0.3, 1.0, 1.5):
         for t in (0.0, 0.5, 2.0):
@@ -427,7 +444,7 @@ def test_symmetrization_random_rational_laws(seed):
 
 
 def test_exact_series_zero_law():
-    law = orc.DiscreteLaw.from_pairs([(0, 1)])
+    law = orc.DiscreteLaw([(0, 1)])
     assert orc.exact_series_small(law, 1.0, 1.0, 6) == [0.0] * 6
 
 
@@ -441,18 +458,30 @@ def test_exact_series_rademacher_values():
 
 
 def test_exact_series_mass_conserved():
-    law = orc.DiscreteLaw.from_pairs(
+    law = orc.DiscreteLaw(
         [(-1.5, Fraction(1, 4)), (0.25, Fraction(1, 2)), (2, Fraction(1, 4))])
-    # exact_series_small asserts that every convolution step keeps mass 1
-    assert len(orc.exact_series_small(law, 1.0, 1.0, 12)) == 12
+    # at q = 0 every |s|^q is 1, so the series is the mass of each S_n's law
+    assert orc.exact_series_small(law, 1.0, 0.0, 12) == pytest.approx([1.0] * 12, abs=1e-15)
 
 
 def test_exact_series_respects_cap():
     gen = np.random.default_rng(0)
     values = gen.uniform(0.0, 1.0, size=60)
-    law = orc.DiscreteLaw.from_pairs([(float(v), Fraction(1, 60)) for v in values])
+    law = orc.DiscreteLaw([(float(v), Fraction(1, 60)) for v in values])
     with pytest.raises(StateSpaceExceeded):
         orc.exact_series_small(law, 1.0, 1.0, 12)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda law: orc.lemma_max_check(law, 1, 2),
+    lambda law: orc.symmetrization_check(law, 1.0, 0.5),
+    lambda law: orc.exact_series_small(law, 1.0, 1.0, 3),
+], ids=["lemma_max_check", "symmetrization_check", "exact_series_small"])
+@pytest.mark.parametrize("atoms,message", NON_LAWS[:3], ids=["5/6", "negative", "empty"])
+def test_every_oracle_entry_rejects_a_non_law(entry, atoms, message):
+    # the law is checked once, as it is built, so no oracle sees a non-law
+    with pytest.raises(ValueError, match=message):
+        entry(orc.DiscreteLaw(atoms))
 
 
 def test_exact_series_limits():
