@@ -41,26 +41,20 @@ class LogPolyTail:
     c: float = 0.0
 
     def power_arg(self, r: float) -> "LogPolyTail":
-        """Tail of t -> S(t^(1/r)), i.e. the tail of |X|^r when S is the tail of |X|."""
-        if r <= 0:
-            raise ValueError("argument power must be positive")
+        """Tail of t -> S(t^(1/r)), r > 0: the tail of |X|^r when S is the tail of |X|."""
         # ln(t^(1/r)) = ln(t)/r contributes r^b; lnln is unchanged to leading order.
         return LogPolyTail(self.const * r**self.b, self.a / r, self.b, self.c)
 
     def powered(self, s: float) -> "LogPolyTail":
-        """Tail of S(t)^s."""
-        if s <= 0:
-            raise ValueError("function power must be positive")
+        """Tail of S(t)^s, for s > 0."""
         return LogPolyTail(self.const**s, s * self.a, s * self.b, s * self.c)
 
     def moment_transform(self, p: float, delta: float) -> "LogPolyTail":
-        """Tail of h(|X|) for h(x) = x^p ln^delta(1+x), given this tail of |X|.
+        """Tail of h(|X|), h(x) = x^p ln^delta(1+x) with p > 0, delta >= 0, given this tail of |X|.
 
         Inverting h gives x_t ~ t^(1/p) (ln(t)/p)^(-delta/p), hence
         S(x_t) ~ const' * t^(-a/p) * (ln t)^(-(b - a*delta/p)) * (lnln t)^(-c).
         """
-        if p <= 0 or delta < 0:
-            raise ValueError("p must be positive and delta nonnegative")
         const = self.const * p ** (self.b + self.a * delta / p)
         return LogPolyTail(const, self.a / p, self.b - self.a * delta / p, self.c)
 

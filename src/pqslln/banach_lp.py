@@ -80,8 +80,8 @@ def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
     is drawn; unsigned draws continue one stream, so the pieces join to one
     draw of the block.
     """
-    if r < 1.0:
-        raise ValueError("the inequality requires r >= 1")
+    if not (tm.is_number(r) and r >= 1.0):
+        raise ValueError(f"the inequality requires a finite r >= 1, got {r!r}")
     if n < 1:
         raise ValueError("the inequality needs paths of length n >= 1")
     if replications < 1:

@@ -109,8 +109,10 @@ def _checked(doc, section: str | None = None) -> dict:
     if section is None:
         if out["schema"] != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema version {out['schema']!r}")
-        if not (0.0 < out["p"] < 2.0 and out["q"] > 0.0):
-            raise ConfigError("need 0 < p < 2 and q > 0")
+        try:
+            tm.check_exponents(out["p"], out["q"])
+        except ValueError as exc:
+            raise ConfigError(f"need 0 < p < 2 and q > 0: {exc}") from exc
     return out
 
 

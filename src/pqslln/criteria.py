@@ -120,8 +120,7 @@ def integral_pq(model: tm.TailModel, p: float, q: float,
                 t_cap: float = T_CAP_DEFAULT) -> Verdict:
     """Classify int_0^inf P^{q/p}(||X||^q > t) dt: the map x^q, the integrand
     `power_survival(model, q, q / p)`."""
-    if not (0.0 < p < 2.0 and q > 0.0):
-        raise ValueError("need 0 < p < 2 and q > 0")
+    tm.check_exponents(p, q)
     asym = tm.tail_asymptote(model)
     if asym is not None:
         asym = asym.power_arg(q).powered(q / p)
@@ -158,7 +157,7 @@ def llogl_moment(model: tm.TailModel, p: float, delta: float,
                  t_cap: float = T_CAP_DEFAULT) -> Verdict:
     """Classify E[ ||X||^p ln^delta(1 + ||X||) ] via the tail of the transform:
     the map h(x) = x^p ln^delta(1 + x), the integrand S(h^-1(t))."""
-    tm.check_p(p)
+    tm.check_exponents(p)
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be a finite positive number, got {delta!r}")
     h, h_inv = _moment_map(p, delta)
@@ -274,7 +273,7 @@ def truncated_series(model: tm.TailModel, p: float,
     a = u_n^p is read at the quantile u_n itself, so that rounding in the
     powers cannot move it across a jump of the survival function.
     """
-    tm.check_p(p)
+    tm.check_exponents(p)
     if n_max < 1000:
         raise ValueError("n_max must be at least 10^3")
     ns = np.arange(1, n_max + 1, dtype=float)
@@ -361,8 +360,9 @@ class CriterionReport:
 
 
 def clause_of(p: float, q: float) -> str:
-    if not (0.0 < p < 2.0 and q > 0.0):
-        return CLAUSE_OUT
+    """The clause of the table that (p, q) falls in, or CLAUSE_OUT for a valid
+    (p, q) outside all three; an invalid (p, q) raises ValueError."""
+    tm.check_exponents(p, q)
     if q < p - _EQ and p < 1.0 - _EQ:
         return CLAUSE_Q_LT_P
     if abs(q - p) <= _EQ and p < 1.0 - _EQ:
@@ -429,6 +429,9 @@ def classify_slln(model: tm.TailModel, p: float, q: float, *,
         q < p < 1       integral condition alone
         q = p < 1       p-th moment AND truncated series
         q < 1 <= p < 2  mean zero AND integral condition
+
+    A valid (p, q) outside these three is Inconclusive; an invalid one, p
+    outside (0, 2) or q <= 0 or either not a finite number, raises ValueError.
     """
     return _classify(model, p, q, "almost-sure", t_cap=t_cap, series_n_max=series_n_max)
 

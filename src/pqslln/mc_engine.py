@@ -94,8 +94,7 @@ class ExperimentConfig:
         if self.replications < 2:
             raise ConfigError("need at least 2 replications")
         rng.check_seed(self.master_seed)
-        if not (0.0 < self.p < 2.0 and self.q > 0.0):
-            raise ConfigError("need 0 < p < 2 and q > 0")
+        tm.check_exponents(self.p, self.q)
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.sequence is None and self.model is None:
@@ -438,8 +437,8 @@ def summary_dict(table: CheckpointTable) -> dict:
 def dense_ratio_moments(model: tm.TailModel, pairs, n_upto: int, replications: int,
                         master_seed: int) -> list:
     """E (||S_n|| / n^(1/p))^q for every n <= n_upto and every (p, q) of
-    `pairs`, estimated from `replications` iid paths; returns one
-    (means, standard errors) per pair, in the order of `pairs`.
+    `pairs` (any finite p > 0 and q >= 0), estimated from `replications` iid
+    paths; returns one (means, standard errors) per pair, in the order of `pairs`.
 
     Block b of at most 4096 paths is one signed `draw_batch` from probe
     stream b, so results are reproducible for a fixed seed.  The paths are
@@ -449,6 +448,9 @@ def dense_ratio_moments(model: tm.TailModel, pairs, n_upto: int, replications: i
     """
     if n_upto < 1 or replications < 1:
         raise ValueError(f"need n_upto >= 1 and replications >= 1, got {n_upto}, {replications}")
+    for p, q in pairs:
+        if not (tm.is_number(p) and p > 0.0 and tm.is_number(q) and q >= 0.0):
+            raise ValueError(f"need a finite p > 0 and a finite q >= 0, got {p!r}, {q!r}")
     sums = np.zeros((len(pairs), n_upto))
     sumsq = np.zeros((len(pairs), n_upto))
     ns = np.arange(1, n_upto + 1, dtype=float)

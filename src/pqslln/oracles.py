@@ -31,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionViolated, StateSpaceExceeded
+from .tail_models import is_number
 
 _CONV_CAP = 5_000_000  # value-map entries allowed during one convolution step
 
@@ -324,9 +325,11 @@ def _convolve(left, right) -> dict[Fraction, Fraction]:
 def symmetrization_check(law: DiscreteLaw, p_exponent: float, t: float
                          ) -> tuple[float, float, bool]:
     """Check P(g(V) <= t) E(g(V)) <= E(g(V_hat)) + beta t for g(x) = |x|^p,
-    beta = max(1, 2^(p-1)), with V_hat = V - V' convolved exactly over pairs."""
-    if p_exponent <= 0.0:
-        raise ValueError("p_exponent must be positive")
+    beta = max(1, 2^(p-1)), with V_hat = V - V' convolved exactly over pairs,
+    for a finite p = p_exponent > 0 and a finite t >= 0."""
+    if not (is_number(p_exponent) and p_exponent > 0.0 and is_number(t) and t >= 0.0):
+        raise ValueError(f"need a finite p_exponent > 0 and a finite t >= 0, "
+                         f"got {p_exponent!r}, {t!r}")
     beta = max(1.0, 2.0 ** (p_exponent - 1.0))
 
     def g(v: float) -> float:
@@ -359,12 +362,15 @@ def _support_bound(law: DiscreteLaw, n: int) -> int:
 
 def exact_series_small(law: DiscreteLaw, p: float, q: float, n_limit: int
                        ) -> list[float]:
-    """Exact E(|S_n| / n^(1/p))^q for n = 1..n_limit by repeated convolution.
+    """Exact E(|S_n| / n^(1/p))^q for n = 1..n_limit by repeated convolution,
+    for any finite p > 0 and q >= 0, a wider domain than the (p,q) laws'.
 
     The distribution of S_n lives on a value-indexed map with exact Fraction
     values; StateSpaceExceeded guards the support growth, raised before any
     arithmetic when the bounded support of the last step could pass the cap.
     """
+    if not (is_number(p) and p > 0.0 and is_number(q) and q >= 0.0):
+        raise ValueError(f"need a finite p > 0 and a finite q >= 0, got {p!r}, {q!r}")
     if n_limit < 1:
         raise ValueError("n_limit must be >= 1")
     if n_limit > 12:

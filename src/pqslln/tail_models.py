@@ -43,7 +43,8 @@ E = math.e
 SIGN_LAWS = {"symmetric": 0.5, "nonnegative": 0.0}
 
 
-def _is_number(val) -> bool:
+def is_number(val) -> bool:
+    """Whether `val` is a finite real number; a bool is none."""
     return not isinstance(val, bool) and isinstance(val, numbers.Real) and math.isfinite(val)
 
 
@@ -53,7 +54,7 @@ def negative_prob(sign_law) -> float:
     if isinstance(sign_law, str) and sign_law in SIGN_LAWS:
         return SIGN_LAWS[sign_law]
     if isinstance(sign_law, dict) and sorted(sign_law) == ["kind", "negative_prob"] \
-            and sign_law["kind"] == "custom" and _is_number(sign_law["negative_prob"]) \
+            and sign_law["kind"] == "custom" and is_number(sign_law["negative_prob"]) \
             and 0.0 <= sign_law["negative_prob"] <= 1.0:
         return float(sign_law["negative_prob"])
     raise ValueError(f"sign_law must be 'symmetric', 'nonnegative' or "
@@ -115,7 +116,7 @@ def _catalog_pieces(t_lo: float, t_hi: float, formula: str,
     """The pieces a catalog entry loads as.  Its edges (t_hi may be inf) and
     params must be finite numbers, the params exactly its formula's, a scale positive."""
     for name, edge in (("t_lo", t_lo), ("t_hi", t_hi)):
-        if not (_is_number(edge) or (name == "t_hi" and edge == math.inf)):
+        if not (is_number(edge) or (name == "t_hi" and edge == math.inf)):
             raise ValueError(f"piece edge {name!r} must be a finite number "
                              f"(t_hi: null for inf), got {edge!r}")
     if formula not in CATALOG:
@@ -125,7 +126,7 @@ def _catalog_pieces(t_lo: float, t_hi: float, formula: str,
         raise ValueError(f"a {formula} piece takes exactly the params "
                          f"{', '.join(names)}, got {sorted(params)}")
     for name, val in params.items():
-        if not _is_number(val) or (name == "scale" and val <= 0.0):
+        if not is_number(val) or (name == "scale" and val <= 0.0):
             raise ValueError(f"piece param {name!r} must be a finite number "
                              f"(a scale: positive), got {val!r}")
     return build(float(t_lo), float(t_hi), *(float(params[name]) for name in names))
@@ -435,10 +436,13 @@ def power_survival(model: TailModel, p: float, r: float = 1.0):
 TABLE_POINTS = 512  # geometric grid nodes of the cumulative tail table
 
 
-def check_p(p: float) -> None:
-    """ValueError unless p is a finite number in (0, 2), as the (p,q) laws need."""
-    if not 0.0 < p < 2.0:  # false for nan
+def check_exponents(p: float, q: float | None = None) -> None:
+    """ValueError unless p is a finite number in (0, 2) and q, when given, a
+    finite number > 0: the domain of every (p,q) condition."""
+    if not (is_number(p) and 0.0 < p < 2.0):
         raise ValueError(f"p must be a finite number in (0, 2), got {p!r}")
+    if q is not None and not (is_number(q) and q > 0.0):
+        raise ValueError(f"q must be a finite number > 0, got {q!r}")
 
 
 class CumulativeTailTable:
@@ -452,7 +456,7 @@ class CumulativeTailTable:
     """
 
     def __init__(self, model: TailModel, p: float, t_max: float):
-        check_p(p)
+        check_exponents(p)
         if t_max <= 0.0:
             raise ValueError("t_max must be positive")
         self.model = model
@@ -605,11 +609,17 @@ def _builtin(kind: str, name: str, pieces: tuple[TailPiece, ...], sign_law,
                      origin=(kind, tuple(params.items())))
 
 
+def _check_positive(**params) -> None:
+    """ValueError unless each param is a finite number > 0."""
+    for name, val in params.items():
+        if not (is_number(val) and val > 0.0):
+            raise ValueError(f"{name} must be a finite number > 0, got {val!r}")
+
+
 def pareto(alpha: float, sign_law="symmetric") -> TailModel:
     """Survival t^(-alpha) beyond t = 1 (the critical instance alpha = p has
     u_n^p = n exactly, which empties every truncation window)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_positive(alpha=alpha)
     return _builtin(
         "pareto", f"pareto(alpha={alpha:g})",
         _log_poly(0.0, 1.0, 1.0) + _log_poly(1.0, math.inf, 1.0, float(alpha)),
@@ -623,8 +633,7 @@ def log_power_tail(power: float, log_power: float, sign_law="symmetric") -> Tail
     With log_power = 2p/q this is the tail that separates membership at
     (p, p) from membership at (p, q) for q < p.
     """
-    if power <= 0 or log_power <= 0:
-        raise ValueError("power and log_power must be positive")
+    _check_positive(power=power, log_power=log_power)
     return _builtin(
         "log-power", f"log-power(power={power:g}, log_power={log_power:g})",
         _log_poly(0.0, E, 1.0)
@@ -639,8 +648,7 @@ def log_loglog_power_tail(power: float, sign_law="symmetric") -> TailModel:
     The marginal tail whose p-moment is finite while the critically truncated
     series still diverges.
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
+    _check_positive(power=power)
     knee = math.exp(E)
     return _builtin(
         "log-loglog-power", f"log-loglog-power(power={power:g})",
@@ -652,8 +660,8 @@ def log_loglog_power_tail(power: float, sign_law="symmetric") -> TailModel:
 
 def degenerate(value: float, sign_law="nonnegative", name: str | None = None) -> TailModel:
     """||X|| identically equal to `value`: survival 1 below it and 0 from it."""
-    if value < 0:
-        raise ValueError("value must be nonnegative")
+    if not (is_number(value) and value >= 0.0):
+        raise ValueError(f"value must be a finite number >= 0, got {value!r}")
     return _builtin(
         "degenerate", name or f"degenerate(value={value:g})",
         _indicator_below(0.0, math.inf, float(value)),

@@ -79,8 +79,9 @@ def test_marcus_pisier_pareto_bound():
 
 
 def test_marcus_pisier_requires_r_at_least_one():
-    with pytest.raises(ValueError):
-        lp.marcus_pisier_check(tm.pareto(2.0), 8, 0.8, [1.0], 10)
+    for r in (0.8, math.nan, math.inf):  # NaN and inf would otherwise give a table that holds
+        with pytest.raises(ValueError, match="requires a finite r >= 1"):
+            lp.marcus_pisier_check(tm.pareto(2.0), 8, r, [1.0], 10)
 
 
 def test_marcus_pisier_rejects_empty_input():

@@ -390,6 +390,16 @@ def test_simulate_json_format_lists_only_written_files(tmp_path):
                                    "params": {"scale": 1.0, "power": 2.0}}.items()
          if key != missing}]}}, "p": 0.5, "q": 0.25},
        f"a custom model piece is missing key {missing!r}") for missing in ("t_lo", "formula_id")],
+    # builtin params that are not finite numbers (a config's 1e400 reads as inf):
+    # NaN would otherwise run a quadrature out of budget, true and inf give
+    # pareto(1) and pareto(inf), and simulate write a table for an infinite power
+    *[("criteria", {"model": {"builtin": "pareto", "params": {"alpha": alpha}},
+                    "p": 0.5, "q": 0.25}, "alpha must be a finite number > 0")
+      for alpha in (float("nan"), True, float("inf"))],
+    ("simulate", {"model": {"builtin": "log-power", "params": {"power": float("inf"),
+                                                             "log_power": 2.0}},
+                  "p": 0.5, "q": 0.25, "simulate": {"n_max": 1024}},
+     "power must be a finite number > 0"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needle):
     cfg = write_config(tmp_path, "badnum.json", {"schema": 1, **payload})

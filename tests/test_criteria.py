@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from clause_facts import clause_facts
 from pqslln import criteria as cr
+from pqslln import mc_engine as mc
 from pqslln import tail_models as tm
 
 
@@ -368,16 +370,35 @@ def test_series_requires_enough_terms():
         cr.truncated_series(tm.pareto(2.0), 0.5, 100)
 
 
-@pytest.mark.parametrize("entry", [
-    lambda p: cr.truncated_series(tm.pareto(2.0), p),
-    lambda p: cr.truncated_series(tm.degenerate(1.0), p),
-    lambda p: cr.llogl_moment(tm.degenerate(1.0), p, 1.0),
-    lambda p: tm.CumulativeTailTable(tm.pareto(2.0), p, 10.0),
-], ids=["series-pareto", "series-degenerate", "llogl", "table"])
-@pytest.mark.parametrize("p", [math.nan, 0.0, -1.0, 2.0, math.inf])
-def test_analytic_entries_take_only_p_in_0_2(entry, p):
-    with pytest.raises(ValueError, match="p must be a finite number in"):
-        entry(p)
+# every entry that checks its exponents with `tm.check_exponents`: name ->
+# (a call at (p, q), whether the call takes q)
+EXPONENT_ENTRIES = {
+    "series-pareto": (lambda p, q: cr.truncated_series(tm.pareto(2.0), p), False),
+    "series-degenerate": (lambda p, q: cr.truncated_series(tm.degenerate(1.0), p), False),
+    "llogl": (lambda p, q: cr.llogl_moment(tm.degenerate(1.0), p, 1.0), False),
+    "table": (lambda p, q: tm.CumulativeTailTable(tm.pareto(2.0), p, 10.0), False),
+    "p-moment": (lambda p, q: cr.p_moment(tm.pareto(2.0), p), False),
+    "integral": (lambda p, q: cr.integral_pq(tm.pareto(2.0), p, q), True),
+    "clause": (lambda p, q: cr.clause_of(p, q), True),
+    "almost-sure": (lambda p, q: cr.classify_slln(tm.pareto(2.0), p, q), True),
+    "expectation": (lambda p, q: cr.series_expectation_criterion(tm.pareto(2.0), p, q), True),
+    "experiment": (lambda p, q: mc.ExperimentConfig(tm.rademacher(), p, q, 1024, 2, 0), True),
+}
+
+
+@pytest.mark.parametrize("entry,p,q,needle", [
+    *[pytest.param(entry, p, 0.25, "p must be a finite number in (0, 2)", id=f"{p}-{name}")
+      for p in (math.nan, 0.0, -1.0, 2.0, math.inf)
+      for name, (entry, _) in EXPONENT_ENTRIES.items()],
+    *[pytest.param(entry, 0.5, q, "q must be a finite number > 0", id=f"q={q}-{name}")
+      for q in (math.nan, math.inf, 0.0, -1.0)
+      for name, (entry, takes_q) in EXPONENT_ENTRIES.items() if takes_q],
+])
+def test_analytic_entries_take_only_p_in_0_2(entry, p, q, needle):
+    """Each entry takes only 0 < p < 2 and q > 0, both finite: anything else
+    raises before a verdict, a table or a config exists."""
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        entry(p, q)
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
@@ -398,7 +419,8 @@ def test_clause_table():
     assert cr.clause_of(1.0, 0.5) == cr.CLAUSE_P_GE_1
     assert cr.clause_of(1.5, 1.0) == cr.CLAUSE_OUT
     assert cr.clause_of(0.5, 0.7) == cr.CLAUSE_OUT  # q > p < 1 handled elsewhere
-    assert cr.clause_of(2.0, 0.5) == cr.CLAUSE_OUT
+    with pytest.raises(ValueError, match="p must be a finite number"):
+        cr.clause_of(2.0, 0.5)  # outside the domain: an error, not a clause
 
 
 def test_classify_membership_split():

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqslln import cli
+from pqslln import mc_engine as mc
 from pqslln import oracles as orc
+from pqslln import tail_models as tm
 from pqslln.errors import PreconditionViolated, StateSpaceExceeded
 
 
@@ -401,6 +403,14 @@ def test_symmetrization_trivial_cases():
     assert lhs == 0.0 and holds
 
 
+@pytest.mark.parametrize("p_exponent,t", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0),
+                                           (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)])
+def test_symmetrization_takes_only_finite_p_and_t(p_exponent, t):
+    # NaN would otherwise read as a violation, t = -1 as an inequality that holds
+    with pytest.raises(ValueError, match="need a finite p_exponent > 0 and a finite t >= 0"):
+        orc.symmetrization_check(orc.rademacher_law(), p_exponent, t)
+
+
 def test_symmetrization_five_atom_example():
     law = orc.DiscreteLaw(
         [(-2, "1/10"), (-1, "2/10"), (0, "3/10"), (1, "2/10"), (3, "2/10")])
@@ -462,6 +472,18 @@ def test_exact_series_mass_conserved():
         [(-1.5, Fraction(1, 4)), (0.25, Fraction(1, 2)), (2, Fraction(1, 4))])
     # at q = 0 every |s|^q is 1, so the series is the mass of each S_n's law
     assert orc.exact_series_small(law, 1.0, 0.0, 12) == pytest.approx([1.0] * 12, abs=1e-15)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p, q: orc.exact_series_small(orc.rademacher_law(), p, q, 3),
+    lambda p, q: mc.dense_ratio_moments(tm.rademacher(), [(1.0, 1.0), (p, q)], 3, 10, 0),
+], ids=["exact", "dense"])
+@pytest.mark.parametrize("p,q", [(math.nan, 0.5), (math.inf, 0.5), (0.0, 0.5), (-1.0, 0.5),
+                                 (1.0, math.nan), (1.0, math.inf), (1.0, -1.0)])
+def test_small_series_take_only_finite_p_and_q(entry, p, q):
+    # a wider domain than the (p,q) laws': p = q = 2 and q = 0 stay valid
+    with pytest.raises(ValueError, match="need a finite p > 0 and a finite q >= 0"):
+        entry(p, q)
 
 
 def test_exact_series_respects_cap():

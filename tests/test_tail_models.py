@@ -120,6 +120,18 @@ def test_first_piece_must_start_at_zero(t_lo):
     assert str(loaded.value) == str(built.value) == message
 
 
+@pytest.mark.parametrize("builtin,params,name", [
+    ("pareto", {"alpha": True}, "alpha"), ("pareto", {"alpha": math.nan}, "alpha"),
+    ("log-power", {"power": 1.0, "log_power": math.inf}, "log_power"),
+    ("log-loglog-power", {"power": math.nan}, "power"),
+    ("degenerate", {"value": math.inf}, "value"), ("degenerate", {"value": -1.0}, "value"),
+])
+def test_builtin_params_are_finite_numbers(builtin, params, name):
+    # as a custom piece's params are: a bool, NaN or inf is no param
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        tm.make_builtin(builtin, **params)
+
+
 def test_a_lone_log_piece_gets_the_first_piece_message():
     with pytest.raises(ValueError, match="first piece must start at t = 0, not 3$"):
         tm.load_model({"name": "lone", "sign_law": "symmetric", "pieces": [
