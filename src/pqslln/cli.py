@@ -22,7 +22,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import operator
 import os
 import sys
@@ -77,11 +76,10 @@ _KIND_NAMES = {float: "a finite number", int: "an integer", str: "a string", dic
 def _typed(key: str, value, kind):
     """`value` as `kind`; a bool, a non-finite float, a non-integer count or
     a string outside the allowed ones is a ConfigError."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    with contextlib.suppress(OverflowError):
-        if kind is float and number and math.isfinite(value):
-            return float(value)
-    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+    number = tm.is_number(value)
+    if kind is float and number:
+        return float(value)
+    if kind is int and (type(value) is int or number and float(value).is_integer()):
         return int(value)
     if kind in (str, dict) and isinstance(value, kind) or \
             isinstance(kind, tuple) and value in kind:

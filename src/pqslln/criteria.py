@@ -36,6 +36,7 @@ series).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,8 +275,10 @@ def truncated_series(model: tm.TailModel, p: float,
     powers cannot move it across a jump of the survival function.
     """
     tm.check_exponents(p)
-    if n_max < 1000:
-        raise ValueError("n_max must be at least 10^3")
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
+    if not 1000 <= n_max <= tm.MAX_COUNT:
+        raise ValueError(f"n_max must be at least 10^3 and at most 2^53, got {n_max}")
     ns = np.arange(1, n_max + 1, dtype=float)
     u = tm.quantiles_un(model, ns)
     a = np.minimum(u**p, ns)

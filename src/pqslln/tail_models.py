@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -43,9 +44,17 @@ E = math.e
 SIGN_LAWS = {"symmetric": 0.5, "nonnegative": 0.0}
 
 
+# the largest count a config may give (steps, replications, series terms):
+# 2^53 is the largest integer a double holds exactly, and a table of that
+# many doubles would take 64 PiB
+MAX_COUNT = 1 << 53
+
+
 def is_number(val) -> bool:
-    """Whether `val` is a finite real number; a bool is none."""
-    return not isinstance(val, bool) and isinstance(val, numbers.Real) and math.isfinite(val)
+    """Whether `val` is a finite real number that a double can hold: a bool
+    is none, and neither is an int past the largest double."""
+    return not isinstance(val, bool) and isinstance(val, numbers.Real) \
+        and abs(val) <= sys.float_info.max
 
 
 def negative_prob(sign_law) -> float:

@@ -262,6 +262,13 @@ def test_verify_unknown_suite():
         cli.main(["verify", "bogus"])
 
 
+def test_verify_marcus_pisier_passes(capsys):
+    assert cli.main(["verify", "marcus-pisier", "--seed", "7"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results) == 3
+    assert all(r["holds"] and r["min_margin"] > 0.0 for r in results)
+
+
 def test_verify_small_series_passes(capsys):
     assert cli.main(["verify", "small-series"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -295,6 +302,12 @@ def test_simulate_json_format_lists_only_written_files(tmp_path):
     assert set(manifest["outputs"]) == {"summary_json"}
     assert all(os.path.isfile(path) for path in manifest["outputs"].values())
     assert not (out / "sim_table.csv").exists()
+
+
+def power_model(params):
+    return {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 1.0, "t_hi": None, "formula_id": "power", "params": params}]}}
 
 
 @pytest.mark.parametrize("command,payload,needle", [
@@ -400,6 +413,25 @@ def test_simulate_json_format_lists_only_written_files(tmp_path):
                                                              "log_power": 2.0}},
                   "p": 0.5, "q": 0.25, "simulate": {"n_max": 1024}},
      "power must be a finite number > 0"),
+    # an integer past the largest double, where a model takes a number
+    ("criteria", {"model": {"builtin": "pareto", "params": {"alpha": 10**400}},
+                  "p": 0.5, "q": 0.25}, "alpha must be a finite number > 0"),
+    ("criteria", {"model": {"builtin": "degenerate", "params": {"value": 10**400}},
+                  "p": 0.5, "q": 0.25}, "value must be a finite number >= 0"),
+    ("criteria", {"model": {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": 10**400, "formula_id": "constant", "params": {"value": 1.0}},
+        {"t_lo": 1.0, "t_hi": None, "formula_id": "constant", "params": {"value": 0.0}}]}},
+      "p": 0.5, "q": 0.25}, "piece edge 't_hi' must be a finite number"),
+    ("criteria", {"model": power_model({"scale": 1.0, "power": 10**400}), "p": 0.5, "q": 0.25},
+     "piece param 'power' must be a finite number"),
+    ("criteria", {"model": {"custom": {**tm.pareto(2.0).to_json(), "sign_law": {
+        "kind": "custom", "negative_prob": 10**400}}}, "p": 0.5, "q": 0.25}, "sign_law must be"),
+    # counts past 2^53, the largest integer a double holds exactly
+    ("criteria", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 0.5, "q": 0.5,
+                  "criteria": {"series_n_max": 10**30}}, "at least 10^3 and at most 2^53"),
+    ("simulate", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 1.0, "q": 0.5,
+                  "simulate": {"n_max": 1024, "replications": 10**30}},
+     "at least 2 and at most 2^53"),
 ])
 def test_bad_numbers_are_config_errors(tmp_path, capsys, command, payload, needle):
     cfg = write_config(tmp_path, "badnum.json", {"schema": 1, **payload})
@@ -466,12 +498,6 @@ def test_atomic_writer_removes_every_file_of_a_failed_block(tmp_path):
         writer.write(str(first), "one")
     assert first.read_text() == "one"
     assert sorted(os.listdir(tmp_path)) == ["first.txt", "second.txt"]
-
-
-def power_model(params):
-    return {"custom": {"name": "x", "sign_law": "symmetric", "pieces": [
-        {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 1.0}},
-        {"t_lo": 1.0, "t_hi": None, "formula_id": "power", "params": params}]}}
 
 
 @pytest.mark.parametrize("model,needle", [

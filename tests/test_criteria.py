@@ -370,6 +370,12 @@ def test_series_requires_enough_terms():
         cr.truncated_series(tm.pareto(2.0), 0.5, 100)
 
 
+@pytest.mark.parametrize("n_max", [1000.5, 5000.0, True])
+def test_series_count_must_be_an_integer(n_max):
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        cr.truncated_series(tm.pareto(2.0), 0.5, n_max)
+
+
 # every entry that checks its exponents with `tm.check_exponents`: name ->
 # (a call at (p, q), whether the call takes q)
 EXPONENT_ENTRIES = {

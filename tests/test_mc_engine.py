@@ -28,6 +28,10 @@ def test_config_invariants():
         small_config(tm.rademacher(), n_max=512)   # below 2^10
     with pytest.raises(ConfigError):
         small_config(tm.rademacher(), reps=1)
+    with pytest.raises(ConfigError, match="replications must be at least 2 and at most 2"):
+        small_config(tm.rademacher(), reps=10**30)  # past any array index
+    with pytest.raises(ConfigError, match="n_max must be a power of two"):
+        small_config(tm.rademacher(), n_max=1 << 70)
     with pytest.raises(ConfigError):
         small_config(None)
     for seed in (-1, 1 << 64):  # stream keys see 64 bits; these would alias
@@ -433,6 +437,21 @@ def test_summary_verdict_marginal_zone_abstains():
     assert verdict["kind"] in (cr.CONVERGES, cr.INCONCLUSIVE)
     rho = verdict["diagnostics"].get("rho")
     assert rho is not None and 0.9 < rho < 1.0
+
+
+@pytest.mark.parametrize("model,p,q,seed", [
+    (tm.pareto(0.5), 0.5, 0.5, 1000),
+    (tm.pareto(0.5), 0.5, 0.5, 1032),
+    (tm.pareto(0.5), 0.5, 0.25, 1022),
+    (tm.log_loglog_power_tail(0.5), 0.5, 0.25, 1022),
+], ids=["critical-qp-1000", "critical-qp-1032", "critical-qlt-1022", "loglog-1022"])
+def test_noise_level_increments_do_not_read_converges(model, p, q, seed):
+    # NonMembers at criterion 13's size whose late block increments lie within
+    # 3 interquartile standard errors of zero, one with fitted rho 1.21: only
+    # exact zeros or a confident rho fit may say Converges
+    cfg = small_config(model, p=p, q=q, n_max=1 << 20, reps=8, seed=seed)
+    verdict = mc.summary_dict(mc.run_paths(cfg, workers=2))["w_verdict"]
+    assert verdict["kind"] != cr.CONVERGES
 
 
 # ---------------------------------------------------------------------------
