@@ -265,6 +265,14 @@ def _series_remainder(model: tm.TailModel, p: float, n_max: int) -> float | None
     return float(ratio * (y_over_n * ratio - second))
 
 
+def _check_series_n_max(n_max) -> None:
+    """Raise ValueError unless `n_max` is an integer in [10^3, 2^53]."""
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
+        raise ValueError(f"n_max must be an integer, got {n_max!r}")
+    if not 1000 <= n_max <= tm.MAX_COUNT:
+        raise ValueError(f"n_max must be at least 10^3 and at most 2^53, got {n_max}")
+
+
 def truncated_series(model: tm.TailModel, p: float,
                      n_max: int = SERIES_N_MAX_DEFAULT) -> tuple[SeriesTable, Verdict]:
     """Partial sums and growth verdict of the q = p truncation series.
@@ -275,10 +283,7 @@ def truncated_series(model: tm.TailModel, p: float,
     powers cannot move it across a jump of the survival function.
     """
     tm.check_exponents(p)
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
-        raise ValueError(f"n_max must be an integer, got {n_max!r}")
-    if not 1000 <= n_max <= tm.MAX_COUNT:
-        raise ValueError(f"n_max must be at least 10^3 and at most 2^53, got {n_max}")
+    _check_series_n_max(n_max)
     ns = np.arange(1, n_max + 1, dtype=float)
     u = tm.quantiles_un(model, ns)
     a = np.minimum(u**p, ns)
@@ -394,6 +399,7 @@ def _classify(model: tm.TailModel, p: float, q: float, criterion: str, *,
     """Membership from the clause table; the q = p clause depends on `criterion`."""
     if not t_cap > 0.0:
         raise ValueError(f"t_cap must be positive, got {t_cap!r}")
+    _check_series_n_max(series_n_max)  # in every clause, before any work
     clause = clause_of(p, q)
     mean_flag = tm.mean_zero(model)
     mean_required = clause == CLAUSE_P_GE_1

@@ -429,6 +429,11 @@ def power_model(params):
     # counts past 2^53, the largest integer a double holds exactly
     ("criteria", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 0.5, "q": 0.5,
                   "criteria": {"series_n_max": 10**30}}, "at least 10^3 and at most 2^53"),
+    # the series bound holds in every clause, not only at q = p where the series runs
+    ("criteria", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 0.5, "q": 0.25,
+                  "criteria": {"series_n_max": 10**30}}, "at least 10^3 and at most 2^53"),
+    ("criteria", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 1.5, "q": 0.5,
+                  "criteria": {"series_n_max": 10}}, "at least 10^3 and at most 2^53"),
     ("simulate", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 1.0, "q": 0.5,
                   "simulate": {"n_max": 1024, "replications": 10**30}},
      "at least 2 and at most 2^53"),

@@ -6,23 +6,21 @@ each run's `w_verdict` with the analytic membership that `report` uses.  A
 symmetrized run is labelled with the membership of the symmetrized law: a
 point mass X gives X - X' = 0, the zero law.
 
-    PYTHONPATH=src python3 tests/verdict_scan.py [--seeds 1000 1040]
-        [--modes plain symmetrized] [--workers 2] [--json runs.jsonl]
+    PYTHONPATH=src python3 tests/verdict_scan.py
 
-It prints one line per law and mode (wrong decisive verdicts with their
-seeds, Inconclusive, right decisive) and a total per mode.  The total leaves
-out a law whose symmetrized label differs from its own (degenerate-mean:
-X - X' = 0), as that row no longer tests the law's analytic verdict.
-`--json` also writes one record per run.  Runs are byte-identical across
-worker counts, so the counts are deterministic for one numpy build.  The
-full scan takes about 7 minutes on 2 cores; pytest does not collect this
-file.
+It scans master seeds 1000-1039 in both modes on 2 workers, and prints one
+line per law and mode (wrong decisive verdicts with their seeds,
+Inconclusive, right decisive) and a total per mode.  A wrong verdict is one
+`report` counts as a hard contradiction.  The total leaves out a law whose
+symmetrized label differs from its own (degenerate-mean: X - X' = 0), as
+that row no longer tests the law's analytic verdict.  Runs are
+byte-identical across worker counts, so the counts are deterministic for one
+numpy build.  The full scan takes about 7 minutes on 2 cores; pytest does
+not collect this file.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -33,7 +31,9 @@ from pqslln import mc_engine as mc  # noqa: E402
 from pqslln import tail_models as tm  # noqa: E402
 from test_acceptance import MATRIX  # noqa: E402
 
-_HARD = {(cr.MEMBER, cr.DIVERGES), (cr.NON_MEMBER, cr.CONVERGES)}
+SEEDS = range(1000, 1040)
+MODES = ("plain", "symmetrized")
+WORKERS = 2
 _RIGHT = {(cr.MEMBER, cr.CONVERGES), (cr.NON_MEMBER, cr.DIVERGES)}
 
 
@@ -54,22 +54,20 @@ def rule(verdict: dict) -> str:
     return f"rho {diag['rho']:.3f}" if diag.get("rho") is not None else "no fit"
 
 
-def scan(seeds, modes, workers: int, records: list) -> None:
+def scan() -> None:
     laws = [(name, spec, p, q) for name, spec, p, q in MATRIX if "builtin" in spec]
-    for mode in modes:
+    for mode in MODES:
         totals, left_out = [0, 0, 0], []
         for name, spec, p, q in laws:
             model, _ = cli.resolve_model(spec)
             label = truth(model, p, q, mode)
             wrong, inconclusive, right = [], 0, 0
-            for seed in seeds:
+            for seed in SEEDS:
                 config = mc.ExperimentConfig(model=model, p=p, q=q, n_max=1 << 20,
                                              replications=8, master_seed=seed, mode=mode)
-                verdict = mc.summary_dict(mc.run_paths(config, workers=workers))["w_verdict"]
+                verdict = mc.summary_dict(mc.run_paths(config, workers=WORKERS))["w_verdict"]
                 kind = verdict["kind"]
-                records.append({"law": name, "mode": mode, "seed": seed, "truth": label,
-                                "kind": kind, "rule": rule(verdict)})
-                if (label, kind) in _HARD:
+                if (label, kind) in cli._HARD:
                     wrong.append(f"{seed} {kind} ({rule(verdict)})")
                 elif (label, kind) in _RIGHT:
                     right += 1
@@ -82,26 +80,10 @@ def scan(seeds, modes, workers: int, records: list) -> None:
             print(f"{mode} {name} ({p:g}, {q:g}) {label}: wrong {len(wrong)}"
                   + (f" [{'; '.join(wrong)}]" if wrong else "")
                   + f", Inconclusive {inconclusive}, right {right}", flush=True)
-        print(f"{mode} total over {len(laws) - len(left_out)} laws x {len(seeds)} seeds"
+        print(f"{mode} total over {len(laws) - len(left_out)} laws x {len(SEEDS)} seeds"
               + (f" (left out: {', '.join(left_out)})" if left_out else "")
               + f": wrong {totals[0]}, Inconclusive {totals[1]}, right {totals[2]}", flush=True)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs=2, default=(1000, 1040),
-                        metavar=("FIRST", "STOP"), help="master seeds FIRST..STOP-1")
-    parser.add_argument("--modes", nargs="+", choices=("plain", "symmetrized"),
-                        default=["plain", "symmetrized"])
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--json", help="write one JSON record per run to this file")
-    args = parser.parse_args()
-    records: list = []
-    scan(range(*args.seeds), args.modes, args.workers, records)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
-
-
 if __name__ == "__main__":
-    main()
+    scan()
