@@ -36,7 +36,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
 
-from . import __version__, criteria  # noqa: E402
+from . import __version__  # noqa: E402
 from . import tail_models as tm  # noqa: E402
 from .errors import ConfigError, NonMonotoneTail, PqsllnError  # noqa: E402
 from .trend import MODES  # noqa: E402
@@ -59,8 +59,8 @@ _SCHEMA = {
     None: {"schema": (int, SCHEMA_VERSION), "name": (str, ""), "model": (dict, None),
            "p": (float, None), "q": (float, None), "criteria": (dict, {}),
            "simulate": (dict, {})},
-    "criteria": {"t_cap": (float, criteria.T_CAP_DEFAULT),
-                 "series_n_max": (int, criteria.SERIES_N_MAX_DEFAULT),
+    "criteria": {"t_cap": (float, tm.T_CAP_DEFAULT),
+                 "series_n_max": (int, tm.SERIES_N_MAX_DEFAULT),
                  "criterion": (tuple(_CLASSIFIERS), "almost-sure")},
     "simulate": {"n_max": (int, 1 << 14), "replications": (int, 64),
                  "master_seed": (int, 0), "mode": (MODES, "plain")},
@@ -162,6 +162,7 @@ def resolve_model(spec: dict) -> tuple[tm.TailModel | None, str | None]:
 
 def _criterion_report(model: tm.TailModel, cfg: dict, criterion: str):
     """The `criterion` report of `model` at the config's p, q and criteria settings."""
+    from . import criteria
     settings = cfg["criteria"]
     try:
         return getattr(criteria, _CLASSIFIERS[criterion])(
@@ -234,6 +235,7 @@ def _emit(out_dir: str | None, name: str, text: str) -> None:
 
 
 def cmd_criteria(args) -> int:
+    from . import criteria
     cfg = _load_config(args.config)
     model, sequence = resolve_model(cfg["model"])
     if sequence is not None:
@@ -249,8 +251,7 @@ def cmd_criteria(args) -> int:
 
 def cmd_simulate(args) -> int:
     from . import mc_engine
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    mc_engine.check_workers(args.workers)
     cfg = _load_config(args.config, args.seed)
     model, sequence = resolve_model(cfg["model"])
     config = mc_engine.ExperimentConfig(model=model, p=cfg["p"], q=cfg["q"],
@@ -408,9 +409,6 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-_HARD = {(criteria.MEMBER, criteria.DIVERGES), (criteria.NON_MEMBER, criteria.CONVERGES)}
-
-
 def _field(doc, path: str, what: str):
     """doc[k1][k2]... for the dotted `path`; a missing key is a ConfigError."""
     for key in path.split("."):
@@ -421,6 +419,7 @@ def _field(doc, path: str, what: str):
 
 
 def cmd_report(args) -> int:
+    from . import criteria
     _make_out_dir(args.out)
     rows = []
     contradictions = 0
@@ -448,7 +447,7 @@ def cmd_report(args) -> int:
                          "series": "", "mc_w_verdict": mc_kind, "hard_contradiction": 0})
             continue
         report = _criterion_report(model, cfg, "almost-sure")
-        hard = int((report.membership, mc_kind) in _HARD)
+        hard = int((report.membership, mc_kind) in criteria.CONTRADICTIONS)
         contradictions += hard
         rows.append({
             "model": report.model, "p": p, "q": q, "clause": report.clause,

@@ -49,10 +49,12 @@ from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, Verdict, fit_line
 MEMBER = "Member"
 NON_MEMBER = "NonMember"
 UNDECIDED = "Inconclusive"
+# the (membership, Monte Carlo verdict) pairs that contradict each other
+CONTRADICTIONS = {(MEMBER, DIVERGES), (NON_MEMBER, CONVERGES)}
 
-T_CAP_DEFAULT = 1e12
+T_CAP_DEFAULT = tm.T_CAP_DEFAULT
 X_MAX = float(np.finfo(float).max)
-SERIES_N_MAX_DEFAULT = 100_000
+SERIES_N_MAX_DEFAULT = tm.SERIES_N_MAX_DEFAULT
 _EQ = 1e-12
 
 CLAUSE_Q_LT_P = "q<p<1"

@@ -28,9 +28,13 @@ themselves (the power and the cumulative sum) is not part of this bound.
 Buffers.  The chunk-sized arrays of a chunk -- the running S, |S|^q, n^e1
 and their product -- live in a `Workspace` that the caller owns and passes to
 every chunk of one size, so a stream of chunks allocates nothing per chunk.
-Each array is computed by the same operations in the same order whatever the
-workspace held before, so the terms and the bound above do not depend on
-where they are stored.
+What every stream shares at one chunk position -- the n^e1 row and the cut
+points of the blocks and segments -- `Workspace.plan` builds once, and then
+any number of streams (the replications of an `mc_engine` block) each run
+`accumulate_chunk` on it in turn.  Each array is computed by the same
+operations in the same order whatever the workspace held before, so the
+terms and the bound above do not depend on where they are stored or on how
+many streams share a plan.
 """
 
 from __future__ import annotations
@@ -51,46 +55,55 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
 
 class Workspace:
     """The arrays `accumulate_chunk` fills for a chunk of `size` increments:
-    the running S, the terms, n^e1, and the offsets 0..size-1 that n is built
-    from.  Their contents mean nothing between calls, and one workspace
-    serves one stream at a time."""
+    the running S and the terms, which mean nothing between calls; and, from
+    `plan`, what a chunk position gives every stream alike: n^e1 at its
+    steps, its snapshots, and its cut points.  One workspace serves one
+    thread at a time."""
 
     def __init__(self, size: int):
-        self.s_run, self.terms, self.n = np.empty((3, size))
-        self.steps = np.arange(size, dtype=float)
+        self.s_run, self.terms, self.n_pow = np.empty((3, size))
+        self.steps = np.arange(size, dtype=float)  # the offsets 0..size-1 that n is built from
+        self.snaps = self.starts = self.segment_ends = None
+
+    def plan(self, n0, e1, snaps) -> None:
+        """Ready the workspace for chunks of the steps n0 + 1 .. n0 + size:
+        n^e1 with e1 = -(q/p) - 1, the sorted local indices `snaps` at which
+        to report, the block starts (every multiple of BLOCK and every
+        segment start) and, per segment, the index in the starts where it ends."""
+        size = self.steps.size
+        np.add(self.steps, float(n0) + 1.0, out=self.n_pow)
+        self.n_pow **= float(e1)
+        self.snaps = np.asarray(snaps, dtype=np.int64)
+        ends = self.snaps + 1
+        if not ends.size or ends[-1] < size:
+            ends = np.append(ends, size)  # the tail after the last snapshot
+        self.starts = np.union1d(np.arange(0, size, BLOCK), ends[:-1])
+        self.segment_ends = np.searchsorted(self.starts, ends).tolist()
 
 
-def accumulate_chunk(x, n0, state, q, e1, snaps, work: Workspace):
+def accumulate_chunk(x, state, q, work: Workspace):
     """Stream one chunk.
 
-    x: increments; n0: count consumed before this chunk; state: (S, W, comp);
-    q, e1: exponents with e1 = -(q/p) - 1; snaps: sorted local indices at which
-    to report; work: a `Workspace` of x's size.
-    Returns (s_at_snaps, w_at_snaps, new_state), none of which shares memory
-    with `work`.
+    x: increments; state: (S, W, comp) after the steps before the chunk; q:
+    the exponent of |S|; work: a `Workspace` of x's size, planned for the
+    chunk's position.  Returns (s_at_snaps, w_at_snaps, new_state), none of
+    which shares memory with `work`.
     """
     x = np.asarray(x, dtype=float)
     s0, w, comp = (float(v) for v in state)
-    snaps = np.asarray(snaps, dtype=np.int64)
     s_run = np.cumsum(x, out=work.s_run)
     s_run += s0
     terms = np.abs(s_run, out=work.terms)
     terms **= float(q)
-    n = np.add(work.steps, float(n0) + 1.0, out=work.n)
-    n **= float(e1)
-    terms *= n  # |S_m|^q m^e1
-    ends = snaps + 1
-    if not ends.size or ends[-1] < terms.size:
-        ends = np.append(ends, terms.size)  # the tail after the last snapshot
-    starts = np.union1d(np.arange(0, terms.size, BLOCK), ends[:-1])
-    block_sums = np.add.reduceat(terms, starts).tolist()
-    out_w = np.empty(snaps.size, dtype=float)
+    terms *= work.n_pow  # |S_m|^q m^e1
+    block_sums = np.add.reduceat(terms, work.starts).tolist()
+    out_w = np.empty(work.snaps.size, dtype=float)
     prev = 0
-    for k, end in enumerate(np.searchsorted(starts, ends).tolist()):
+    for k, end in enumerate(work.segment_ends):
         w, err = _two_sum(w, math.fsum(block_sums[prev:end]))
         comp += err
         w, comp = _two_sum(w, comp)
         prev = end
-        if k < snaps.size:
+        if k < out_w.size:
             out_w[k] = w + comp
-    return s_run[snaps], out_w, (float(s_run[-1]), w, comp)
+    return s_run[work.snaps], out_w, (float(s_run[-1]), w, comp)

@@ -18,8 +18,11 @@ result, not an error.
 magnitude uniforms (none for a point mass), then its signs (a bit each when
 fair, else a uniform each), from one stream into a caller's `ChunkBuffers`.
 A replication draws one batch per chunk of _CHUNK steps from its path stream,
-and in symmetrized mode one from its copy stream, into one set of buffers
-that every chunk reuses.  The probes draw block b from probe stream b:
+and in symmetrized mode one from its copy stream.  `run_paths` streams the
+replications in blocks, each block in lockstep: one set of buffers and one
+kernel workspace serve every chunk of every replication of the block, and
+the kernel's plan of a chunk position (n^e1 and the cut points) is built
+once for the whole block.  The probes draw block b from probe stream b:
 `dense_ratio_moments` as one signed batch of at most 4096 paths, and
 `banach_lp.marcus_pisier_check` in unsigned pieces of at most max(n, _CHUNK)
 magnitudes.  The `MagnitudeSampler` that worker threads share holds no buffers.
@@ -43,6 +46,12 @@ from .trend import CONVERGES, DIVERGES, INCONCLUSIVE, MODES, Verdict, fit_line
 # size changes every signed draw.
 _CHUNK = 1 << 16
 _EULER = 0.57721566490153286060651209008240243
+# the most threads a run starts: each holds about 6 MB of chunk buffers
+MAX_WORKERS = 64
+# the most replications streamed in lockstep: they share one kernel plan per
+# chunk position, and each holds its generators (about 1.4 kB each) until
+# its block ends, so an uncapped block of 2^20 replications would hold GBs
+_BLOCK_REPS = 16
 
 # Growth-verdict constants.  rho is the fitted per-doubling decay ratio of
 # the partial-sum increments.  Divergence needs increments confidently not
@@ -220,40 +229,47 @@ def parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _run_one_path(table: CheckpointTable, sampler: MagnitudeSampler, r: int) -> None:
-    """Replication r of `table`, streamed in chunks of m steps through one
-    `ChunkBuffers`: each chunk draws stream by stream into the buffers' draws
-    (X, and X' in symmetrized mode, subtracted in place), and the kernel
-    extends S and W.  |S| and W at each checkpoint go straight into row r,
-    and a sum that leaves the doubles sets censored[r] and ends the row."""
+def _run_block(table: CheckpointTable, sampler: MagnitudeSampler, reps: range) -> None:
+    """Replications `reps` of `table`, streamed in lockstep in chunks of m
+    steps.  At each chunk position the kernel workspace is planned once (n^e1
+    and the cut points), and then each live replication in turn draws from
+    its own streams into the one `ChunkBuffers` (X, and X' in symmetrized
+    mode, subtracted in place) and extends its own (S, W, comp) through the
+    kernel.  |S| and W at each checkpoint go straight into the replication's
+    row, and a sum that leaves the doubles sets censored[r] and ends that row
+    alone."""
     config, checkpoints = table.config, table.checkpoints
-    gens = [rng.generator(config.master_seed, r, rng.ROLE_PATH)]
-    if config.mode == "symmetrized":
-        gens.append(rng.generator(config.master_seed, r, rng.ROLE_COPY))
+    roles = [rng.ROLE_PATH] + ([rng.ROLE_COPY] if config.mode == "symmetrized" else [])
+    # replication -> (its generators, its (S, W, comp)), until it is censored
+    live = {r: ([rng.generator(config.master_seed, r, role) for role in roles], (0.0, 0.0, 0.0))
+            for r in reps}
     threshold = config.model.negative_prob
     e1 = -(config.q / config.p) - 1.0
     m = min(_CHUNK, config.n_max)  # both are powers of two: m divides n_max
-    buffers = ChunkBuffers(m, len(gens))
+    buffers = ChunkBuffers(m, len(roles))
     work = kernels.Workspace(m)
     x = buffers.draws[0]
-    state = (0.0, 0.0, 0.0)
     filled = 0
     for pos in range(0, config.n_max, m):
-        local = checkpoints[(checkpoints > pos) & (checkpoints <= pos + m)] - pos - 1
-        # an overflow censors the replication (checked below): a result, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for gen, draws in zip(gens, buffers.draws):
-                draw_batch(gen, sampler, threshold, draws, buffers)
-            if config.mode == "symmetrized":
-                x -= buffers.draws[1]
-            s_vals, w_vals, state = kernels.accumulate_chunk(
-                x, pos, state, config.q, e1, local, work)
-        np.abs(s_vals, out=table.s_norm[r, filled:filled + s_vals.size])
-        table.w_partial[r, filled:filled + w_vals.size] = w_vals
-        filled += s_vals.size
-        if not (math.isfinite(state[0]) and math.isfinite(state[1])):
-            table.censored[r] = True
+        if not live:
             break
+        local = checkpoints[(checkpoints > pos) & (checkpoints <= pos + m)] - pos - 1
+        work.plan(pos, e1, local)
+        for r, (gens, state) in list(live.items()):
+            # an overflow censors the replication (checked below): a result, not a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                for gen, draws in zip(gens, buffers.draws):
+                    draw_batch(gen, sampler, threshold, draws, buffers)
+                if len(gens) > 1:
+                    x -= buffers.draws[1]
+                s_vals, w_vals, state = kernels.accumulate_chunk(x, state, config.q, work)
+            np.abs(s_vals, out=table.s_norm[r, filled:filled + s_vals.size])
+            table.w_partial[r, filled:filled + w_vals.size] = w_vals
+            live[r] = gens, state
+            if not (math.isfinite(state[0]) and math.isfinite(state[1])):
+                table.censored[r] = True
+                del live[r]
+        filled += local.size
 
 
 def _counterexample_table(config: ExperimentConfig) -> CheckpointTable:
@@ -282,9 +298,23 @@ def _counterexample_table(config: ExperimentConfig) -> CheckpointTable:
     )
 
 
+def check_workers(workers: int) -> None:
+    """ConfigError unless 1 <= workers <= MAX_WORKERS."""
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise ConfigError(f"--workers must be at most {MAX_WORKERS}, got {workers}")
+
+
 def run_paths(config: ExperimentConfig, workers: int = 1) -> CheckpointTable:
-    """Stream all replications; bit-identical output for a fixed master seed
-    regardless of `workers`."""
+    """Stream all replications on up to `workers` threads (1 to MAX_WORKERS);
+    bit-identical output for a fixed master seed regardless of `workers`.
+
+    The replications are cut into consecutive blocks of ceil(reps / workers),
+    at most _BLOCK_REPS, and each block is streamed in lockstep (`_run_block`).
+    A replication's draws and arithmetic do not depend on its block, so
+    neither does the table."""
+    check_workers(workers)
     if config.sequence == SEQ_LP_COUNTEREXAMPLE:
         return _counterexample_table(config)
     checkpoints, reps = config.checkpoints, config.replications
@@ -293,7 +323,9 @@ def run_paths(config: ExperimentConfig, workers: int = 1) -> CheckpointTable:
                             w_partial=np.full((reps, checkpoints.size), np.nan),
                             censored=np.zeros(reps, dtype=bool))
     sampler = MagnitudeSampler(config.model)
-    parallel_map(lambda r: _run_one_path(table, sampler, r), range(reps), workers)
+    size = min(-(-reps // workers), _BLOCK_REPS)
+    blocks = [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+    parallel_map(lambda block: _run_block(table, sampler, block), blocks, workers)
     return table
 
 

@@ -12,10 +12,10 @@ classifiers -- is derived from the exponents.  The formula catalog
 (constant, power, power-log, power-log-loglog, indicator-below) is only the
 input language of `load_model`.
 
-A log-corrected piece is inverted by two Newton steps in x = ln t, started
-from a table of bisected roots at 1024 nodes in ln(1 - ln u) that the model
-builds once (`TailModel.inverse_route`); an element the two steps do not
-settle is bisected.  `mc_engine.draw_batch` hands `inverse_survival` its
+A log-corrected piece is inverted by one Newton step in x = ln t, started
+from a cubic Hermite interpolant of bisected roots at 1024 nodes in
+ln(1 - ln u), which the model builds once (`TailModel.inverse_route`); an
+element the step does not settle is bisected.  `mc_engine.draw_batch` hands `inverse_survival` its
 output array and `InverseScratch`, so an inversion allocates nothing where one
 piece takes every u, as for the builtins.
 
@@ -48,6 +48,12 @@ SIGN_LAWS = {"symmetric": 0.5, "nonnegative": 0.0}
 # 2^53 is the largest integer a double holds exactly, and a table of that
 # many doubles would take 64 PiB
 MAX_COUNT = 1 << 53
+# the defaults of the criteria settings: the largest t of a tail integral,
+# and the terms of the truncated series.  They live here, with the other
+# bounds of a config, so that `cli` fills in a config without importing
+# `criteria`.
+T_CAP_DEFAULT = 1e12
+SERIES_N_MAX_DEFAULT = 100_000
 
 
 def is_number(val) -> bool:
@@ -269,13 +275,19 @@ class RootTable:
     u = S(t_lo), to s_hi, the node of u = S(t_hi-) or, for the last piece, of
     the least subnormal u.  So every u the piece takes lies between two nodes,
     and no cell straddles a jump at either end.  g_lo = g(ln t_lo) is the least
-    ln(const/u) whose root lies in the piece."""
+    ln(const/u) whose root lies in the piece.
+
+    Between two nodes the root is the cubic Hermite interpolant of the node
+    roots and their slopes dx/ds = e^s / g'(x) (g(x) = ln(const/u) = ln const
+    + e^s - 1), taken to the right of each node, so the node at s_lo, where
+    the clamp at g_lo begins, has its one-sided slope; a node where g' <= 0
+    has slope 0.  `cubic` holds the interpolant's coefficients per cell in
+    the cell's local coordinate in [0, 1], highest degree first."""
 
     s_lo: float
     s_hi: float
     g_lo: float
-    x: np.ndarray = field(repr=False)  # the root at each node but the last
-    dx: np.ndarray = field(repr=False)  # the step from it to the next node's root
+    cubic: np.ndarray = field(repr=False)  # (4, ROOT_NODES - 1)
 
     @classmethod
     def build(cls, pc: TailPiece, at_lo: float, at_hi: float) -> "RootTable":
@@ -287,9 +299,33 @@ class RootTable:
             s_lo, s_hi = 0.0, S_MAX
         g_lo = float(_log_gap(pc, np.array([math.log(pc.t_lo)]), 0.0, np.empty(1),
                               np.empty(1))[0])
-        rhs = math.log(pc.tail.const) + np.expm1(np.linspace(s_lo, s_hi, ROOT_NODES))
-        x = _bisect_roots(pc, np.maximum(rhs, g_lo))
-        return cls(s_lo, s_hi, g_lo, x[:-1], np.diff(x))
+        s = np.linspace(s_lo, s_hi, ROOT_NODES)
+        x = _bisect_roots(pc, np.maximum(math.log(pc.tail.const) + np.expm1(s), g_lo))
+        gap, slope = np.empty((2, ROOT_NODES))
+        _log_gap(pc, x, 0.0, gap, slope)
+        # dx per cell width at each node
+        step = np.exp(s) * ((s_hi - s_lo) / (ROOT_NODES - 1))
+        m = np.divide(step, slope, out=np.zeros(ROOT_NODES), where=slope > 0.0)
+        dx, m0, m1 = np.diff(x), m[:-1], m[1:]
+        cubic = np.array([m0 + m1 - 2.0 * dx, 3.0 * dx - 2.0 * m0 - m1, m0, x[:-1]])
+        return cls(s_lo, s_hi, g_lo, cubic)
+
+    def start(self, s: np.ndarray, out: np.ndarray, cells: np.ndarray,
+              tmp: np.ndarray) -> np.ndarray:
+        """The cubic's root at each s into `out`, with `cells` (intp) and
+        `tmp` of s's size; s is overwritten.  The cell index is clipped to
+        the table, so an s outside [s_lo, s_hi] gets an end cell's cubic at
+        a local coordinate in (-1, 1): a start for the caller to clip to
+        the piece and to certify."""
+        s -= self.s_lo
+        s *= (ROOT_NODES - 1) / (self.s_hi - self.s_lo)
+        np.copyto(cells, s, casting="unsafe")  # a cell index; `take` clips it to the table
+        s -= cells  # the local coordinate
+        x = self.cubic[0].take(cells, mode="clip", out=out)
+        for coef in self.cubic[1:]:  # Horner
+            x *= s
+            x += coef.take(cells, mode="clip", out=tmp)
+        return x
 
 
 class InverseScratch:
@@ -309,42 +345,42 @@ def _log_piece_root(pc: TailPiece, u: np.ndarray, table: RootTable, out: np.ndar
     into `out`, with `scratch` (of u's size) for every temporary.
 
     In x = ln t: g(x) = a x + b ln x + c lnln x = ln(const/u), raised to
-    g(ln t_lo) where u > S(t_lo), whose root is the left edge.  The start
-    interpolates `table` linearly in s = ln(1 - ln u); two Newton steps in x
-    follow.  An element whose last correction exceeds 1e-9 max(|x|, 1)
-    (quadratic convergence leaves rounding error below that), or that rests
-    where g decreases (a growing log factor under the clamp at 1), is bisected
-    on the sign of g - ln(const/u) instead.
+    g(ln t_lo) where u > S(t_lo), whose root is the left edge.  The start is
+    `table`'s cubic at s = ln(1 - ln u), and one Newton step in x follows.
+    An element whose correction exceeds 1e-9 max(|x|, 1), or that rests where
+    g decreases (a growing log factor under the clamp at 1), is bisected on
+    the sign of g - ln(const/u) instead; a correction of at most 1e-9 for
+    every element, with g' > 0 everywhere, passes without the elementwise test.
+
+    Why one step is enough.  The correction d is the start's error to first
+    order, and the step leaves an error of about g''/(2 g') d^2.  With
+    g'' = -(b + c (1 + 1/ln x) / ln x) / x^2 and g' >= a, where ln x >= 1
+    that is at most (|b| + 2|c|) / (2a) * 1e-18 when the certificate holds:
+    about 1e-18 for the builtins, far below an ulp of x.  The cubic start
+    errs by at most about 3e-11 on the builtins and the tests' pieces (the
+    tests hold it to 1e-9 max(|x|, 1)), so the certificate holds with room
+    to spare and nothing is bisected.
     """
     x_lo, x_hi = _x_range(pc)
     rhs, pos, slope, log_x = scratch.floats
-    k = scratch.cells
     np.log(u, out=pos)
     np.subtract(math.log(pc.tail.const), pos, out=rhs)
     np.maximum(rhs, table.g_lo, out=rhs)
     np.subtract(1.0, pos, out=pos)
-    np.log(pos, out=pos)
-    pos -= table.s_lo
-    pos *= (ROOT_NODES - 1) / (table.s_hi - table.s_lo)
-    np.copyto(k, pos, casting="unsafe")  # a cell index; `take` clips it to the table
-    pos -= k
-    x = table.dx.take(k, mode="clip", out=out)
-    x *= pos
-    x += table.x.take(k, mode="clip", out=slope)
-    gap = pos
-    for _ in range(2):
-        np.clip(x, x_lo, x_hi, out=x)
-        _log_gap(pc, x, rhs, gap, slope, log_x)
-        gap /= slope
-        x -= gap
-    excess = np.abs(gap, out=gap)  # the last correction less its bound
-    bound = np.abs(x, out=log_x)
-    np.maximum(bound, 1.0, out=bound)
-    bound *= 1e-9
-    excess -= bound
-    if not (excess.max() <= 0.0 and slope.min() > 0.0):
+    x = table.start(np.log(pos, out=pos), out, scratch.cells, slope)
+    np.clip(x, x_lo, x_hi, out=x)
+    gap = _log_gap(pc, x, rhs, pos, slope, log_x)
+    gap /= slope
+    x -= gap
+    if not (gap.max() <= 1e-9 and gap.min() >= -1e-9 and slope.min() > 0.0):
+        excess = np.abs(gap, out=gap)  # the correction less its bound
+        bound = np.abs(x, out=log_x)
+        np.maximum(bound, 1.0, out=bound)
+        bound *= 1e-9
+        excess -= bound
         slow = ~(excess <= 0.0) | (slope <= 0.0)
-        x[slow] = _bisect_roots(pc, rhs[slow])
+        if np.any(slow):
+            x[slow] = _bisect_roots(pc, rhs[slow])
     return np.clip(np.exp(x, out=x), pc.t_lo, pc.t_hi, out=x)
 
 

@@ -196,6 +196,18 @@ def test_simulate_bad_workers_exits_2(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["65", "100000"])
+def test_simulate_workers_past_the_ceiling_exit_2(tmp_path, capsys, workers):
+    # two replications, so a missed check would start at most two threads
+    cfg = simulate_config(tmp_path, {"builtin": "rademacher"}, 1.0, 1.0, replications=2)
+    out = tmp_path / "many_workers"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --workers must be at most 64, got {workers}\n"
+    assert not out.exists()
+
+
 def test_manifest_reproduces_run(tmp_path):
     cfg = simulate_config(tmp_path, {"builtin": "pareto", "params": {"alpha": 2.0}},
                           1.0, 0.5)
@@ -641,6 +653,21 @@ def test_a_command_loads_only_what_it_runs(tmp_path, argv):
              f"print(*[name for name in {NOT_STARTED!r} if name in sys.modules])\n")
     loaded = run_python("-c", probe, *argv)
     assert loaded.split() == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "--version"])
+def test_simulate_and_version_do_not_load_criteria(tmp_path, command):
+    # the config defaults live in tail_models: only criteria and report need criteria
+    argv = ["--version"]
+    if command == "simulate":
+        cfg = simulate_config(tmp_path, {"builtin": "rademacher"}, 1.0, 1.0, replications=2)
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "run")]
+    probe = ("import contextlib, io, sys\n"
+             "from pqslln import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+             "    print(cli.main(sys.argv[1:]), file=sys.stderr)\n"
+             "print('pqslln.criteria' in sys.modules)\n")
+    assert run_python("-c", probe, *argv).split() == ["False"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")

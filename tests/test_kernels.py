@@ -3,7 +3,8 @@
 W at every snapshot must be within REL_BOUND of the exact sum of the terms
 the kernel computes (the bound in the kernels module docstring).  Every
 stream runs twice: with a fresh workspace for each chunk, and with one
-workspace per chunk size reused for every chunk of that size.
+workspace per chunk size reused for every chunk of that size.  Each chunk's
+workspace is planned for its position before the kernel runs on it.
 """
 
 from fractions import Fraction
@@ -31,7 +32,7 @@ def workspaces():
     def work(size):
         if size not in spaces:
             spaces[size] = space = kernels.Workspace(size)
-            for arr in (space.s_run, space.terms, space.n):
+            for arr in (space.s_run, space.terms, space.n_pow):
                 arr.fill(np.nan)
         return spaces[size]
 
@@ -55,8 +56,9 @@ def stream_once(chunks, q, e1, snaps_of, work_of):
     for x in chunks:
         snaps = np.asarray(snaps_of(n0, len(x)), dtype=np.int64)
         s_ref, terms = chunk_terms(x, n0, state[0], q, e1)
-        s_vals, w_vals, state = kernels.accumulate_chunk(x, n0, state, q, e1, snaps,
-                                                         work_of(len(x)))
+        work = work_of(len(x))
+        work.plan(n0, e1, snaps)
+        s_vals, w_vals, state = kernels.accumulate_chunk(x, state, q, work)
         np.testing.assert_array_equal(s_vals, s_ref[snaps])
         prev = 0
         for k, snap in enumerate(snaps.tolist()):
@@ -122,9 +124,10 @@ def test_overflow_leaves_w_non_finite():
     # censors the replication, and nothing raises
     x = np.zeros(1024)
     x[0] = 1e308
+    work = kernels.Workspace(x.size)
+    work.plan(0, 0.0, [1023])
     with np.errstate(over="ignore", invalid="ignore"):
-        _, w_vals, state = kernels.accumulate_chunk(x, 0, (0.0, 0.0, 0.0), 1.0, 0.0,
-                                                    [1023], kernels.Workspace(x.size))
+        _, w_vals, state = kernels.accumulate_chunk(x, (0.0, 0.0, 0.0), 1.0, work)
     assert not np.isfinite(w_vals[0]) and not np.isfinite(state[1])
 
 
@@ -132,3 +135,29 @@ def test_overflow_leaves_w_non_finite():
 def test_chunk_sizes_around_the_block(size):
     gen = np.random.default_rng(size)
     stream([gen.standard_normal(size)], 0.5, -1.25, lambda n0, size: [size - 1])
+
+
+def test_streams_sharing_a_plan_match_streams_alone():
+    # three streams take turns on one workspace, planned once per chunk
+    # position, as the replications of a block do: each gets, bit for bit,
+    # what it gets streamed alone on a workspace of its own
+    gen = np.random.default_rng(4)
+    streams = [[gen.standard_normal(1024) for _ in range(3)] for _ in range(3)]
+    q, e1 = 0.5, -1.5
+    alone = []
+    for chunks in streams:
+        state, rows = (0.0, 0.0, 0.0), []
+        for c, x in enumerate(chunks):
+            work = kernels.Workspace(x.size)
+            work.plan(1024 * c, e1, dyadic(1024 * c, x.size))
+            s_vals, w_vals, state = kernels.accumulate_chunk(x, state, q, work)
+            rows.append((s_vals.tolist(), w_vals.tolist()))
+        alone.append((rows, state))
+    shared = kernels.Workspace(1024)
+    states, rows = [(0.0, 0.0, 0.0)] * 3, [[], [], []]
+    for c in range(3):
+        shared.plan(1024 * c, e1, dyadic(1024 * c, 1024))
+        for i, chunks in enumerate(streams):
+            s_vals, w_vals, states[i] = kernels.accumulate_chunk(chunks[c], states[i], q, shared)
+            rows[i].append((s_vals.tolist(), w_vals.tolist()))
+    assert list(zip(rows, states)) == alone

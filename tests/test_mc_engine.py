@@ -73,6 +73,51 @@ def test_determinism_across_worker_counts():
     assert csv1 == csv2 == csv8
 
 
+@pytest.mark.parametrize("mode", ["plain", "symmetrized"])
+def test_blocks_match_one_worker(mode):
+    # 5 replications of 2 chunks: one block of 5 on 1 worker, blocks of 3
+    # and 2 on 2, of 2, 2 and 1 on 3, and five blocks of 1 on 8
+    cfg = small_config(tm.log_loglog_power_tail(0.5), p=0.5, q=0.25, n_max=1 << 17,
+                       reps=5, seed=21, mode=mode)
+    want = mc.run_paths(cfg, workers=1).to_csv()
+    for workers in (2, 3, 8):
+        assert mc.run_paths(cfg, workers=workers).to_csv() == want, workers
+
+
+def test_censoring_inside_a_block_ends_that_row_alone():
+    # pareto(0.02) at seed 4: replication 4 overflows in the first of two
+    # chunks, between checkpoints 2^15 and 2^16, and the other four of its
+    # block stream on to n_max.  Its row is what streaming it alone gives (a
+    # block of one on 8 workers): the first chunk's checkpoints, non-finite
+    # from the overflow on, then NaN at 2^17, which no chunk reached
+    cfg = small_config(tm.pareto(0.02), p=0.5, q=0.5, n_max=1 << 17, reps=5, seed=4)
+    block, alone = mc.run_paths(cfg, workers=1), mc.run_paths(cfg, workers=8)
+    assert block.censoring_report()["censored_ids"] == [4]
+    for row in (block.s_norm[4], block.w_partial[4]):
+        assert np.isfinite(row).tolist() == [True] * 16 + [False] * 2 and np.isnan(row[-1])
+    assert np.all(np.isfinite(block.s_norm[:4])) and np.all(np.isfinite(block.w_partial[:4]))
+    assert block.to_csv() == alone.to_csv()
+
+
+def test_a_block_plans_each_chunk_position_once(monkeypatch):
+    # 8 replications on 2 workers are two blocks of 4, and 2^17 steps are two
+    # chunks: the n^e1 row and the cut points are built 4 times, not 16
+    plans = []
+    plan = mc.kernels.Workspace.plan
+    monkeypatch.setattr(mc.kernels.Workspace, "plan",
+                        lambda work, n0, *args: plans.append(n0) or plan(work, n0, *args))
+    cfg = small_config(tm.rademacher(), p=1.5, q=0.5, n_max=1 << 17, reps=8, seed=3)
+    mc.run_paths(cfg, workers=2)
+    assert sorted(plans) == [0, 0, mc._CHUNK, mc._CHUNK]
+
+
+def test_run_paths_takes_1_to_64_workers():
+    cfg = small_config(tm.rademacher(), reps=2)  # a missed check starts at most 2 threads
+    for workers in (0, 65):
+        with pytest.raises(ConfigError, match="--workers must be at"):
+            mc.run_paths(cfg, workers=workers)
+
+
 def test_nonnegative_stream_draws_no_sign_uniforms():
     # two chunks of a nonnegative model: the increments are one unbroken
     # magnitude stream, with no sign uniforms interleaved between chunks
@@ -144,7 +189,9 @@ def test_signed_stream_draws_chunk_by_chunk(monkeypatch):
         assert model.negative_prob > 0.0 and len(seen) == 2 * cfg.replications
         for r in range(cfg.replications):
             gens = [rng.generator(cfg.master_seed, r, role) for role in roles]
-            for chunk in seen[2 * r:2 * r + 2]:
+            # one block streams its replications in lockstep: chunk c of
+            # replication r is call c * replications + r
+            for chunk in seen[r::cfg.replications]:
                 signed = [contract_draws(gen, model, mc._CHUNK, point_mass) for gen in gens]
                 want = signed[0] - signed[1] if len(signed) > 1 else signed[0]
                 # bit for bit, so a zero's sign counts too

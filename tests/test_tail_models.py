@@ -395,6 +395,20 @@ def test_sampler_draws_bisect_nothing(model, monkeypatch):
     assert bisected == []
 
 
+@pytest.mark.parametrize("model", NEWTON_LAWS, ids=lambda m: m.name)
+def test_cubic_start_is_within_the_certificate(model):
+    # the premise of the one Newton step: the start table's cubic alone,
+    # clipped to the piece as the step takes it, lies within the
+    # certificate's 1e-9 max(|x|, 1) of the final root x = ln t
+    us = np.concatenate([PROBE_U, 1.0 - np.random.default_rng(6).random(10_000)])
+    table = model.inverse_route[1][-1]
+    start = table.start(np.log(1.0 - np.log(us)), np.empty_like(us),
+                        np.empty(us.size, dtype=np.intp), np.empty_like(us))
+    start = np.clip(start, *tm._x_range(model.pieces[-1]))
+    root = np.log(mc.MagnitudeSampler(model)(us))
+    assert np.all(np.abs(start - root) <= 1e-9 * np.maximum(np.abs(root), 1.0))
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------

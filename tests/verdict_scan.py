@@ -67,7 +67,7 @@ def scan() -> None:
                                              replications=8, master_seed=seed, mode=mode)
                 verdict = mc.summary_dict(mc.run_paths(config, workers=WORKERS))["w_verdict"]
                 kind = verdict["kind"]
-                if (label, kind) in cli._HARD:
+                if (label, kind) in cr.CONTRADICTIONS:
                     wrong.append(f"{seed} {kind} ({rule(verdict)})")
                 elif (label, kind) in _RIGHT:
                     right += 1
