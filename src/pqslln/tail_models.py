@@ -15,9 +15,9 @@ input language of `load_model`.
 A log-corrected piece is inverted by one Newton step in x = ln t, started
 from a cubic Hermite interpolant of bisected roots at 1024 nodes in
 ln(1 - ln u), which the model builds once (`TailModel.inverse_route`); an
-element the step does not settle is bisected.  `mc_engine.draw_batch` hands `inverse_survival` its
-output array and `InverseScratch`, so an inversion allocates nothing where one
-piece takes every u, as for the builtins.
+element the step does not settle is bisected.  `mc_engine.draw_batch` hands
+`inverse_survival` its output array and `InverseScratch`, so an inversion
+allocates nothing where one piece takes every u, as for the builtins.
 
 All probabilities are clamped to [0, 1] after evaluation: the log-corrected
 pieces can exceed 1 by a few ulps near their knees.

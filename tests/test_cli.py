@@ -657,17 +657,19 @@ def test_a_command_loads_only_what_it_runs(tmp_path, argv):
 
 @pytest.mark.parametrize("command", ["simulate", "--version"])
 def test_simulate_and_version_do_not_load_criteria(tmp_path, command):
-    # the config defaults live in tail_models: only criteria and report need criteria
-    argv = ["--version"]
+    # the config defaults live in tail_models: only criteria and report need
+    # criteria.  --version exits through SystemExit, so its code stays None
+    argv, code = ["--version"], "None"
     if command == "simulate":
         cfg = simulate_config(tmp_path, {"builtin": "rademacher"}, 1.0, 1.0, replications=2)
-        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "run")]
+        argv, code = ["simulate", "--config", cfg, "--out", str(tmp_path / "run")], "0"
     probe = ("import contextlib, io, sys\n"
              "from pqslln import cli\n"
+             "code = None\n"
              "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
-             "    print(cli.main(sys.argv[1:]), file=sys.stderr)\n"
-             "print('pqslln.criteria' in sys.modules)\n")
-    assert run_python("-c", probe, *argv).split() == ["False"]
+             "    code = cli.main(sys.argv[1:])\n"
+             "print(code, 'pqslln.criteria' in sys.modules)\n")
+    assert run_python("-c", probe, *argv).split() == [code, "False"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
