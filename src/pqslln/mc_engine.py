@@ -160,15 +160,14 @@ class MagnitudeSampler:
     pays for it.  Worker threads share one sampler, so it holds no buffers: a
     call with u alone allocates, and `draw_batch` passes its caller's.
 
-    `point_mass` is the magnitude when the route sends every u in (0, 1] to
-    one constant piece (rademacher, degenerate, zero), else None."""
+    `point_mass` is the magnitude when the route is a single jump segment
+    (rademacher, degenerate, zero), else None."""
 
     def __init__(self, model: tm.TailModel):
         self.model = model
-        right_min, tables = model.inverse_route  # built here, before any draw
-        i = int(np.argmax(right_min < 1.0))  # piece i takes right_min[i] < u <= 1
-        pc, every_u = model.pieces[i], right_min[i] == 0.0  # it takes every u in (0, 1]
-        self.point_mass = pc.t_lo if every_u and tables[i] is None and not pc.tail.a else None
+        segments = model.inverse_route[1]  # built here, before any draw
+        jump = len(segments) == 1 and segments[0].jump
+        self.point_mass = segments[0].piece.t_lo if jump else None
 
     def __call__(self, u: np.ndarray, out: np.ndarray | None = None,
                  scratch: tm.InverseScratch | None = None) -> np.ndarray:
@@ -274,26 +273,17 @@ def _run_block(table: CheckpointTable, sampler: MagnitudeSampler, reps: range) -
 
 def _counterexample_table(config: ExperimentConfig) -> CheckpointTable:
     """Disjoint-coordinate l_p path: the norm of the partial sum is n^(1/p)
-    exactly, so the ratio is identically 1 and W is the harmonic number."""
+    exactly, so the ratio is identically 1 and W is `harmonic`'s H_n."""
     checkpoints = config.checkpoints
-    k_total = checkpoints.size
     # norm^p accumulates an integer count, so the norm is n^(1/p) computed as
     # the ratio's denominator is, and the ratio is bitwise 1.0
     s_row = checkpoints.astype(float) ** (1.0 / config.p)
-    inv_m = 1.0 / np.arange(1, config.n_max + 1, dtype=float)
-    w_row = np.empty(k_total)
-    acc = 0.0
-    prev = 0
-    for k, n in enumerate(checkpoints):
-        acc += math.fsum(inv_m[prev:int(n)])
-        w_row[k] = acc
-        prev = int(n)
     reps = config.replications
     return CheckpointTable(
         config=config,
         checkpoints=checkpoints,
         s_norm=np.tile(s_row, (reps, 1)),
-        w_partial=np.tile(w_row, (reps, 1)),
+        w_partial=np.tile(harmonic(checkpoints), (reps, 1)),
         censored=np.zeros(reps, dtype=bool),
     )
 

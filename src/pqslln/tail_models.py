@@ -12,12 +12,13 @@ classifiers -- is derived from the exponents.  The formula catalog
 (constant, power, power-log, power-log-loglog, indicator-below) is only the
 input language of `load_model`.
 
-A log-corrected piece is inverted by one Newton step in x = ln t, started
-from a cubic Hermite interpolant of bisected roots at 1024 nodes in
-ln(1 - ln u), which the model builds once (`TailModel.inverse_route`); an
-element the step does not settle is bisected.  `mc_engine.draw_batch` hands
-`inverse_survival` its output array and `InverseScratch`, so an inversion
-allocates nothing where one piece takes every u, as for the builtins.
+The inverse cuts (0, 1] into segments (`TailModel.inverse_route`): a jump
+down at a piece's left end inverts to that end, and the formula below it in
+closed form for a power, or by one Newton step in x = ln t for a log factor,
+from a cubic Hermite interpolant of roots bisected at 1024 nodes in
+ln(1 - ln u) when the model is built.  `mc_engine.draw_batch` hands
+`inverse_survival` its output array and `InverseScratch`, so a draw that one
+segment takes whole, as the builtins' draws are, allocates nothing.
 
 All probabilities are clamped to [0, 1] after evaluation: the log-corrected
 pieces can exceed 1 by a few ulps near their knees.
@@ -169,15 +170,21 @@ class TailModel:
         object.__setattr__(self, "edge_values", validate_model(self))
 
     @functools.cached_property
-    def inverse_route(self) -> tuple[np.ndarray, tuple[RootTable | None, ...]]:
-        """How `inverse_survival` finds and inverts a piece, worked out once:
-        the running minimum m_i of the pieces' values at their right ends
-        (piece i takes m_i < u <= m_(i-1)), and per piece the start table of
-        its log-corrected inverse (None for a piece without log factors)."""
-        right_min = np.minimum.accumulate([at_hi for _, at_hi in self.edge_values])
-        tables = tuple(RootTable.build(pc, *edges) if pc.tail.b or pc.tail.c else None
-                       for pc, edges in zip(self.pieces, self.edge_values))
-        return right_min, tables
+    def inverse_route(self) -> tuple[np.ndarray, tuple[Segment, ...]]:
+        """The floors of (0, 1]'s segments, falling to 0, and the segments:
+        under a running floor m (1 at first), a piece adds its jump down at
+        t_lo, S(t_lo) < u <= m, and below it its formula, down to S(t_hi-),
+        each where not empty, so a constant piece is only its jump."""
+        segments, floor = [], 1.0
+        for pc, (at_lo, at_hi) in zip(self.pieces, self.edge_values):
+            if at_lo < floor:
+                floor = at_lo
+                segments.append(Segment(floor, pc, jump=True))
+            if at_hi < floor:
+                floor = at_hi
+                table = RootTable.build(pc, at_lo, at_hi) if pc.tail.b or pc.tail.c else None
+                segments.append(Segment(floor, pc, table))
+        return np.array([seg.floor for seg in segments]), tuple(segments)
 
     @property
     def knee(self) -> float:
@@ -262,7 +269,7 @@ def _x_range(pc: TailPiece) -> tuple[float, float]:
 
 
 def _bisect_roots(pc: TailPiece, rhs: np.ndarray) -> np.ndarray:
-    """The roots x of g(x) = rhs on the piece, for rhs >= g(ln t_lo), by
+    """The roots x of g(x) = rhs on the piece (ln t_lo if rhs <= g(ln t_lo)), by
     bisection on the sign of g - rhs: S is nonincreasing, so the sign changes once."""
     gap, slope, log_x = np.empty((3, *np.shape(rhs)))
     return bisect(lambda mid: _log_gap(pc, mid, rhs, gap, slope, log_x), *_x_range(pc))
@@ -270,23 +277,20 @@ def _bisect_roots(pc: TailPiece, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RootTable:
-    """Start table of a log-corrected piece's inverse: the root x = ln t at
-    ROOT_NODES nodes uniform in s = ln(1 - ln u), from s_lo, the node of
-    u = S(t_lo), to s_hi, the node of u = S(t_hi-) or, for the last piece, of
-    the least subnormal u.  So every u the piece takes lies between two nodes,
-    and no cell straddles a jump at either end.  g_lo = g(ln t_lo) is the least
-    ln(const/u) whose root lies in the piece.
+    """Start table of a log-corrected formula segment's inverse: the root
+    x = ln t at ROOT_NODES nodes uniform in s = ln(1 - ln u), from s_lo, the
+    node of u = S(t_lo), to s_hi, the node of u = S(t_hi-) or, for the last
+    piece, of the least subnormal u.  So every u of the segment lies between
+    two nodes, and no cell straddles a jump, which is a segment of its own.
 
     Between two nodes the root is the cubic Hermite interpolant of the node
     roots and their slopes dx/ds = e^s / g'(x) (g(x) = ln(const/u) = ln const
-    + e^s - 1), taken to the right of each node, so the node at s_lo, where
-    the clamp at g_lo begins, has its one-sided slope; a node where g' <= 0
-    has slope 0.  `cubic` holds the interpolant's coefficients per cell in
-    the cell's local coordinate in [0, 1], highest degree first."""
+    + e^s - 1); a node where g' <= 0 has slope 0.  `cubic` holds the
+    interpolant's coefficients per cell in the cell's local coordinate in
+    [0, 1], highest degree first."""
 
     s_lo: float
     s_hi: float
-    g_lo: float
     cubic: np.ndarray = field(repr=False)  # (4, ROOT_NODES - 1)
 
     @classmethod
@@ -297,10 +301,8 @@ class RootTable:
         s_hi = math.log(1.0 - math.log(at_hi)) if at_hi >= tiny else S_MAX
         if not s_lo < s_hi:  # an underflowed piece, or one flat under the clamp at 1
             s_lo, s_hi = 0.0, S_MAX
-        g_lo = float(_log_gap(pc, np.array([math.log(pc.t_lo)]), 0.0, np.empty(1),
-                              np.empty(1))[0])
         s = np.linspace(s_lo, s_hi, ROOT_NODES)
-        x = _bisect_roots(pc, np.maximum(math.log(pc.tail.const) + np.expm1(s), g_lo))
+        x = _bisect_roots(pc, math.log(pc.tail.const) + np.expm1(s))
         gap, slope = np.empty((2, ROOT_NODES))
         _log_gap(pc, x, 0.0, gap, slope)
         # dx per cell width at each node
@@ -308,7 +310,7 @@ class RootTable:
         m = np.divide(step, slope, out=np.zeros(ROOT_NODES), where=slope > 0.0)
         dx, m0, m1 = np.diff(x), m[:-1], m[1:]
         cubic = np.array([m0 + m1 - 2.0 * dx, 3.0 * dx - 2.0 * m0 - m1, m0, x[:-1]])
-        return cls(s_lo, s_hi, g_lo, cubic)
+        return cls(s_lo, s_hi, cubic)
 
     def start(self, s: np.ndarray, out: np.ndarray, cells: np.ndarray,
               tmp: np.ndarray) -> np.ndarray:
@@ -328,6 +330,17 @@ class RootTable:
         return x
 
 
+@dataclass(frozen=True)
+class Segment:
+    """The u in (floor, the floor before it or 1] invert to `piece`'s t_lo if
+    `jump`, else by its formula: with `table` for log factors, None for a power."""
+
+    floor: float
+    piece: TailPiece
+    table: RootTable | None = None
+    jump: bool = False
+
+
 class InverseScratch:
     """Work arrays of `inverse_survival` for `size` uniforms at a time: four
     rows of doubles and one of cell indices, which mean nothing between calls.
@@ -344,8 +357,7 @@ def _log_piece_root(pc: TailPiece, u: np.ndarray, table: RootTable, out: np.ndar
     """Solve const * t^-a (ln t)^-b (lnln t)^-c = u on the piece, for S(t_lo) >= u > S(t_hi-),
     into `out`, with `scratch` (of u's size) for every temporary.
 
-    In x = ln t: g(x) = a x + b ln x + c lnln x = ln(const/u), raised to
-    g(ln t_lo) where u > S(t_lo), whose root is the left edge.  The start is
+    In x = ln t: g(x) = a x + b ln x + c lnln x = ln(const/u).  The start is
     `table`'s cubic at s = ln(1 - ln u), and one Newton step in x follows.
     An element whose correction exceeds 1e-9 max(|x|, 1), or that rests where
     g decreases (a growing log factor under the clamp at 1), is bisected on
@@ -365,7 +377,6 @@ def _log_piece_root(pc: TailPiece, u: np.ndarray, table: RootTable, out: np.ndar
     rhs, pos, slope, log_x = scratch.floats
     np.log(u, out=pos)
     np.subtract(math.log(pc.tail.const), pos, out=rhs)
-    np.maximum(rhs, table.g_lo, out=rhs)
     np.subtract(1.0, pos, out=pos)
     x = table.start(np.log(pos, out=pos), out, scratch.cells, slope)
     np.clip(x, x_lo, x_hi, out=x)
@@ -384,41 +395,35 @@ def _log_piece_root(pc: TailPiece, u: np.ndarray, table: RootTable, out: np.ndar
     return np.clip(np.exp(x, out=x), pc.t_lo, pc.t_hi, out=x)
 
 
-def _piece_inverse(model: TailModel, i: int, w: np.ndarray, out: np.ndarray,
-                   scratch: InverseScratch) -> np.ndarray:
-    """inf{t : survival(t) < u} into `out` for the u of `w` that piece i takes,
-    by the piece's entry in `TailModel.inverse_route`: without a start table,
-    the left edge t_lo for a constant (tail.a = 0) and a closed form for a
-    power; with one, `_log_piece_root` (with `scratch`, of w's size)."""
-    pc, (at_lo, _) = model.pieces[i], model.edge_values[i]
-    tail, table = pc.tail, model.inverse_route[1][i]
-    if table is None and not tail.a:
+def _segment_inverse(seg: Segment, w: np.ndarray, out: np.ndarray,
+                     scratch: InverseScratch | None) -> np.ndarray:
+    """inf{t : survival(t) < u} into `out` for the u of `w`, all in `seg`:
+    t_lo for a jump, a closed form for a power, else `_log_piece_root` (with
+    `scratch`, of w's size, made here where it is None)."""
+    pc, tail = seg.piece, seg.piece.tail
+    if seg.jump:
         out.fill(pc.t_lo)
         return out
-    if table is None:
+    if seg.table is None:
         with np.errstate(divide="ignore", over="ignore"):
             t_star = np.divide(tail.const, w, out=out)
             t_star **= 1.0 / tail.a
-        return np.maximum(t_star, pc.t_lo, out=t_star)
+        return np.maximum(t_star, pc.t_lo, out=t_star)  # below t_lo only by rounding
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = _log_piece_root(pc, w, table, out, scratch)
-    if at_lo < 1.0:
-        root[w > at_lo] = pc.t_lo  # a jump down at t_lo
-    return root
+        return _log_piece_root(pc, w, seg.table, out, scratch or InverseScratch(w.size))
 
 
 def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
                      scratch: InverseScratch | None = None) -> np.ndarray | float:
     """Generalized inverse inf{t : survival(t) < u} for u in (0, 1].
 
-    The infimum sits in the first piece whose survival drops strictly below
-    u, found from the running minimum of `TailModel.inverse_route`.  That
-    piece's own inverse gives it (`_piece_inverse`).  When one piece takes
-    every u, as for the builtins, it inverts the input whole, into `out` (an
-    array of u's size other than u) with `scratch` (an `InverseScratch` of
-    u's size); `mc_engine.draw_batch` passes both, so nothing is allocated, and
-    either is made here where it is None.  Otherwise each piece gathers its
-    u and scatters its roots into `out`, with arrays of its own.
+    The segment of `TailModel.inverse_route` that takes u inverts it
+    (`_segment_inverse`).  When one segment takes every u, it inverts the
+    input whole, into `out` (an array of u's size other than u) with
+    `scratch` (an `InverseScratch` of u's size); `mc_engine.draw_batch`
+    passes both, and either is made here where it is None and needed.
+    Otherwise each segment gathers its u and scatters its roots into `out`,
+    with arrays of its own.
     """
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
@@ -429,18 +434,17 @@ def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
         raise ValueError("uniforms must lie in (0, 1]")
     if out is None:
         out = np.empty_like(uu)
-    # a valid model ends at 0, so every u > 0 finds a piece
-    right_min = model.inverse_route[0]
-    first, last = int(np.argmax(right_min < u_max)), int(np.argmax(right_min < u_min))
+    # the floors fall to 0, so every u > 0 finds a segment
+    floors, segments = model.inverse_route
+    first, last = int(np.argmax(floors < u_max)), int(np.argmax(floors < u_min))
     if first == last:
-        out = _piece_inverse(model, first, uu, out, scratch or InverseScratch(uu.size))
+        out = _segment_inverse(segments[first], uu, out, scratch)
     else:
-        for i in range(first, last + 1):
-            here = (uu > right_min[i]) & (uu <= (right_min[i - 1] if i else 1.0))
+        for k in range(first, last + 1):
+            here = (uu > floors[k]) & (uu <= (floors[k - 1] if k else 1.0))
             if np.any(here):
                 w = uu[here]
-                out[here] = _piece_inverse(model, i, w, np.empty_like(w),
-                                           InverseScratch(w.size))
+                out[here] = _segment_inverse(segments[k], w, np.empty_like(w), None)
     return float(out[0]) if scalar else out
 
 

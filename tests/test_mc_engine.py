@@ -65,6 +65,18 @@ def test_counterexample_ratio_exactly_one():
     assert np.all(table.w_partial[:, -1] == h)
 
 
+@pytest.mark.parametrize("n_max", [1 << 12, 1 << 53])
+def test_counterexample_w_is_harmonic_at_every_checkpoint(n_max):
+    # W is `harmonic` at each checkpoint bit for bit, and nothing n_max long
+    # is built: 2^53 steps could never be allocated
+    cfg = mc.ExperimentConfig(model=None, p=0.5, q=0.5, n_max=n_max, replications=2,
+                              master_seed=1, sequence=mc.SEQ_LP_COUNTEREXAMPLE)
+    table = mc.run_paths(cfg)
+    want = np.tile(mc.harmonic(table.checkpoints), (2, 1))
+    np.testing.assert_array_equal(table.w_partial.view(np.int64), want.view(np.int64))
+    assert np.all(table.ratio == 1.0)
+
+
 def test_determinism_across_worker_counts():
     cfg = small_config(tm.pareto(2.0), p=1.0, q=0.5, n_max=1 << 12, reps=8, seed=42)
     csv1 = mc.run_paths(cfg, workers=1).to_csv()

@@ -327,7 +327,7 @@ ALL_FORMULAS_MODEL = {"name": "all-formulas", "sign_law": {"kind": "custom", "ne
 
 @pytest.mark.parametrize("model", builtin_zoo() + [
     tm.load_model(doc) for doc in (README_MODEL, LOGLOG_MODEL, EARLY_LOG_MODEL,
-                                   EARLY_LOGLOG_MODEL, GROWING_LOG_MODEL)],
+                                   EARLY_LOGLOG_MODEL, GROWING_LOG_MODEL, ALL_FORMULAS_MODEL)],
                          ids=lambda m: m.name)
 def test_inverse_is_generalized_inverse(model):
     # S(t (1 + 1e-12)) < u <= S(t (1 - 1e-12)): t is inf{t : S(t) < u} to 1e-12
@@ -367,7 +367,7 @@ def decimal_inverse(pc: tm.TailPiece, u: float, digits: int = 60) -> float:
     raise AssertionError(f"Newton did not settle at u = {u}")
 
 
-# the log-corrected laws whose draws two Newton steps settle, and the probe
+# the log-corrected laws whose draws one Newton step settles, and the probe
 # uniforms 2^-(k/2), k = 0..106
 NEWTON_LAWS = [tm.log_power_tail(0.5, 2.0), tm.log_loglog_power_tail(0.5),
                tm.load_model(README_MODEL), tm.load_model(LOGLOG_MODEL)]
@@ -385,7 +385,7 @@ def test_sampler_matches_a_decimal_reference(model):
                          ids=lambda m: m.name)
 def test_sampler_draws_bisect_nothing(model, monkeypatch):
     # the start tables are bisected when the sampler is built; the draws,
-    # probes and random uniforms alike, are settled by the Newton steps, also
+    # probes and random uniforms alike, are settled by the Newton step, also
     # next to the jumps at either end of a piece that is not the last
     sampler = mc.MagnitudeSampler(model)
     bisected = []
@@ -401,12 +401,31 @@ def test_cubic_start_is_within_the_certificate(model):
     # clipped to the piece as the step takes it, lies within the
     # certificate's 1e-9 max(|x|, 1) of the final root x = ln t
     us = np.concatenate([PROBE_U, 1.0 - np.random.default_rng(6).random(10_000)])
-    table = model.inverse_route[1][-1]
+    table = model.inverse_route[1][-1].table  # the last piece's formula
     start = table.start(np.log(1.0 - np.log(us)), np.empty_like(us),
                         np.empty(us.size, dtype=np.intp), np.empty_like(us))
     start = np.clip(start, *tm._x_range(model.pieces[-1]))
     root = np.log(mc.MagnitudeSampler(model)(us))
     assert np.all(np.abs(start - root) <= 1e-9 * np.maximum(np.abs(root), 1.0))
+
+
+def test_log_piece_root_sees_only_its_segment(monkeypatch):
+    # the jump down at the log-loglog piece's left end is a segment of its
+    # own: the root is sought only for u <= S(t_lo), and every u above it
+    # inverts to t_lo exactly
+    model = tm.load_model(LOGLOG_MODEL)
+    pc, (at_lo, _) = model.pieces[-1], model.edge_values[-1]
+    seen = []
+    root = tm._log_piece_root
+    monkeypatch.setattr(tm, "_log_piece_root",
+                        lambda pc, u, *rest: seen.append(u.copy()) or root(pc, u, *rest))
+    us = np.concatenate([PROBE_U, 1.0 - np.random.default_rng(8).random(100_000)])
+    t = mc.MagnitudeSampler(model)(us)
+    seen = np.concatenate(seen)
+    above = us > at_lo
+    assert 0 < np.count_nonzero(above) < us.size
+    assert seen.size == np.count_nonzero(~above) and seen.max() <= at_lo
+    assert np.all(t[above] == pc.t_lo)
 
 
 # ---------------------------------------------------------------------------
