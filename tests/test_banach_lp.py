@@ -91,6 +91,15 @@ def test_marcus_pisier_rejects_empty_input():
         lp.marcus_pisier_check(tm.pareto(2.0), 8, 1.2, [1.0], 0)
 
 
+@pytest.mark.parametrize("n, reps", [(64.5, 10), ("8", 10), (True, 10), (8, True), (8, 10.0)],
+                         ids=["float-n", "str-n", "bool-n", "bool-reps", "float-reps"])
+def test_marcus_pisier_rejects_counts_that_are_not_ints(n, reps):
+    # 64.5 used to raise a TypeError from range(), and True ran as 1
+    name = "replications" if n == 8 else "n"
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        lp.marcus_pisier_check(tm.pareto(2.0), n, 1.2, [1.0], reps)
+
+
 @pytest.mark.parametrize("grid", [[0.0, 1.0], [-1.0], [math.nan, 2.0], [math.inf], []],
                          ids=["zero", "negative", "nan", "inf", "empty"])
 def test_marcus_pisier_rejects_a_bad_u_grid(grid):
@@ -113,17 +122,22 @@ def one_shot_lhs(model, n, r, grid, blocks, seed):
 
 
 def test_marcus_pisier_streams_in_bounded_memory():
-    # n = 2^15: blocks of 128 and 2 paths, drawn in pieces of 2 paths
+    # n = 2^15: blocks of 128 and 2 paths, drawn in pieces of 2 paths; on 2
+    # workers each thread holds the buffers of one piece, and the second
+    # starts in the middle of block 0 and ends in block 1
     model = tm.pareto(1.5, "nonnegative")
     n, r, reps, grid = 1 << 15, 1.2, 130, np.geomspace(1.0, 1e4, 8)
-    tracemalloc.start()
-    try:
-        table = lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 << 20
-    assert table.empirical_lhs == one_shot_lhs(model, n, r, grid, (128, 2), 3)
+    want = one_shot_lhs(model, n, r, grid, (128, 2), 3)
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            table = lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=3,
+                                           workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
+        assert table.empirical_lhs == want
 
 
 def test_marcus_pisier_pieces_join_to_one_draw_per_block():
@@ -133,3 +147,19 @@ def test_marcus_pisier_pieces_join_to_one_draw_per_block():
     n, r, grid = 3000, 1.5, np.geomspace(1.0, 1e3, 6)
     table = lp.marcus_pisier_check(model, n, r, grid, 1400, master_seed=4)
     assert table.empirical_lhs == one_shot_lhs(model, n, r, grid, (1398, 2), 4)
+
+
+@pytest.mark.parametrize("model, n, reps, blocks", [
+    # a piece of 21845 paths is 65535 draws, 3 short of whole Philox counter
+    # steps, so the pieces after the first start at word 3, 2, 1 and 0 of one
+    (tm.pareto(1.5, "nonnegative"), 3, 100_000, (100_000,)),
+    (tm.pareto(2.0, "nonnegative"), 7, 40_000, (40_000,)),  # pieces of 65534 draws
+    (tm.pareto(1.5, "nonnegative"), 64, 70_000, (65_536, 4_464)),  # two blocks
+    (tm.degenerate(1.0), 32, 5_000, (5_000,)),  # a point mass draws nothing
+], ids=["n3", "n7", "n64-two-blocks", "point-mass"])
+def test_marcus_pisier_is_the_same_on_any_number_of_workers(model, n, reps, blocks):
+    r, grid = 1.2, np.geomspace(0.5, 1e3, 9)
+    want = one_shot_lhs(model, n, r, grid, blocks, 6)
+    for workers in (1, 2, 3, 8):
+        table = lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=6, workers=workers)
+        assert table.empirical_lhs == want, workers
