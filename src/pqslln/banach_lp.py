@@ -5,11 +5,11 @@ r >= 1, P(sup_k k^(1/r) X*_k > u) <= (2e/u^r) sup_t t^r sum_k P(||X_k|| > t).
 `sup_power_weighted_tail` computes the supremum on the right from the tail
 model's pieces, and `marcus_pisier_check` sets the empirical left side beside
 the bound on a grid of u.  Its draws stream in unsigned `draw_batch` pieces
-of at most 2^16 magnitudes (one path when n is larger), and up to `workers`
-threads each count a contiguous run of pieces with one piece's buffers, so
-its memory is workers x one piece, whatever the replication count.  A run
-that starts inside a block advances that block's stream to its first draw,
-so the table does not depend on `workers`.  The disjoint-coordinate l_p
+of at most 2^16 magnitudes (one path when n is larger), and one thread per
+usable CPU counts a contiguous run of pieces with one piece's buffers, so
+its memory is threads x one piece, whatever the replication count.  A run
+that starts inside a block skips that block's stream to its first draw, so
+the table does not depend on the thread count.  The disjoint-coordinate l_p
 witness is the `lp-counterexample` rule of `mc_engine`.
 """
 
@@ -78,18 +78,15 @@ def _count_pieces(sampler: mc.MagnitudeSampler, n: int, weights: np.ndarray,
                   pieces: list[tuple[int, int, int]]) -> np.ndarray:
     """How many of the paths of `pieces` (block, first path, paths) put their
     statistic above each u, drawn with one set of buffers.  The first piece
-    moves its block's probe stream to its first draw: Philox gives 4 words
-    per counter step, and a uniform takes one word."""
+    opens its block's probe stream past the draws of the paths before it:
+    an unsigned `draw_batch` takes one uniform per magnitude."""
     size = max(paths for _, _, paths in pieces) * n
     full = mc.ChunkBuffers(size, 1)
     counts = np.zeros(u_grid.size, dtype=np.int64)
     block = None
     for b, first, paths in pieces:
         if b != block:
-            gen, block = rng.generator(master_seed, b, rng.ROLE_PROBE), b
-            offset = first * n
-            gen.bit_generator.advance(offset // 4)
-            gen.bit_generator.random_raw(offset % 4)
+            gen, block = rng.generator(master_seed, b, rng.ROLE_PROBE, skip=first * n), b
         # a short piece, only ever a block's last, gets buffers of its own
         buffers = full if paths * n == size else mc.ChunkBuffers(paths * n, 1)
         mags = mc.draw_batch(gen, sampler, 0.0, buffers.draws[0], buffers).reshape(-1, n)
@@ -100,8 +97,7 @@ def _count_pieces(sampler: mc.MagnitudeSampler, n: int, weights: np.ndarray,
 
 
 def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
-                        replications: int, master_seed: int = 0,
-                        workers: int = 1) -> MarcusPisierTable:
+                        replications: int, master_seed: int = 0) -> MarcusPisierTable:
     """Empirical P(sup_k k^(1/r) X*_k > u) against the bound
     (2e/u^r) sup_t t^r sum_k P(||X_k|| > t) for iid draws.
 
@@ -109,10 +105,10 @@ def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
     full sort per replication.  Probe stream b draws block b of 2^22 // n
     paths, in pieces of max(1, 2^16 // n) paths; unsigned draws continue one
     stream, so the pieces join to one draw of the block.  The list of pieces
-    is cut into at most `workers` (1 to `mc_engine.MAX_WORKERS`) contiguous
-    runs, each counted on its own thread with its own buffers of one piece,
-    and the runs' integer counts are added: the table does not depend on
-    `workers`.
+    is cut into at most `mc_engine.usable_cpus()` contiguous runs, each
+    counted on its own thread with its own buffers of one piece, and the
+    runs' integer counts are added: the table does not depend on the thread
+    count.
     """
     if not (tm.is_number(r) and r >= 1.0):
         raise ValueError(f"the inequality requires a finite r >= 1, got {r!r}")
@@ -123,7 +119,6 @@ def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
         raise ValueError("the inequality needs paths of length n >= 1")
     if replications < 1:
         raise ValueError("the empirical side needs at least one replication")
-    mc.check_workers(workers)
     u_grid = np.asarray(sorted(float(u) for u in u_grid))
     if not (u_grid.size and np.all((0.0 < u_grid) & (u_grid < math.inf))):  # false for nan
         raise ValueError("u_grid must be a nonempty list of finite positive numbers")
@@ -135,6 +130,7 @@ def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
     for b, done in enumerate(range(0, replications, per_block)):
         size = min(per_block, replications - done)
         pieces += [(b, first, min(rows, size - first)) for first in range(0, size, rows)]
+    workers = mc.usable_cpus()
     step = -(-len(pieces) // workers)
     runs = [pieces[i:i + step] for i in range(0, len(pieces), step)]
     sampler = mc.MagnitudeSampler(model)

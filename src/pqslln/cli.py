@@ -355,20 +355,8 @@ def _verify_lemmas(seed: int) -> list[dict]:
     return results
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, at most `mc_engine.MAX_WORKERS`."""
-    from . import mc_engine
-    try:
-        count = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        count = os.cpu_count() or 1
-    return min(count, mc_engine.MAX_WORKERS)
-
-
 def _verify_marcus_pisier(seed: int) -> list[dict]:
     from . import banach_lp
-    # the tables do not depend on the thread count, so there is no flag for it
-    workers = _usable_cpus()
     cases = [
         (tm.pareto(1.5, "nonnegative"), 64, 1.2, np.geomspace(1.0, 1e4, 16), 100_000),
         (tm.pareto(3.0, "nonnegative"), 128, 1.5, np.geomspace(1.0, 1e3, 12), 20_000),
@@ -376,8 +364,7 @@ def _verify_marcus_pisier(seed: int) -> list[dict]:
     ]
     results = []
     for model, n, r, grid, reps in cases:
-        table = banach_lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=seed,
-                                              workers=workers)
+        table = banach_lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=seed)
         margin = min(rhs + 4.0 * se - l for l, rhs, se in
                      zip(table.empirical_lhs, table.analytic_rhs, table.standard_errors))
         results.append({"check": "marcus-pisier",

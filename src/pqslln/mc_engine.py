@@ -31,6 +31,7 @@ magnitudes.  The `MagnitudeSampler` that worker threads share holds no buffers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -216,6 +217,15 @@ def draw_batch(gen: np.random.Generator, sampler: MagnitudeSampler, threshold: f
         gen.random(out=signs)
         signs -= threshold
     return np.copysign(mag, signs, out=mag)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, at most MAX_WORKERS."""
+    try:
+        count = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        count = os.cpu_count() or 1
+    return min(count, MAX_WORKERS)
 
 
 def parallel_map(fn, items, workers: int) -> list:

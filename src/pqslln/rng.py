@@ -47,8 +47,18 @@ def stream_key(master_seed: int, stream: int, role: int = ROLE_PATH) -> int:
     return (hi << 64) | lo
 
 
-def generator(master_seed: int, stream: int, role: int = ROLE_PATH) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=stream_key(master_seed, stream, role)))
+def generator(master_seed: int, stream: int, role: int = ROLE_PATH,
+              skip: int = 0) -> np.random.Generator:
+    """The stream (master_seed, stream, role), past its first `skip` uniforms.
+    A uniform (see open_uniforms) takes one 64-bit word and Philox gives 4
+    words per counter step, so the skip is one counter jump and at most 3
+    words."""
+    gen = np.random.Generator(np.random.Philox(key=stream_key(master_seed, stream, role)))
+    if skip:
+        steps, words = divmod(skip, 4)
+        gen.bit_generator.advance(steps)
+        gen.bit_generator.random_raw(words)
+    return gen
 
 
 def open_uniforms(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:

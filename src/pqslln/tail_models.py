@@ -422,9 +422,8 @@ def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
     input whole, into `out` (an array of u's size other than u) with
     `scratch` (an `InverseScratch` of u's size); `mc_engine.draw_batch`
     passes both, and either is made here where it is None and needed.
-    Otherwise a jump segment writes its t_lo where it takes u, and a formula
-    segment gathers its u by index and puts its roots into `out`, with arrays
-    of its own.
+    Otherwise each segment gathers its u and scatters its roots into `out`,
+    with arrays of its own.
     """
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=float))
@@ -443,13 +442,9 @@ def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
     else:
         for k in range(first, last + 1):
             here = (uu > floors[k]) & (uu <= (floors[k - 1] if k else 1.0))
-            if segments[k].jump:
-                np.copyto(out, segments[k].piece.t_lo, where=here)
-                continue
-            at = np.flatnonzero(here)
-            if at.size:
-                w = uu.take(at)
-                out.put(at, _segment_inverse(segments[k], w, np.empty_like(w), None))
+            if np.any(here):
+                w = uu[here]
+                out[here] = _segment_inverse(segments[k], w, np.empty_like(w), None)
     return float(out[0]) if scalar else out
 
 

@@ -121,18 +121,25 @@ def one_shot_lhs(model, n, r, grid, blocks, seed):
     return tuple((counts / sum(blocks)).tolist())
 
 
-def test_marcus_pisier_streams_in_bounded_memory():
+def use_cpus(monkeypatch, count):
+    """Make `mc_engine.usable_cpus()` read `count` CPUs."""
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+    assert mc.usable_cpus() == count
+
+
+def test_marcus_pisier_streams_in_bounded_memory(monkeypatch):
     # n = 2^15: blocks of 128 and 2 paths, drawn in pieces of 2 paths; on 2
-    # workers each thread holds the buffers of one piece, and the second
-    # starts in the middle of block 0 and ends in block 1
+    # CPUs each thread holds the buffers of one piece, and the second starts
+    # in the middle of block 0 and ends in block 1
     model = tm.pareto(1.5, "nonnegative")
     n, r, reps, grid = 1 << 15, 1.2, 130, np.geomspace(1.0, 1e4, 8)
     want = one_shot_lhs(model, n, r, grid, (128, 2), 3)
-    for workers in (1, 2):
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
         tracemalloc.start()
         try:
-            table = lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=3,
-                                           workers=workers)
+            table = lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -157,9 +164,16 @@ def test_marcus_pisier_pieces_join_to_one_draw_per_block():
     (tm.pareto(1.5, "nonnegative"), 64, 70_000, (65_536, 4_464)),  # two blocks
     (tm.degenerate(1.0), 32, 5_000, (5_000,)),  # a point mass draws nothing
 ], ids=["n3", "n7", "n64-two-blocks", "point-mass"])
-def test_marcus_pisier_is_the_same_on_any_number_of_workers(model, n, reps, blocks):
+def test_marcus_pisier_is_the_same_on_any_number_of_cpus(monkeypatch, model, n, reps, blocks):
     r, grid = 1.2, np.geomspace(0.5, 1e3, 9)
     want = one_shot_lhs(model, n, r, grid, blocks, 6)
-    for workers in (1, 2, 3, 8):
-        table = lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=6, workers=workers)
-        assert table.empirical_lhs == want, workers
+    for cpus in (1, 2, 3, 8):
+        use_cpus(monkeypatch, cpus)
+        table = lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=6)
+        assert table.empirical_lhs == want, cpus
+
+
+@pytest.mark.parametrize("skip", range(10))
+def test_a_stream_opened_past_k_uniforms_continues_the_whole_stream(skip):
+    whole = rng.generator(8, 2, rng.ROLE_PROBE).random(skip + 9)
+    assert np.array_equal(rng.generator(8, 2, rng.ROLE_PROBE, skip=skip).random(9), whole[skip:])
