@@ -22,10 +22,10 @@ and in symmetrized mode one from its copy stream.  `run_paths` streams the
 replications in blocks, each block in lockstep: one set of buffers and one
 kernel workspace serve every chunk of every replication of the block, and
 the kernel's plan of a chunk position (n^e1 and the cut points) is built
-once for the whole block.  The probes draw block b from probe stream b:
+once for the whole block.  Probe stream k draws piece k whole:
 `dense_ratio_moments` as one signed batch of at most 4096 paths, and
-`banach_lp.marcus_pisier_check` in unsigned pieces of at most max(n, _CHUNK)
-magnitudes.  The `MagnitudeSampler` that worker threads share holds no buffers.
+`banach_lp.marcus_pisier_check` as one unsigned batch of max(1, 2^16 // n)
+paths of n.  The `MagnitudeSampler` that worker threads share holds no buffers.
 """
 
 from __future__ import annotations

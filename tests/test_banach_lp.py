@@ -55,6 +55,30 @@ def test_sup_weighted_tail_log_corrected_pieces():
     assert lp.sup_power_weighted_tail(tm.log_loglog_power_tail(0.5), 0.75) == math.inf
 
 
+# survival min(1, t^-2) from t = 0, and a constant 3 that survival clamps to 1
+POWER_FROM_ZERO = tm.load_model({"name": "power-from-zero", "sign_law": "nonnegative",
+                                 "pieces": [
+    {"t_lo": 0.0, "t_hi": None, "formula_id": "power", "params": {"scale": 1.0, "power": 2.0}}]})
+CONSTANT_ABOVE_ONE = tm.load_model({"name": "constant-above-one", "sign_law": "nonnegative",
+                                    "pieces": [
+    {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 3.0}},
+    {"t_lo": 1.0, "t_hi": None, "formula_id": "power", "params": {"scale": 1.0, "power": 2.0}}]})
+
+
+@pytest.mark.parametrize("model, r", [
+    (POWER_FROM_ZERO, 1.5), (CONSTANT_ABOVE_ONE, 1.5), (tm.pareto(1.5), 1.2),
+    (tm.pareto(1.5), 1.5), (tm.pareto(2.0, "nonnegative"), 1.0),
+    (tm.log_power_tail(2.0, 2.0), 1.5), (tm.log_loglog_power_tail(1.0), 0.5),
+    (tm.degenerate(2.0), 1.5), (tm.rademacher(), 1.0), (tm.zero(), 1.0),
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_sup_weighted_tail_matches_a_dense_grid(model, r):
+    # the grid's steps are 2.3e-5 relative, so it comes within about r times
+    # that of a sup that is a limit at a piece's right end
+    t = np.geomspace(1e-6, 1e6, 1_200_001)
+    dense = float(np.max(t**r * tm.survival(model, t)))
+    assert lp.sup_power_weighted_tail(model, r) == pytest.approx(dense, rel=1e-4)
+
+
 def test_marcus_pisier_degenerate_trivial():
     table = lp.marcus_pisier_check(tm.degenerate(1.0), 8, 1.0, [2.0, 100.0], 2000, 5)
     # u = 2 < n: the statistic sup_k k X*_k = n always exceeds it, and the
@@ -107,18 +131,20 @@ def test_marcus_pisier_rejects_a_bad_u_grid(grid):
         lp.marcus_pisier_check(tm.pareto(2.0), 8, 1.2, grid, 10)
 
 
-def one_shot_lhs(model, n, r, grid, blocks, seed):
-    """The empirical side with block b of `blocks` drawn whole from probe
-    stream b, then sorted and counted."""
+def one_shot_lhs(model, n, r, grid, reps, seed):
+    """The empirical side with piece k of max(1, 2^16 // n) paths drawn whole
+    from probe stream k, then sorted and counted."""
     sampler = mc.MagnitudeSampler(model)
     weights = np.arange(1, n + 1, dtype=float) ** (1.0 / r)
+    rows = max(1, (1 << 16) // n)
     counts = np.zeros(grid.size)
-    for b, size in enumerate(blocks):
-        gen = rng.generator(seed, b, rng.ROLE_PROBE)
+    for k, first in enumerate(range(0, reps, rows)):
+        size = min(rows, reps - first)
+        gen = rng.generator(seed, k, rng.ROLE_PROBE)
         mags = sampler(1.0 - gen.random(size * n)).reshape(size, n)
         stat = np.max(weights * -np.sort(-mags, axis=1), axis=1)
         counts += (stat[None, :] > grid[:, None]).sum(axis=1)
-    return tuple((counts / sum(blocks)).tolist())
+    return tuple((counts / reps).tolist())
 
 
 def use_cpus(monkeypatch, count):
@@ -129,12 +155,11 @@ def use_cpus(monkeypatch, count):
 
 
 def test_marcus_pisier_streams_in_bounded_memory(monkeypatch):
-    # n = 2^15: blocks of 128 and 2 paths, drawn in pieces of 2 paths; on 2
-    # CPUs each thread holds the buffers of one piece, and the second starts
-    # in the middle of block 0 and ends in block 1
+    # n = 2^15: 65 pieces of 2 paths; each thread holds the buffers of the
+    # one piece it counts
     model = tm.pareto(1.5, "nonnegative")
     n, r, reps, grid = 1 << 15, 1.2, 130, np.geomspace(1.0, 1e4, 8)
-    want = one_shot_lhs(model, n, r, grid, (128, 2), 3)
+    want = one_shot_lhs(model, n, r, grid, reps, 3)
     for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)
         tracemalloc.start()
@@ -147,33 +172,53 @@ def test_marcus_pisier_streams_in_bounded_memory(monkeypatch):
         assert table.empirical_lhs == want
 
 
-def test_marcus_pisier_pieces_join_to_one_draw_per_block():
-    # n = 3000: blocks of 1398 and 2 paths in pieces of 21 paths, so block 0
-    # ends in a piece of 12 paths; the pieces of a block are one draw of it
-    model = tm.pareto(3.0, "nonnegative")
-    n, r, grid = 3000, 1.5, np.geomspace(1.0, 1e3, 6)
-    table = lp.marcus_pisier_check(model, n, r, grid, 1400, master_seed=4)
-    assert table.empirical_lhs == one_shot_lhs(model, n, r, grid, (1398, 2), 4)
+def test_marcus_pisier_draws_piece_k_whole_from_probe_stream_k():
+    # n = 100: pieces of 655 paths, the fourth and last of 35; the grid sits
+    # between the 10 % and 90 % quantiles of the statistic, so drawing any
+    # piece from another stream would move the counts
+    model = tm.pareto(1.5, "nonnegative")
+    n, r, reps, grid = 100, 1.2, 2000, np.array([46.6, 47.0, 48.0, 60.0, 90.0])
+    table = lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=4)
+    assert all(0.1 < lhs < 0.9 for lhs in table.empirical_lhs)
+    assert table.empirical_lhs == one_shot_lhs(model, n, r, grid, reps, 4)
 
 
-@pytest.mark.parametrize("model, n, reps, blocks", [
-    # a piece of 21845 paths is 65535 draws, 3 short of whole Philox counter
-    # steps, so the pieces after the first start at word 3, 2, 1 and 0 of one
-    (tm.pareto(1.5, "nonnegative"), 3, 100_000, (100_000,)),
-    (tm.pareto(2.0, "nonnegative"), 7, 40_000, (40_000,)),  # pieces of 65534 draws
-    (tm.pareto(1.5, "nonnegative"), 64, 70_000, (65_536, 4_464)),  # two blocks
-    (tm.degenerate(1.0), 32, 5_000, (5_000,)),  # a point mass draws nothing
-], ids=["n3", "n7", "n64-two-blocks", "point-mass"])
-def test_marcus_pisier_is_the_same_on_any_number_of_cpus(monkeypatch, model, n, reps, blocks):
+@pytest.mark.parametrize("model, n, reps", [
+    (tm.pareto(1.5, "nonnegative"), 3, 100_000),  # 5 pieces, the last of 12620 paths
+    (tm.pareto(2.0, "nonnegative"), 7, 40_000),  # 5 pieces, the last of 2552 paths
+    (tm.pareto(1.5, "nonnegative"), 64, 70_000),  # 69 pieces, the last of 368 paths
+    (tm.degenerate(1.0), 32, 5_000),  # a point mass draws nothing
+], ids=["n3", "n7", "n64-short-last-piece", "point-mass"])
+def test_marcus_pisier_is_the_same_on_any_number_of_cpus(monkeypatch, model, n, reps):
     r, grid = 1.2, np.geomspace(0.5, 1e3, 9)
-    want = one_shot_lhs(model, n, r, grid, blocks, 6)
+    want = one_shot_lhs(model, n, r, grid, reps, 6)
     for cpus in (1, 2, 3, 8):
         use_cpus(monkeypatch, cpus)
         table = lp.marcus_pisier_check(model, n, r, grid, reps, master_seed=6)
         assert table.empirical_lhs == want, cpus
 
 
-@pytest.mark.parametrize("skip", range(10))
-def test_a_stream_opened_past_k_uniforms_continues_the_whole_stream(skip):
-    whole = rng.generator(8, 2, rng.ROLE_PROBE).random(skip + 9)
-    assert np.array_equal(rng.generator(8, 2, rng.ROLE_PROBE, skip=skip).random(9), whole[skip:])
+def philox_words(gen):
+    """The 64-bit words drawn so far from the Philox stream of `gen`."""
+    state = gen.bit_generator.state
+    counter = state["state"]["counter"]
+    return 4 * (int(counter[0]) + (int(counter[1]) << 64) - 1) + state["buffer_pos"]
+
+
+@pytest.mark.parametrize("model, words", [
+    (tm.pareto(1.5, "nonnegative"), 64 * 70_000),  # one uniform per magnitude
+    (tm.degenerate(1.0), 0),
+], ids=["sampled", "point-mass"])
+def test_marcus_pisier_draws_each_word_once(monkeypatch, model, words):
+    opened, generator = [], rng.generator
+
+    def spy(*args, **kwargs):
+        opened.append(generator(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(rng, "generator", spy)
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        opened.clear()
+        lp.marcus_pisier_check(model, 64, 1.2, [1.0], 70_000, master_seed=6)
+        assert sum(map(philox_words, opened)) == words, cpus

@@ -582,6 +582,29 @@ def test_monotone_in_q_within_clause():
             assert later.membership != cr.NON_MEMBER
 
 
+def test_membership_is_ordered_in_p_and_in_q():
+    # W = sum_n (1/n) (||S_n|| / n^(1/p))^q falls term by term as p falls, so
+    # Member(p, q) gives Member(p', q) for p' < p.  In a decided clause the
+    # condition gives E||X||^p < inf (and E X = 0 for p >= 1), so
+    # ||S_n|| / n^(1/p) -> 0 a.s. by Marcinkiewicz-Zygmund, and from some n on
+    # each term at q is at most the one at q' < q: Member(p, q') gives
+    # Member(p, q).
+    laws = [tm.pareto(0.5), tm.pareto(2.0), tm.pareto(2.0, "nonnegative"),
+            tm.log_power_tail(0.5, 2.0), tm.log_loglog_power_tail(0.5), tm.rademacher(),
+            tm.degenerate(1.0), tm.zero()]
+    ps = (0.2, 0.35, 0.5, 0.7, 0.9, 1.2, 1.5, 1.8)
+    qs = (0.1, 0.25, 0.35, 0.5, 0.7, 0.9)
+    for model in laws:
+        cell = {(p, q): cr.classify_slln(model, p, q, series_n_max=1000).membership
+                for p in ps for q in qs}
+        members = [pq for pq, m in cell.items() if m == cr.MEMBER]
+        non_members = [pq for pq, m in cell.items() if m == cr.NON_MEMBER]
+        for p, q in members:
+            for p2, q2 in non_members:
+                assert not (q2 == q and p2 < p), (model.name, model.negative_prob, p2, q2, p)
+                assert not (p2 == p and q2 > q), (model.name, model.negative_prob, p, q2, q)
+
+
 def test_soundness_against_stored_facts():
     # no verdict may contradict a stored analytic fact (Inconclusive is fine)
     models = [
