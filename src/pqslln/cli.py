@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import operator
@@ -419,6 +418,8 @@ def _field(doc, path: str, what: str):
 
 
 def cmd_report(args) -> int:
+    import csv
+
     from . import criteria
     _make_out_dir(args.out)
     rows = []

@@ -77,7 +77,9 @@ class Workspace:
         ends = self.snaps + 1
         if not ends.size or ends[-1] < size:
             ends = np.append(ends, size)  # the tail after the last snapshot
-        self.starts = np.union1d(np.arange(0, size, BLOCK), ends[:-1])
+        # np.union1d of the multiples of BLOCK and the segment starts, without numpy.ma
+        starts = np.sort(np.concatenate([np.arange(0, size, BLOCK), ends[:-1]]))
+        self.starts = starts[np.append(True, starts[1:] != starts[:-1])]
         self.segment_ends = np.searchsorted(self.starts, ends).tolist()
 
 

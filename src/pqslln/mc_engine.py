@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from threading import Lock, Thread
 
 import numpy as np
 
@@ -230,12 +230,35 @@ def usable_cpus() -> int:
 
 def parallel_map(fn, items, workers: int) -> list:
     """[fn(item) for item in items], on min(workers, len(items)) threads when
-    that is more than one; the results keep the input order."""
+    that is more than one; the results keep the input order.  Each thread
+    takes the next item not yet started.  After a failure no item starts,
+    and once every thread has joined, the failure of the lowest-index item
+    is raised."""
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    results, failures = [None] * len(items), {}
+    order, lock = iter(range(len(items))), Lock()
+
+    def work():
+        while not failures:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised below, in the caller's thread
+                failures[i] = exc
+
+    threads = [Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _run_block(table: CheckpointTable, sampler: MagnitudeSampler, reps: range) -> None:
@@ -404,6 +427,28 @@ def growth_verdict(ns, partial_sums) -> Verdict:
                    diagnostics=diagnostics)
 
 
+def _median(rows: np.ndarray) -> np.ndarray:
+    """np.median(rows, axis=0) of rows sorted down each column, by numpy's
+    arithmetic: (a + b) / 2 of the two middle rows, or the middle row."""
+    half = rows.shape[0] // 2
+    return (rows[half - 1] + rows[half]) / 2 if rows.shape[0] % 2 == 0 else rows[half]
+
+
+def _percentile(rows: np.ndarray, q: float) -> np.ndarray:
+    """np.percentile(rows, 100 q, axis=0) of rows sorted down each column, by
+    numpy's default "linear" rule: rows a and b = a + 1 around the virtual
+    index (m - 1) q, at weight g past a, give a + (b - a) g for g < 0.5 and
+    b - (b - a) (1 - g) otherwise.  For m = 1 numpy takes the last row twice
+    at weight 1."""
+    last = rows.shape[0] - 1
+    virtual = last * q
+    lo = min(math.floor(virtual), last)
+    g = virtual - lo if lo < last else virtual + 1.0
+    a, b = rows[lo], rows[min(lo + 1, last)]
+    diff = b - a
+    return a + diff * g if g < 0.5 else b - diff * (1.0 - g)
+
+
 def summary_dict(table: CheckpointTable) -> dict:
     """One pass over the uncensored replications of `table`: per-checkpoint
     statistics of r_n^q and W_n, the censoring report and the W verdict.
@@ -425,9 +470,10 @@ def summary_dict(table: CheckpointTable) -> dict:
     w = table.w_partial[act]
     m = rq.shape[0]
     mean_rq = rq.mean(axis=0)
-    med_rq, med_w = np.median(rq, axis=0), np.median(w, axis=0)
-    q75, q25 = np.percentile(rq, [75, 25], axis=0)
-    q75w, q25w = np.percentile(w, [75, 25], axis=0)
+    rq_sorted, w_sorted = np.sort(rq, axis=0), np.sort(w, axis=0)
+    med_rq, med_w = _median(rq_sorted), _median(w_sorted)
+    q75, q25 = _percentile(rq_sorted, 0.75), _percentile(rq_sorted, 0.25)
+    q75w, q25w = _percentile(w_sorted, 0.75), _percentile(w_sorted, 0.25)
     se_rq = rq.std(axis=0, ddof=1) / math.sqrt(m) if m > 1 else np.full_like(mean_rq, np.inf)
     weights = np.diff(harmonic(table.checkpoints), prepend=0.0)
     left_edge = np.concatenate([[mean_rq[0]], mean_rq[:-1]])

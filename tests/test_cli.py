@@ -663,6 +663,31 @@ def test_a_command_loads_only_what_it_runs(tmp_path, argv):
     assert loaded.split() == []
 
 
+# what simulate and verify leave out: numpy.ma (np.unique, np.median and
+# np.percentile load it) and the thread pool with the logging it imports
+NOT_RUN_BY_ENGINE = ("numpy.ma", "concurrent.futures", "logging")
+
+
+@pytest.mark.parametrize("model, workers", [
+    ("rademacher", "1"), ("rademacher", "2"), ("log-loglog-power", "1"), ("log-loglog-power", "2"),
+    ("verify", None)], ids=lambda v: str(v))
+def test_simulate_and_verify_load_only_what_they_run(tmp_path, model, workers):
+    if model == "verify":
+        argv, absent = ["verify", "marcus-pisier"], NOT_RUN_BY_ENGINE
+    else:
+        spec = {"builtin": model, **({"params": {"power": 0.5}} if model != "rademacher" else {})}
+        cfg = simulate_config(tmp_path, spec, 0.5, 0.25, n_max=4096, replications=4,
+                              mode="symmetrized")
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--workers", workers]
+        absent = (*NOT_RUN_BY_ENGINE, "pqslln.criteria", "pqslln.oracles", "fractions")
+    probe = ("import contextlib, io, sys\n"
+             "from pqslln import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(sys.argv[1:])\n"
+             f"print(code, *[name for name in {absent!r} if name in sys.modules])\n")
+    assert run_python("-c", probe, *argv).split() == ["0"]
+
+
 @pytest.mark.parametrize("command", ["simulate", "--version"])
 def test_simulate_and_version_do_not_load_criteria(tmp_path, command):
     # the config defaults live in tail_models: only criteria and report need

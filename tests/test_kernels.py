@@ -161,3 +161,16 @@ def test_streams_sharing_a_plan_match_streams_alone():
             s_vals, w_vals, states[i] = kernels.accumulate_chunk(chunks[c], states[i], q, shared)
             rows[i].append((s_vals.tolist(), w_vals.tolist()))
     assert list(zip(rows, states)) == alone
+
+
+@pytest.mark.parametrize("size, snaps", [
+    (1, []), (1, [0]), (511, [510]), (512, [0, 511]), (1500, [599, 700]),
+    (4096, [0, 1, 3, 7, 511, 1023, 2047, 4095]), (4096, []), (1 << 16, [511, 512, 40_000]),
+], ids=str)
+def test_plan_starts_equal_numpy_union1d(size, snaps):
+    work = kernels.Workspace(size)
+    work.plan(0, -1.5, snaps)
+    ends = [k + 1 for k in snaps if k + 1 < size]
+    want = np.union1d(np.arange(0, size, kernels.BLOCK), np.array(ends, dtype=np.int64))
+    assert work.starts.dtype == want.dtype
+    np.testing.assert_array_equal(work.starts, want)

@@ -1,8 +1,12 @@
 import math
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqslln import criteria as cr
 from pqslln import mc_engine as mc
@@ -328,19 +332,75 @@ def test_streaming_touches_no_new_pages_per_chunk(model, p, q, mode):
     assert faults(1 << 20) - faults(1 << 17) <= 1000
 
 
+def count_threads(monkeypatch) -> list:
+    """Make `parallel_map` record every thread it starts in the list returned."""
+    started = []
+
+    class Thread(mc.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(mc, "Thread", Thread)
+    return started
+
+
 def test_parallel_map_pool_never_outnumbers_items(monkeypatch):
-    sizes = []
-
-    class Pool(mc.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
-    assert mc.parallel_map(lambda v: v * v, range(3), 64) == [0, 1, 4]
-    assert mc.parallel_map(lambda v: v * v, range(1), 64) == [0]
-    assert mc.parallel_map(lambda v: v * v, range(5), 2) == [0, 1, 4, 9, 16]
+    started, sizes = count_threads(monkeypatch), []
+    for items, workers, want in [(range(3), 64, [0, 1, 4]), (range(1), 64, [0]),
+                                 (range(5), 2, [0, 1, 4, 9, 16])]:
+        before = len(started)
+        assert mc.parallel_map(lambda v: v * v, items, workers) == want
+        if len(started) > before:  # a single item runs in the caller's thread
+            sizes.append(len(started) - before)
     assert sizes == [3, 2]
+
+
+def test_parallel_map_keeps_the_input_order(monkeypatch):
+    # item 0 finishes last: it waits until item 7 is done
+    started, done, last = count_threads(monkeypatch), [], threading.Event()
+
+    def square(k):
+        if k == 0:
+            assert last.wait(timeout=60)
+        done.append(k)
+        if k == 7:
+            last.set()
+        return k * k
+
+    assert mc.parallel_map(square, range(8), 4) == [k * k for k in range(8)]
+    assert len(started) == 4 and done[-1] == 0 and sorted(done) == list(range(8))
+
+
+def test_parallel_map_raises_the_lowest_index_failure_after_every_thread_joins(monkeypatch):
+    started, done = count_threads(monkeypatch), []
+
+    def fail_odd(k):
+        time.sleep(0.01 if k == 1 else 0.0)  # item 3 fails first
+        done.append(k)
+        if k % 2:
+            raise ValueError(f"item {k}")
+        return k
+
+    with pytest.raises(ValueError, match="item 1"):
+        mc.parallel_map(fail_odd, range(4), 4)
+    assert len(started) == 4 and not any(t.is_alive() for t in started) and 1 in done
+
+
+@given(st.integers(1, 64).flatmap(lambda m: st.tuples(
+    st.lists(st.floats(1e-300, 1e300) | st.just(0.0), min_size=1, max_size=m),
+    st.lists(st.integers(0, 63), min_size=3 * m, max_size=3 * m))))
+@settings(max_examples=200, deadline=None)
+def test_summary_order_statistics_match_numpy_bit_for_bit(case):
+    # m rows and 3 columns drawn from a pool of at most m values, so columns
+    # hold ties; each statistic comes from the columns sorted once
+    pool, picks = case
+    rows = np.array([pool[k % len(pool)] for k in picks]).reshape(-1, 3)
+    ordered = np.sort(rows, axis=0)
+    got = [mc._median(ordered), mc._percentile(ordered, 0.75), mc._percentile(ordered, 0.25)]
+    want = [np.median(rows, axis=0), *np.percentile(rows, [75, 25], axis=0)]
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
 
 
 @pytest.mark.parametrize("n_upto,reps", [(0, 10), (3, 0)], ids=["no-steps", "no-paths"])
