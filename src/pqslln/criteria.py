@@ -55,6 +55,7 @@ CONTRADICTIONS = {(MEMBER, DIVERGES), (NON_MEMBER, CONVERGES)}
 T_CAP_DEFAULT = tm.T_CAP_DEFAULT
 X_MAX = float(np.finfo(float).max)
 SERIES_N_MAX_DEFAULT = tm.SERIES_N_MAX_DEFAULT
+SERIES_BLOCK = 1 << 13  # terms of `truncated_series` evaluated at a time: cache-sized
 _EQ = 1e-12
 
 CLAUSE_Q_LT_P = "q<p<1"
@@ -283,45 +284,65 @@ def truncated_series(model: tm.TailModel, p: float,
     through the cumulative tail table so each term costs O(1).  P(Y > a) at
     a = u_n^p is read at the quantile u_n itself, so that rounding in the
     powers cannot move it across a jump of the survival function.
+
+    The terms are evaluated SERIES_BLOCK at a time, into buffers that every
+    block reuses: each term depends on its n alone.  A block's prefix sums
+    go on from the block before by adding that block's last partial sum to
+    the first term, which is, bit for bit, np.cumsum over all the terms at
+    once.  Only the partial sums are kept whole, for the last-decade fit.
     """
     tm.check_exponents(p)
     _check_series_n_max(n_max)
-    ns = np.arange(1, n_max + 1, dtype=float)
-    u = tm.quantiles_un(model, ns)
-    a = np.minimum(u**p, ns)
-    b = ns
-    nonempty = a < b * (1.0 - 1e-15)
-
-    terms = np.zeros_like(ns)
-    integral_terms = np.zeros_like(ns)
-    clamped = 0
-    if np.any(nonempty):
-        table = tm.CumulativeTailTable(model, p, float(n_max))
-        s_y = tm.power_survival(model, p)
-        aa, bb = a[nonempty], b[nonempty]
-        s_a = tm.survival(model, u[nonempty])   # a = u^p on nonempty windows
-        g_a, g_b = table(aa), table(bb)
-        raw = (aa * s_a - bb * s_y(bb) + g_b - g_a) / ns[nonempty]
-        clamped = int(np.count_nonzero(raw < 0.0))
-        terms[nonempty] = np.maximum(raw, 0.0)
-        integral_terms[nonempty] = np.maximum(g_b - g_a, 0.0) / ns[nonempty]
-
-    partials = np.cumsum(terms)
-    int_partials = np.cumsum(integral_terms)
     checkpoints = sorted({10**k for k in range(3, int(math.log10(n_max)) + 1)} | {n_max})
-    idx = [c - 1 for c in checkpoints]
+    idx = np.array([c - 1 for c in checkpoints])
+    partials = np.empty(n_max)
+    int_at, terms_at = np.empty((2, idx.size))  # at the checkpoints
+    steps = np.arange(min(SERIES_BLOCK, n_max), dtype=float)
+    ns, terms, integral_terms = np.empty((3, steps.size))
+    clamped, tops, int_carry = 0, [], 0.0
+    table = s_y = None  # built for the first nonempty window
+    for lo in range(0, n_max, steps.size):
+        size = min(steps.size, n_max - lo)
+        n, term, int_term = ns[:size], terms[:size], integral_terms[:size]
+        np.add(steps[:size], float(lo + 1), out=n)
+        u = tm.quantiles_un(model, n)
+        a = np.minimum(u**p, n)
+        nonempty = a < n * (1.0 - 1e-15)
+        term.fill(0.0)
+        int_term.fill(0.0)
+        if np.any(nonempty):
+            if table is None:
+                table = tm.CumulativeTailTable(model, p, float(n_max))
+                s_y = tm.power_survival(model, p)
+            aa, bb = a[nonempty], n[nonempty]
+            s_a = tm.survival(model, u[nonempty])   # a = u^p on nonempty windows
+            g_a, g_b = table(aa), table(bb)
+            raw = (aa * s_a - bb * s_y(bb) + g_b - g_a) / bb
+            clamped += int(np.count_nonzero(raw < 0.0))
+            term[nonempty] = np.maximum(raw, 0.0)
+            int_term[nonempty] = np.maximum(g_b - g_a, 0.0) / bb
+        here = (idx >= lo) & (idx < lo + size)
+        terms_at[here] = term[idx[here] - lo]
+        tops.append(term.max())
+        if lo:
+            term[0] += partials[lo - 1]
+            int_term[0] += int_carry
+        np.cumsum(term, out=partials[lo:lo + size])
+        np.cumsum(int_term, out=int_term)
+        int_at[here] = int_term[idx[here] - lo]
+        int_carry = int_term[-1]
 
     table_out = SeriesTable(
         n_max=int(n_max),
         checkpoints=tuple(int(c) for c in checkpoints),
-        partial_sums=tuple(float(partials[i]) for i in idx),
-        integral_form_partials=tuple(float(int_partials[i]) for i in idx),
-        terms_at_checkpoints=tuple(float(terms[i]) for i in idx),
+        partial_sums=tuple(partials[idx].tolist()),
+        integral_form_partials=tuple(int_at.tolist()),
+        terms_at_checkpoints=tuple(terms_at.tolist()),
         clamped_terms=clamped,
     )
 
     estimate = float(partials[-1])
-    zero = float(np.max(terms)) <= 1e-12
+    zero = float(np.max(tops)) <= 1e-12
     upper = tm.support_upper(model)
     if math.isfinite(upper):
         # Y <= M^p and P(Y > u_n^p) <= 1/n, so term_n <= M^p / n^2
@@ -338,8 +359,9 @@ def truncated_series(model: tm.TailModel, p: float,
     diag = {"tail_exponents": (sy.a, sy.b, sy.c)}
     if kind == DIVERGES:
         last = partials[idx[-2]] if len(idx) > 1 else 0.0
-        win = slice(max(1, n_max // 10) - 1, n_max)
-        slope, _ = fit_line(np.log(ns[win]), partials[win])
+        start = max(1, n_max // 10)
+        slope, _ = fit_line(np.log(np.arange(start, n_max + 1, dtype=float)),
+                            partials[start - 1:])
         diag["last_decade_increase"] = float(partials[-1] - last)
         diag["last_decade_slope"] = float(slope)
     return table_out, Verdict(kind, estimate, remainder_bound=rem,

@@ -12,7 +12,9 @@ the variable s = ln t, where a log-polynomial decay becomes slowly varying:
 
 `integrate` cuts every cell of a grid into segments at the breakpoints and
 at LOG_FROM and puts every segment into one queue of intervals, refined in
-vectorized batches.  An interval is accepted when the Richardson estimate
+vectorized batches.  A segment that ends on a breakpoint takes f's left
+limit there (f at the double below it): the integral over the segment does
+not depend on f at its end, and f may jump there.  An interval is accepted when the Richardson estimate
 |S2 - S1|/15 is below REL_TOL (1e-9) of |S2| plus its length's share of
 ABS_FLOOR in its segment; one call may process BUDGET (1e6) intervals.  One
 math.fsum per segment and one per cell make a cell's value independent of
@@ -62,7 +64,8 @@ def integrate(f, nodes, *, breakpoints=()) -> QuadResult:
     `nodes` is a nondecreasing sequence of points >= 0, and `values[i]` is
     the integral over [nodes[i], nodes[i+1]].  ``breakpoints`` are points
     where f may have kinks or jumps (piece knees of a tail model); a cell is
-    split at those inside it.  Segments lying at or above LOG_FROM are
+    split at those inside it, and a segment ending on one reads f's left
+    limit there.  Segments lying at or above LOG_FROM are
     integrated in s = ln t.
 
     Raises ValueError on negative or decreasing nodes, and QuadratureFailure
@@ -71,9 +74,10 @@ def integrate(f, nodes, *, breakpoints=()) -> QuadResult:
     nodes = np.asarray(nodes, dtype=float)
     if not (nodes.ndim == 1 and nodes.size and nodes[0] >= 0.0 and np.all(np.diff(nodes) >= 0.0)):
         raise ValueError(f"invalid integration nodes {nodes}")
+    breaks = {float(t) for t in breakpoints}
     segs = []  # (cell, t_lo, t_hi, on_log, lo, hi), lo and hi in the integration variable
     for i, (a, b) in enumerate(zip(nodes[:-1].tolist(), nodes[1:].tolist())):
-        edges = sorted({a, b, *(float(t) for t in (*breakpoints, LOG_FROM) if a < t < b)})
+        edges = sorted({a, b, *(t for t in (*breaks, LOG_FROM) if a < t < b)})
         for t_lo, t_hi in zip(edges[:-1], edges[1:]):
             on_log = t_lo >= LOG_FROM
             lo, hi = (math.log(t_lo), math.log(t_hi)) if on_log else (t_lo, t_hi)
@@ -83,6 +87,8 @@ def integrate(f, nodes, *, breakpoints=()) -> QuadResult:
         zero = np.zeros(nodes.size - 1)
         return QuadResult(zero, zero, 0)
     cell, t_lo, t_hi, on_log, lo, hi = map(np.array, zip(*segs))
+    # a right end on a breakpoint is f's left limit there: the double below
+    left_limit = np.array([t in breaks for t in t_hi.tolist()])
     seg_len, seg = hi - lo, np.arange(lo.size)
 
     def g(*points):
@@ -95,6 +101,10 @@ def integrate(f, nodes, *, breakpoints=()) -> QuadResult:
         return np.split(np.where(log, y * t, y), len(points))
 
     flo, fmid, fhi = g(lo, 0.5 * (lo + hi), hi)
+    if np.any(left_limit):
+        t_end = np.nextafter(t_hi[left_limit], 0.0)
+        f_end = np.asarray(f(t_end), dtype=float)
+        fhi[left_limit] = np.where(on_log[left_limit], f_end * t_end, f_end)
     whole = _simpson_batch(lo, hi, flo, fmid, fhi)
     contributions, errors, owners = [], [], []
     used = 0

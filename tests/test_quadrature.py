@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pqslln import criteria as cr
 from pqslln import quadrature
 from pqslln import tail_models as tm
 from pqslln.errors import QuadratureFailure
@@ -28,6 +29,29 @@ def test_step_function_exact_at_breakpoint():
     f = lambda t: np.where(t < c, 1.0, 0.0)
     res = integrate(f, [0.0, 10.0], breakpoints=[c])
     assert res.values[0] == pytest.approx(c, rel=1e-14)
+
+
+@pytest.mark.parametrize("model, c, q", [
+    (tm.rademacher(), 1.0, 0.5), (tm.rademacher(), 1.0, 1.5),
+    (tm.degenerate(2.0), 2.0, 0.5), (tm.degenerate(1.3), 1.3, 1.0),
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_a_point_mass_reads_its_exact_window_integral_in_a_few_intervals(model, c, q):
+    # P(||X||^q > t) is 1 on [0, c^q) and 0 from c^q on: the window [0, c^q]
+    # ends on the jump, so Simpson takes the left limit 1 there and a constant
+    # piece is exact at once, where it refined toward the jump for 99 intervals
+    end = c**q
+    res = integrate(tm.power_survival(model, q), [0.0, end], breakpoints=[end])
+    assert res.values[0] == end and res.intervals <= 2
+
+
+@pytest.mark.parametrize("model, p, q", [(tm.rademacher(), 1.5, 0.5), (tm.degenerate(1.0), 0.7, 0.5)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_unit_point_mass_window_integrals_read_one(model, p, q):
+    # both windows are [0, 1], where P(||X||^q > t) = 1: the estimates are
+    # 1.0, where they read 0.9999999999999999
+    report = cr.classify_slln(model, p, q)
+    assert report.integral_verdict.estimate_on_window == 1.0
+    assert report.p_moment_verdict.estimate_on_window == 1.0
 
 
 def test_zero_length_interval():
