@@ -30,7 +30,7 @@ __all__ = ["sup_power_weighted_tail", "MarcusPisierTable", "marcus_pisier_check"
 
 def sup_power_weighted_tail(model: tm.TailModel, r: float) -> float:
     """sup_{t>0} t^r P(||X|| > t) for r > 0, exact on pieces without log
-    factors, grid-refined on the log-corrected ones."""
+    factors; on a log-corrected piece, `_log_piece_sup`."""
     best = 0.0
     for pc in model.pieces:
         lo, hi = pc.t_lo, pc.t_hi
@@ -46,14 +46,60 @@ def sup_power_weighted_tail(model: tm.TailModel, r: float) -> float:
                 t = np.clip([lo, hi, clamp], lo, hi)
                 best = max(best, float(np.max(np.minimum(t**r, const * t ** (r - a)))))
             continue
-        # log-corrected pieces: t^r S(t) with S decaying like t^-a (ln t)^-b...
-        if r > a and math.isinf(hi):
-            return math.inf
-        top = hi if math.isfinite(hi) else max(lo * 1e30, 1e30)
-        grid = np.geomspace(lo, top, 4096)
-        vals = grid**r * np.asarray(tm.survival(model, grid))
-        best = max(best, float(np.max(vals)))
+        best = max(best, _log_piece_sup(pc, r))
     return best
+
+
+def _log_piece_sup(pc: tm.TailPiece, r: float) -> float:
+    """sup of t^r min(1, const t^-a (ln t)^-b (lnln t)^-c) on the piece.
+
+    In x = ln t its log is h(x) = min(r x, phi(x)), phi(x) = (r - a) x +
+    ln const - b ln x - c lnln x.  On an unbounded piece h grows without
+    bound when (r - a, -b, -c) > 0 lexicographically: the sup is inf.  Else
+    phi falls for x > x_phi (x_phi = (|b| + |c|) / (a - r) for r < a, and
+    exp(-c / b) for r = a, b > 0) and phi - r x for x > (|b| + |c|) / a, so
+    the piece is cut where both fall and phi < r x; past that cut h falls.
+    A 4096-point grid in x takes h's largest value, and each of its local
+    maxima is refined by bisecting the sign of h' between its neighbours,
+    which finds an interior maximizer and the end of the clamp alike, so the
+    sup is not read low between grid points."""
+    a, b, c = pc.tail.a, pc.tail.b, pc.tail.c
+    log_const = math.log(pc.tail.const)
+
+    def phi(x):
+        out = (r - a) * x + log_const - b * np.log(x)
+        return out - c * np.log(np.log(x)) if c else out
+
+    def slope(x):  # h'(x)
+        d_phi = (r - a) - (b + (c / np.log(x) if c else 0.0)) / x
+        return np.where(r * x < phi(x), r, d_phi)
+
+    x_lo = math.log(pc.t_lo)
+    if math.isfinite(pc.t_hi):
+        x_hi = math.log(pc.t_hi)
+    elif (r - a, -b, -c) > (0.0, 0.0, 0.0):
+        return math.inf
+    else:
+        spread = abs(b) + abs(c)
+        if r < a:
+            x_phi = spread / (a - r)
+        elif b > 0.0:
+            x_phi = math.exp(-c / b) if -c / b < 700.0 else math.inf
+        else:  # b = 0 < c
+            x_phi = 1.0
+        x_hi = 2.0 * max(x_lo, math.e, x_phi, spread / a)
+        while math.isfinite(x_hi) and not phi(x_hi) < r * x_hi:
+            x_hi *= 2.0
+        if not math.isfinite(x_hi):  # past every double ln t: no bound proved
+            return math.inf
+    xs = np.linspace(x_lo, x_hi, 4096)
+    hs = np.minimum(r * xs, phi(xs))
+    padded = np.concatenate([[-np.inf], hs, [-np.inf]])
+    peaks = np.flatnonzero((hs >= padded[:-2]) & (hs >= padded[2:]))
+    left, right = xs[np.maximum(peaks - 1, 0)], xs[np.minimum(peaks + 1, xs.size - 1)]
+    top = tm.bisect(lambda x: -slope(x), left, right)
+    with np.errstate(over="ignore"):
+        return float(np.exp(max(hs.max(), np.minimum(r * top, phi(top)).max())))
 
 
 @dataclass(frozen=True)

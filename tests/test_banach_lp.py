@@ -79,6 +79,41 @@ def test_sup_weighted_tail_matches_a_dense_grid(model, r):
     assert lp.sup_power_weighted_tail(model, r) == pytest.approx(dense, rel=1e-4)
 
 
+def log_piece_model(name, head, scale, t_knee=2.0):
+    """survival `head` below t_knee, then scale t^-0.5 (ln t)^1.5: a log factor that grows."""
+    return tm.load_model({"name": name, "sign_law": "symmetric", "pieces": [
+        {"t_lo": 0.0, "t_hi": t_knee, "formula_id": "constant", "params": {"value": head}},
+        {"t_lo": t_knee, "t_hi": None, "formula_id": "power-log",
+         "params": {"scale": scale, "power": 0.5, "log_power": -1.5}}]})
+
+
+GROWING_LOG_MODEL = log_piece_model("growing-log", 1.0, 3.0)
+
+
+def test_sup_weighted_tail_is_inf_where_a_growing_log_factor_meets_r_equal_to_the_power():
+    # t^0.5 S(t) = 3 (ln t)^1.5 past the clamp: no bound (the grid read 1748.36)
+    assert lp.sup_power_weighted_tail(GROWING_LOG_MODEL, 0.5) == math.inf
+
+
+def test_sup_weighted_tail_finds_where_the_clamp_ends():
+    # 3 t^-0.2 (ln t)^1.5 peaks at ln t = 7.5, under the clamp at 1, so
+    # t^0.3 min(1, 3 t^-0.5 (ln t)^1.5) peaks where the clamp ends: at the
+    # root x > 7.5 of ln 3 - x/2 + 1.5 ln x = 0, with value e^(0.3 x).  The
+    # 4096-point grid read 13.5164, below a dense grid's 13.5195
+    x = float(tm.bisect(lambda x: -(math.log(3.0) - x / 2.0 + 1.5 * np.log(x)),
+                        np.array(7.5), np.array(40.0)))
+    assert lp.sup_power_weighted_tail(GROWING_LOG_MODEL, 0.3) == pytest.approx(
+        math.exp(0.3 * x), rel=1e-13)
+
+
+def test_sup_weighted_tail_finds_an_interior_maximizer():
+    # 0.15 t^-0.2 (ln t)^1.5 stays under the clamp and peaks inside its piece
+    # at ln t = 7.5; the constant 0.2 below t = 25 gives only 25^0.3 * 0.2
+    model = log_piece_model("interior-peak", 0.2, 0.15, t_knee=25.0)
+    assert lp.sup_power_weighted_tail(model, 0.3) == pytest.approx(
+        0.15 * math.exp(-1.5) * 7.5**1.5, rel=1e-13)
+
+
 def test_marcus_pisier_degenerate_trivial():
     table = lp.marcus_pisier_check(tm.degenerate(1.0), 8, 1.0, [2.0, 100.0], 2000, 5)
     # u = 2 < n: the statistic sup_k k X*_k = n always exceeds it, and the
