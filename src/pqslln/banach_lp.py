@@ -3,12 +3,14 @@
 For iid magnitudes X_1..X_n with nonincreasing rearrangement X*_k and
 r >= 1, P(sup_k k^(1/r) X*_k > u) <= (2e/u^r) sup_t t^r sum_k P(||X_k|| > t).
 `sup_power_weighted_tail` computes the supremum on the right from the tail
-model's pieces, and `marcus_pisier_check` sets the empirical left side beside
-the bound on a grid of u.  Its paths come in pieces of max(1, 2^16 // n),
-and probe stream k draws piece k whole, one unsigned `draw_batch`.  The
-pieces are counted on every usable CPU, each with buffers of its own, so
-memory is threads x one piece, whatever the replication count, and the
-integer counts add to the same table at any thread count.  The
+model's pieces, in closed form on a power piece and by a refined grid in
+ln t on a log-corrected one, and `marcus_pisier_check` sets the empirical
+left side beside the bound on a grid of u.  Its paths come in pieces of
+max(1, 2^16 // n), and probe stream k draws piece k whole, one unsigned
+`draw_batch`.  The pieces are counted on every usable CPU, each with
+buffers of its own, so memory is threads x one piece, whatever the
+replication count, and the integer counts add to the same table at any
+thread count.  The
 disjoint-coordinate l_p witness is the `lp-counterexample` rule of
 `mc_engine`.
 """

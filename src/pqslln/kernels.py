@@ -31,7 +31,9 @@ every chunk of one size, so a stream of chunks allocates nothing per chunk.
 What every stream shares at one chunk position -- the n^e1 row and the cut
 points of the blocks and segments -- `Workspace.plan` builds once, and then
 any number of streams (the replications of an `mc_engine` block) each run
-`accumulate_chunk` on it in turn.  Each array is computed by the same
+`accumulate_chunk` on it in turn.  The cut points are sorted and their
+duplicates dropped by hand: `np.union1d` would load `numpy.ma`, which a
+`simulate` process does not otherwise import.  Each array is computed by the same
 operations in the same order whatever the workspace held before, so the
 terms and the bound above do not depend on where they are stored or on how
 many streams share a plan.
@@ -77,7 +79,7 @@ class Workspace:
         ends = self.snaps + 1
         if not ends.size or ends[-1] < size:
             ends = np.append(ends, size)  # the tail after the last snapshot
-        # np.union1d of the multiples of BLOCK and the segment starts, without numpy.ma
+        # np.union1d of the multiples of BLOCK and the segment starts
         starts = np.sort(np.concatenate([np.arange(0, size, BLOCK), ends[:-1]]))
         self.starts = starts[np.append(True, starts[1:] != starts[:-1])]
         self.segment_ends = np.searchsorted(self.starts, ends).tolist()

@@ -26,6 +26,12 @@ once for the whole block.  Probe stream k draws piece k whole:
 `dense_ratio_moments` as one signed batch of at most 4096 paths, and
 `banach_lp.marcus_pisier_check` as one unsigned batch of max(1, 2^16 // n)
 paths of n.  The `MagnitudeSampler` that worker threads share holds no buffers.
+
+A `simulate` or `verify` process imports what it runs and no more:
+`parallel_map` starts plain threads, so neither `concurrent.futures` nor the
+`logging` it imports is loaded, and `summary_dict` takes its medians and
+quartiles from columns sorted once, with numpy's own arithmetic, where
+`np.median` and `np.percentile` would load `numpy.ma`.
 """
 
 from __future__ import annotations
