@@ -33,10 +33,10 @@ points of the blocks and segments -- `Workspace.plan` builds once, and then
 any number of streams (the replications of an `mc_engine` block) each run
 `accumulate_chunk` on it in turn.  The cut points are sorted and their
 duplicates dropped by hand: `np.union1d` would load `numpy.ma`, which a
-`simulate` process does not otherwise import.  Each array is computed by the same
-operations in the same order whatever the workspace held before, so the
-terms and the bound above do not depend on where they are stored or on how
-many streams share a plan.
+`simulate` process does not otherwise import.  Each array is computed by
+the same operations in the same order whatever the workspace held before,
+so the terms and the bound above do not depend on where they are stored or
+on how many streams share a plan.
 """
 
 from __future__ import annotations

@@ -14,11 +14,12 @@ the variable s = ln t, where a log-polynomial decay becomes slowly varying:
 at LOG_FROM and puts every segment into one queue of intervals, refined in
 vectorized batches.  A segment that ends on a breakpoint takes f's left
 limit there (f at the double below it): the integral over the segment does
-not depend on f at its end, and f may jump there.  An interval is accepted when the Richardson estimate
-|S2 - S1|/15 is below REL_TOL (1e-9) of |S2| plus its length's share of
-ABS_FLOOR in its segment; one call may process BUDGET (1e6) intervals.  One
-math.fsum per segment and one per cell make a cell's value independent of
-the refinement order and of the other cells in the queue.
+not depend on f at its end, and f may jump there.  An interval is accepted
+when the Richardson estimate |S2 - S1|/15 is below REL_TOL (1e-9) of |S2|
+plus its length's share of ABS_FLOOR in its segment; one call may process
+BUDGET (1e6) intervals.  One math.fsum per segment and one per cell make a
+cell's value independent of the refinement order and of the other cells in
+the queue.
 """
 
 from __future__ import annotations

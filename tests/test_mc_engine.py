@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -385,6 +386,18 @@ def test_parallel_map_raises_the_lowest_index_failure_after_every_thread_joins(m
     with pytest.raises(ValueError, match="item 1"):
         mc.parallel_map(fail_odd, range(4), 4)
     assert len(started) == 4 and not any(t.is_alive() for t in started) and 1 in done
+
+
+def test_parallel_map_runs_each_item_once_under_fast_thread_switches():
+    # more threads than cores and a switch every microsecond: a lost update
+    # of the shared item order would run an item twice or not at all
+    calls, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = mc.parallel_map(lambda k: calls.append(k) or -k, range(3000), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [-k for k in range(3000)] and sorted(calls) == list(range(3000))
 
 
 @given(st.integers(1, 64).flatmap(lambda m: st.tuples(
