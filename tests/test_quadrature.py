@@ -44,8 +44,9 @@ def test_a_point_mass_reads_its_exact_window_integral_in_a_few_intervals(model, 
     assert res.values[0] == end and res.intervals <= 2
 
 
-@pytest.mark.parametrize("model, p, q", [(tm.rademacher(), 1.5, 0.5), (tm.degenerate(1.0), 0.7, 0.5)],
-                         ids=lambda v: getattr(v, "name", str(v)))
+@pytest.mark.parametrize("model, p, q", [
+    (tm.rademacher(), 1.5, 0.5), (tm.degenerate(1.0), 0.7, 0.5),
+], ids=lambda v: getattr(v, "name", str(v)))
 def test_unit_point_mass_window_integrals_read_one(model, p, q):
     # both windows are [0, 1], where P(||X||^q > t) = 1: the estimates are
     # 1.0, where they read 0.9999999999999999
