@@ -18,7 +18,6 @@ disjoint-coordinate l_p witness is the `lp-counterexample` rule of
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,16 +140,13 @@ def marcus_pisier_check(model: tm.TailModel, n: int, r: float, u_grid,
     (the last may be short), and probe stream k draws piece k whole.  The
     pieces are counted on `mc_engine.usable_cpus()` threads and their integer
     counts added, so the table does not depend on the thread count.
+    A bad count or seed (`tm.check_count`) or r < 1 raises ValueError first.
     """
     if not (tm.is_number(r) and r >= 1.0):
         raise ValueError(f"the inequality requires a finite r >= 1, got {r!r}")
-    for name, value in (("n", n), ("replications", replications)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    if n < 1:
-        raise ValueError("the inequality needs paths of length n >= 1")
-    if replications < 1:
-        raise ValueError("the empirical side needs at least one replication")
+    n = tm.check_count("n", n, 1)
+    replications = tm.check_count("replications", replications, 1)
+    master_seed = tm.check_count("master_seed", master_seed, 0, rng.MAX_SEED)
     u_grid = np.asarray(sorted(float(u) for u in u_grid))
     if not (u_grid.size and np.all((0.0 < u_grid) & (u_grid < math.inf))):  # false for nan
         raise ValueError("u_grid must be a nonempty list of finite positive numbers")

@@ -36,7 +36,6 @@ series).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +55,7 @@ T_CAP_DEFAULT = tm.T_CAP_DEFAULT
 X_MAX = float(np.finfo(float).max)
 SERIES_N_MAX_DEFAULT = tm.SERIES_N_MAX_DEFAULT
 SERIES_BLOCK = 1 << 13  # terms of `truncated_series` evaluated at a time: cache-sized
+SERIES_N_MIN = 1000  # the fewest terms of `truncated_series`: its first checkpoint
 _EQ = 1e-12
 
 CLAUSE_Q_LT_P = "q<p<1"
@@ -162,8 +162,7 @@ def llogl_moment(model: tm.TailModel, p: float, delta: float,
     """Classify E[ ||X||^p ln^delta(1 + ||X||) ] via the tail of the transform:
     the map h(x) = x^p ln^delta(1 + x), the integrand S(h^-1(t))."""
     tm.check_exponents(p)
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"delta must be a finite positive number, got {delta!r}")
+    tm.check_positive(delta=delta)
     h, h_inv = _moment_map(p, delta)
     base = tm.tail_asymptote(model)
     asym = None if base is None else base.moment_transform(p, delta)
@@ -268,14 +267,6 @@ def _series_remainder(model: tm.TailModel, p: float, n_max: int) -> float | None
     return float(ratio * (y_over_n * ratio - second))
 
 
-def _check_series_n_max(n_max) -> None:
-    """Raise ValueError unless `n_max` is an integer in [10^3, 2^53]."""
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
-        raise ValueError(f"n_max must be an integer, got {n_max!r}")
-    if not 1000 <= n_max <= tm.MAX_COUNT:
-        raise ValueError(f"n_max must be at least 10^3 and at most 2^53, got {n_max}")
-
-
 def truncated_series(model: tm.TailModel, p: float,
                      n_max: int = SERIES_N_MAX_DEFAULT) -> tuple[SeriesTable, Verdict]:
     """Partial sums and growth verdict of the q = p truncation series.
@@ -289,10 +280,11 @@ def truncated_series(model: tm.TailModel, p: float,
     block reuses: each term depends on its n alone.  A block's prefix sums
     go on from the block before by adding that block's last partial sum to
     the first term, which is, bit for bit, np.cumsum over all the terms at
-    once.  Only the partial sums are kept whole, for the last-decade fit.
+    once.  Only the partial sums are kept whole; a divergent verdict fits them
+    at the 11 geometric points from n_max / 10 to n_max, rounded.
     """
     tm.check_exponents(p)
-    _check_series_n_max(n_max)
+    n_max = tm.check_count("n_max", n_max, SERIES_N_MIN)
     checkpoints = sorted({10**k for k in range(3, int(math.log10(n_max)) + 1)} | {n_max})
     idx = np.array([c - 1 for c in checkpoints])
     partials = np.empty(n_max)
@@ -333,8 +325,8 @@ def truncated_series(model: tm.TailModel, p: float,
         int_carry = int_term[-1]
 
     table_out = SeriesTable(
-        n_max=int(n_max),
-        checkpoints=tuple(int(c) for c in checkpoints),
+        n_max=n_max,
+        checkpoints=tuple(checkpoints),
         partial_sums=tuple(partials[idx].tolist()),
         integral_form_partials=tuple(int_at.tolist()),
         terms_at_checkpoints=tuple(terms_at.tolist()),
@@ -359,9 +351,8 @@ def truncated_series(model: tm.TailModel, p: float,
     diag = {"tail_exponents": (sy.a, sy.b, sy.c)}
     if kind == DIVERGES:
         last = partials[idx[-2]] if len(idx) > 1 else 0.0
-        start = max(1, n_max // 10)
-        slope, _ = fit_line(np.log(np.arange(start, n_max + 1, dtype=float)),
-                            partials[start - 1:])
+        decade = np.rint(np.geomspace(n_max / 10, n_max, 11))
+        slope, _ = fit_line(np.log(decade), partials[decade.astype(np.int64) - 1])
         diag["last_decade_increase"] = float(partials[-1] - last)
         diag["last_decade_slope"] = float(slope)
     return table_out, Verdict(kind, estimate, remainder_bound=rem,
@@ -421,9 +412,9 @@ def _membership(decisive: list[Verdict], mean_flag: bool | None,
 def _classify(model: tm.TailModel, p: float, q: float, criterion: str, *,
               t_cap: float, series_n_max: int) -> CriterionReport:
     """Membership from the clause table; the q = p clause depends on `criterion`."""
-    if not t_cap > 0.0:
-        raise ValueError(f"t_cap must be positive, got {t_cap!r}")
-    _check_series_n_max(series_n_max)  # in every clause, before any work
+    if not (tm.is_number(t_cap) and t_cap > 0.0):
+        raise ValueError(f"t_cap must be positive and finite, got {t_cap!r}")
+    series_n_max = tm.check_count("series_n_max", series_n_max, SERIES_N_MIN)  # in every clause
     clause = clause_of(p, q)
     mean_flag = tm.mean_zero(model)
     mean_required = clause == CLAUSE_P_GE_1

@@ -104,13 +104,14 @@ class ExperimentConfig:
     sequence: str | None = None  # e.g. "lp-counterexample" instead of an iid model
 
     def __post_init__(self):
-        if not 1 << 10 <= self.n_max <= tm.MAX_COUNT or self.n_max & (self.n_max - 1):
-            raise ConfigError("n_max must be a power of two, at least 2^10 and at most 2^53, "
-                              f"got {self.n_max}")
-        if not 2 <= self.replications <= tm.MAX_COUNT:
-            raise ConfigError("replications must be at least 2 and at most 2^53, "
-                              f"got {self.replications}")
-        rng.check_seed(self.master_seed)
+        try:  # the counts kept as ints, so that a numpy integer works as one
+            for name, lo in (("n_max", 1 << 10), ("replications", 2)):
+                object.__setattr__(self, name, tm.check_count(name, getattr(self, name), lo))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.n_max & (self.n_max - 1):
+            raise ConfigError(f"n_max must be a power of two, got {self.n_max}")
+        object.__setattr__(self, "master_seed", rng.check_seed(self.master_seed))
         tm.check_exponents(self.p, self.q)
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
@@ -328,11 +329,11 @@ def _counterexample_table(config: ExperimentConfig) -> CheckpointTable:
 
 
 def check_workers(workers: int) -> None:
-    """ConfigError unless 1 <= workers <= MAX_WORKERS."""
-    if workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {workers}")
-    if workers > MAX_WORKERS:
-        raise ConfigError(f"--workers must be at most {MAX_WORKERS}, got {workers}")
+    """ConfigError unless `workers` is an integer in [1, MAX_WORKERS] (`tm.check_count`)."""
+    try:
+        tm.check_count("--workers", workers, 1, MAX_WORKERS)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run_paths(config: ExperimentConfig, workers: int = 1) -> CheckpointTable:
@@ -502,6 +503,7 @@ def dense_ratio_moments(model: tm.TailModel, pairs, n_upto: int, replications: i
     """E (||S_n|| / n^(1/p))^q for every n <= n_upto and every (p, q) of
     `pairs` (any finite p > 0 and q >= 0), estimated from `replications` iid
     paths; returns one (means, standard errors) per pair, in the order of `pairs`.
+    A bad count, seed (`tm.check_count`) or pair raises ValueError first.
 
     Block b of at most 4096 paths is one signed `draw_batch` from probe
     stream b, so results are reproducible for a fixed seed.  The paths are
@@ -509,11 +511,11 @@ def dense_ratio_moments(model: tm.TailModel, pairs, n_upto: int, replications: i
     in the same order, so a pair's result does not depend on the other
     pairs.
     """
-    if n_upto < 1 or replications < 1:
-        raise ValueError(f"need n_upto >= 1 and replications >= 1, got {n_upto}, {replications}")
+    n_upto = tm.check_count("n_upto", n_upto, 1)
+    replications = tm.check_count("replications", replications, 1)
+    master_seed = tm.check_count("master_seed", master_seed, 0, rng.MAX_SEED)
     for p, q in pairs:
-        if not (tm.is_number(p) and p > 0.0 and tm.is_number(q) and q >= 0.0):
-            raise ValueError(f"need a finite p > 0 and a finite q >= 0, got {p!r}, {q!r}")
+        tm.check_moment_exponents(p, q)
     sums = np.zeros((len(pairs), n_upto))
     sumsq = np.zeros((len(pairs), n_upto))
     ns = np.arange(1, n_upto + 1, dtype=float)

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionViolated, StateSpaceExceeded
-from .tail_models import is_number
+from .tail_models import check_count, check_moment_exponents, is_number
 
 _CONV_CAP = 5_000_000  # value-map entries allowed during one convolution step
 
@@ -92,16 +92,14 @@ def rademacher_law() -> DiscreteLaw:
 
 
 def _max_levels(law: DiscreteLaw, n: int, K):
-    """Checked (values, masses, cumulative masses, K) of `law` at (n, K).
+    """Checked (values, masses, cumulative masses, K) of `law` at (n, K); the caller checks n.
 
     The values are the law's, strictly increasing, so the last cumulative
     mass is 1; K comes back as an int or a Fraction.  Raises ValueError
-    unless n is an int >= 1, K >= 1 and the law is one on [0, inf), and
+    unless K >= 1 and the law is one on [0, inf), and
     PreconditionViolated when P(Y > 0) > K/n.  Atoms are exact rationals, so
     signs are read from numerators and the precondition is compared in ints.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an int >= 1, got {n!r}")
     kf = K if isinstance(K, (int, Fraction)) else Fraction(K)
     if kf < 1:
         raise ValueError("K must be >= 1")
@@ -214,10 +212,11 @@ def lemma_max_check(law: DiscreteLaw, n: int, K) -> tuple[float, float, bool]:
     Both sides are exact rationals: P(max <= v) = F(v)^n over the sorted atom
     levels.  Returns (lhs, rhs, holds) with lhs and rhs the exact values
     rounded once to doubles and holds the exact comparison.  Raises
-    ValueError unless n is an int >= 1, K >= 1 and the law's values are
-    nonnegative, and PreconditionViolated when
-    P(Y > 0) > K/n.  `lemma_max_holds_batch` gives the same holds faster.
+    ValueError unless n is an integer >= 1 (a numbers.Integral, not a bool),
+    K >= 1 and the law's values are nonnegative, and PreconditionViolated
+    when P(Y > 0) > K/n.  `lemma_max_holds_batch` gives the same holds faster.
     """
+    n = check_count("n", n, 1)  # an int: a numpy one would wrap in F^n
     e_max, rhs = _exact_sides(*_max_levels(law, n, K), n)
     return float(e_max), float(rhs), e_max >= rhs
 
@@ -237,12 +236,9 @@ class MaxInstances:
     __slots__ = ("values", "value_den", "masses", "mass_den", "n", "k_num", "k_den")
 
     def __init__(self, values, value_den, masses, mass_den, n, k_num, k_den):
-        n = np.asarray(n)
-        if not np.can_cast(n.dtype, np.int64):
-            raise ValueError(f"n must be an int >= 1, got an array of {n.dtype}")
-        fields = {"n": n}
-        for name, a in (("values", values), ("value_den", value_den), ("masses", masses),
-                        ("mass_den", mass_den), ("k_num", k_num), ("k_den", k_den)):
+        fields = {}
+        for name, a in dict(n=n, values=values, value_den=value_den, masses=masses,
+                            mass_den=mass_den, k_num=k_num, k_den=k_den).items():
             fields[name] = np.asarray(a)
             if not np.can_cast(fields[name].dtype, np.int64):
                 raise ValueError(f"{name} must be an integer array, got {fields[name].dtype}")
@@ -362,19 +358,15 @@ def _support_bound(law: DiscreteLaw, n: int) -> int:
 
 def exact_series_small(law: DiscreteLaw, p: float, q: float, n_limit: int
                        ) -> list[float]:
-    """Exact E(|S_n| / n^(1/p))^q for n = 1..n_limit by repeated convolution,
-    for any finite p > 0 and q >= 0, a wider domain than the (p,q) laws'.
+    """Exact E(|S_n| / n^(1/p))^q for n = 1..n_limit in [1, 12] by repeated
+    convolution, for any finite p > 0 and q >= 0 (wider than the (p,q) laws').
 
     The distribution of S_n lives on a value-indexed map with exact Fraction
     values; StateSpaceExceeded guards the support growth, raised before any
     arithmetic when the bounded support of the last step could pass the cap.
     """
-    if not (is_number(p) and p > 0.0 and is_number(q) and q >= 0.0):
-        raise ValueError(f"need a finite p > 0 and a finite q >= 0, got {p!r}, {q!r}")
-    if n_limit < 1:
-        raise ValueError("n_limit must be >= 1")
-    if n_limit > 12:
-        raise ValueError("exact enumeration is limited to n <= 12")
+    check_moment_exponents(p, q)
+    n_limit = check_count("n_limit", n_limit, 1, 12)
     # the bound grows with n, so the last step decides whether any step can pass
     if _support_bound(law, n_limit - 1) * len(law.atoms) > _CONV_CAP:
         raise StateSpaceExceeded(

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tail_models as tm
 from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
+MAX_SEED = _MASK64  # stream_key reads 64 bits, so any other seed would alias one
 _GOLDEN = 0x9E3779B97F4A7C15
 
 ROLE_PATH = 0
@@ -33,11 +35,12 @@ def splitmix64(x: int) -> int:
 
 
 def check_seed(master_seed: int) -> int:
-    """`master_seed` if it is an unsigned 64-bit value; any other seed would
-    alias one that is, since stream_key reads only 64 bits of it."""
-    if not 0 <= master_seed <= _MASK64:
-        raise ConfigError(f"master seed must be in [0, 2^64), got {master_seed}")
-    return master_seed
+    """A config's or `--seed`'s seed as an int in [0, MAX_SEED] (`tm.check_count`), else
+    a ConfigError."""
+    try:
+        return tm.check_count("master seed", master_seed, 0, MAX_SEED)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def stream_key(master_seed: int, stream: int, role: int = ROLE_PATH) -> int:

@@ -45,9 +45,8 @@ E = math.e
 SIGN_LAWS = {"symmetric": 0.5, "nonnegative": 0.0}
 
 
-# the largest count a config may give (steps, replications, series terms):
-# 2^53 is the largest integer a double holds exactly, and a table of that
-# many doubles would take 64 PiB
+# the largest count `check_count` takes by default: 2^53, the largest integer
+# a double holds exactly; a table of that many doubles would take 64 PiB
 MAX_COUNT = 1 << 53
 # the defaults of the criteria settings: the largest t of a tail integral,
 # and the terms of the truncated series.  They live here, with the other
@@ -62,6 +61,24 @@ def is_number(val) -> bool:
     is none, and neither is an int past the largest double."""
     return not isinstance(val, bool) and isinstance(val, numbers.Real) \
         and abs(val) <= sys.float_info.max
+
+
+def check_positive(**params) -> None:
+    """ValueError unless each param is a finite number > 0 (`is_number`)."""
+    for name, val in params.items():
+        if not (is_number(val) and val > 0.0):
+            raise ValueError(f"{name} must be a finite number > 0, got {val!r}")
+
+
+def check_count(name: str, value, lo: int, hi: int = MAX_COUNT) -> int:
+    """`value` as an int if it is an integer (a numbers.Integral, not a bool) in [lo, hi], else
+    a ValueError naming `name`; a bound from 1000 on reads 10^k, 2^k or 2^k - 1."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Integral) and lo <= value <= hi:
+        return int(value)
+    lo, hi = (f"10^{len(str(b)) - 1}" if b >= 1000 and str(b).rstrip("0") == "1" else
+              f"2^{(b + 1).bit_length() - 1}" + " - 1" * (b & 1)
+              if b >= 1024 and not (b & (b - 1) and b & (b + 1)) else str(b) for b in (lo, hi))
+    raise ValueError(f"{name} must be an integer at least {lo} and at most {hi}, got {value!r}")
 
 
 def negative_prob(sign_law) -> float:
@@ -494,6 +511,12 @@ def check_exponents(p: float, q: float | None = None) -> None:
         raise ValueError(f"q must be a finite number > 0, got {q!r}")
 
 
+def check_moment_exponents(p: float, q: float) -> None:
+    """ValueError unless p > 0 and q >= 0 are finite: E(||S_n|| / n^(1/p))^q's domain."""
+    if not (is_number(p) and p > 0.0 and is_number(q) and q >= 0.0):
+        raise ValueError(f"need a finite p > 0 and a finite q >= 0, got {p!r}, {q!r}")
+
+
 class CumulativeTailTable:
     """Precomputed G(t) = int_0^t P(||X||^p > s) ds on a geometric grid.
 
@@ -506,8 +529,7 @@ class CumulativeTailTable:
 
     def __init__(self, model: TailModel, p: float, t_max: float):
         check_exponents(p)
-        if t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        check_positive(t_max=t_max)
         self.model = model
         self.p = float(p)
         self.t_max = float(t_max)
@@ -658,17 +680,10 @@ def _builtin(kind: str, name: str, pieces: tuple[TailPiece, ...], sign_law,
                      origin=(kind, tuple(params.items())))
 
 
-def _check_positive(**params) -> None:
-    """ValueError unless each param is a finite number > 0."""
-    for name, val in params.items():
-        if not (is_number(val) and val > 0.0):
-            raise ValueError(f"{name} must be a finite number > 0, got {val!r}")
-
-
 def pareto(alpha: float, sign_law="symmetric") -> TailModel:
     """Survival t^(-alpha) beyond t = 1 (the critical instance alpha = p has
     u_n^p = n exactly, which empties every truncation window)."""
-    _check_positive(alpha=alpha)
+    check_positive(alpha=alpha)
     return _builtin(
         "pareto", f"pareto(alpha={alpha:g})",
         _log_poly(0.0, 1.0, 1.0) + _log_poly(1.0, math.inf, 1.0, float(alpha)),
@@ -682,7 +697,7 @@ def log_power_tail(power: float, log_power: float, sign_law="symmetric") -> Tail
     With log_power = 2p/q this is the tail that separates membership at
     (p, p) from membership at (p, q) for q < p.
     """
-    _check_positive(power=power, log_power=log_power)
+    check_positive(power=power, log_power=log_power)
     return _builtin(
         "log-power", f"log-power(power={power:g}, log_power={log_power:g})",
         _log_poly(0.0, E, 1.0)
@@ -697,7 +712,7 @@ def log_loglog_power_tail(power: float, sign_law="symmetric") -> TailModel:
     The marginal tail whose p-moment is finite while the critically truncated
     series still diverges.
     """
-    _check_positive(power=power)
+    check_positive(power=power)
     knee = math.exp(E)
     return _builtin(
         "log-loglog-power", f"log-loglog-power(power={power:g})",

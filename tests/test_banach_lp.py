@@ -144,9 +144,12 @@ def test_marcus_pisier_requires_r_at_least_one():
 
 
 def test_marcus_pisier_rejects_empty_input():
-    with pytest.raises(ValueError, match="n >= 1"):
+    with pytest.raises(ValueError,
+                       match=r"^n must be an integer at least 1 and at most 2\^53, got 0$"):
         lp.marcus_pisier_check(tm.pareto(2.0), 0, 1.2, [1.0], 10)
-    with pytest.raises(ValueError, match="replication"):
+    with pytest.raises(ValueError,
+                       match=r"^replications must be an integer at least 1 and at most 2\^53, "
+                             r"got 0$"):
         lp.marcus_pisier_check(tm.pareto(2.0), 8, 1.2, [1.0], 0)
 
 
@@ -155,7 +158,8 @@ def test_marcus_pisier_rejects_empty_input():
 def test_marcus_pisier_rejects_counts_that_are_not_ints(n, reps):
     # 64.5 used to raise a TypeError from range(), and True ran as 1
     name = "replications" if n == 8 else "n"
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be an integer at least 1 and at most 2\^53, got "):
         lp.marcus_pisier_check(tm.pareto(2.0), n, 1.2, [1.0], reps)
 
 

@@ -192,7 +192,7 @@ def test_simulate_bad_workers_exits_2(tmp_path, capsys, workers):
     assert cli.main(["simulate", "--config", cfg, "--out", str(out),
                      "--workers", workers]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: --workers must be at least 1, got {workers}\n"
+    assert err == f"error: --workers must be an integer at least 1 and at most 64, got {workers}\n"
     assert not out.exists()
 
 
@@ -204,7 +204,7 @@ def test_simulate_workers_past_the_ceiling_exit_2(tmp_path, capsys, workers):
     assert cli.main(["simulate", "--config", cfg, "--out", str(out),
                      "--workers", workers]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: --workers must be at most 64, got {workers}\n"
+    assert err == f"error: --workers must be an integer at least 1 and at most 64, got {workers}\n"
     assert not out.exists()
 
 
@@ -637,7 +637,8 @@ def run_python(*argv, blas_threads="4"):
 
 
 def loglog_config(tmp_path):
-    # its 90,001-point last-decade fit is long enough for a threaded BLAS dot product
+    # a divergent q = p series: the report carries the slope that trend.fit_line's
+    # dot products fit over the series' last decade
     return criteria_config(tmp_path, {"builtin": "log-loglog-power", "params": {"power": 0.5}},
                            0.5, 0.5, t_cap=1e12, series_n_max=100_000)
 

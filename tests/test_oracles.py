@@ -118,7 +118,9 @@ def test_lemma_max_precondition():
 def test_lemma_max_requires_an_int_n_of_at_least_one(entry, n):
     # a float n would take F^n in floats and leave exact arithmetic
     law = two_point(Fraction(9, 10), 1, Fraction(1, 10))
-    with pytest.raises(ValueError, match="n must be an int >= 1"):
+    # the batch reads n as an array, whose dtype must be an integer one
+    with pytest.raises(ValueError,
+                       match=r"^n must be an integer (at least 1 and at most 2\^53|array), got "):
         entry(law, n, 1)
 
 
@@ -151,7 +153,8 @@ def test_lemma_max_rejects_a_non_law(c, masses, message):
     (([0, 1], 1, [-1, 2], 1, 1, 2), ValueError, "probabilities must be nonnegative"),
     (([0, 1], 1, [2, 1], 4, 1, 2), ValueError, "sum to 3/4, not 1"),
     (([0, 1], 1, [1, 1], 2, 10, 1), PreconditionViolated, "exceeds K/n"),
-    (([0, 1], 1, [9, 1], 10, 0, 1), ValueError, "n must be an int >= 1"),
+    (([0, 1], 1, [9, 1], 10, 0, 1), ValueError,
+     r"^n must be an integer at least 1 and at most 2\^53, got 0$"),
 ], ids=["negative-mass", "mass-3/4", "precondition", "n-0"])
 def test_batch_rejects_a_bad_row_among_laws(bad, error, message):
     good = ([0, 7], 10, [9, 1], 10, 10, 1)  # values, value_den, masses, mass_den, n, K
@@ -162,7 +165,7 @@ def test_batch_rejects_a_bad_row_among_laws(bad, error, message):
 
 
 @pytest.mark.parametrize("fields,message", [
-    ({"n": [2.5]}, "n must be an int >= 1"),
+    ({"n": [2.5]}, "n must be an integer array"),
     ({"masses": [[0.5, 0.5]]}, "masses must be an integer array"),
     ({"values": [[0, 2**70]]}, "values must be an integer array"),  # no int64 holds it
     ({"values": np.array([[0, 1]], dtype=np.uint64)}, "values must be an integer array"),
