@@ -230,6 +230,17 @@ def _series_tail_verdict(sy: LogPolyTail) -> str:
     return CONVERGES if c0 >= 1.0 - tol else DIVERGES
 
 
+def _series_kind(model: tm.TailModel, p: float) -> str:
+    """The verdict kind of `truncated_series` at p, from the model alone:
+    Converges for bounded support (term_n <= M^p / n^2), else
+    `_series_tail_verdict` of the tail of Y = ||X||^p.  No term is summed,
+    since zero terms decide nothing either: a divergent tail can keep its
+    windows empty past any N."""
+    if math.isfinite(tm.support_upper(model)):
+        return CONVERGES
+    return _series_tail_verdict(tm.tail_asymptote(model).power_arg(p))
+
+
 def _series_remainder(model: tm.TailModel, p: float, n_max: int) -> float | None:
     """Proved upper bound of sum_{n>N} term_n, N = n_max, or None, from the
     exact last piece S(x) = C x^-a (ln x)^-b (lnln x)^-c on [x0, inf).
@@ -277,11 +288,14 @@ def truncated_series(model: tm.TailModel, p: float,
     powers cannot move it across a jump of the survival function.
 
     The terms are evaluated SERIES_BLOCK at a time, into buffers that every
-    block reuses: each term depends on its n alone.  A block's prefix sums
-    go on from the block before by adding that block's last partial sum to
-    the first term, which is, bit for bit, np.cumsum over all the terms at
-    once.  Only the partial sums are kept whole; a divergent verdict fits them
-    at the 11 geometric points from n_max / 10 to n_max, rounded.
+    block reuses, the quantiles' output and inverse scratch included: each
+    term depends on its n alone.  A block whose windows are all nonempty,
+    as every block but the first is for the builtin tails, is evaluated
+    whole, without masks.  A block's prefix sums go on from the block before
+    by adding that block's last partial sum to the first term, which is, bit
+    for bit, np.cumsum over all the terms at once.  Only the partial sums are
+    kept whole; a divergent verdict fits them at the 11 geometric points from
+    n_max / 10 to n_max, rounded.
     """
     tm.check_exponents(p)
     n_max = tm.check_count("n_max", n_max, SERIES_N_MIN)
@@ -290,14 +304,17 @@ def truncated_series(model: tm.TailModel, p: float,
     partials = np.empty(n_max)
     int_at, terms_at = np.empty((2, idx.size))  # at the checkpoints
     steps = np.arange(min(SERIES_BLOCK, n_max), dtype=float)
-    ns, terms, integral_terms = np.empty((3, steps.size))
+    ns, terms, integral_terms, quantiles = np.empty((4, steps.size))
+    scratch = tm.InverseScratch(steps.size)
     clamped, tops, int_carry = 0, [], 0.0
     table = s_y = None  # built for the first nonempty window
     for lo in range(0, n_max, steps.size):
         size = min(steps.size, n_max - lo)
         n, term, int_term = ns[:size], terms[:size], integral_terms[:size]
         np.add(steps[:size], float(lo + 1), out=n)
-        u = tm.quantiles_un(model, n)
+        if size < scratch.cells.size:  # the last block, shorter
+            scratch = tm.InverseScratch(size)
+        u = tm.quantiles_un(model, n, quantiles[:size], scratch)
         a = np.minimum(u**p, n)
         nonempty = a < n * (1.0 - 1e-15)
         term.fill(0.0)
@@ -306,13 +323,14 @@ def truncated_series(model: tm.TailModel, p: float,
             if table is None:
                 table = tm.CumulativeTailTable(model, p, float(n_max))
                 s_y = tm.power_survival(model, p)
-            aa, bb = a[nonempty], n[nonempty]
-            s_a = tm.survival(model, u[nonempty])   # a = u^p on nonempty windows
+            windows = slice(None) if nonempty.all() else nonempty
+            aa, bb = a[windows], n[windows]
+            s_a = tm.survival(model, u[windows])   # a = u^p on nonempty windows
             g_a, g_b = table(aa), table(bb)
             raw = (aa * s_a - bb * s_y(bb) + g_b - g_a) / bb
             clamped += int(np.count_nonzero(raw < 0.0))
-            term[nonempty] = np.maximum(raw, 0.0)
-            int_term[nonempty] = np.maximum(g_b - g_a, 0.0) / bb
+            term[windows] = np.maximum(raw, 0.0)
+            int_term[windows] = np.maximum(g_b - g_a, 0.0) / bb
         here = (idx >= lo) & (idx < lo + size)
         terms_at[here] = term[idx[here] - lo]
         tops.append(term.max())
@@ -335,16 +353,13 @@ def truncated_series(model: tm.TailModel, p: float,
 
     estimate = float(partials[-1])
     zero = float(np.max(tops)) <= 1e-12
-    upper = tm.support_upper(model)
+    kind, upper = _series_kind(model, p), tm.support_upper(model)
     if math.isfinite(upper):
         # Y <= M^p and P(Y > u_n^p) <= 1/n, so term_n <= M^p / n^2
-        return table_out, Verdict(CONVERGES, estimate, remainder_bound=upper**p / n_max,
+        return table_out, Verdict(kind, estimate, remainder_bound=upper**p / n_max,
                                   method="zero-terms" if zero else "bounded-support")
 
-    # zero terms decide nothing: a divergent tail can keep its windows empty
-    # past any N, so the exponents decide even then
     sy = tm.tail_asymptote(model).power_arg(p)
-    kind = _series_tail_verdict(sy)
     rem = _series_remainder(model, p, n_max) if kind == CONVERGES else None
     if kind == CONVERGES and zero:
         return table_out, Verdict(CONVERGES, estimate, remainder_bound=rem, method="zero-terms")
@@ -395,14 +410,14 @@ def clause_of(p: float, q: float) -> str:
     return CLAUSE_OUT
 
 
-def _membership(decisive: list[Verdict], mean_flag: bool | None,
-                mean_required: bool) -> str:
+def _membership(kinds: list[str], mean_flag: bool | None, mean_required: bool) -> str:
+    """The membership from the verdict kinds of the decisive conditions."""
     # Any Inconclusive input forces an Inconclusive membership.
-    if any(v.kind == INCONCLUSIVE for v in decisive):
+    if INCONCLUSIVE in kinds:
         return UNDECIDED
     if mean_required and mean_flag is None:
         return UNDECIDED
-    if any(v.kind == DIVERGES for v in decisive):
+    if DIVERGES in kinds:
         return NON_MEMBER
     if mean_required and mean_flag is False:
         return NON_MEMBER
@@ -411,7 +426,16 @@ def _membership(decisive: list[Verdict], mean_flag: bool | None,
 
 def _classify(model: tm.TailModel, p: float, q: float, criterion: str, *,
               t_cap: float, series_n_max: int) -> CriterionReport:
-    """Membership from the clause table; the q = p clause depends on `criterion`."""
+    """Membership from the clause table; the q = p clause depends on `criterion`.
+
+    At q = p the almost-sure criterion runs `truncated_series` and reports
+    its table.  The expectation criterion decides by `llogl_moment`, and
+    its almost-sure contrast needs only the series' verdict kind, which
+    `_series_kind` gives from the model alone, the same function
+    `truncated_series` takes its kind from.  So the expectation criterion
+    sums no term and builds no quantiles and no cumulative tail table: the
+    kind is all that its report takes from the series, and it is the kind
+    the series pass would report."""
     if not (tm.is_number(t_cap) and t_cap > 0.0):
         raise ValueError(f"t_cap must be positive and finite, got {t_cap!r}")
     series_n_max = tm.check_count("series_n_max", series_n_max, SERIES_N_MIN)  # in every clause
@@ -425,16 +449,16 @@ def _classify(model: tm.TailModel, p: float, q: float, criterion: str, *,
     elif clause == CLAUSE_Q_EQ_P:
         # at q = p the integral condition is the p-th moment itself
         integral = pmom = p_moment(model, p, t_cap)
-        table, verdict = truncated_series(model, p, series_n_max)
-        almost_sure = _membership([pmom, verdict], mean_flag, False)
         if criterion == "expectation":
             llogl = llogl_moment(model, p, 1.0, t_cap)
-            membership, contrast = _membership([llogl], mean_flag, False), almost_sure
+            membership = _membership([llogl.kind], mean_flag, False)
+            contrast = _membership([pmom.kind, _series_kind(model, p)], mean_flag, False)
         else:
-            membership, series_table, series_verdict = almost_sure, table, verdict
+            series_table, series_verdict = truncated_series(model, p, series_n_max)
+            membership = _membership([pmom.kind, series_verdict.kind], mean_flag, False)
     else:
         integral, pmom = integral_pq(model, p, q, t_cap), p_moment(model, p, t_cap)
-        membership = _membership([integral], mean_flag, mean_required)
+        membership = _membership([integral.kind], mean_flag, mean_required)
 
     return CriterionReport(
         model=model.name, p=p, q=q, clause=clause, criterion=criterion,

@@ -112,7 +112,10 @@ class ExperimentConfig:
         if self.n_max & (self.n_max - 1):
             raise ConfigError(f"n_max must be a power of two, got {self.n_max}")
         object.__setattr__(self, "master_seed", rng.check_seed(self.master_seed))
-        tm.check_exponents(self.p, self.q)
+        try:
+            tm.check_exponents(self.p, self.q)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.sequence is None and self.model is None:

@@ -59,6 +59,25 @@ def _fsum_groups(values, groups, n: int) -> np.ndarray:
     return np.array([math.fsum(vals[i:j]) for i, j in zip(cut[:-1], cut[1:])])
 
 
+def _segments(nodes: np.ndarray, breaks: set[float]):
+    """(cell, t_lo, t_hi, on_log, lo, hi) of every segment, as arrays in
+    order: each cell of `nodes` cut at the breaks and at LOG_FROM inside it,
+    with lo and hi in the integration variable (math.log on a log segment)
+    and the segments empty there left out.  The cut points are the nodes
+    and the cuts in one sorted array, where a repeated point makes an empty
+    segment, so a segment's cell is the last node at or below its left end."""
+    inner = [t for t in (*breaks, LOG_FROM) if nodes[0] < t < nodes[-1]]
+    points = np.sort(np.concatenate([nodes, inner]))
+    t_lo, t_hi = points[:-1], points[1:]
+    on_log = t_lo >= LOG_FROM
+    lo, hi = t_lo.copy(), t_hi.copy()
+    for ends, x in ((t_lo, lo), (t_hi, hi)):
+        x[on_log] = [math.log(t) for t in ends[on_log].tolist()]
+    keep = hi > lo
+    t_lo, t_hi, on_log, lo, hi = t_lo[keep], t_hi[keep], on_log[keep], lo[keep], hi[keep]
+    return np.searchsorted(nodes, t_lo, side="right") - 1, t_lo, t_hi, on_log, lo, hi
+
+
 def integrate(f, nodes, *, breakpoints=()) -> QuadResult:
     """Integrate a vectorized nonnegative integrand over each cell of `nodes`.
 
@@ -76,18 +95,10 @@ def integrate(f, nodes, *, breakpoints=()) -> QuadResult:
     if not (nodes.ndim == 1 and nodes.size and nodes[0] >= 0.0 and np.all(np.diff(nodes) >= 0.0)):
         raise ValueError(f"invalid integration nodes {nodes}")
     breaks = {float(t) for t in breakpoints}
-    segs = []  # (cell, t_lo, t_hi, on_log, lo, hi), lo and hi in the integration variable
-    for i, (a, b) in enumerate(zip(nodes[:-1].tolist(), nodes[1:].tolist())):
-        edges = sorted({a, b, *(t for t in (*breaks, LOG_FROM) if a < t < b)})
-        for t_lo, t_hi in zip(edges[:-1], edges[1:]):
-            on_log = t_lo >= LOG_FROM
-            lo, hi = (math.log(t_lo), math.log(t_hi)) if on_log else (t_lo, t_hi)
-            if hi > lo:
-                segs.append((i, t_lo, t_hi, on_log, lo, hi))
-    if not segs:
+    cell, t_lo, t_hi, on_log, lo, hi = _segments(nodes, breaks)
+    if not lo.size:
         zero = np.zeros(nodes.size - 1)
         return QuadResult(zero, zero, 0)
-    cell, t_lo, t_hi, on_log, lo, hi = map(np.array, zip(*segs))
     # a right end on a breakpoint is f's left limit there: the double below
     left_limit = np.array([t in breaks for t in t_hi.tolist()])
     seg_len, seg = hi - lo, np.arange(lo.size)

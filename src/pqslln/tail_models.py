@@ -225,19 +225,26 @@ def survival(model: TailModel, t) -> np.ndarray | float:
     """P(||X|| > t); exact up to floating-point evaluation of the pieces.
 
     Right-continuous: piece i owns [t_lo, t_hi), so a jump at a piece edge
-    takes the value of the piece on its right.
+    takes the value of the piece on its right.  A batch that lies inside one
+    piece (no NaN, no inf) is that piece's formula on the whole array, with
+    elementwise the same numbers as the evaluation under masks.
     """
     scalar = np.isscalar(t)
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0.0):
         raise ValueError("survival is defined for t >= 0")
-    out = np.full_like(tt, np.nan)
-    for pc in model.pieces:
-        mask = (tt >= pc.t_lo) & (tt < pc.t_hi)
-        if np.any(mask):
-            with np.errstate(divide="ignore", over="ignore"):  # t^-a near 0 is inf, clipped to 1
-                out[mask] = pc.tail.value(tt[mask])
-    out[tt == math.inf] = 0.0  # ||X|| is finite
+    lo, hi = (tt.min(), tt.max()) if tt.size else (math.nan, math.nan)
+    whole = next((pc for pc in model.pieces if pc.t_lo <= lo and hi < pc.t_hi), None)
+    with np.errstate(divide="ignore", over="ignore"):  # t^-a near 0 is inf, clipped to 1
+        if whole is not None:
+            out = whole.tail.value(tt)
+        else:
+            out = np.full_like(tt, np.nan)
+            for pc in model.pieces:
+                mask = (tt >= pc.t_lo) & (tt < pc.t_hi)
+                if np.any(mask):
+                    out[mask] = pc.tail.value(tt[mask])
+            out[tt == math.inf] = 0.0  # ||X|| is finite
     out = np.clip(out, 0.0, 1.0)
     return float(out) if scalar else out
 
@@ -245,12 +252,20 @@ def survival(model: TailModel, t) -> np.ndarray | float:
 def bisect(f, left, right):
     """A point where f changes sign on each bracket [left, right], f(left) <= 0
     < f(right), elementwise for arrays and each apart from the others: the right
-    ends after 100 halvings, adjacent floats for a root of size width / 2^48 or more."""
+    ends after 100 halvings, adjacent floats for a root of size width / 2^48 or more.
+
+    A halving that leaves both ends bit for bit as they were ends the loop:
+    the next midpoint, its f and so every later halving would repeat it, so
+    the right ends are those of all 100.  Brackets that reach adjacent
+    floats, as `RootTable.build`'s and llogl's h^-1 do, stop after about 60."""
     for _ in range(100):
         mid = 0.5 * (left + right)
         low = f(mid) <= 0.0
-        left, right = np.where(low, mid, left), np.where(low, right, mid)
-    return right
+        ends = np.where(low, mid, left), np.where(low, right, mid)
+        if all(new.tobytes() == np.asarray(old).tobytes() for new, old in zip(ends, (left, right))):
+            break
+        left, right = ends
+    return ends[1]
 
 
 ROOT_NODES = 1024  # nodes of a log-corrected piece's start table
@@ -465,9 +480,11 @@ def inverse_survival(model: TailModel, u, out: np.ndarray | None = None,
     return float(out[0]) if scalar else out
 
 
-def quantiles_un(model: TailModel, ns: np.ndarray) -> np.ndarray:
-    """u_n = inf{t : P(||X|| > t) < 1/n} for each n of an integer array."""
-    return inverse_survival(model, 1.0 / np.asarray(ns, dtype=float))
+def quantiles_un(model: TailModel, ns: np.ndarray, out: np.ndarray | None = None,
+                 scratch: InverseScratch | None = None) -> np.ndarray:
+    """u_n = inf{t : P(||X|| > t) < 1/n} for each n of an integer array, with
+    `out` and `scratch` as `inverse_survival` takes them."""
+    return inverse_survival(model, 1.0 / np.asarray(ns, dtype=float), out, scratch)
 
 
 def powered_survival(model: TailModel, x, log_x, r: float = 1.0) -> np.ndarray:
@@ -475,13 +492,15 @@ def powered_survival(model: TailModel, x, log_x, r: float = 1.0) -> np.ndarray:
     finite where x itself overflowed to inf): the one place a survival is
     raised to a power.  Where S(x) is no normal double, on finite ln x with x
     in the last piece, that piece is exp(r ln S(x)) from ln x: S^r keeps its
-    value where S alone underflows."""
-    last = model.pieces[-1]
+    value where S alone underflows.  A batch whose every S is a normal double
+    is S^r alone, without that test."""
+    last, tiny = model.pieces[-1], np.finfo(float).tiny
     s = np.asarray(survival(model, x))
     out = np.asarray(s ** r)
-    deep = (s < np.finfo(float).tiny) & (x >= last.t_lo) & np.isfinite(log_x)
-    if last.tail.const > 0.0 and np.any(deep):
-        out[deep] = np.minimum(np.exp(r * last.tail.log_value(log_x[deep])), 1.0)
+    if last.tail.const > 0.0 and not s.min(initial=math.inf) >= tiny:  # some S underflowed
+        deep = (s < tiny) & (x >= last.t_lo) & np.isfinite(log_x)
+        if np.any(deep):
+            out[deep] = np.minimum(np.exp(r * last.tail.log_value(log_x[deep])), 1.0)
     return out
 
 
@@ -524,7 +543,10 @@ class CumulativeTailTable:
     transformed piece edges are inserted as nodes, so G is exact there);
     queries interpolate with a cubic Hermite in ln t.  After that one call
     each query costs O(1), which is what makes the N-term truncated series
-    cheap.
+    cheap.  A query at or below the first node t_0 is in the head, where
+    G(t) = S_Y(t_0 / 2) t; a batch with no query there, as the series'
+    batches are, is the cubic on the whole batch, without the head's masks
+    and with the same numbers.
     """
 
     def __init__(self, model: TailModel, p: float, t_max: float):
@@ -564,16 +586,34 @@ class CumulativeTailTable:
         if np.any(tt < 0.0) or np.any(tt > self.t_max * (1 + 1e-12)):
             raise ValueError("query outside table range")
         tt = np.minimum(tt, self.t_max)
-        out = np.where(tt <= self.grid[0], self._head_value * tt, 0.0)
-        above = tt > self.grid[0]
-        if np.any(above):
-            s = np.log(tt[above])
-            i = np.minimum(np.searchsorted(self._nodes, s, side="right") - 1,
-                           self._nodes.size - 2)
-            d = s - self._nodes[i]
-            c0, c1, c2, c3 = (c[i] for c in self._coef)
-            out[above] = c0 + c1 * d + c2 * (d * d) + c3 * (d * d * d)
+        if tt.min(initial=math.inf) > self.grid[0]:  # every query past the head
+            out = self._cubic(tt)
+        else:
+            out = np.where(tt <= self.grid[0], self._head_value * tt, 0.0)
+            above = tt > self.grid[0]
+            if np.any(above):
+                out[above] = self._cubic(tt[above])
         return float(out[0]) if scalar else out
+
+    def _cubic(self, t: np.ndarray) -> np.ndarray:
+        """The Hermite cubic of t's cell at each t past the head: c0 + c1 d +
+        c2 (d d) + c3 (d d d), the same operations in the same order, each
+        into a temporary of this call."""
+        d = np.log(t)
+        i = np.searchsorted(self._nodes, d, side="right")
+        i -= 1
+        np.minimum(i, self._nodes.size - 2, out=i)
+        d -= self._nodes.take(i)
+        c0, out, c2, c3 = (c.take(i) for c in self._coef)
+        out *= d
+        out += c0
+        power = d * d
+        c2 *= power
+        out += c2
+        power *= d
+        c3 *= power
+        out += c3
+        return out
 
 
 def support_upper(model: TailModel) -> float:

@@ -1,7 +1,9 @@
-"""Reference validator for the exact inverse survival: vectorized bisection.
+"""Reference bisections.
 
-Independent of the piece catalog: it only evaluates the survival function,
-so it checks `tail_models.inverse_survival` from outside.
+`bisect_decreasing` validates the exact inverse survival.  It is independent
+of the piece catalog: it only evaluates the survival function, so it checks
+`tail_models.inverse_survival` from outside.  `bisect_all_halvings` is the
+fixed 100-halving loop that `tail_models.bisect` must reproduce.
 """
 
 import numpy as np
@@ -47,3 +49,13 @@ def bisect_decreasing(fn, targets, *, hi_seed: float, rel_tol: float = 1e-12,
         if np.all(gap <= rel_tol * np.maximum(hi, 1.0)):
             break
     return hi, hi - lo
+
+
+def bisect_all_halvings(f, left, right):
+    """`tail_models.bisect` without its early return: all 100 halvings, the
+    reference its result must equal bit for bit."""
+    for _ in range(100):
+        mid = 0.5 * (left + right)
+        low = f(mid) <= 0.0
+        left, right = np.where(low, mid, left), np.where(low, right, mid)
+    return right

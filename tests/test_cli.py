@@ -97,6 +97,16 @@ def test_expectation_at_small_p_runs_the_default_cap(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["membership"] == "Member"
 
 
+def test_expectation_takes_a_series_n_max_of_10_15(tmp_path, capsys):
+    # the expectation criterion sums no term of the series, so it allocates
+    # none; the almost-sure one fails on it (test_out_of_memory_is_one_line)
+    cfg = criteria_config(tmp_path, {"builtin": "log-loglog-power", "params": {"power": 0.5}},
+                          0.5, 0.5, series_n_max=10**15, criterion="expectation")
+    assert cli.main(["criteria", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["membership"] == out["contrast_membership"] == "NonMember"
+
+
 def test_almost_sure_cap_past_the_largest_power_prints_only_membership(tmp_path, capsys):
     # t^(1/q) overflows to inf on the way to t_cap = 1e300, silently
     cfg = criteria_config(tmp_path, {"builtin": "pareto", "params": {"alpha": 2.0}}, 0.5, 0.25,

@@ -10,6 +10,7 @@ from clause_facts import clause_facts
 from pqslln import criteria as cr
 from pqslln import mc_engine as mc
 from pqslln import tail_models as tm
+from pqslln.errors import ConfigError
 
 
 def member_model_family(p, q):
@@ -457,7 +458,7 @@ def test_series_count_must_be_an_integer(n_max):
 
 
 # every entry that checks its exponents with `tm.check_exponents`: name ->
-# (a call at (p, q), whether the call takes q)
+# (a call at (p, q), whether the call takes q[, its error when not ValueError])
 EXPONENT_ENTRIES = {
     "series-pareto": (lambda p, q: cr.truncated_series(tm.pareto(2.0), p), False),
     "series-degenerate": (lambda p, q: cr.truncated_series(tm.degenerate(1.0), p), False),
@@ -468,22 +469,25 @@ EXPONENT_ENTRIES = {
     "clause": (lambda p, q: cr.clause_of(p, q), True),
     "almost-sure": (lambda p, q: cr.classify_slln(tm.pareto(2.0), p, q), True),
     "expectation": (lambda p, q: cr.series_expectation_criterion(tm.pareto(2.0), p, q), True),
-    "experiment": (lambda p, q: mc.ExperimentConfig(tm.rademacher(), p, q, 1024, 2, 0), True),
+    "experiment": (lambda p, q: mc.ExperimentConfig(tm.rademacher(), p, q, 1024, 2, 0), True,
+                   ConfigError),
 }
 
 
-@pytest.mark.parametrize("entry,p,q,needle", [
-    *[pytest.param(entry, p, 0.25, "p must be a finite number in (0, 2)", id=f"{p}-{name}")
+@pytest.mark.parametrize("entry,error,p,q,needle", [
+    *[pytest.param(entry, *error or [ValueError], p, 0.25, "p must be a finite number in (0, 2)",
+                   id=f"{p}-{name}")
       for p in (math.nan, 0.0, -1.0, 2.0, math.inf)
-      for name, (entry, _) in EXPONENT_ENTRIES.items()],
-    *[pytest.param(entry, 0.5, q, "q must be a finite number > 0", id=f"q={q}-{name}")
+      for name, (entry, _, *error) in EXPONENT_ENTRIES.items()],
+    *[pytest.param(entry, *error or [ValueError], 0.5, q, "q must be a finite number > 0",
+                   id=f"q={q}-{name}")
       for q in (math.nan, math.inf, 0.0, -1.0)
-      for name, (entry, takes_q) in EXPONENT_ENTRIES.items() if takes_q],
+      for name, (entry, takes_q, *error) in EXPONENT_ENTRIES.items() if takes_q],
 ])
-def test_analytic_entries_take_only_p_in_0_2(entry, p, q, needle):
+def test_analytic_entries_take_only_p_in_0_2(entry, error, p, q, needle):
     """Each entry takes only 0 < p < 2 and q > 0, both finite: anything else
     raises before a verdict, a table or a config exists."""
-    with pytest.raises(ValueError, match=re.escape(needle)):
+    with pytest.raises(error, match=re.escape(needle)):
         entry(p, q)
 
 
@@ -632,6 +636,62 @@ def test_expectation_criterion_contrast():
     assert r.membership == cr.MEMBER
     r = cr.series_expectation_criterion(tm.zero(), 0.5, 0.3)
     assert r.membership == cr.MEMBER
+
+
+# every builtin and the tests' custom tails, bounded laws included: a
+# critical power of scale 1/2 (its series diverges), one whose power runs from
+# t = 0, a bounded power with a jump to 0, and the README's custom tail
+CONTRAST_MODELS = [
+    tm.pareto(2.0), tm.pareto(0.5), tm.pareto(0.75), member_model_family(0.5, 0.5),
+    tm.log_power_tail(0.25, 4.0), *(tm.log_loglog_power_tail(power) for power in (0.5, 0.75, 0.9)),
+    tm.degenerate(1.5), tm.rademacher(), tm.zero(),
+    *(tm.load_model({"name": name, "sign_law": "symmetric", "pieces": pieces}) for name, pieces in [
+        ("half-scale-power", [
+            {"t_lo": 0.0, "t_hi": 0.25, "formula_id": "constant", "params": {"value": 1.0}},
+            {"t_lo": 0.25, "t_hi": None, "formula_id": "power",
+             "params": {"scale": 0.5, "power": 0.5}}]),
+        ("power-from-zero", [
+            {"t_lo": 0.0, "t_hi": None, "formula_id": "power",
+             "params": {"scale": 1.0, "power": 2.0}}]),
+        ("bounded-jump", [
+            {"t_lo": 0.0, "t_hi": 1.0, "formula_id": "constant", "params": {"value": 1.0}},
+            {"t_lo": 1.0, "t_hi": 1e3, "formula_id": "power",
+             "params": {"scale": 1.0, "power": 0.7}},
+            {"t_lo": 1e3, "t_hi": None, "formula_id": "constant", "params": {"value": 0.0}}]),
+        ("my-tail", [
+            {"t_lo": 0.0, "t_hi": 2.718281828459045, "formula_id": "constant",
+             "params": {"value": 1.0}},
+            {"t_lo": 2.718281828459045, "t_hi": None, "formula_id": "power-log",
+             "params": {"scale": 1.6487212707, "power": 0.5, "log_power": 2.0}}])]),
+]
+
+
+@pytest.mark.parametrize("model", CONTRAST_MODELS, ids=lambda m: m.name)
+def test_expectation_contrast_is_the_almost_sure_membership(model):
+    # the contrast takes the series' kind from the model alone; it must be the
+    # membership that classify_slln finds by running the series; at p equal to
+    # a log-loglog tail's power, the p-th moment converges and the series diverges
+    for p in (0.25, 0.5, 0.75, 0.9, 0.95):
+        want = cr.classify_slln(model, p, p, series_n_max=cr.SERIES_N_MIN)
+        got = cr.series_expectation_criterion(model, p, p, series_n_max=cr.SERIES_N_MIN)
+        assert got.contrast_membership == want.membership
+        assert cr._series_kind(model, p) == want.truncated_series_verdict.kind
+
+
+def test_expectation_criterion_at_q_eq_p_runs_no_series_pass(monkeypatch):
+    models = [member_model_family(0.5, 0.5), tm.log_loglog_power_tail(0.5), tm.degenerate(1.5)]
+    want = [cr.classify_slln(model, 0.5, 0.5).membership for model in models]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the expectation criterion ran a part of the series pass")
+
+    monkeypatch.setattr(cr, "truncated_series", refuse)
+    monkeypatch.setattr(tm, "quantiles_un", refuse)
+    monkeypatch.setattr(tm, "CumulativeTailTable", refuse)
+    for model, membership in zip(models, want):
+        report = cr.series_expectation_criterion(model, 0.5, 0.5)
+        assert report.contrast_membership == membership
+        assert report.series_table is None and report.truncated_series_verdict is None
 
 
 def test_clause_qlt_membership_equals_integral_verdict():
