@@ -43,8 +43,8 @@ from .trend import MODES  # noqa: E402
 SCHEMA_VERSION = 1
 # what building a model from a spec raises on bad input
 _MODEL_ERRORS = (AttributeError, KeyError, TypeError, ValueError, NonMonotoneTail)
-# the criterion names, each with the name of its classifier in `criteria`,
-# looked up when it is called so that a wrapper put on `criteria` sees the call
+# the criterion names, each with its classifier in `criteria` (`decide`'s membership
+# and the window evidence), looked up at call time so a wrapper on `criteria` sees it
 _CLASSIFIERS = {"almost-sure": "classify_slln", "expectation": "series_expectation_criterion"}
 # the ways to give a model, each with the keys it may carry
 _MODEL_FORMS = {"builtin": {"builtin", "params"}, "custom": {"custom"}, "file": {"file"},
@@ -159,18 +159,6 @@ def resolve_model(spec: dict) -> tuple[tm.TailModel | None, str | None]:
         raise ConfigError(f"bad {form} model spec: {exc}") from exc
 
 
-def _criterion_report(model: tm.TailModel, cfg: dict, criterion: str):
-    """The `criterion` report of `model` at the config's p, q and criteria settings."""
-    from . import criteria
-    settings = cfg["criteria"]
-    try:
-        return getattr(criteria, _CLASSIFIERS[criterion])(
-            model, cfg["p"], cfg["q"], t_cap=settings["t_cap"],
-            series_n_max=settings["series_n_max"])
-    except ValueError as exc:  # t_cap or series_n_max out of range
-        raise ConfigError(f"bad criteria settings: {exc}") from exc
-
-
 def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
@@ -240,7 +228,13 @@ def cmd_criteria(args) -> int:
     if sequence is not None:
         raise ConfigError("criteria evaluation needs an iid tail model")
     _make_out_dir(args.out)
-    report = _criterion_report(model, cfg, cfg["criteria"]["criterion"])
+    settings = cfg["criteria"]
+    try:
+        report = getattr(criteria, _CLASSIFIERS[settings["criterion"]])(
+            model, cfg["p"], cfg["q"], t_cap=settings["t_cap"],
+            series_n_max=settings["series_n_max"])
+    except ValueError as exc:  # t_cap or series_n_max out of range
+        raise ConfigError(f"bad criteria settings: {exc}") from exc
 
     _emit(args.out, "criterion_report.json",
           json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
@@ -447,16 +441,20 @@ def cmd_report(args) -> int:
                          "membership": "", "integral": "", "p_moment": "",
                          "series": "", "mc_w_verdict": mc_kind, "hard_contradiction": 0})
             continue
-        report = _criterion_report(model, cfg, "almost-sure")
-        hard = int((report.membership, mc_kind) in criteria.CONTRADICTIONS)
+        try:  # settings that only `criteria` uses, checked as it checks them
+            criteria.check_settings(cfg["criteria"]["t_cap"], cfg["criteria"]["series_n_max"])
+        except ValueError as exc:
+            raise ConfigError(f"bad criteria settings: {exc}") from exc
+        # the almost-sure membership and kinds, from the exponents: no window is evaluated
+        decision = criteria.decide(model, p, q)
+        hard = int((decision.membership, mc_kind) in criteria.CONTRADICTIONS)
         contradictions += hard
         rows.append({
-            "model": report.model, "p": p, "q": q, "clause": report.clause,
-            "membership": report.membership,
-            "integral": report.integral_verdict.kind,
-            "p_moment": report.p_moment_verdict.kind,
-            "series": (report.truncated_series_verdict.kind
-                       if report.truncated_series_verdict else ""),
+            "model": model.name, "p": p, "q": q, "clause": decision.clause,
+            "membership": decision.membership,
+            "integral": decision.integral,
+            "p_moment": decision.p_moment,
+            "series": decision.series or "",
             "mc_w_verdict": mc_kind,
             "hard_contradiction": hard,
         })

@@ -1,10 +1,20 @@
-"""Clause-by-clause convergence classification of the membership conditions.
+"""Clause-by-clause membership in the (p,q)-type SLLN, and its evidence.
 
-Each analytic condition is an improper integral or series built from the
-survival function S.  Every integral is one increasing map h of ||X||, the
-tail integral int_0^inf P(h(||X||) > t)^r dt that `_classify_tail_integral`
-evaluates; a power map's integrand is `tail_models.power_survival`, and
-the log-moment's is `tail_models.powered_survival` along its bisected h^-1:
+`decide` gives the membership.  It depends on X only through its tail: the
+clause of (p, q) names the conditions, and each condition's kind is decided
+from the model alone.  Bounded support converges.  Otherwise the exact
+log-polynomial exponents of the last piece are pushed through the transform
+algebra and compared lexicographically.  This is what resolves the marginal
+examples: a (lnln t)^(-1) factor separates convergence from divergence but
+shifts a log slope by only ~1/lnln(t_cap) ~ 0.3 at t_cap = 1e12, far inside
+any honest fit band.  Nothing is fitted.
+
+The classifiers add the evidence, each condition's value on a window, as a
+Verdict of the decided kind.  Every integral is one increasing map h of
+||X||, the tail integral int_0^inf P(h(||X||) > t)^r dt that
+`_classify_tail_integral` evaluates; a power map's integrand is
+`tail_models.power_survival`, and the log-moment's is
+`tail_models.powered_survival` along its bisected h^-1:
 
     integral condition   h(x) = x^q, r = q/p
     p-th moment          h(x) = x^p, r = 1 (the integral condition at q = p)
@@ -13,24 +23,11 @@ the log-moment's is `tail_models.powered_survival` along its bisected h^-1:
 
 An integral's window is [0, end], end = min(t_cap, h(support end), h(X_MAX))
 with X_MAX the largest double: the window ends where h^-1(t) is still a
-double.  A Verdict records the value accumulated on the evaluated window, a
-three-valued classification and, when convergent, `remainder_bound`: a
-proved upper bound of the part past the window (`tail_remainder` from end,
-`_series_remainder` past n_max), or None where no bound is proved.  Every
-model is a catalog of exact pieces, so the classification is decided in two
-tiers:
-
-1. bounded support: the integral terminates; Converges, with the part past
-   the evaluated window bounded by the integrand there times its length.
-2. catalog tails: the integrand's exact log-polynomial exponents are pushed
-   through the transform algebra and compared lexicographically.  This is
-   what resolves the marginal examples: a (lnln t)^(-1) factor separates
-   convergence from divergence but shifts a log slope by only
-   ~1/lnln(t_cap) ~ 0.3 at t_cap = 1e12, far inside any honest fit band.
-
-Nothing is fitted: a tier-2 verdict carries the exact exponent triple it was
-decided from in its diagnostics (`exponents`, or `tail_exponents` for the
-series).
+double.  A Verdict records the value on the window and, when convergent,
+`remainder_bound`: a proved upper bound of the part past the window
+(`tail_remainder` from end, `_series_remainder` past n_max), or None where
+no bound is proved.  An unbounded tail's verdict carries the exponent
+triple it was decided from (`exponents`, or `tail_exponents` for the series).
 """
 
 from __future__ import annotations
@@ -94,7 +91,7 @@ def _classify_tail_integral(model: tm.TailModel, h, h_inv, f, *, t_cap: float,
     end = min(t_cap, cutoff, h_max)
     if not bounded and end <= knee:
         raise ValueError("t_cap must exceed the knee of the transformed tail")
-    converges = bounded or integral_converges(asym)
+    converges = _kind(asym) == CONVERGES
     decade = None if converges else np.geomspace(end / 10.0, end, 11)
     quad = integrate(f, [0.0, end] if converges else [0.0, *decade], breakpoints=edges)
     value = math.fsum(quad.values)
@@ -120,14 +117,24 @@ def _classify_tail_integral(model: tm.TailModel, h, h_inv, f, *, t_cap: float,
                                 "last_decade_slope": float(slope)})
 
 
+def _kind(asym: LogPolyTail | None) -> str:
+    """The kind of a tail integral whose integrand's tail is `asym`, None for
+    bounded support: there the integral terminates."""
+    return CONVERGES if asym is None or integral_converges(asym) else DIVERGES
+
+
+def _integral_tail(model: tm.TailModel, p: float, q: float) -> LogPolyTail | None:
+    """The tail of P^{q/p}(||X||^q > t), or None for bounded support."""
+    asym = tm.tail_asymptote(model)
+    return None if asym is None else asym.power_arg(q).powered(q / p)
+
+
 def integral_pq(model: tm.TailModel, p: float, q: float,
                 t_cap: float = T_CAP_DEFAULT) -> Verdict:
     """Classify int_0^inf P^{q/p}(||X||^q > t) dt: the map x^q, the integrand
     `power_survival(model, q, q / p)`."""
     tm.check_exponents(p, q)
-    asym = tm.tail_asymptote(model)
-    if asym is not None:
-        asym = asym.power_arg(q).powered(q / p)
+    asym = _integral_tail(model, p, q)
     return _classify_tail_integral(model, lambda x: x**q, lambda t: t ** (1.0 / q),
                                    tm.power_survival(model, q, q / p), t_cap=t_cap,
                                    asym=asym, bound_tail=lambda log_x: asym)
@@ -206,10 +213,14 @@ class SeriesTable:
     clamped_terms: int
 
 
-def _series_tail_verdict(sy: LogPolyTail) -> str:
-    """Exact verdict for sum_n E[Y 1(min{u_n', n} < Y <= n)]/n from the tail of Y.
+def _series_kind(model: tm.TailModel, p: float) -> str:
+    """The verdict kind of `truncated_series` at p, from the model alone: the
+    kind of sum_n E[Y 1(min{u_n', n} < Y <= n)]/n, Y = ||X||^p.  No term is
+    summed, since zero terms decide nothing either: a divergent tail can keep
+    its windows empty past any N.
 
-    Writing S_Y ~ C t^(-ay) (ln t)^(-by) (lnln t)^(-cy):
+    Bounded support converges (term_n <= M^p / n^2).  Otherwise, writing
+    S_Y ~ C t^(-ay) (ln t)^(-by) (lnln t)^(-cy):
 
     - ay > 1: the quantile level u_n' ~ n^(1/ay) << n and the window mass
       decays like a power; the series converges.
@@ -219,26 +230,18 @@ def _series_tail_verdict(sy: LogPolyTail) -> str:
     - ay = 1 pure power: u_n' = C n exactly; empty window iff C >= 1, else the
       terms approach the constant C ln(1/C) and the series is harmonic.
     """
+    sy = _integral_tail(model, p, p)  # the tail of Y, the p-th moment's integrand
+    if sy is None:
+        return CONVERGES
     tol = 1e-9
     ay, by, cy, c0 = sy.a, sy.b, sy.c, sy.const
     if ay > 1.0 + tol or ay < 1.0 - tol:
         return CONVERGES
     if by > tol:
-        return CONVERGES if integral_converges(LogPolyTail(c0, 1.0, by, cy - 1.0)) else DIVERGES
+        return _kind(LogPolyTail(c0, 1.0, by, cy - 1.0))
     if cy > tol:
         return DIVERGES
     return CONVERGES if c0 >= 1.0 - tol else DIVERGES
-
-
-def _series_kind(model: tm.TailModel, p: float) -> str:
-    """The verdict kind of `truncated_series` at p, from the model alone:
-    Converges for bounded support (term_n <= M^p / n^2), else
-    `_series_tail_verdict` of the tail of Y = ||X||^p.  No term is summed,
-    since zero terms decide nothing either: a divergent tail can keep its
-    windows empty past any N."""
-    if math.isfinite(tm.support_upper(model)):
-        return CONVERGES
-    return _series_tail_verdict(tm.tail_asymptote(model).power_arg(p))
 
 
 def _series_remainder(model: tm.TailModel, p: float, n_max: int) -> float | None:
@@ -412,9 +415,6 @@ def clause_of(p: float, q: float) -> str:
 
 def _membership(kinds: list[str], mean_flag: bool | None, mean_required: bool) -> str:
     """The membership from the verdict kinds of the decisive conditions."""
-    # Any Inconclusive input forces an Inconclusive membership.
-    if INCONCLUSIVE in kinds:
-        return UNDECIDED
     if mean_required and mean_flag is None:
         return UNDECIDED
     if DIVERGES in kinds:
@@ -424,71 +424,102 @@ def _membership(kinds: list[str], mean_flag: bool | None, mean_required: bool) -
     return MEMBER
 
 
-def _classify(model: tm.TailModel, p: float, q: float, criterion: str, *,
-              t_cap: float, series_n_max: int) -> CriterionReport:
-    """Membership from the clause table; the q = p clause depends on `criterion`.
+@dataclass(frozen=True)
+class Decision:
+    """A law's membership at (p, q) and the kind of each condition: None where
+    the clause has no such condition, and Inconclusive outside the clauses."""
 
-    At q = p the almost-sure criterion runs `truncated_series` and reports
-    its table.  The expectation criterion decides by `llogl_moment`, and
-    its almost-sure contrast needs only the series' verdict kind, which
-    `_series_kind` gives from the model alone, the same function
-    `truncated_series` takes its kind from.  So the expectation criterion
-    sums no term and builds no quantiles and no cumulative tail table: the
-    kind is all that its report takes from the series, and it is the kind
-    the series pass would report."""
-    if not (tm.is_number(t_cap) and t_cap > 0.0):
-        raise ValueError(f"t_cap must be positive and finite, got {t_cap!r}")
-    series_n_max = tm.check_count("series_n_max", series_n_max, SERIES_N_MIN)  # in every clause
+    clause: str
+    integral: str | None
+    p_moment: str | None
+    series: str | None
+    llogl: str | None
+    mean_zero_required: bool
+    mean_zero: bool | None
+    membership: str
+    contrast_membership: str | None = None
+
+
+def decide(model: tm.TailModel, p: float, q: float,
+           criterion: str = "almost-sure") -> Decision:
+    """The membership from the clause table, with no quadrature and no series:
+
+        q < p < 1       integral condition alone
+        q = p < 1       p-th moment AND truncated series (almost sure), or
+                        E[||X||^p ln(1 + ||X||)] < inf (expectation)
+        q < 1 <= p < 2  mean zero AND integral condition
+
+    Each kind is `_kind` of the integrand's tail, or `_series_kind`.  At q = p
+    the expectation criterion's contrast is the almost-sure membership.  A
+    valid (p, q) outside these three is Inconclusive; an invalid one, p
+    outside (0, 2) or q <= 0 or either not a finite number, raises ValueError."""
     clause = clause_of(p, q)
     mean_flag = tm.mean_zero(model)
     mean_required = clause == CLAUSE_P_GE_1
-    llogl = series_verdict = series_table = contrast = None
     if clause == CLAUSE_OUT:
+        return Decision(clause, INCONCLUSIVE, INCONCLUSIVE, None, None, False, mean_flag, UNDECIDED)
+    # the p-th moment, which at q = p is the integral condition itself
+    integral = pmom = _kind(_integral_tail(model, p, p))
+    series = llogl = contrast = None
+    if clause != CLAUSE_Q_EQ_P:
+        integral = _kind(_integral_tail(model, p, q))
+        kinds = [integral]
+    elif criterion == "expectation":
+        last = tm.tail_asymptote(model)
+        llogl = _kind(None if last is None else last.moment_transform(p, 1.0))
+        kinds, contrast = [llogl], decide(model, p, q).membership
+    else:
+        series = _series_kind(model, p)
+        kinds = [pmom, series]
+    return Decision(clause, integral, pmom, series, llogl, mean_required, mean_flag,
+                    _membership(kinds, mean_flag, mean_required), contrast)
+
+
+def check_settings(t_cap: float, series_n_max: int) -> None:
+    """ValueError unless t_cap > 0 is finite and series_n_max a count `truncated_series` takes."""
+    if not (tm.is_number(t_cap) and t_cap > 0.0):
+        raise ValueError(f"t_cap must be positive and finite, got {t_cap!r}")
+    tm.check_count("series_n_max", series_n_max, SERIES_N_MIN)
+
+
+def _classify(model: tm.TailModel, p: float, q: float, criterion: str, *,
+              t_cap: float, series_n_max: int) -> CriterionReport:
+    """`decide`'s membership, with the window evidence of the conditions its
+    clause names: at q = p, the series table or the log-moment of `criterion`."""
+    check_settings(t_cap, series_n_max)
+    decision = decide(model, p, q, criterion)
+    llogl = series_verdict = series_table = None
+    if decision.clause == CLAUSE_OUT:
         integral = pmom = Verdict(INCONCLUSIVE, 0.0, method="out-of-scope")
-        membership = UNDECIDED
-    elif clause == CLAUSE_Q_EQ_P:
-        # at q = p the integral condition is the p-th moment itself
+    elif decision.clause == CLAUSE_Q_EQ_P:
         integral = pmom = p_moment(model, p, t_cap)
         if criterion == "expectation":
             llogl = llogl_moment(model, p, 1.0, t_cap)
-            membership = _membership([llogl.kind], mean_flag, False)
-            contrast = _membership([pmom.kind, _series_kind(model, p)], mean_flag, False)
         else:
             series_table, series_verdict = truncated_series(model, p, series_n_max)
-            membership = _membership([pmom.kind, series_verdict.kind], mean_flag, False)
     else:
         integral, pmom = integral_pq(model, p, q, t_cap), p_moment(model, p, t_cap)
-        membership = _membership([integral.kind], mean_flag, mean_required)
 
     return CriterionReport(
-        model=model.name, p=p, q=q, clause=clause, criterion=criterion,
+        model=model.name, p=p, q=q, clause=decision.clause, criterion=criterion,
         integral_verdict=integral, p_moment_verdict=pmom, llogl_verdict=llogl,
         truncated_series_verdict=series_verdict, series_table=series_table,
-        mean_zero_required=mean_required, mean_zero=mean_flag,
-        membership=membership, contrast_membership=contrast,
+        mean_zero_required=decision.mean_zero_required, mean_zero=decision.mean_zero,
+        membership=decision.membership, contrast_membership=decision.contrast_membership,
     )
 
 
 def classify_slln(model: tm.TailModel, p: float, q: float, *,
                   t_cap: float = T_CAP_DEFAULT,
                   series_n_max: int = SERIES_N_MAX_DEFAULT) -> CriterionReport:
-    """Almost-sure criterion: membership from the clause table
-
-        q < p < 1       integral condition alone
-        q = p < 1       p-th moment AND truncated series
-        q < 1 <= p < 2  mean zero AND integral condition
-
-    A valid (p, q) outside these three is Inconclusive; an invalid one, p
-    outside (0, 2) or q <= 0 or either not a finite number, raises ValueError.
-    """
+    """Almost-sure criterion: `decide`'s membership, with the evidence."""
     return _classify(model, p, q, "almost-sure", t_cap=t_cap, series_n_max=series_n_max)
 
 
 def series_expectation_criterion(model: tm.TailModel, p: float, q: float, *,
                                  t_cap: float = T_CAP_DEFAULT,
                                  series_n_max: int = SERIES_N_MAX_DEFAULT) -> CriterionReport:
-    """Expectation-series criterion: same clause table with the q = p clause
-    swapped to E[||X||^p ln(1 + ||X||)] < infinity.
+    """Expectation-series criterion: `decide`'s membership, with the evidence.
 
     For the q = p clause the report also carries the almost-sure membership
     for contrast, since that is exactly where the two criteria can differ.

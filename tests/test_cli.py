@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -259,19 +261,82 @@ def test_report_single_manifest(tmp_path, capsys):
     assert "hard_contradictions: 0" in captured.err
 
 
-def test_criteria_and_report_call_the_classifier_on_criteria(tmp_path, monkeypatch, capsys):
-    # the classifier is looked up when it is called, so a patch of
-    # criteria.classify_slln (as a tracing wrapper makes) sees both commands
+def test_criteria_calls_the_classifier_and_report_only_the_decision(tmp_path, monkeypatch,
+                                                                    capsys):
+    # each name is looked up when it is called, so a patch of `criteria` (as a
+    # tracing wrapper makes) sees the calls of both commands
     calls = []
-    classify = criteria.classify_slln
-    monkeypatch.setattr(criteria, "classify_slln",
-                        lambda *args, **kw: calls.append(args[1:3]) or classify(*args, **kw))
-    cfg = simulate_config(tmp_path, {"builtin": "rademacher"}, 1.5, 0.5)
-    assert cli.main(["criteria", "--config", cfg]) == 0
-    cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")])
-    assert cli.main(["report", str(tmp_path / "run" / "sim_manifest.json")]) == 0
+
+    def spy(name):
+        fn = getattr(criteria, name)
+        monkeypatch.setattr(criteria, name,
+                            lambda *args, **kw: calls.append((name, *args[1:3])) or fn(*args, **kw))
+
+    for name in ("classify_slln", "decide", "integral_pq", "p_moment", "llogl_moment",
+                 "truncated_series"):
+        spy(name)
+    laws = [({"builtin": "rademacher"}, 1.5, 0.5),
+            ({"builtin": "log-power", "params": {"power": 0.5, "log_power": 2.0}}, 0.5, 0.5)]
+    manifests = []
+    for i, (model, p, q) in enumerate(laws):
+        cfg = simulate_config(tmp_path, model, p, q, name=f"sim{i}.json")
+        calls.clear()
+        assert cli.main(["criteria", "--config", cfg]) == 0
+        assert [c for c in calls if c[0] == "classify_slln"] == [("classify_slln", p, q)]
+        cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")])
+        manifests.append(str(tmp_path / "run" / f"sim{i}_manifest.json"))
+    calls.clear()
+    assert cli.main(["report", *manifests]) == 0
     capsys.readouterr()
-    assert calls == [(1.5, 0.5), (1.5, 0.5)]
+    # `report` runs the decision alone: no classifier, no window, no series pass
+    assert calls == [("decide", 1.5, 0.5), ("decide", 0.5, 0.5)]
+
+
+def _simulated(tmp_path, model, p, q, settings):
+    """The manifest of a small `simulate` run whose config carries the criteria `settings`."""
+    cfg = write_config(tmp_path, "sim.json", {
+        "schema": 1, "model": model, "p": p, "q": q, "criteria": settings,
+        "simulate": {"n_max": 1024, "replications": 4}})
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    return cfg, str(tmp_path / "run" / "sim_manifest.json")
+
+
+@pytest.mark.parametrize("settings,needle", [
+    ({"t_cap": 0.0}, "t_cap must be positive"),
+    ({"series_n_max": 10}, "at least 10^3"),
+])
+def test_report_rejects_the_criteria_settings_criteria_rejects(tmp_path, capsys, settings,
+                                                              needle):
+    cfg, manifest = _simulated(tmp_path, {"builtin": "pareto", "params": {"alpha": 2.0}},
+                               1.5, 0.5, settings)
+    capsys.readouterr()
+    for argv in (["criteria", "--config", cfg], ["report", manifest]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: bad criteria settings: ")
+        assert needle in err and len(err.strip().split("\n")) == 1
+
+
+@pytest.mark.parametrize("model,p,q,settings,code,needle,membership", [
+    # the window [0, 0.5] ends before the knee of the transformed tail
+    ({"builtin": "pareto", "params": {"alpha": 2.0}}, 1.5, 0.5, {"t_cap": 0.5},
+     2, "t_cap must exceed the knee", "Member"),
+    # 10^15 terms of the series pass cannot be allocated (test_out_of_memory_is_one_line)
+    ({"builtin": "log-power", "params": {"power": 0.5, "log_power": 2.0}}, 0.5, 0.5,
+     {"series_n_max": 10**15}, 1, "Unable to allocate", "Member"),
+], ids=["knee", "allocation"])
+def test_report_decides_where_the_evidence_fails(tmp_path, capsys, model, p, q, settings,
+                                                 code, needle, membership):
+    # `criteria` evaluates the window and the series and meets their errors;
+    # `report` runs only the decision, so it prints the row
+    cfg, manifest = _simulated(tmp_path, model, p, q, settings)
+    capsys.readouterr()
+    assert cli.main(["criteria", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert needle in err and len(err.strip().split("\n")) == 1
+    assert cli.main(["report", manifest]) == 0
+    [row] = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row["membership"] == membership
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -11,6 +12,8 @@ from pqslln import criteria as cr
 from pqslln import mc_engine as mc
 from pqslln import tail_models as tm
 from pqslln.errors import ConfigError
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "slln_bench")
 
 
 def member_model_family(p, q):
@@ -723,6 +726,15 @@ def test_monotone_in_q_within_clause():
             assert later.membership != cr.NON_MEMBER
 
 
+# the laws and the (p, q) grid of the order test, on which the decision is
+# also checked against the classifiers
+ORDER_LAWS = [tm.pareto(0.5), tm.pareto(2.0), tm.pareto(2.0, "nonnegative"),
+              tm.log_power_tail(0.5, 2.0), tm.log_loglog_power_tail(0.5), tm.rademacher(),
+              tm.degenerate(1.0), tm.zero()]
+ORDER_PS = (0.2, 0.35, 0.5, 0.7, 0.9, 1.2, 1.5, 1.8)
+ORDER_QS = (0.1, 0.25, 0.35, 0.5, 0.7, 0.9)
+
+
 def test_membership_is_ordered_in_p_and_in_q():
     # W = sum_n (1/n) (||S_n|| / n^(1/p))^q falls term by term as p falls, so
     # Member(p, q) gives Member(p', q) for p' < p.  In a decided clause the
@@ -730,20 +742,91 @@ def test_membership_is_ordered_in_p_and_in_q():
     # ||S_n|| / n^(1/p) -> 0 a.s. by Marcinkiewicz-Zygmund, and from some n on
     # each term at q is at most the one at q' < q: Member(p, q') gives
     # Member(p, q).
-    laws = [tm.pareto(0.5), tm.pareto(2.0), tm.pareto(2.0, "nonnegative"),
-            tm.log_power_tail(0.5, 2.0), tm.log_loglog_power_tail(0.5), tm.rademacher(),
-            tm.degenerate(1.0), tm.zero()]
-    ps = (0.2, 0.35, 0.5, 0.7, 0.9, 1.2, 1.5, 1.8)
-    qs = (0.1, 0.25, 0.35, 0.5, 0.7, 0.9)
-    for model in laws:
+    for model in ORDER_LAWS:
         cell = {(p, q): cr.classify_slln(model, p, q, series_n_max=1000).membership
-                for p in ps for q in qs}
+                for p in ORDER_PS for q in ORDER_QS}
         members = [pq for pq, m in cell.items() if m == cr.MEMBER]
         non_members = [pq for pq, m in cell.items() if m == cr.NON_MEMBER]
         for p, q in members:
             for p2, q2 in non_members:
                 assert not (q2 == q and p2 < p), (model.name, model.negative_prob, p2, q2, p)
                 assert not (p2 == p and q2 > q), (model.name, model.negative_prob, p, q2, q)
+
+
+def test_decision_is_the_classifiers_membership_and_evidence_kinds():
+    # the classifiers take the membership from `decide` and evaluate the
+    # evidence apart from it; each Verdict's kind must be the decided one
+    for model in ORDER_LAWS:
+        for p in ORDER_PS:
+            for q in ORDER_QS:
+                for classify in (cr.classify_slln, cr.series_expectation_criterion):
+                    report = classify(model, p, q, series_n_max=1000)
+                    decision = cr.decide(model, p, q, report.criterion)
+                    where = (model.name, model.negative_prob, p, q, report.criterion)
+                    assert (decision.clause, decision.membership,
+                            decision.contrast_membership) == (
+                        report.clause, report.membership, report.contrast_membership), where
+                    for kind, verdict in ((decision.integral, report.integral_verdict),
+                                          (decision.p_moment, report.p_moment_verdict),
+                                          (decision.series, report.truncated_series_verdict),
+                                          (decision.llogl, report.llogl_verdict)):
+                        assert kind == (verdict.kind if verdict else None), where
+
+
+# every builtin that slln_bench/reference.py re-derives, with both sign laws
+REFERENCE_SPECS = [
+    # 0.50000000025 lies within 1e-9 of the boundary at p = 0.5, not on it
+    *[{"builtin": "pareto", "params": {"alpha": alpha, "sign_law": sign}}
+      for alpha in (0.25, 0.5, 0.50000000025, 1.0, 1.5, 2.0)
+      for sign in ("symmetric", "nonnegative")],
+    *[{"builtin": "log-power", "params": {"power": a, "log_power": b, "sign_law": sign}}
+      for a, b in ((0.5, 2.0), (0.25, 4.0), (0.5, 0.5), (1.0, 1.0))
+      for sign in ("symmetric", "nonnegative")],
+    *[{"builtin": "log-loglog-power", "params": {"power": a, "sign_law": sign}}
+      for a in (0.25, 0.5, 1.5) for sign in ("symmetric", "nonnegative")],
+    {"builtin": "rademacher"},
+    *[{"builtin": "degenerate", "params": {"value": v, "sign_law": sign}}
+      for v, sign in ((1.0, "nonnegative"), (1.0, "symmetric"), (2.5, "nonnegative"))],
+]
+
+
+def _near_a_boundary(tail, p: float, q: float) -> bool:
+    """Whether an exponent that decides a cell lies within 1e-9 of its boundary
+    but not on it (to 1e-12): the lab calls it equal to the boundary, the
+    reference does not."""
+    if tail.bound is not None:
+        return False
+    big_a = tail.a / p
+    gaps = (big_a - 1.0, tail.b * q / p - 1.0, tail.c * q / p - 1.0, tail.b - big_a - 1.0,
+            tail.b - 1.0, tail.c - 1.0, tail.c - 2.0, tail.b, tail.c, tail.const - 1.0)
+    return any(1e-12 < abs(gap) <= 1e-9 for gap in gaps)
+
+
+def test_decision_agrees_with_the_independent_reference(monkeypatch):
+    # slln_bench/reference.py derives each membership from the paper's clause
+    # conditions and imports nothing from pqslln
+    pytest.importorskip("mpmath")
+    monkeypatch.syspath_prepend(BENCH)
+    import reference as ref
+
+    grid = [k / 20 for k in range(1, 40)]  # p in (0, 2); q = p falls on the grid
+    checked = 0
+    for spec in REFERENCE_SPECS:
+        model, tail = tm.make_builtin(spec["builtin"], **spec.get("params", {})), \
+            ref.tail_from_spec(spec)
+        for p in grid:
+            for q in grid[:19]:
+                if cr.clause_of(p, q) == cr.CLAUSE_OUT or _near_a_boundary(tail, p, q):
+                    continue
+                almost_sure = ref.expected_membership(tail, p, q, "almost-sure")
+                for criterion in ("almost-sure", "expectation"):
+                    decision = cr.decide(model, p, q, criterion)
+                    contrast = almost_sure if criterion == "expectation" and q == p else None
+                    assert (decision.membership, decision.contrast_membership) == (
+                        ref.expected_membership(tail, p, q, criterion), contrast), \
+                        (tail.name, tail.symmetric, p, q, criterion)
+                    checked += 1
+    assert checked > 30_000
 
 
 def test_soundness_against_stored_facts():

@@ -43,7 +43,7 @@ def truth(model: tm.TailModel, p: float, q: float, mode: str) -> str:
                 and model.negative_prob in (0.0, 1.0))
     if mode == "symmetrized" and constant:
         model = tm.zero()
-    return cr.classify_slln(model, p, q).membership
+    return cr.decide(model, p, q).membership
 
 
 def rule(verdict: dict) -> str:
