@@ -53,6 +53,7 @@ X_MAX = float(np.finfo(float).max)
 SERIES_N_MAX_DEFAULT = tm.SERIES_N_MAX_DEFAULT
 SERIES_BLOCK = 1 << 13  # terms of `truncated_series` evaluated at a time: cache-sized
 SERIES_N_MIN = 1000  # the fewest terms of `truncated_series`: its first checkpoint
+SERIES_N_LIMIT = 10**9  # the most terms of `truncated_series`: about a minute of its pass
 _EQ = 1e-12
 
 CLAUSE_Q_LT_P = "q<p<1"
@@ -233,15 +234,14 @@ def _series_kind(model: tm.TailModel, p: float) -> str:
     sy = _integral_tail(model, p, p)  # the tail of Y, the p-th moment's integrand
     if sy is None:
         return CONVERGES
-    tol = 1e-9
     ay, by, cy, c0 = sy.a, sy.b, sy.c, sy.const
-    if ay > 1.0 + tol or ay < 1.0 - tol:
+    if ay > 1.0 + EQ_TOL or ay < 1.0 - EQ_TOL:
         return CONVERGES
-    if by > tol:
+    if by > EQ_TOL:
         return _kind(LogPolyTail(c0, 1.0, by, cy - 1.0))
-    if cy > tol:
+    if cy > EQ_TOL:
         return DIVERGES
-    return CONVERGES if c0 >= 1.0 - tol else DIVERGES
+    return CONVERGES if c0 >= 1.0 - EQ_TOL else DIVERGES
 
 
 def _series_remainder(model: tm.TailModel, p: float, n_max: int) -> float | None:
@@ -294,34 +294,33 @@ def truncated_series(model: tm.TailModel, p: float,
     block reuses, the quantiles' output and inverse scratch included: each
     term depends on its n alone.  A block whose windows are all nonempty,
     as every block but the first is for the builtin tails, is evaluated
-    whole, without masks.  A block's prefix sums go on from the block before
-    by adding that block's last partial sum to the first term, which is, bit
-    for bit, np.cumsum over all the terms at once.  Only the partial sums are
-    kept whole; a divergent verdict fits them at the 11 geometric points from
-    n_max / 10 to n_max, rounded.
+    whole, without masks.  Its terms and integral-form terms are two rows,
+    whose first terms take the block before's last sums: each row's cumsum
+    is then, bit for bit, np.cumsum over all its terms.  Sums and terms are
+    kept only where read, at the checkpoints and a divergent verdict's 11 fit points.
     """
     tm.check_exponents(p)
-    n_max = tm.check_count("n_max", n_max, SERIES_N_MIN)
+    n_max = tm.check_count("n_max", n_max, SERIES_N_MIN, SERIES_N_LIMIT)
     checkpoints = sorted({10**k for k in range(3, int(math.log10(n_max)) + 1)} | {n_max})
-    idx = np.array([c - 1 for c in checkpoints])
-    partials = np.empty(n_max)
-    int_at, terms_at = np.empty((2, idx.size))  # at the checkpoints
+    decade = np.rint(np.geomspace(n_max / 10, n_max, 11))
+    reads = np.array([*checkpoints, *decade], dtype=np.int64) - 1  # the indices read
+    at = np.empty((3, reads.size))  # the partial sums, integral-form sums and terms there
     steps = np.arange(min(SERIES_BLOCK, n_max), dtype=float)
-    ns, terms, integral_terms, quantiles = np.empty((4, steps.size))
+    ns, quantiles = np.empty((2, steps.size))
+    sums = np.empty((2, steps.size))  # the block's terms, then the running sums of each row
     scratch = tm.InverseScratch(steps.size)
-    clamped, tops, int_carry = 0, [], 0.0
+    clamped, top = 0, 0.0
     table = s_y = None  # built for the first nonempty window
     for lo in range(0, n_max, steps.size):
         size = min(steps.size, n_max - lo)
-        n, term, int_term = ns[:size], terms[:size], integral_terms[:size]
+        n, block = ns[:size], sums[:, :size]
+        term, int_term = block
         np.add(steps[:size], float(lo + 1), out=n)
-        if size < scratch.cells.size:  # the last block, shorter
-            scratch = tm.InverseScratch(size)
-        u = tm.quantiles_un(model, n, quantiles[:size], scratch)
+        # a shorter last block leaves the inverse to make a scratch of its size
+        u = tm.quantiles_un(model, n, quantiles[:size], scratch if size == steps.size else None)
         a = np.minimum(u**p, n)
         nonempty = a < n * (1.0 - 1e-15)
-        term.fill(0.0)
-        int_term.fill(0.0)
+        block.fill(0.0)
         if np.any(nonempty):
             if table is None:
                 table = tm.CumulativeTailTable(model, p, float(n_max))
@@ -334,28 +333,27 @@ def truncated_series(model: tm.TailModel, p: float,
             clamped += int(np.count_nonzero(raw < 0.0))
             term[windows] = np.maximum(raw, 0.0)
             int_term[windows] = np.maximum(g_b - g_a, 0.0) / bb
-        here = (idx >= lo) & (idx < lo + size)
-        terms_at[here] = term[idx[here] - lo]
-        tops.append(term.max())
+        here = (reads >= lo) & (reads < lo + size)
+        at[2, here] = term[reads[here] - lo]
+        top = np.maximum(top, term.max())
         if lo:
-            term[0] += partials[lo - 1]
-            int_term[0] += int_carry
-        np.cumsum(term, out=partials[lo:lo + size])
-        np.cumsum(int_term, out=int_term)
-        int_at[here] = int_term[idx[here] - lo]
-        int_carry = int_term[-1]
+            block[:, 0] += carry
+        np.cumsum(block, axis=1, out=block)
+        at[:2, here] = block[:, reads[here] - lo]
+        carry = block[:, -1].copy()
 
+    partials, int_at, terms_at = at[:, :len(checkpoints)]
     table_out = SeriesTable(
         n_max=n_max,
         checkpoints=tuple(checkpoints),
-        partial_sums=tuple(partials[idx].tolist()),
+        partial_sums=tuple(partials.tolist()),
         integral_form_partials=tuple(int_at.tolist()),
         terms_at_checkpoints=tuple(terms_at.tolist()),
         clamped_terms=clamped,
     )
 
     estimate = float(partials[-1])
-    zero = float(np.max(tops)) <= 1e-12
+    zero = float(top) <= 1e-12
     kind, upper = _series_kind(model, p), tm.support_upper(model)
     if math.isfinite(upper):
         # Y <= M^p and P(Y > u_n^p) <= 1/n, so term_n <= M^p / n^2
@@ -368,9 +366,8 @@ def truncated_series(model: tm.TailModel, p: float,
         return table_out, Verdict(CONVERGES, estimate, remainder_bound=rem, method="zero-terms")
     diag = {"tail_exponents": (sy.a, sy.b, sy.c)}
     if kind == DIVERGES:
-        last = partials[idx[-2]] if len(idx) > 1 else 0.0
-        decade = np.rint(np.geomspace(n_max / 10, n_max, 11))
-        slope, _ = fit_line(np.log(decade), partials[decade.astype(np.int64) - 1])
+        last = partials[-2] if len(partials) > 1 else 0.0
+        slope, _ = fit_line(np.log(decade), at[0, len(checkpoints):])
         diag["last_decade_increase"] = float(partials[-1] - last)
         diag["last_decade_slope"] = float(slope)
     return table_out, Verdict(kind, estimate, remainder_bound=rem,
@@ -451,8 +448,10 @@ def decide(model: tm.TailModel, p: float, q: float,
 
     Each kind is `_kind` of the integrand's tail, or `_series_kind`.  At q = p
     the expectation criterion's contrast is the almost-sure membership.  A
-    valid (p, q) outside these three is Inconclusive; an invalid one, p
-    outside (0, 2) or q <= 0 or either not a finite number, raises ValueError."""
+    valid (p, q) outside these three is Inconclusive; an invalid one (p not in
+    (0, 2), q <= 0, either not finite) or criterion raises ValueError."""
+    if criterion not in ("almost-sure", "expectation"):
+        raise ValueError(f"criterion must be 'almost-sure' or 'expectation', got {criterion!r}")
     clause = clause_of(p, q)
     mean_flag = tm.mean_zero(model)
     mean_required = clause == CLAUSE_P_GE_1
@@ -476,7 +475,7 @@ def decide(model: tm.TailModel, p: float, q: float,
 
 
 def check_settings(t_cap: float, series_n_max: int) -> None:
-    """ValueError unless t_cap > 0 is finite and series_n_max a count `truncated_series` takes."""
+    """ValueError unless t_cap > 0 is finite and series_n_max an integer in [10^3, 2^53]."""
     if not (tm.is_number(t_cap) and t_cap > 0.0):
         raise ValueError(f"t_cap must be positive and finite, got {t_cap!r}")
     tm.check_count("series_n_max", series_n_max, SERIES_N_MIN)
@@ -495,7 +494,8 @@ def _classify(model: tm.TailModel, p: float, q: float, criterion: str, *,
         integral = pmom = p_moment(model, p, t_cap)
         if criterion == "expectation":
             llogl = llogl_moment(model, p, 1.0, t_cap)
-        else:
+        else:  # the series' term limit fails only this evidence, not the decision
+            tm.check_count("series_n_max", series_n_max, SERIES_N_MIN, SERIES_N_LIMIT)
             series_table, series_verdict = truncated_series(model, p, series_n_max)
     else:
         integral, pmom = integral_pq(model, p, q, t_cap), p_moment(model, p, t_cap)

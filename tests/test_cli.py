@@ -100,8 +100,9 @@ def test_expectation_at_small_p_runs_the_default_cap(tmp_path, capsys):
 
 
 def test_expectation_takes_a_series_n_max_of_10_15(tmp_path, capsys):
-    # the expectation criterion sums no term of the series, so it allocates
-    # none; the almost-sure one fails on it (test_out_of_memory_is_one_line)
+    # the expectation criterion sums no term of the series, so its term limit
+    # of 10^9 does not apply; the almost-sure one fails on it
+    # (test_out_of_memory_is_one_line)
     cfg = criteria_config(tmp_path, {"builtin": "log-loglog-power", "params": {"power": 0.5}},
                           0.5, 0.5, series_n_max=10**15, criterion="expectation")
     assert cli.main(["criteria", "--config", cfg]) == 0
@@ -321,9 +322,10 @@ def test_report_rejects_the_criteria_settings_criteria_rejects(tmp_path, capsys,
     # the window [0, 0.5] ends before the knee of the transformed tail
     ({"builtin": "pareto", "params": {"alpha": 2.0}}, 1.5, 0.5, {"t_cap": 0.5},
      2, "t_cap must exceed the knee", "Member"),
-    # 10^15 terms of the series pass cannot be allocated (test_out_of_memory_is_one_line)
+    # 10^15 terms are past the series pass's limit (test_out_of_memory_is_one_line)
     ({"builtin": "log-power", "params": {"power": 0.5, "log_power": 2.0}}, 0.5, 0.5,
-     {"series_n_max": 10**15}, 1, "Unable to allocate", "Member"),
+     {"series_n_max": 10**15}, 2, "series_n_max must be an integer at least 10^3 and at most 10^9",
+     "Member"),
 ], ids=["knee", "allocation"])
 def test_report_decides_where_the_evidence_fails(tmp_path, capsys, model, p, q, settings,
                                                  code, needle, membership):
@@ -565,19 +567,24 @@ def test_failed_write_is_one_line_and_leaves_no_temporary(tmp_path, capsys):
     assert os.listdir(out) == ["criterion_report.json"]
 
 
-# 10^15 doubles are 8 PB, past any 64-bit user address space: the allocation always fails
-@pytest.mark.parametrize("command,payload", [
+# 10^15 doubles are 8 PB, past any 64-bit user address space: the allocation
+# always fails.  10^15 terms of the series, which keeps no array that long, are
+# past its stated limit of 10^9 terms instead, a config error before any work
+@pytest.mark.parametrize("command,payload,code,start", [
     ("criteria", {"model": {"builtin": "log-loglog-power", "params": {"power": 0.5}},
-                  "p": 0.5, "q": 0.5, "criteria": {"series_n_max": 10**15}}),
+                  "p": 0.5, "q": 0.5, "criteria": {"series_n_max": 10**15}}, 2,
+     "error: bad criteria settings: series_n_max must be an integer at least 10^3 and at most "
+     "10^9, got 1000000000000000\n"),
     ("simulate", {"model": {"builtin": "pareto", "params": {"alpha": 2.0}}, "p": 1.0, "q": 0.5,
-                  "simulate": {"n_max": 1024, "replications": 10**15}}),
+                  "simulate": {"n_max": 1024, "replications": 10**15}}, 1,
+     "error: Unable to allocate "),
 ], ids=["series_n_max", "replications"])
-def test_out_of_memory_is_one_line(tmp_path, capsys, command, payload):
+def test_out_of_memory_is_one_line(tmp_path, capsys, command, payload, code, start):
     cfg = write_config(tmp_path, "huge.json", {"schema": 1, **payload})
     out = tmp_path / "out"
-    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == code
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate ") and len(err.strip().split("\n")) == 1
+    assert err.startswith(start) and len(err.strip().split("\n")) == 1
     assert not any(out.iterdir())
 
 
@@ -756,6 +763,28 @@ def test_simulate_and_verify_load_only_what_they_run(tmp_path, model, workers):
                               mode="symmetrized")
         argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "run"), "--workers", workers]
         absent = (*NOT_RUN_BY_ENGINE, "pqslln.criteria", "pqslln.oracles", "fractions")
+    probe = ("import contextlib, io, sys\n"
+             "from pqslln import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(sys.argv[1:])\n"
+             f"print(code, *[name for name in {absent!r} if name in sys.modules])\n")
+    assert run_python("-c", probe, *argv).split() == ["0"]
+
+
+@pytest.mark.parametrize("command", ["almost-sure", "expectation", "report"])
+def test_criteria_and_report_load_only_what_they_run(tmp_path, command):
+    # the q = p series and the decision need neither the engine nor the exact
+    # oracles, nor fractions (3.7 ms to import); np.unique and np.union1d
+    # would load numpy.ma
+    model = {"builtin": "log-power", "params": {"power": 0.5, "log_power": 2.0}}
+    if command == "report":
+        cfg = simulate_config(tmp_path, model, 0.5, 0.5, n_max=1024, replications=2)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+        argv = ["report", str(tmp_path / "run" / "sim_manifest.json")]
+    else:
+        argv = ["criteria", "--config", criteria_config(tmp_path, model, 0.5, 0.5,
+                                                        criterion=command)]
+    absent = (*NOT_RUN_BY_ENGINE, "fractions", "pqslln.mc_engine", "pqslln.oracles")
     probe = ("import contextlib, io, sys\n"
              "from pqslln import cli\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"

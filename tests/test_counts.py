@@ -43,7 +43,7 @@ SITES = {
                            lambda v: mc.dense_ratio_moments(PARETO, [(1.0, 0.5)], 3, v, 0), 10),
     "dense-master_seed": ("master_seed", 0, rng.MAX_SEED, ValueError,
                           lambda v: mc.dense_ratio_moments(PARETO, [(1.0, 0.5)], 3, 10, v), 7),
-    "series-n_max": ("n_max", 1000, MAX, ValueError,
+    "series-n_max": ("n_max", 1000, cr.SERIES_N_LIMIT, ValueError,
                      lambda v: cr.truncated_series(PARETO, 0.5, v), 1000),
     "classify-series_n_max": ("series_n_max", 1000, MAX, ValueError,
                               lambda v: cr.classify_slln(PARETO, 0.5, 0.5, series_n_max=v), 1000),

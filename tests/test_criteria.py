@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,9 @@ JUMPY_MODEL = tm.load_model({"name": "jumpy", "sign_law": "symmetric", "pieces":
 @pytest.mark.parametrize("model, p, n_max", [
     (tm.log_loglog_power_tail(0.5), 0.5, 1000), (tm.log_power_tail(0.5, 2.0), 0.5, 1234),
     (tm.pareto(1.0), 1.0, 1001), (JUMPY_MODEL, 0.5, 1000), (tm.rademacher(), 1.5, 1000),
+    # divergent: the fit's end points are the checkpoints 10^3 and 10^4, and
+    # the last of the blocks of seven is short
+    (tm.log_loglog_power_tail(0.5), 0.5, 10_000),
 ], ids=lambda v: getattr(v, "name", str(v)))
 def test_series_in_blocks_of_seven_is_the_same_bit_for_bit(monkeypatch, model, p, n_max):
     # a block's prefix sums go on from the block before, so any block size
@@ -395,8 +399,8 @@ def test_series_in_blocks_of_seven_is_the_same_bit_for_bit(monkeypatch, model, p
 def test_series_reuses_its_block_buffers(model):
     # q = p series at 10^5 terms.  Evaluated whole, a call took over 6,000
     # minor page faults, about 30 fresh arrays of 10^5 doubles (196 pages
-    # each); in blocks, only the partial sums (and a divergent verdict's
-    # last-decade fit) are that long
+    # each); in blocks, no array is that long, as the sums are kept only at
+    # the checkpoints and the fit's points (test_series_memory_is_one_block)
     resource = pytest.importorskip("resource")
 
     def faults():
@@ -406,6 +410,24 @@ def test_series_reuses_its_block_buffers(model):
 
     faults()  # the tail table, the quadrature and the allocator's first arenas
     assert faults() <= 1500
+
+
+@pytest.mark.parametrize("model", [tm.log_power_tail(0.5, 2.0), tm.log_loglog_power_tail(0.5)],
+                         ids=lambda m: m.name)
+def test_series_memory_is_one_block(model):
+    # the partial sums were kept n_max long: a traced peak of 2.35 MiB at 10^5
+    # terms and 9.2 MiB at 10^6; carried from block to block, it is the same
+    def peak(n_max):
+        tracemalloc.start()
+        try:
+            cr.truncated_series(model, 0.5, n_max)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100_000)  # the allocator's first arenas and any lazy import
+    small, large = peak(100_000), peak(1_000_000)
+    assert abs(large - small) <= 0.05 * small, (small, large)
 
 
 def test_divergent_series_fits_the_eleven_points_of_its_last_decade(monkeypatch):
@@ -751,6 +773,21 @@ def test_membership_is_ordered_in_p_and_in_q():
             for p2, q2 in non_members:
                 assert not (q2 == q and p2 < p), (model.name, model.negative_prob, p2, q2, p)
                 assert not (p2 == p and q2 > q), (model.name, model.negative_prob, p, q2, q)
+
+
+def test_an_unknown_criterion_is_rejected_before_any_evidence(monkeypatch):
+    # "expectations" read as the almost-sure criterion: Member here, where the
+    # expectation criterion gives NonMember; a report's criterion was "bogus"
+    model = tm.log_power_tail(0.5, 2.0)
+    assert cr.decide(model, 0.5, 0.5, "expectation").membership == cr.NON_MEMBER
+    monkeypatch.setattr(cr, "p_moment", None)  # the evidence of both clauses calls it
+    message = "^criterion must be 'almost-sure' or 'expectation', got "
+    for name in ("expectations", "bogus", None):
+        for q in (0.5, 0.25):
+            with pytest.raises(ValueError, match=message + re.escape(repr(name))):
+                cr.decide(model, 0.5, q, name)
+            with pytest.raises(ValueError, match=message):
+                cr._classify(model, 0.5, q, name, t_cap=1e12, series_n_max=1000)
 
 
 def test_decision_is_the_classifiers_membership_and_evidence_kinds():
